@@ -175,18 +175,6 @@ class CacheHierarchy:
             stats.l1_hits += 1
             return _OUTCOME_L1
 
-        return self.access_after_l1_miss(addr, is_write)
-
-    def access_after_l1_miss(self, addr: int, is_write: bool) -> AccessOutcome:
-        """Continue a demand access whose L1 probe already missed.
-
-        The caller is responsible for the L1 probe *and* its accounting
-        (``stats.accesses``/``stats.l1_hits`` and the L1's own hit/miss
-        counters) — this is the hook the single-core fast loop uses to
-        inline the L1 hit path and batch those counters locally.
-        """
-        stats = self.stats
-        l1 = self.l1
         l2 = self.l2
         # Inlined l2.probe (a demand read never dirties the L2 line).
         cset = l2._sets[addr & l2._set_mask]

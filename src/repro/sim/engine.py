@@ -7,16 +7,20 @@
     per-access counter updates, one tracer record per access.  Always
     used when a tracer is active.
 ``fast``
-    PR 3's profile-guided scalar loop: the L1 hit path inlined to a
-    dict lookup plus the LRU touch, counters batched in locals.
+    One call of the scalar access kernel
+    (:func:`repro.sim.batch.scalar_kernel`) over the whole trace.
 ``batch``
-    PR 6's chunked engine (:mod:`repro.sim.batch`): one vectorised
-    probe against an L1 snapshot per chunk resolves the leading run of
-    hits with NumPy, then the scalar fast path handles the miss tail.
+    The chunked engine (:mod:`repro.sim.batch`): a vectorised probe
+    against an L1 snapshot resolves each leading run of hits with
+    NumPy, and the scalar kernel handles the misses.
 
-All three are proven byte-identical — results *and* serialised
-observations — by ``tests/sim/test_engine_equivalence.py`` and the
-differential fuzz oracle in ``tests/sim/test_batch_equivalence.py``.
+Multi-program mixes (:func:`repro.sim.multi_core.simulate_mix`) follow
+the same selection: ``traced`` keeps the per-access loop as the
+reference, and every other engine runs each thread's scalar kernel.
+All are proven byte-identical — results *and* serialised observations
+— by ``tests/sim/test_engine_equivalence.py``,
+``tests/sim/test_batch_equivalence.py`` and
+``tests/sim/test_mix_equivalence.py``.
 
 Selection order: explicit argument > ``$REPRO_ENGINE`` > ``batch``.
 The CLI's ``--engine`` writes the environment variable so parallel

@@ -7,20 +7,32 @@ realistic until the slowest thread completes.  Performance is reported as
 weighted speedup against single-program runs on the same machine.
 
 Threads are interleaved by their simulated clocks: at every step the
-thread with the smallest accumulated cycle count issues its next access,
-so faster threads naturally issue more requests per unit time.  Each
-thread gets private L1/L2 caches and a private address-space offset (two
-instances of the same trace in one mix must not share lines).
+thread with the smallest accumulated cycle count (the first on ties)
+issues its next access, so faster threads naturally issue more requests
+per unit time.  Each thread gets private L1/L2 caches and a private
+address-space offset (two instances of the same trace in one mix must
+not share lines).
+
+The ``traced`` engine (see :mod:`repro.sim.engine`) is the reference:
+one scheduling decision and one ``hierarchy.access`` per access.  Every
+other engine gives each thread its own scalar access kernel
+(:func:`repro.sim.batch.scalar_kernel`) and schedules by *run-ahead*:
+the chosen thread keeps issuing while it would still be chosen — its
+clock below every earlier thread's and at most every later thread's —
+which is exactly the reference order, one kernel span per decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from repro.cache.hierarchy import L1, CacheHierarchy
 from repro.memory.dram import DRAMModel
 from repro.obs.registry import CounterRegistry
+from repro.sim.batch import scalar_kernel
 from repro.sim.config import MachineConfig, Preset
+from repro.sim.engine import resolve_engine
 from repro.sim.single_core import OCCUPANCY_SAMPLES, RunResult, core_params_for
 from repro.timing.core_model import CoreTimingModel
 from repro.workloads.datagen import LineDataModel
@@ -115,6 +127,17 @@ class _Thread:
         self.measured_instr = 0
         self.measured_cycles = 0.0
 
+    def wrap(self) -> bool:
+        """Restart the trace (keep generating contention); True at the end
+        of the first pass, when the thread's measurement is taken."""
+        self.index = 0
+        if self.finished_once:
+            return False
+        self.finished_once = True
+        self.measured_instr = self.core.instructions
+        self.measured_cycles = self.core.cycles
+        return True
+
 
 def simulate_mix(
     mix: MixSpec,
@@ -122,12 +145,26 @@ def simulate_mix(
     preset: Preset,
     suite: TraceSuite,
 ) -> MixRunResult:
-    """Run one four-way mix on one machine configuration."""
+    """Run one four-way mix on one machine configuration.
+
+    ``$REPRO_ENGINE`` picks the loop (see the module docstring); the
+    result is engine-independent.
+    """
     llc = machine.build_llc(preset)
     dram = DRAMModel()
     hierarchy_config = preset.hierarchy_config(machine.prefetch_degree)
+    traced = resolve_engine() == "traced"
+
+    registry = CounterRegistry()
+    occupancy = registry.histogram("llc/victim_occupancy")
+    victim_occupancy = getattr(llc, "victim_occupancy", None)
+    sample_every = max(
+        1, len(mix.trace_names) * preset.trace_length // OCCUPANCY_SAMPLES
+    )
+    samples: list[int] = []
 
     threads: list[_Thread] = []
+    kernels = []
     for tid, trace_name in enumerate(mix.trace_names):
         trace = suite.trace(trace_name)
         data = suite.data_model(trace_name)
@@ -140,41 +177,80 @@ def simulate_mix(
         hierarchy = CacheHierarchy(llc, size_fn, hierarchy_config, memory=dram)
         core = CoreTimingModel(core_params_for(trace, machine))
         threads.append(_Thread(trace_name, trace, data, hierarchy, core, offset))
-
-    registry = CounterRegistry()
-    occupancy = registry.histogram("llc/victim_occupancy")
-    victim_occupancy = getattr(llc, "victim_occupancy", None)
-    sample_every = max(1, len(threads) * preset.trace_length // OCCUPANCY_SAMPLES)
-    steps = 0
+        if not traced:
+            kernels.append(
+                scalar_kernel(
+                    trace.deltas,
+                    trace.addrs,
+                    trace.kinds,
+                    hierarchy,
+                    core,
+                    data.on_write,
+                    victim_occupancy,
+                    sample_every,
+                    samples,
+                    addr_offset=offset,
+                    size_memo=data.size_memo,
+                    size_fn=data.size_of,
+                )
+            )
 
     unfinished = len(threads)
-    while unfinished > 0:
-        # The thread with the smallest clock issues next.
-        thread = min(threads, key=_thread_clock)
-        trace = thread.trace
-        i = thread.index
-        base_addr = trace.addrs[i]
-        is_write = trace.kinds[i] == 1
-        if is_write:
-            thread.data.on_write(base_addr)
-        thread.core.advance(trace.deltas[i])
-        thread.hierarchy.now = thread.core.cycles
-        outcome = thread.hierarchy.access(base_addr + thread.offset, is_write)
-        if outcome.level != L1:
-            thread.core.account_access(outcome, outcome.dram_latency)
+    if traced:
+        steps = 0
+        while unfinished > 0:
+            # The thread with the smallest clock issues next.
+            thread = min(threads, key=_thread_clock)
+            trace = thread.trace
+            i = thread.index
+            base_addr = trace.addrs[i]
+            is_write = trace.kinds[i] == 1
+            if is_write:
+                thread.data.on_write(base_addr)
+            thread.core.advance(trace.deltas[i])
+            thread.hierarchy.now = thread.core.cycles
+            outcome = thread.hierarchy.access(base_addr + thread.offset, is_write)
+            if outcome.level != L1:
+                thread.core.account_access(outcome, outcome.dram_latency)
 
-        steps += 1
-        if victim_occupancy is not None and steps % sample_every == 0:
-            occupancy.observe(victim_occupancy())
+            steps += 1
+            if victim_occupancy is not None and steps % sample_every == 0:
+                occupancy.observe(victim_occupancy())
 
-        thread.index += 1
-        if thread.index >= len(trace):
-            thread.index = 0  # wrap: keep generating contention
-            if not thread.finished_once:
-                thread.finished_once = True
-                thread.measured_instr = thread.core.instructions
-                thread.measured_cycles = thread.core.cycles
+            thread.index += 1
+            if thread.index >= len(trace) and thread.wrap():
                 unfinished -= 1
+    else:
+        # Run-ahead.  A span's window is the smallest clock among the
+        # earlier threads (strict) and among the later ones (inclusive);
+        # the occupancy countdown is mix-global, like the reference's
+        # step count.  Spans are often one or two accesses long, so the
+        # scheduler works on plain lists.
+        runs = [run for run, _ in kernels]
+        lengths = [len(thread.trace) for thread in threads]
+        clocks = [thread.core.cycles for thread in threads]
+        last = len(threads) - 1
+        countdown = sample_every
+        while unfinished > 0:
+            k = clocks.index(min(clocks))
+            thread = threads[k]
+            start = thread.index
+            index, next_sample = runs[k](
+                start,
+                lengths[k],
+                start + countdown - 1 if victim_occupancy is not None else -1,
+                min(clocks[:k]) if k else inf,
+                min(clocks[k + 1 :]) if k < last else inf,
+            )
+            clocks[k] = thread.core.cycles
+            countdown = next_sample - index + 1
+            thread.index = index
+            if index == lengths[k] and thread.wrap():
+                unfinished -= 1
+        for _, flush in kernels:
+            flush()
+        for value in samples:
+            occupancy.observe(value)
 
     result = MixRunResult(mix=mix.name, machine=machine.label)
     for thread in threads:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from repro.cache.hierarchy import L1, L2, LLC, CacheHierarchy
+from repro.cache.hierarchy import L1, CacheHierarchy
 from repro.compression.stats import publish_codec_histograms
 from repro.sim import batch
 from repro.sim.engine import resolve_engine
@@ -164,16 +164,14 @@ def simulate_trace(
     # Three equivalent inner loops (see repro.sim.engine).  The traced
     # loop is the reference: one hierarchy.access per demand access,
     # per-access counter updates, one tracer.record per access.  The
-    # fast loop is the profile-guided scalar version of the same
-    # computation: the L1 hit path (the overwhelming majority of
-    # accesses) is inlined down to a dict lookup plus the LRU timestamp
-    # touch, core timing runs on hoisted locals, and per-access counters
-    # accumulate in local ints flushed into HierarchyStats and the
-    # registry after the loop.  The batch loop (repro.sim.batch)
-    # vector-resolves each chunk's leading run of L1 hits and hands the
-    # miss tail to the scalar body.  tests/sim/test_engine_equivalence
-    # .py and tests/sim/test_batch_equivalence.py prove all three
-    # produce byte-identical RunResults and observations.
+    # fast loop is one call of the scalar access kernel
+    # (repro.sim.batch.scalar_kernel): the whole demand path inlined
+    # over hoisted columns, counters batched and flushed once.  The
+    # batch loop vector-resolves each chunk's leading run of L1 hits
+    # and hands the miss tail to the same kernel.
+    # tests/sim/test_engine_equivalence.py and
+    # tests/sim/test_batch_equivalence.py prove all three produce
+    # byte-identical RunResults and observations.
     l1 = hierarchy.l1
     if tracer is not None:
         engine_name = "traced"
@@ -216,76 +214,21 @@ def simulate_trace(
                 if tracer is not None:
                     tracer.record(i=i, addr=addr, write=is_write, level=outcome.level)
         else:
-            l1_sets = l1._sets
-            l1_mask = l1._set_mask
-            l1_stamps = l1.stamps
-            l1_clocks = l1.clocks
-            l1_dirty = l1.dirty
-            after_l1_miss = hierarchy.access_after_l1_miss
-            base_cpi = core.base_cpi
-            l2_stall = core.l2_stall
-            llc_exposed = core.llc_exposed
-            mlp_llc = core.mlp_llc
-            mlp_memory = core.mlp_memory
-            cycles = core.cycles
-            instructions = core.instructions
-            stall_cycles = core.stall_cycles
-            l1_hits = 0
+            # One kernel call over the whole trace, unbounded window.
             samples: list[int] = []
-
-            # zip iterates the packed arrays in C instead of one boxed
-            # subscript per array per access.
-            i = 0
-            for delta, addr, kind in zip(deltas, addrs, kinds):
-                instructions += delta
-                cycles += delta * base_cpi
-                is_write = kind == 1
-                if is_write:
-                    on_write(addr)
-                cset = l1_sets[addr & l1_mask]
-                way = cset.lookup.get(addr)
-                if way is not None:
-                    # Inlined l1.probe hit: LRU touch plus the dirty bit,
-                    # on the cache's flat columns.
-                    index = cset.index
-                    clock = l1_clocks[index] + 1
-                    l1_clocks[index] = clock
-                    l1_stamps[cset.base + way] = clock
-                    if is_write:
-                        l1_dirty[cset.base + way] = True
-                    l1_hits += 1
-                else:
-                    hierarchy.now = cycles
-                    outcome = after_l1_miss(addr, is_write)
-                    level = outcome.level
-                    if level == L2:
-                        stall = l2_stall
-                    elif level == LLC:
-                        stall = (
-                            llc_exposed + outcome.extra_llc_cycles
-                        ) / mlp_llc
-                    else:
-                        stall = (
-                            llc_exposed
-                            + outcome.extra_llc_cycles
-                            + outcome.dram_latency
-                        ) / mlp_memory
-                    cycles += stall
-                    stall_cycles += stall
-                if i == next_sample:
-                    samples.append(victim_occupancy())
-                    next_sample += sample_every
-                i += 1
-
-            # Flush the locally batched state back into the models.
-            core.cycles = cycles
-            core.instructions = instructions
-            core.stall_cycles = stall_cycles
-            stats = hierarchy.stats
-            stats.accesses += length
-            stats.l1_hits += l1_hits
-            l1.stat_hits += l1_hits
-            l1.stat_misses += length - l1_hits
+            run, flush = batch.scalar_kernel(
+                deltas,
+                addrs,
+                kinds,
+                hierarchy,
+                core,
+                on_write,
+                victim_occupancy,
+                sample_every,
+                samples,
+            )
+            run(0, length, next_sample)
+            flush()
             for value in samples:
                 occupancy.observe(value)
 

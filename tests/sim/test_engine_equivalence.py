@@ -1,13 +1,13 @@
-"""Differential tests: the fast inner loop vs the traced reference loop.
+"""Differential tests: the default engine vs the traced reference loop.
 
-``simulate_trace`` carries two equivalent inner loops (see
-``repro.sim.single_core``): the traced reference loop — one
-``hierarchy.access`` per demand access, per-access counter updates — and
-the profile-guided fast loop with the L1 hit path inlined and counters
-batched in locals.  A tracer forces the reference loop, so running the
-same (trace, machine) pair with and without one is a direct differential
-test of the optimization: every ``RunResult`` field and every serialised
-observation must be byte-identical.
+``simulate_trace``'s engines (see ``repro.sim.engine``) all run the
+traced reference loop's computation — one ``hierarchy.access`` per
+demand access, per-access counter updates — or the scalar access kernel
+of ``repro.sim.batch``, which inlines the whole demand path over hoisted
+columns and batches its counters.  A tracer forces the reference loop,
+so running the same (trace, machine) pair with and without one is a
+direct differential test of the kernel: every ``RunResult`` field and
+every serialised observation must be byte-identical.
 """
 
 from __future__ import annotations
