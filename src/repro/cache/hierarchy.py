@@ -21,16 +21,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.cache.config import CacheGeometry
-from repro.cache.prefetch import _PAGE_MASK, _PAGE_SHIFT, StreamPrefetcher
+from repro.cache.prefetch import StreamPrefetcher
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.setassoc import SetAssociativeCache
-from repro.core.interfaces import AccessKind, LLCArchitecture
+from repro.core.interfaces import AccessKind, LLCAccessResult, LLCArchitecture
 
 #: Levels at which an access can be served.
 L1, L2, LLC, MEMORY = 1, 2, 3, 4
 
-#: AccessKind members as plain ints (IntEnum __eq__ dispatch is
-#: measurable on the demand path; see repro.core.basevictim).
+#: AccessKind members as plain ints (see repro.core.basevictim).
 _READ = int(AccessKind.READ)
 _WRITEBACK = int(AccessKind.WRITEBACK)
 _PREFETCH = int(AccessKind.PREFETCH)
@@ -84,10 +83,7 @@ class AccessOutcome:
 
 #: L1/L2 outcomes carry no per-access payload, so the hierarchy hands out
 #: these shared instances instead of allocating one per hit.  They are
-#: treated as immutable by every consumer.  LLC/MEMORY outcomes do carry
-#: per-access payload; each hierarchy reuses one mutable instance per
-#: level for them (see __init__), so like the shared hit outcomes an
-#: AccessOutcome is only valid until the next access.
+#: treated as immutable by every consumer.
 _OUTCOME_L1 = AccessOutcome(L1)
 _OUTCOME_L2 = AccessOutcome(L2)
 
@@ -149,18 +145,6 @@ class CacheHierarchy:
         self.l2 = SetAssociativeCache(self.config.l2_geometry, LRUPolicy(), name="l2")
         self.prefetcher = StreamPrefetcher(degree=self.config.prefetch_degree)
         self.stats = HierarchyStats()
-        self._last_read_latency = 0.0
-        # Reused mutable outcomes for the miss paths (see module note on
-        # the shared L1/L2 outcome instances).
-        self._outcome_llc = AccessOutcome(LLC)
-        self._outcome_memory = AccessOutcome(MEMORY)
-        #: L1 membership mutation log for the batch engine.  When set (a
-        #: list), every flat L1 slot whose tag/valid columns change is
-        #: appended, letting the engine patch its probe snapshot instead
-        #: of re-snapshotting the whole cache after each miss.  L1 *hits*
-        #: never change membership, so only the fill/invalidate paths
-        #: below log.  None (the default) disables logging.
-        self._l1_log: list[int] | None = None
 
     # ------------------------------------------------------------------
     # Demand path
@@ -170,103 +154,32 @@ class CacheHierarchy:
         """One demand load/store from the core; returns where it was served."""
         stats = self.stats
         stats.accesses += 1
-
         if self.l1.probe(addr, is_write):
             stats.l1_hits += 1
             return _OUTCOME_L1
-
-        l2 = self.l2
-        # Inlined l2.probe (a demand read never dirties the L2 line).
-        cset = l2._sets[addr & l2._set_mask]
-        way = cset.lookup.get(addr)
-        if way is not None:
-            if l2._lru_inline:
-                index = cset.index
-                clock = l2.clocks[index] + 1
-                l2.clocks[index] = clock
-                l2.stamps[cset.base + way] = clock
-            else:
-                l2.policy.on_hit(cset.policy_state, way)
-            l2.stat_hits += 1
+        # A demand read never dirties the L2 line; the store lands in L1.
+        if self.l2.probe(addr):
             stats.l2_hits += 1
             self._fill_l1(addr, is_write)
             return _OUTCOME_L2
-        l2.stat_misses += 1
 
         # L2 demand miss: train the prefetcher before the LLC access so the
-        # stream runs ahead of the demand stream.  prefetcher.observe,
-        # inlined (see StreamPrefetcher.observe for the commented model);
-        # the branch structure is reordered but hits every table/counter
-        # update in the same order with the same values.
-        prefetches: list[int] | tuple[()] = ()
-        prefetcher = self.prefetcher
-        if prefetcher.degree:
-            table = prefetcher._table
-            page = addr >> _PAGE_SHIFT
-            offset = addr & _PAGE_MASK
-            entry = table.pop(page, None)
-            if entry is None:
-                table[page] = (offset, 0, False)
-            else:
-                last_offset, stride, trained = entry
-                new_stride = offset - last_offset
-                if new_stride == 0:
-                    # Same line again: keep the entry untouched.
-                    table[page] = entry
-                elif new_stride == stride and (trained or stride != 0):
-                    if not trained:
-                        prefetcher.stat_trainings += 1
-                    prefetches = prefetcher._issue(page, offset, stride)
-                    table[page] = (offset, stride, True)
-                else:
-                    table[page] = (offset, new_stride, False)
-            while len(table) > prefetcher.table_size:
-                del table[next(iter(table))]
-
-        if self._uses_sizes:
-            # size_memo first (one dict probe); size_fn computes-and-memoises
-            # on a miss, so steady state never leaves the dict.
-            size = self.size_memo.get(addr)
-            if size is None:
-                size = self.size_fn(addr)
-        else:
-            size = 1
-        result = self.llc.access(addr, _READ, size)
-        # merge_llc_result, unrolled: this is the hottest stats callsite.
-        stats.memory_reads += result.memory_reads
-        stats.memory_writes += result.memory_writes
-        stats.silent_evictions += result.silent_evictions
-        stats.llc_data_reads += result.data_reads
-        stats.llc_data_writes += result.data_writes
-        stats.llc_fill_segments += result.fill_segments
-        stats.llc_accesses += 1
-        # Inlined _account_memory(demand=True).
-        memory = self.memory
-        read_latency = 0.0
-        if memory is not None:
-            now = self.now
-            if result.memory_reads:
-                read_latency = memory.read(addr, now)
-            for _ in range(result.memory_writes):
-                memory.write(addr, now)
-        self._last_read_latency = read_latency
-        if result.invalidates:
-            self._process_invalidates(result)
-        extra = self.llc.extra_tag_cycles
+        # stream runs ahead of the demand stream.
+        prefetches = self.prefetcher.observe(addr)
+        llc = self.llc
+        result, read_latency = self._llc_access(addr, _READ)
+        extra = llc.extra_tag_cycles
         if result.hit:
             stats.llc_hits += 1
             if result.victim_hit:
                 stats.llc_victim_hits += 1
             if result.compressed_hit:
                 stats.compressed_hits += 1
-                extra += _decompression_cycles(self.llc)
-            outcome = self._outcome_llc
-            outcome.extra_llc_cycles = extra
+                extra += _decompression_cycles(llc)
+            outcome = AccessOutcome(LLC, extra)
         else:
             stats.llc_misses += 1
-            outcome = self._outcome_memory
-            outcome.extra_llc_cycles = extra
-            outcome.dram_latency = read_latency
+            outcome = AccessOutcome(MEMORY, extra, read_latency)
 
         self._fill_l2(addr)
         self._fill_l1(addr, is_write)
@@ -275,224 +188,79 @@ class CacheHierarchy:
         return outcome
 
     # ------------------------------------------------------------------
-    # Fills, writebacks, invalidations
+    # LLC requests, fills, writebacks, invalidations
     # ------------------------------------------------------------------
 
+    def _size(self, addr: int) -> int:
+        """Current compressed size of ``addr`` (1 for size-blind LLCs)."""
+        if not self._uses_sizes:
+            return 1
+        # size_memo first; size_fn computes-and-memoises on a miss.
+        size = self.size_memo.get(addr)
+        return self.size_fn(addr) if size is None else size
+
+    def _llc_access(self, addr: int, kind: int) -> tuple[LLCAccessResult, float]:
+        """Send one request to the LLC and apply its side effects.
+
+        Merges the result into the stats, issues its DRAM traffic and
+        back-invalidates the lines the LLC dropped.  Returns the result
+        and the DRAM read latency (0.0 without a read or a memory model).
+        """
+        result = self.llc.access(addr, kind, self._size(addr))
+        self.stats.merge_llc_result(result)
+        read_latency = 0.0
+        memory = self.memory
+        if memory is not None:
+            if result.memory_reads:
+                read_latency = memory.read(addr, self.now)
+            for _ in range(result.memory_writes):
+                memory.write(addr, self.now)
+        if result.invalidates:
+            self._process_invalidates(result)
+        return result, read_latency
+
     def _fill_l1(self, addr: int, is_write: bool) -> None:
-        # l1.fill, inlined and specialised: the L1 is always LRU (see
-        # __init__), every caller has already established the L1 miss (so
-        # the fill-of-present-line protocol check cannot fire), and the
-        # victim travels as two locals instead of an EvictedLine.
-        l1 = self.l1
-        cset = l1._sets[addr & l1._set_mask]
-        valid = l1.valid
-        tags = l1.tags
-        dirty_bits = l1.dirty
-        stamps = l1.stamps
-        base = cset.base
-        ways = l1.ways
-        victim_dirty = False
-        victim_addr = 0
-        if cset.valid_count == ways:
-            seg = stamps[base : base + ways]
-            slot = base + seg.index(min(seg))
-            victim_addr = tags[slot]
-            victim_dirty = dirty_bits[slot]
-            del cset.lookup[victim_addr]
-            l1.stat_evictions += 1
-            if victim_dirty:
-                l1.stat_writebacks += 1
-        else:
-            slot = valid.index(False, base, base + ways)
-            cset.valid_count += 1
-        tags[slot] = addr
-        valid[slot] = True
-        dirty_bits[slot] = is_write
-        cset.lookup[addr] = slot - base
-        index = cset.index
-        clock = l1.clocks[index] + 1
-        l1.clocks[index] = clock
-        stamps[slot] = clock
-        log = self._l1_log
-        if log is not None:
-            log.append(slot)
-        if victim_dirty:
+        victim = self.l1.fill(addr, dirty=is_write)
+        if victim is not None and victim.dirty:
             # Dirty L1 victim merges into the (inclusive) L2.
-            if not self.l2.probe(victim_addr, is_write=True):
+            if not self.l2.probe(victim.addr, is_write=True):
                 # Inclusion guarantees presence; refill defensively if not.
-                self._fill_l2(victim_addr, dirty=True)
+                self._fill_l2(victim.addr, dirty=True)
 
     def _fill_l2(self, addr: int, dirty: bool = False) -> None:
-        # l2.fill, inlined and specialised exactly like _fill_l1 above:
-        # always-LRU L2, caller-established miss, victim kept in locals.
-        l2 = self.l2
-        cset = l2._sets[addr & l2._set_mask]
-        valid = l2.valid
-        tags = l2.tags
-        dirty_bits = l2.dirty
-        stamps = l2.stamps
-        clocks = l2.clocks
-        base = cset.base
-        ways = l2.ways
-        index = cset.index
-        if cset.valid_count < ways:
-            slot = valid.index(False, base, base + ways)
-            cset.valid_count += 1
-            tags[slot] = addr
-            valid[slot] = True
-            dirty_bits[slot] = dirty
-            cset.lookup[addr] = slot - base
-            clock = clocks[index] + 1
-            clocks[index] = clock
-            stamps[slot] = clock
+        victim = self.l2.fill(addr, dirty=dirty)
+        if victim is None:
             return
-        seg = stamps[base : base + ways]
-        slot = base + seg.index(min(seg))
-        victim_addr = tags[slot]
-        victim_dirty = dirty_bits[slot]
-        del cset.lookup[victim_addr]
-        l2.stat_evictions += 1
-        if victim_dirty:
-            l2.stat_writebacks += 1
-        tags[slot] = addr
-        dirty_bits[slot] = dirty
-        cset.lookup[addr] = slot - base
-        clock = clocks[index] + 1
-        clocks[index] = clock
-        stamps[slot] = clock
-
-        # L1 must not outlive its L2 copy (inclusive pair).  l1.invalidate,
-        # inlined (always-LRU L1, same as _fill_l1).
-        l1 = self.l1
-        l1set = l1._sets[victim_addr & l1._set_mask]
-        l1way = l1set.lookup.pop(victim_addr, None)
-        was_dirty = victim_dirty
-        if l1way is not None:
-            l1slot = l1set.base + l1way
-            was_dirty = was_dirty or l1.dirty[l1slot]
-            l1.valid[l1slot] = False
-            l1.dirty[l1slot] = False
-            l1set.valid_count -= 1
-            l1.stamps[l1slot] = 0
-            log = self._l1_log
-            if log is not None:
-                log.append(l1slot)
-        if was_dirty:
-            stats = self.stats
-            stats.writebacks_to_llc += 1
-            if self._uses_sizes:
-                size = self.size_memo.get(victim_addr)
-                if size is None:
-                    size = self.size_fn(victim_addr)
-            else:
-                size = 1
-            result = self.llc.access(victim_addr, _WRITEBACK, size)
-            # merge_llc_result, unrolled (second-hottest stats callsite).
-            stats.memory_reads += result.memory_reads
-            stats.memory_writes += result.memory_writes
-            stats.silent_evictions += result.silent_evictions
-            stats.llc_data_reads += result.data_reads
-            stats.llc_data_writes += result.data_writes
-            stats.llc_fill_segments += result.fill_segments
-            stats.llc_accesses += 1
-            # Inlined _account_memory(demand=False).
-            self._last_read_latency = 0.0
-            memory = self.memory
-            if memory is not None:
-                now = self.now
-                if result.memory_reads:
-                    memory.read(victim_addr, now)
-                for _ in range(result.memory_writes):
-                    memory.write(victim_addr, now)
-            if result.invalidates:
-                self._process_invalidates(result)
+        # L1 must not outlive its L2 copy (inclusive pair).
+        _, l1_dirty = self.l1.invalidate(victim.addr)
+        if victim.dirty or l1_dirty:
+            self.stats.writebacks_to_llc += 1
+            self._llc_access(victim.addr, _WRITEBACK)
         elif self.config.l2_eviction_hints:
             # Clean, unreused L2 eviction: CHAR-style downgrade hint.
-            self.llc.hint_downgrade(victim_addr)
+            self.llc.hint_downgrade(victim.addr)
 
     def _prefetch(self, addr: int) -> None:
         """Inject one hardware prefetch into the LLC."""
-        llc = self.llc
-        if llc.contains(addr):
+        if self.llc.contains(addr):
             return  # a prefetch hit is dropped without touching any state
-        if self._uses_sizes:
-            size = self.size_memo.get(addr)
-            if size is None:
-                size = self.size_fn(addr)
-        else:
-            size = 1
-        result = llc.access(addr, _PREFETCH, size)
-        stats = self.stats
-        # merge_llc_result, unrolled.
-        stats.memory_reads += result.memory_reads
-        stats.memory_writes += result.memory_writes
-        stats.silent_evictions += result.silent_evictions
-        stats.llc_data_reads += result.data_reads
-        stats.llc_data_writes += result.data_writes
-        stats.llc_fill_segments += result.fill_segments
-        stats.llc_accesses += 1
-        # Inlined _account_memory(demand=False).
-        self._last_read_latency = 0.0
-        memory = self.memory
-        if memory is not None:
-            now = self.now
-            if result.memory_reads:
-                memory.read(addr, now)
-            for _ in range(result.memory_writes):
-                memory.write(addr, now)
-        if result.invalidates:
-            self._process_invalidates(result)
+        result, _ = self._llc_access(addr, _PREFETCH)
         if not result.hit:
-            stats.prefetch_fills += 1
+            self.stats.prefetch_fills += 1
 
-    def _process_invalidates(self, result) -> None:
+    def _process_invalidates(self, result: LLCAccessResult) -> None:
         """Back-invalidate lines the LLC dropped from its baseline image."""
-        l1 = self.l1
-        l2 = self.l2
-        log = self._l1_log
-        # Counters batch in locals and flush once after the loop (the
-        # same pattern as the engines' post-loop flush).
-        back_invalidations = 0
-        memory_writes = 0
+        stats = self.stats
         for addr, wrote_back in result.invalidates:
-            # l1/l2.invalidate, inlined (both are always LRU; most lines
-            # the LLC drops are long gone from the private levels, so the
-            # common case is two failed dict pops).
-            cset = l1._sets[addr & l1._set_mask]
-            way = cset.lookup.pop(addr, None)
-            if way is None:
-                present = dirty = False
-            else:
-                present = True
-                slot = cset.base + way
-                dirty = l1.dirty[slot]
-                l1.valid[slot] = False
-                l1.dirty[slot] = False
-                cset.valid_count -= 1
-                l1.stamps[slot] = 0
-                if log is not None:
-                    log.append(slot)
-            cset = l2._sets[addr & l2._set_mask]
-            way = cset.lookup.pop(addr, None)
-            if way is not None:
-                present = True
-                slot = cset.base + way
-                dirty = dirty or l2.dirty[slot]
-                l2.valid[slot] = False
-                l2.dirty[slot] = False
-                cset.valid_count -= 1
-                l2.stamps[slot] = 0
-            if present:
-                back_invalidations += 1
-            if dirty and not wrote_back:
+            in_l1, l1_dirty = self.l1.invalidate(addr)
+            in_l2, l2_dirty = self.l2.invalidate(addr)
+            if in_l1 or in_l2:
+                stats.back_invalidations += 1
+            if (l1_dirty or l2_dirty) and not wrote_back:
                 # Most-recent data lived upstream; it must reach memory.
-                memory_writes += 1
+                stats.memory_writes += 1
                 if self.memory is not None:
                     self.memory.write(addr, self.now)
-        if back_invalidations or memory_writes:
-            stats = self.stats
-            stats.back_invalidations += back_invalidations
-            stats.memory_writes += memory_writes
 
     # ------------------------------------------------------------------
     # Introspection

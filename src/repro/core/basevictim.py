@@ -24,10 +24,14 @@ Event handling (Section IV.B):
 * **Write hit to the Baseline Cache** — like an uncompressed write hit,
   except the victim partner is silently evicted when the line grows past
   the shared-way capacity.
-* **Write hit to the Victim Cache** — cannot happen for inclusive caches
-  (victim lines were back-invalidated from L1/L2); the non-inclusive
-  variant of Section IV.B.3 promotes the line and marks it dirty, and is
-  what LLC-only (no-hierarchy) simulations exercise.
+* **Write hit to the Victim Cache** — the line is promoted and marked
+  dirty (the non-inclusive variant of Section IV.B.3).  A single-core
+  inclusive hierarchy never gets here, because demotion back-invalidated
+  the line from L1/L2.  LLC-only (no-hierarchy) simulations do, and so do
+  the shared-LLC mixes: each thread's back-invalidations reach only its
+  own L1/L2, so a line that another thread's access demoted can still be
+  written back from the owner's L2 (a known defect, pinned by a strict
+  xfail in ``tests/sim/test_multicore_details.py``).
 
 Victim lines are always clean, so every victim-cache eviction is silent
 and each fill performs at most one memory writeback — the implementation
@@ -38,17 +42,12 @@ from __future__ import annotations
 
 from repro.cache.config import CacheGeometry
 from repro.cache.replacement.base import ReplacementPolicy
-from repro.cache.replacement.nru import NRUPolicy
-from repro.cache.replacement.victim import (
-    ECMVictimPolicy,
-    VictimCandidate,
-    VictimInsertionPolicy,
-)
+from repro.cache.replacement.victim import VictimCandidate, VictimInsertionPolicy
 from repro.compression.segments import SegmentGeometry
 from repro.core.interfaces import AccessKind, LLCAccessResult, LLCArchitecture
 
-# AccessKind members hoisted to plain ints: IntEnum comparisons go through
-# __eq__ dispatch, and the access path compares kinds on every request.
+# AccessKind members as plain ints (IntEnum comparisons go through
+# __eq__ dispatch).
 _READ = int(AccessKind.READ)
 _WRITEBACK = int(AccessKind.WRITEBACK)
 _WRITE = int(AccessKind.WRITE)
@@ -127,28 +126,10 @@ class BaseVictimLLC(LLCArchitecture):
             for index in range(geometry.num_sets)
         ]
         self._set_mask = geometry.num_sets - 1
-        #: NRU is the paper's (and the sweeps') baseline policy; when the
-        #: policy is exactly NRUPolicy, hot hit handling sets the
-        #: referenced bit inline instead of through a method call.
-        self._nru_inline = type(policy) is NRUPolicy
-        #: Same treatment for the paper's default victim-insertion policy:
-        #: exactly ECMVictimPolicy lets _insert_victim pick the slot in a
-        #: single scan without building a candidate list.
-        self._ecm_inline = type(victim_policy) is ECMVictimPolicy
-        #: The paper's default configuration (NRU baseline policy, ECM
-        #: victim insertion, clean victims) runs the whole miss/promotion
-        #: path through one fused body in access() — no _miss/
-        #: _fill_baseline/_insert_victim dispatch.  Any other
-        #: configuration takes the general methods below.
-        self._fast = self._nru_inline and self._ecm_inline and clean_victims
         #: Victim Cache resident-line count, maintained incrementally so
         #: the occupancy samples taken by the simulation drivers are O(1)
         #: instead of a sum over every set.
         self._victim_resident = 0
-        #: Reused access result (one allocation per LLC instead of one
-        #: per access).  Like the hierarchy's AccessOutcome instances, a
-        #: result is only valid until the next access to this LLC.
-        self._result = LLCAccessResult()
 
         self.stat_base_hits = 0
         self.stat_victim_hits = 0
@@ -175,230 +156,17 @@ class BaseVictimLLC(LLCArchitecture):
                 f"size_segments {size_segments} out of range "
                 f"0..{self.segments_per_line}"
             )
-        # Reset the reused result in place (valid until the next access).
-        result = self._result
-        result.hit = False
-        result.victim_hit = False
-        result.compressed_hit = False
-        result.memory_reads = 0
-        result.memory_writes = 0
-        result.silent_evictions = 0
-        result.data_reads = 0
-        result.data_writes = 0
-        result.fill_segments = 0
-        invalidates = result.invalidates
-        if invalidates:
-            invalidates.clear()
+        result = LLCAccessResult()
         cset = self._sets[addr & self._set_mask]
-        spl = self.segments_per_line
-
         base_way = cset.base_lookup.get(addr)
         if base_way is not None:
-            if kind == _READ:
-                # Inlined _base_hit READ path — the hottest LLC event.
-                result.hit = True
-                self.stat_base_hits += 1
-                if self._nru_inline:
-                    cset.policy_state.referenced[base_way] = True
-                else:
-                    self.policy.on_hit(cset.policy_state, base_way)
-                result.data_reads = 1
-                size = cset.base_size[base_way]
-                result.compressed_hit = 0 < size < spl
-            elif self._fast and kind != _PREFETCH:
-                # Inlined _base_hit WRITE/WRITEBACK path (NRU on_hit is
-                # the referenced bit): the line's data and size change.
-                result.hit = True
-                self.stat_base_hits += 1
-                cset.policy_state.referenced[base_way] = True
-                cset.base_dirty[base_way] = True
-                cset.base_size[base_way] = size_segments
-                result.data_writes = 1
-                result.fill_segments = size_segments
-                if (
-                    cset.vict_valid[base_way]
-                    and size_segments + cset.vict_size[base_way] > spl
-                ):
-                    # Section IV.B.5: the grown line no longer shares.
-                    self.stat_partner_evictions += 1
-                    self._evict_victim(cset, base_way, result)
-            else:
-                self._base_hit(cset, base_way, kind, size_segments, result)
+            self._base_hit(cset, base_way, kind, size_segments, result)
             return result
-
         vict_way = cset.vict_lookup.get(addr)
-        if not self._fast:
-            if vict_way is not None:
-                self._victim_hit(cset, vict_way, addr, kind, size_segments, result)
-                return result
-            self._miss(cset, addr, kind, size_segments, result)
-            return result
-
-        # ---- fused fast lane (NRU + ECM + clean victims): the victim
-        # hit, miss, baseline fill, partner eviction and victim insertion
-        # paths of the methods below, inlined into one body.  State and
-        # counter updates land in the same order with the same values as
-        # the methods; the base-victim differential tests and the engine
-        # fuzz oracle prove it.
         if vict_way is not None:
-            # _victim_hit, inlined.
-            result.hit = True
-            result.victim_hit = True
-            self.stat_victim_hits += 1
-            if kind == _PREFETCH:
-                return result  # leave the line where it is
-            stored_size = cset.vict_size[vict_way]
-            result.compressed_hit = 0 < stored_size < spl
-            result.data_reads = 1  # read the victim line out of the array
-            is_write = kind == _WRITE or kind == _WRITEBACK
-            if is_write:
-                self.stat_victim_write_hits += 1
-                fill_size = size_segments
-            else:
-                fill_size = stored_size
-            # De-allocate from the Victim Cache (victims are clean here).
-            stored_dirty = cset.vict_dirty[vict_way]
-            del cset.vict_lookup[addr]
-            self._victim_resident -= 1
-            cset.vict_valid[vict_way] = False
-            cset.vict_dirty[vict_way] = False
-            fill_dirty = is_write or stored_dirty
-            promotion = True
+            self._victim_hit(cset, vict_way, addr, kind, size_segments, result)
         else:
-            # _miss, inlined.
-            if kind == _WRITEBACK:
-                # A writeback to a non-resident line bypasses to memory.
-                self.stat_writeback_misses += 1
-                result.memory_writes = 1
-                return result
-            self.stat_misses += 1
-            result.memory_reads = 1
-            fill_size = size_segments
-            fill_dirty = kind == _WRITE
-            promotion = False
-
-        # _fill_baseline, inlined: free way first, then the NRU victim —
-        # exactly the uncompressed fill — then the compression steps.
-        base_lookup = cset.base_lookup
-        base_valid = cset.base_valid
-        base_tags = cset.base_tags
-        base_dirty = cset.base_dirty
-        base_size = cset.base_size
-        vict_valid = cset.vict_valid
-        state = cset.policy_state
-        referenced = state.referenced
-        have_replaced = False
-        replaced_addr = 0
-        replaced_size = 0
-        if cset.base_valid_count < len(base_valid):
-            way = base_valid.index(False)
-            cset.base_valid_count += 1
-        else:
-            # Inlined NRUPolicy.choose_victim (rotating hand scan).
-            hand = state.hand
-            ways = len(referenced)
-            try:
-                way = referenced.index(False, hand)
-            except ValueError:
-                try:
-                    way = referenced.index(False, 0, hand)
-                except ValueError:
-                    for w in range(ways):
-                        referenced[w] = False
-                    way = hand
-            state.hand = way + 1 if way + 1 < ways else 0
-            replaced_addr = base_tags[way]
-            was_dirty = base_dirty[way]
-            if was_dirty:
-                # Write back so the demoted line is clean (Section IV.A).
-                result.memory_writes += 1
-            # The line leaves the baseline image: inclusive upper levels
-            # must drop it whether it is demoted or evicted.
-            result.invalidates.append((replaced_addr, was_dirty))
-            replaced_size = base_size[way]
-            have_replaced = True
-            del base_lookup[replaced_addr]
-        base_tags[way] = addr
-        base_valid[way] = True
-        base_dirty[way] = fill_dirty
-        base_size[way] = fill_size
-        base_lookup[addr] = way
-        referenced[way] = True
-        if vict_valid[way] and fill_size + cset.vict_size[way] > spl:
-            # Section IV.B.5: the fill no longer shares the physical way.
-            self.stat_partner_evictions += 1
-            # _evict_victim, inlined (clean victims evict silently).
-            del cset.vict_lookup[cset.vict_tags[way]]
-            self._victim_resident -= 1
-            vict_valid[way] = False
-            if cset.vict_dirty[way]:
-                cset.vict_dirty[way] = False
-                result.memory_writes += 1
-            else:
-                result.silent_evictions += 1
-                self.stat_silent_evictions += 1
-
-        if have_replaced:
-            # _insert_victim, inlined (the replaced line is clean here):
-            # the ECM scan over the parallel columns — prefer free victim
-            # slots, then the largest base partner, lowest way on ties.
-            room = spl - replaced_size
-            way_v = -1
-            free_way = -1
-            free_size = -1
-            occ_size = -1
-            w = 0
-            for bvalid, bsize, vvalid in zip(base_valid, base_size, vict_valid):
-                if not bvalid:
-                    bsize = 0
-                if bsize <= room:
-                    if vvalid:
-                        if bsize > occ_size:
-                            occ_size = bsize
-                            way_v = w
-                    elif bsize > free_size:
-                        free_size = bsize
-                        free_way = w
-                w += 1
-            if free_way >= 0:
-                way_v = free_way
-            if way_v < 0:
-                self.stat_demotion_drops += 1
-            else:
-                victim_policy = self.victim_policy
-                victim_policy.stat_choices += 1
-                if vict_valid[way_v]:
-                    victim_policy.stat_replacements += 1
-                    # _evict_victim, inlined again for the replaced slot.
-                    del cset.vict_lookup[cset.vict_tags[way_v]]
-                    self._victim_resident -= 1
-                    vict_valid[way_v] = False
-                    if cset.vict_dirty[way_v]:
-                        cset.vict_dirty[way_v] = False
-                        result.memory_writes += 1
-                    else:
-                        result.silent_evictions += 1
-                        self.stat_silent_evictions += 1
-                cset.vict_tags[way_v] = replaced_addr
-                vict_valid[way_v] = True
-                cset.vict_dirty[way_v] = False
-                cset.vict_size[way_v] = replaced_size
-                cset.clock += 1
-                cset.vict_stamp[way_v] = cset.clock
-                cset.vict_lookup[replaced_addr] = way_v
-                self._victim_resident += 1
-                self.stat_demotions += 1
-                # Migration: read out of the base way, write into here.
-                result.data_reads += 1
-                result.data_writes += 1
-                result.fill_segments += replaced_size
-
-        result.data_writes += 1  # write the filled/promoted line
-        result.fill_segments += fill_size
-        if promotion:
-            self.stat_promotions += 1
-        elif kind != _PREFETCH:
-            result.data_reads += 1  # deliver the line to the core
+            self._miss(cset, addr, kind, size_segments, result)
         return result
 
     # ------------------------------------------------------------------
@@ -418,18 +186,13 @@ class BaseVictimLLC(LLCArchitecture):
         if kind == _PREFETCH:
             return  # a prefetch that hits is dropped; no state changes
 
+        self.policy.on_hit(cset.policy_state, way)
         if kind == _READ:
-            if self._nru_inline:
-                cset.policy_state.referenced[way] = True
-            else:
-                self.policy.on_hit(cset.policy_state, way)
             result.data_reads = 1
-            size = cset.base_size[way]
-            result.compressed_hit = 0 < size < self.segments_per_line
+            result.compressed_hit = self._needs_decompression(cset.base_size[way])
             return
 
         # WRITE or WRITEBACK: the line's data (and compressed size) change.
-        self.policy.on_hit(cset.policy_state, way)
         cset.base_dirty[way] = True
         cset.base_size[way] = size_segments
         result.data_writes = 1
@@ -460,8 +223,8 @@ class BaseVictimLLC(LLCArchitecture):
 
         is_write = kind == _WRITE or kind == _WRITEBACK
         if is_write:
-            # Section IV.B.3 non-inclusive variant; inclusive hierarchies
-            # never reach here because demotion back-invalidated L1/L2.
+            # Section IV.B.3 non-inclusive variant (see the module
+            # docstring for who reaches it).
             self.stat_victim_write_hits += 1
             promoted_size = size_segments
         else:
@@ -527,27 +290,7 @@ class BaseVictimLLC(LLCArchitecture):
             way = cset.base_valid.index(False)
             cset.base_valid_count += 1
         else:
-            if self._nru_inline:
-                # Inlined NRUPolicy.choose_victim (same hand scan as
-                # SetAssociativeCache.fill): first clear referenced bit
-                # from the rotating hand, resetting all bits when none
-                # is clear.
-                state = cset.policy_state
-                referenced = state.referenced
-                ways = len(referenced)
-                hand = state.hand
-                try:
-                    way = referenced.index(False, hand)
-                except ValueError:
-                    try:
-                        way = referenced.index(False, 0, hand)
-                    except ValueError:
-                        for w in range(ways):
-                            referenced[w] = False
-                        way = hand
-                state.hand = way + 1 if way + 1 < ways else 0
-            else:
-                way = self.policy.choose_victim(cset.policy_state)
+            way = self.policy.choose_victim(cset.policy_state)
             replaced_addr = cset.base_tags[way]
             was_dirty = cset.base_dirty[way]
             if was_dirty and self.clean_victims:
@@ -570,11 +313,7 @@ class BaseVictimLLC(LLCArchitecture):
         cset.base_dirty[way] = dirty
         cset.base_size[way] = size_segments
         cset.base_lookup[addr] = way
-        if self._nru_inline:
-            # NRUPolicy.on_fill_sized defers to on_fill: referenced bit.
-            cset.policy_state.referenced[way] = True
-        else:
-            self.policy.on_fill_sized(cset.policy_state, way, size_segments)
+        self.policy.on_fill_sized(cset.policy_state, way, size_segments)
 
         if (
             cset.vict_valid[way]
@@ -599,49 +338,19 @@ class BaseVictimLLC(LLCArchitecture):
         In the default (inclusive) configuration the line is clean by the
         time it gets here; the non-inclusive variant may demote it dirty.
         """
-        base_valid = cset.base_valid
-        base_size = cset.base_size
-        vict_valid = cset.vict_valid
         # Largest base size a candidate way may hold and still fit us.
         room = self.segments_per_line - size_segments
-        if self._ecm_inline:
-            # Inlined ECMVictimPolicy.choose over the implicit candidate
-            # list: prefer free victim slots, then the largest base
-            # partner, lowest way on ties — without materialising one
-            # VictimCandidate per fitting way.  zip iterates the three
-            # parallel columns in C instead of three subscripts per way.
-            way = -1
-            free_way = -1
-            free_size = -1
-            occ_size = -1
-            w = 0
-            for bvalid, bsize, vvalid in zip(base_valid, base_size, vict_valid):
-                if not bvalid:
-                    bsize = 0
-                if bsize <= room:
-                    if vvalid:
-                        if bsize > occ_size:
-                            occ_size = bsize
-                            way = w
-                    elif bsize > free_size:
-                        free_size = bsize
-                        free_way = w
-                w += 1
-            if free_way >= 0:
-                way = free_way
-        else:
-            vict_size = cset.vict_size
-            vict_stamp = cset.vict_stamp
-            candidates = []
-            for w in range(len(base_valid)):
-                bsize = base_size[w] if base_valid[w] else 0
-                if bsize <= room:
-                    candidates.append(
-                        VictimCandidate(
-                            w, bsize, vict_valid[w], vict_size[w], vict_stamp[w]
-                        )
+        candidates = []
+        for w, valid in enumerate(cset.base_valid):
+            bsize = cset.base_size[w] if valid else 0
+            if bsize <= room:
+                candidates.append(
+                    VictimCandidate(
+                        w, bsize, cset.vict_valid[w], cset.vict_size[w],
+                        cset.vict_stamp[w],
                     )
-            way = self.victim_policy.choose(candidates) if candidates else -1
+                )
+        way = self.victim_policy.choose(candidates) if candidates else -1
         if way < 0:
             self.stat_demotion_drops += 1
             if dirty:
@@ -692,14 +401,6 @@ class BaseVictimLLC(LLCArchitecture):
         """Zero and uncompressed blocks skip decompression (Section V)."""
         return 0 < size_segments < self.segments_per_line
 
-    @staticmethod
-    def _free_base_way(cset: _BVSet) -> int | None:
-        valid = cset.base_valid
-        for way in range(len(valid)):
-            if not valid[way]:
-                return way
-        return None
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -722,11 +423,7 @@ class BaseVictimLLC(LLCArchitecture):
         cset = self._sets[addr & self._set_mask]
         way = cset.base_lookup.get(addr)
         if way is not None:
-            if self._nru_inline:
-                # Inlined NRUPolicy.on_hint: clear the referenced bit.
-                cset.policy_state.referenced[way] = False
-            else:
-                self.policy.on_hint(cset.policy_state, way)
+            self.policy.on_hint(cset.policy_state, way)
 
     def baseline_set_contents(self, set_index: int) -> list[int]:
         """Valid baseline line addresses of one set, in way order."""
@@ -735,15 +432,6 @@ class BaseVictimLLC(LLCArchitecture):
             cset.base_tags[w]
             for w in range(len(cset.base_tags))
             if cset.base_valid[w]
-        ]
-
-    def victim_set_contents(self, set_index: int) -> list[int]:
-        """Valid victim line addresses of one set, in way order."""
-        cset = self._sets[set_index]
-        return [
-            cset.vict_tags[w]
-            for w in range(len(cset.vict_tags))
-            if cset.vict_valid[w]
         ]
 
     def resident_logical_lines(self) -> int:

@@ -1,4 +1,4 @@
-"""Batch access engine and the scalar access kernel every fast loop shares.
+"""Batch access engine and the scalar access kernel it shares with mixes.
 
 The single-core inner loop spends most of its instructions deciding, one
 access at a time, that an address is an L1 hit and touching the LRU
@@ -10,8 +10,9 @@ predicted miss: L1 hits never change cache *membership*, so the leading
 run of predicted hits is applied wholesale with NumPy; the miss itself
 goes through the scalar access kernel.
 
-What makes the engine *resumable* is the hierarchy's L1 mutation log
-(``CacheHierarchy._l1_log``): only the fill/invalidate paths change L1
+What makes the engine *resumable* is the L1's mutation log
+(``SetAssociativeCache.log``, plus the kernel's own ``log`` argument for
+the L1 changes it inlines): only fills and invalidations change L1
 membership, and each appends the flat slot it touched.  After handling
 a miss scalar-side the engine patches exactly those slots of its
 snapshot and re-enters the vectorised probe immediately — no whole-cache
@@ -34,9 +35,10 @@ copy of the demand path — the L1 hit and the miss path of
 :meth:`~repro.cache.hierarchy.CacheHierarchy.access` —
 over columns hoisted once per (hierarchy, trace), with every counter
 batched in closure cells and flushed once.  Inlined updates land in the
-same order with the same values as the hierarchy's own methods.  Its
-callers: this engine (each scalar span), the ``fast`` engine (the whole
-trace) and the mix driver (each thread's run-ahead span).
+same order with the same values as the per-method reference — the
+hierarchy's and the LLC architectures' own methods, which the traced
+engine runs.  Its callers: this engine (each scalar span) and the mix
+driver (each thread's run-ahead span).
 
 The vector apply reproduces the scalar kernel bit-for-bit:
 
@@ -57,26 +59,21 @@ Byte-identity against the traced reference loop — results and
 serialised observations — is enforced by the differential fuzz oracles
 in ``tests/sim/test_batch_equivalence.py`` (single core) and
 ``tests/sim/test_mix_equivalence.py`` (shared-LLC mixes).
-
-NumPy is an optional dependency of the vector engine only: without it
-(or with a non-LRU L1) ``simulate_trace`` degrades to the ``fast``
-engine, one kernel call over the whole trace.
 """
 
 from __future__ import annotations
 
 from math import inf, nextafter
 
+import numpy as np
+
 from repro.cache.hierarchy import _decompression_cycles
 from repro.cache.prefetch import _PAGE_LINES, _PAGE_MASK, _PAGE_SHIFT
+from repro.cache.replacement.nru import NRUPolicy
+from repro.cache.replacement.victim import ECMVictimPolicy
 from repro.core.basevictim import BaseVictimLLC
 from repro.core.interfaces import AccessKind
 from repro.core.uncompressed import UncompressedLLC
-
-try:  # NumPy is optional; the engine reports itself unavailable without it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    np = None  # type: ignore[assignment]
 
 # AccessKind members as plain ints (see repro.cache.hierarchy).
 _READ = int(AccessKind.READ)
@@ -111,11 +108,6 @@ SHORT_LIMIT = 4
 #: Accesses processed purely scalar-side once a miss-heavy phase is
 #: detected, before the next vectorised probe.
 BURST = 512
-
-
-def available() -> bool:
-    """True when the batch engine can run in this interpreter."""
-    return np is not None
 
 
 def scalar_kernel(
@@ -166,8 +158,6 @@ def scalar_kernel(
     l2_stamps = l2.stamps
     l2_clocks = l2.clocks
     l2_dirty = l2.dirty
-    l2_lru_inline = l2._lru_inline
-    l2_policy = l2.policy
 
     prefetcher = hierarchy.prefetcher
     pf_degree = prefetcher.degree
@@ -179,18 +169,19 @@ def scalar_kernel(
     llc_contains = llc.contains
     llc_hint = llc.hint_downgrade
 
-    # LLC flavor fast lanes.  The perf matrix runs exactly two LLC
-    # flavors, and both spend the bench traces almost entirely in the
-    # miss path, so their hottest entry points are inlined below over
-    # hoisted columns: ``unc`` selects the full inline of the
-    # uncompressed-NRU LLC (demand, writeback, prefetch and hint
-    # sites); ``bv`` selects the inlined contains/hint_downgrade of the
-    # Base-Victim LLC, whose access() is already a fused fast lane of
-    # its own.  Any other flavor takes the plain method calls.
+    # LLC flavor lanes.  The perf matrix runs exactly two LLC flavors,
+    # and both spend the bench traces almost entirely in the miss path,
+    # so their hottest entry points are inlined below over hoisted
+    # columns: ``unc`` selects the full inline of the uncompressed-NRU
+    # LLC (demand, writeback, prefetch and hint sites); ``bv`` selects
+    # the inlined contains/hint_downgrade of the NRU Base-Victim LLC,
+    # and ``bv_fast`` additionally its demand, writeback and prefetch
+    # fills when victims are clean and inserted by ECM.  Any other
+    # flavor takes the plain method calls.
     unc = None
     bv = None
-    if isinstance(llc, UncompressedLLC) and llc._cache._nru_inline:
-        unc = llc._cache
+    if isinstance(llc, UncompressedLLC) and type(llc.policy) is NRUPolicy:
+        unc = llc.cache
         u_sets = unc._sets
         u_mask = unc._set_mask
         u_ways = unc.ways
@@ -199,16 +190,15 @@ def scalar_kernel(
         u_dirty = unc.dirty
         u_ref = unc.referenced
         u_hands = unc.hands
-    elif isinstance(llc, BaseVictimLLC) and llc._nru_inline:
+    elif isinstance(llc, BaseVictimLLC) and type(llc.policy) is NRUPolicy:
         bv = llc
         bv_sets = llc._sets
         bv_mask = llc._set_mask
         bv_spl = llc.segments_per_line
         bv_vp = llc.victim_policy
-        # The demand-read inline below replicates the fused fast lane of
-        # BaseVictimLLC.access, so it is gated on the same invariants
-        # (NRU + ECM + clean victims); other configs keep the method.
-        bv_fast = llc._fast
+        # The inlined fills below run NRU's hand scan, ECM's slot choice
+        # and the clean-victim writeback; other configs keep the method.
+        bv_fast = type(bv_vp) is ECMVictimPolicy and llc.clean_victims
     else:
         bv_fast = False
     extra_tag_cycles = llc.extra_tag_cycles
@@ -320,13 +310,10 @@ def scalar_kernel(
                 l2set = l2_sets[addr & l2_mask]
                 l2way = l2set.lookup.get(addr)
                 if l2way is not None:
-                    if l2_lru_inline:
-                        index = l2set.index
-                        clock = l2_clocks[index] + 1
-                        l2_clocks[index] = clock
-                        l2_stamps[l2set.base + l2way] = clock
-                    else:
-                        l2_policy.on_hit(l2set.policy_state, l2way)
+                    index = l2set.index
+                    clock = l2_clocks[index] + 1
+                    l2_clocks[index] = clock
+                    l2_stamps[l2set.base + l2way] = clock
                     l2_probe_hits_c += 1
                     l2_hits_c += 1
                     stall = l2_stall
@@ -335,7 +322,8 @@ def scalar_kernel(
                     l2_probe_misses_c += 1
 
                     # Prefetcher training (StreamPrefetcher.observe,
-                    # inlined — see CacheHierarchy.access).
+                    # inlined; the branches are reordered but every
+                    # table/counter update lands in the same order).
                     prefetches = ()
                     if pf_degree:
                         page = addr >> _PAGE_SHIFT
@@ -490,10 +478,10 @@ def scalar_kernel(
                             u_ref[uslot] = True
                     elif bv_fast:
                         # BaseVictimLLC.access(addr, READ, size) —
-                        # the fused fast lane of basevictim.py,
-                        # re-inlined for the demand read together
-                        # with its stats merge, DRAM accounting and
-                        # back-invalidation.  Same order, same
+                        # _base_hit/_victim_hit/_miss, _fill_baseline
+                        # and _insert_victim — inlined for the demand
+                        # read with its stats merge, DRAM accounting
+                        # and back-invalidation.  Same order, same
                         # values; the fuzz oracle proves it.
                         size = memo_get(taddr)
                         if size is None:
@@ -901,10 +889,9 @@ def scalar_kernel(
                             elif bv_fast:
                                 # BaseVictimLLC WRITEBACK: the two
                                 # dominant outcomes (in-place base
-                                # hit, non-resident bypass) inlined
-                                # from the fused fast lane; the rare
-                                # victim-hit promotion keeps the
-                                # method call.
+                                # hit, non-resident bypass) inlined;
+                                # the rare victim-hit promotion keeps
+                                # the method call.
                                 size_v = memo_get(victim2 - addr_offset)
                                 if size_v is None:
                                     size_v = size_fn(victim2 - addr_offset)
@@ -1059,13 +1046,10 @@ def scalar_kernel(
                     m2set = l2_sets[victim1 & l2_mask]
                     m2way = m2set.lookup.get(victim1)
                     if m2way is not None:
-                        if l2_lru_inline:
-                            index = m2set.index
-                            clock = l2_clocks[index] + 1
-                            l2_clocks[index] = clock
-                            l2_stamps[m2set.base + m2way] = clock
-                        else:
-                            l2_policy.on_hit(m2set.policy_state, m2way)
+                        index = m2set.index
+                        clock = l2_clocks[index] + 1
+                        l2_clocks[index] = clock
+                        l2_stamps[m2set.base + m2way] = clock
                         l2_dirty[m2set.base + m2way] = True
                         l2_probe_hits_c += 1
                     else:
@@ -1081,11 +1065,12 @@ def scalar_kernel(
                         # contains + PREFETCH access, inlined: after
                         # the residency check the access is always a
                         # fill (prefetch hits are dropped silently).
+                        # Like the reference, a prefetch lookup counts
+                        # no LLC hit or miss.
                         ucset = u_sets[target & u_mask]
                         if target in ucset.lookup:
                             continue
                         llc_accesses_c += 1
-                        unc_misses_c += 1
                         memory_reads_c += 1
                         llc_data_writes_c += 1
                         llc_fill_segments_c += 1
@@ -1185,10 +1170,10 @@ def scalar_kernel(
                         ):
                             continue
                         if bv_fast:
-                            # PREFETCH to a non-resident line: the
-                            # fused fast lane's miss + fill path,
-                            # inlined (the residency check above
-                            # rules out both hit paths).
+                            # PREFETCH to a non-resident line:
+                            # _miss and _fill_baseline, inlined (the
+                            # residency check above rules out both
+                            # hit paths).
                             size_p = memo_get(target - addr_offset)
                             if size_p is None:
                                 size_p = size_fn(target - addr_offset)
@@ -1540,8 +1525,10 @@ def run_batch_loop(
         samples,
         log=log,
     )
-    prev_log = hierarchy._l1_log
-    hierarchy._l1_log = log
+    # The L1 changes the kernel leaves to the hierarchy's methods
+    # (multi-line back-invalidations, the defensive L2 refill) log too.
+    prev_log = l1.log
+    l1.log = log
     # Past this many logged slots (a scalar burst logs thousands) a bulk
     # refresh of the whole snapshot is cheaper than per-slot patching:
     # the list->array assignment is one C loop, a patch is four
@@ -1696,7 +1683,7 @@ def run_batch_loop(
 
             lo = scalar_hi if miss else m
     finally:
-        hierarchy._l1_log = prev_log
+        l1.log = prev_log
 
     flush()
     stats = hierarchy.stats

@@ -1,34 +1,29 @@
 """Simulation engine selection.
 
-``simulate_trace`` carries three equivalent inner loops (engines):
+``simulate_trace`` carries two equivalent inner loops (engines):
 
 ``traced``
     The reference loop — one ``hierarchy.access`` per demand access,
-    per-access counter updates, one tracer record per access.  Always
-    used when a tracer is active.
-``fast``
-    One call of the scalar access kernel
-    (:func:`repro.sim.batch.scalar_kernel`) over the whole trace.
+    through the per-method cache layers, per-access counter updates,
+    one tracer record per access.  Always used when a tracer is active.
 ``batch``
     The chunked engine (:mod:`repro.sim.batch`): a vectorised probe
     against an L1 snapshot resolves each leading run of hits with
-    NumPy, and the scalar kernel handles the misses.
+    NumPy, and the scalar access kernel
+    (:func:`repro.sim.batch.scalar_kernel`) handles the misses.
 
 Multi-program mixes (:func:`repro.sim.multi_core.simulate_mix`) follow
 the same selection: ``traced`` keeps the per-access loop as the
-reference, and every other engine runs each thread's scalar kernel.
-All are proven byte-identical — results *and* serialised observations
-— by ``tests/sim/test_engine_equivalence.py``,
+reference, and ``batch`` runs each thread's scalar kernel.  Both are
+proven byte-identical — results *and* serialised observations — by
+``tests/sim/test_engine_equivalence.py``,
 ``tests/sim/test_batch_equivalence.py`` and
 ``tests/sim/test_mix_equivalence.py``.
 
 Selection order: explicit argument > ``$REPRO_ENGINE`` > ``batch``.
 The CLI's ``--engine`` writes the environment variable so parallel
 sweep workers (fork or spawn, see :mod:`repro.sim.parallel`) inherit
-the choice.  An engine that cannot run in the current configuration
-degrades silently (batch -> fast without NumPy or a non-LRU L1;
-fast -> traced with a non-LRU L1): the engines are interchangeable by
-construction, so degradation affects speed only, never results.
+the choice.  Any other name is an error.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ import os
 ENGINE_ENV = "REPRO_ENGINE"
 
 #: Valid engine names, fastest first.
-ENGINES = ("batch", "fast", "traced")
+ENGINES = ("batch", "traced")
 
 DEFAULT_ENGINE = "batch"
 

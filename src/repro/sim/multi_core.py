@@ -14,8 +14,8 @@ address-space offset (two instances of the same trace in one mix must
 not share lines).
 
 The ``traced`` engine (see :mod:`repro.sim.engine`) is the reference:
-one scheduling decision and one ``hierarchy.access`` per access.  Every
-other engine gives each thread its own scalar access kernel
+one scheduling decision and one ``hierarchy.access`` per access.  The
+``batch`` engine gives each thread its own scalar access kernel
 (:func:`repro.sim.batch.scalar_kernel`) and schedules by *run-ahead*:
 the chosen thread keeps issuing while it would still be chosen — its
 clock below every earlier thread's and at most every later thread's —

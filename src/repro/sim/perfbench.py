@@ -160,13 +160,9 @@ def aggregate_rate(payload: dict) -> float:
     return float(payload["aggregate"]["accesses_per_sec"])
 
 
-def payload_engine(payload: dict) -> str:
-    """Engine a measurement payload was taken with.
-
-    Payloads written before the engine field existed were all measured
-    with the scalar fast loop, so a missing key reads as ``"fast"``.
-    """
-    return payload.get("engine", "fast")
+def payload_engine(payload: dict) -> str | None:
+    """Engine a measurement payload was taken with (None if unrecorded)."""
+    return payload.get("engine")
 
 
 def check_regression(

@@ -115,7 +115,7 @@ def simulate_trace(
     ``None`` means ``$REPRO_ENGINE`` or the default.  An active tracer
     always forces the traced reference loop.  ``chunk_size`` is the
     batch engine's chunk length (tests exercise boundary cases with it).
-    The engine choice never appears in the result: all engines are
+    The engine choice never appears in the result: both engines are
     byte-identical, so a cached result is engine-independent.
     """
     llc = machine.build_llc(preset)
@@ -129,8 +129,8 @@ def simulate_trace(
     )
     if hierarchy._uses_sizes:
         # Precompute every trace address's current size in one vectorised
-        # pass (no-op without NumPy; values identical to size_of, so the
-        # engines stay byte-identical with or without priming).
+        # pass (values identical to size_of, so the engines stay
+        # byte-identical with or without priming).
         prime = getattr(data, "prime_size_memo", None)
         if prime is not None:
             prime(trace.addrs)
@@ -161,26 +161,15 @@ def simulate_trace(
     next_sample = sample_every - 1 if victim_occupancy is not None else -1
     occupancy = registry.histogram("llc/victim_occupancy")
 
-    # Three equivalent inner loops (see repro.sim.engine).  The traced
+    # Two equivalent inner loops (see repro.sim.engine).  The traced
     # loop is the reference: one hierarchy.access per demand access,
     # per-access counter updates, one tracer.record per access.  The
-    # fast loop is one call of the scalar access kernel
-    # (repro.sim.batch.scalar_kernel): the whole demand path inlined
-    # over hoisted columns, counters batched and flushed once.  The
-    # batch loop vector-resolves each chunk's leading run of L1 hits
-    # and hands the miss tail to the same kernel.
+    # batch loop vector-resolves each chunk's leading run of L1 hits and
+    # hands the misses to the scalar access kernel.
     # tests/sim/test_engine_equivalence.py and
-    # tests/sim/test_batch_equivalence.py prove all three produce
+    # tests/sim/test_batch_equivalence.py prove both produce
     # byte-identical RunResults and observations.
-    l1 = hierarchy.l1
-    if tracer is not None:
-        engine_name = "traced"
-    else:
-        engine_name = resolve_engine(engine)
-        if engine_name == "batch" and not (l1._lru_inline and batch.available()):
-            engine_name = "fast"
-        if engine_name == "fast" and not l1._lru_inline:
-            engine_name = "traced"
+    engine_name = "traced" if tracer is not None else resolve_engine(engine)
 
     with registry.timer("phase/simulate"):
         if engine_name == "batch":
@@ -197,7 +186,7 @@ def simulate_trace(
                 occupancy,
                 chunk_size=chunk_size,
             )
-        elif engine_name == "traced":
+        else:
             for i in range(length):
                 advance(deltas[i])
                 hierarchy.now = core.cycles
@@ -213,24 +202,6 @@ def simulate_trace(
                     next_sample += sample_every
                 if tracer is not None:
                     tracer.record(i=i, addr=addr, write=is_write, level=outcome.level)
-        else:
-            # One kernel call over the whole trace, unbounded window.
-            samples: list[int] = []
-            run, flush = batch.scalar_kernel(
-                deltas,
-                addrs,
-                kinds,
-                hierarchy,
-                core,
-                on_write,
-                victim_occupancy,
-                sample_every,
-                samples,
-            )
-            run(0, length, next_sample)
-            flush()
-            for value in samples:
-                occupancy.observe(value)
 
     with registry.timer("phase/publish"):
         hierarchy.publish_observations(registry)

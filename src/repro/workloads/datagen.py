@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from repro.cache.replacement.base import DeterministicRandom
 from repro.compression import kernels
 from repro.compression.base import CompressionAlgorithm
-from repro.compression.bdi import BDICompressor
 from repro.compression.segments import EVAL_GEOMETRY, SegmentGeometry
 
 #: Size of the address->palette lookup ring.
@@ -138,13 +137,8 @@ def build_palette(
     """Synthesise and measure a palette for one trace.
 
     ``comp_class`` "mixed" draws from both the friendly and poor mixes.
+    ``compressor`` defaults to BDI, the paper's codec.
     """
-    # With the default (BDI) compressor and NumPy present, sizes for the
-    # whole palette come from one vectorised kernel pass instead of one
-    # scalar compress() per line; byte-identity with the scalar codec is
-    # enforced by tests/compression/test_kernels.py.
-    vectorised = compressor is None and kernels.available()
-    compressor = compressor or BDICompressor()
     rng = DeterministicRandom(seed ^ 0xDA7A)
     classes = ["friendly", "poor"] if comp_class == "mixed" else [comp_class]
     synthesised: list[tuple[str, bytes]] = []
@@ -160,7 +154,11 @@ def build_palette(
             synth = PATTERNS[pattern]
             for _ in range(weight * entries_per_pattern):
                 synthesised.append((pattern, synth(rng)))
-    if vectorised:
+    if compressor is None:
+        # The default (BDI) sizes the whole palette in one vectorised
+        # kernel pass instead of one scalar compress() per line;
+        # byte-identity with the scalar codec is enforced by
+        # tests/compression/test_kernels.py.
         matrix = kernels.lines_matrix(data for _, data in synthesised)
         sizes = kernels.bdi_size_bytes(matrix).tolist()
     else:
@@ -279,11 +277,7 @@ class LineDataModel:
 
         Pure function of (trace addresses, seed, palette): both dicts are
         shareable across runs — :meth:`adopt_size_tables` installs them.
-        Returns empty dicts when NumPy is unavailable (the scalar path
-        then populates the memo lazily through ``size_of``).
         """
-        if not kernels.available():
-            return {}, {}
         unique, bases = kernels.ring_bases(addrs, self._seed, _RING_SIZE)
         ring = self._ring
         sizes = [ring[base] for base in bases.tolist()]
@@ -313,9 +307,9 @@ class LineDataModel:
     def prime_size_memo(self, addrs) -> None:
         """Vectorise the size memo for every distinct address in ``addrs``.
 
-        Call before replaying the trace (sizes are version-0).  No-op
-        without NumPy, and never changes any ``size_of`` value — only
-        how fast the hierarchy can look it up.
+        Call before replaying the trace (sizes are version-0).  Never
+        changes any ``size_of`` value — only how fast the hierarchy can
+        look it up.
         """
         if self.size_memo:
             return  # already primed (e.g. adopted from the trace cache)

@@ -14,8 +14,6 @@ import struct
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.compression import kernels, make_compressor
 from repro.workloads.datagen import _RING_SIZE, _mix
 

@@ -7,10 +7,13 @@ body.  Its correctness argument has sharp edges — snapshot staleness,
 exact LRU stamp reconstruction, sequential-fold cycle accumulation,
 store ordering, occupancy sampling inside vs outside a run, chunk
 boundaries — so it is proven, not argued: this module fuzzes dozens of
-seeded randomized traces across every replacement policy and both the
-uncompressed and Base-Victim LLCs, and requires the batched run to be
-**byte-identical** to the traced reference — every ``RunResult`` field
-and every serialised observation (``obs``) — on each one.
+seeded randomized traces across every replacement policy, every LLC
+architecture and Base-Victim's non-default variants (each of which the
+scalar kernel serves through a different lane), plus a stub LLC whose
+multi-line back-invalidations reach the L1 outside the kernel.  It
+requires the batched run to be **byte-identical** to the traced
+reference — every ``RunResult`` field and every serialised observation
+(``obs``) — on each one.
 
 Traces are generated from the case seed alone, so every failure
 reproduces from its parametrized test id.
@@ -21,19 +24,17 @@ from __future__ import annotations
 import json
 import random
 from array import array
+from dataclasses import dataclass
 
 import pytest
 
+from repro.cache.replacement.victim import VICTIM_POLICIES
+from repro.core.interfaces import AccessKind, LLCArchitecture
 from repro.obs.tracing import TRACE_ENV, TRACE_FILE_ENV, TRACE_LIMIT_ENV
-from repro.sim import batch
-from repro.sim.config import TEST, MachineConfig
+from repro.sim.config import ARCH_BASE_VICTIM, ARCH_CHOICES, TEST, MachineConfig
 from repro.sim.single_core import simulate_trace
 from repro.workloads.datagen import LineDataModel, build_palette
 from repro.workloads.trace import LOAD, STORE, Trace, TraceMeta
-
-pytestmark = pytest.mark.skipif(
-    not batch.available(), reason="batch engine needs numpy"
-)
 
 #: Policies the oracle sweeps the LLC over (the L1/L2 stay LRU — that is
 #: what the batch engine vectorises; the LLC policy shapes the miss tail
@@ -224,6 +225,181 @@ class TestMissDominatedOracle:
         assert run_engine(trace, machine, "batch") == run_engine(
             trace, machine, "traced"
         )
+
+
+def _arch_machines():
+    """Every LLC architecture, then Base-Victim's non-default variants.
+
+    The scalar kernel inlines only the NRU uncompressed LLC and the NRU
+    Base-Victim LLC with ECM insertion and clean victims; every other
+    architecture takes its generic lane (plain ``llc.access`` calls),
+    and the other Base-Victim variants its method-call Base-Victim lane.
+    """
+    for arch in ARCH_CHOICES:
+        yield MachineConfig(arch=arch).validate()
+    for name in sorted(VICTIM_POLICIES):
+        if name != "ecm":
+            yield MachineConfig(arch=ARCH_BASE_VICTIM, victim_policy=name).validate()
+    yield MachineConfig(arch=ARCH_BASE_VICTIM, clean_victims=False).validate()
+
+
+TRACE_KINDS = {"fuzz": fuzz_trace, "miss": miss_trace}
+
+
+def _arch_cases():
+    """(case_id, seed, machine, trace kind): 3 seeds per machine and kind."""
+    seed = 66_000
+    for machine in _arch_machines():
+        for kind in TRACE_KINDS:
+            for _ in range(3):
+                yield f"{machine.label}-{kind}{seed}", seed, machine, kind
+                seed += 1
+
+
+ARCH_CASES = list(_arch_cases())
+
+
+class TestArchitectureOracle:
+    """Byte-identity on every kernel lane, not just the two bench LLCs."""
+
+    @pytest.mark.parametrize(
+        "seed,machine,kind",
+        [case[1:] for case in ARCH_CASES],
+        ids=[c[0] for c in ARCH_CASES],
+    )
+    def test_every_architecture_byte_identical_to_traced(self, seed, machine, kind):
+        trace = TRACE_KINDS[kind](seed)
+        assert run_engine(trace, machine, "batch") == run_engine(
+            trace, machine, "traced"
+        )
+
+
+class InvalidatingLLC(LLCArchitecture):
+    """An uncompressed LLC that also drops named lines on trigger reads.
+
+    A demand read of a trigger address returns the inner result plus
+    ``(line, False)`` for each line named for it.  The kernel serves this
+    LLC through its generic lane and hands any multi-line
+    ``invalidates`` list to the hierarchy's own back-invalidation, so
+    those L1 changes reach the batch engine only through the L1's
+    mutation log.
+    """
+
+    name = "invalidating"
+    uses_sizes = False
+
+    def __init__(self, inner: LLCArchitecture, triggers: dict) -> None:
+        self.inner = inner
+        self.triggers = triggers
+        self.extra_tag_cycles = inner.extra_tag_cycles
+
+    def access(self, addr, kind, size_segments):
+        result = self.inner.access(addr, kind, size_segments)
+        if kind == AccessKind.READ and addr in self.triggers:
+            result.invalidates.extend((line, False) for line in self.triggers[addr])
+        return result
+
+    def contains(self, addr):
+        return self.inner.contains(addr)
+
+    def hint_downgrade(self, addr):
+        self.inner.hint_downgrade(addr)
+
+
+@dataclass(frozen=True)
+class InvalidatingMachine(MachineConfig):
+    """The NRU baseline machine with its LLC wrapped in InvalidatingLLC."""
+
+    triggers: tuple = ()
+
+    def build_llc(self, preset):
+        return InvalidatingLLC(super().build_llc(preset), dict(self.triggers))
+
+
+def invalidation_trace(rounds: int = 24) -> tuple[Trace, tuple]:
+    """Hot-line runs broken by trigger reads; returns (trace, triggers).
+
+    Eight hot lines stay L1-resident, four in each of the L1's two sets.
+    Each round reads one fresh trigger line (always in set 1), whose LLC
+    access drops two hot lines of set 0, then runs 48 hot accesses.
+    With the two back-invalidations patched into the snapshot, the
+    probe predicts a miss within the run's first accesses; without
+    them, it predicts the whole run as hits and vector-applies it.  The
+    trigger's own fill lands in the other set, so the kernel's log
+    cannot patch the dropped slots by accident.  Only two lines go per
+    trigger: with every hot line gone at once, the engine would stay in
+    a scalar burst and never probe the stale snapshot.
+    """
+    hot = [0x5000 + line for line in range(8)]
+    kinds = array("b")
+    addrs = array("q")
+    deltas = array("i")
+
+    def emit(addr: int, kind: int = LOAD) -> None:
+        kinds.append(kind)
+        addrs.append(addr)
+        deltas.append(3)
+
+    for addr in hot * 4:
+        emit(addr)
+    triggers = []
+    for k in range(rounds):
+        trigger = 0x100001 + 2 * 97 * k
+        dropped = (hot[0], hot[2]) if k % 2 == 0 else (hot[4], hot[6])
+        triggers.append((trigger, dropped))
+        emit(trigger)
+        for j in range(48):
+            emit(hot[j % 8], STORE if j % 5 == 0 else LOAD)
+    meta = TraceMeta(
+        name="fuzz-invalidate.0",
+        category="fuzz",
+        seed=0,
+        footprint_lines=len(hot) + rounds,
+        comp_class="mixed",
+        cache_sensitive=True,
+    )
+    return Trace(meta, kinds, addrs, deltas), tuple(triggers)
+
+
+class TestHierarchySideInvalidations:
+    """The snapshot sync covers L1 changes made outside the kernel."""
+
+    def test_multi_line_back_invalidations_patch_the_snapshot(self):
+        trace, triggers = invalidation_trace()
+        machine = InvalidatingMachine(triggers=triggers)
+        batched = run_engine(trace, machine, "batch")
+        assert batched == run_engine(trace, machine, "traced")
+        # Every trigger really dropped two L1-resident lines.
+        assert json.loads(batched)["back_invalidations"] == 2 * len(triggers)
+
+
+class TestUnpublishedLLCCounters:
+    """Counters no observation publishes still match the reference."""
+
+    def test_uncompressed_llc_counters_match_traced(self, monkeypatch):
+        built = []
+        real = MachineConfig.build_llc
+
+        def build_llc(self, preset):
+            built.append(real(self, preset))
+            return built[-1]
+
+        monkeypatch.setattr(MachineConfig, "build_llc", build_llc)
+        machine = MachineConfig().validate()
+        trace = miss_trace(77_100)
+        runs = [json.loads(run_engine(trace, machine, e)) for e in ("batch", "traced")]
+        assert runs[0]["prefetch_fills"] > 0
+        batched, traced = (
+            (
+                llc.cache.stat_hits,
+                llc.cache.stat_misses,
+                llc.cache.stat_evictions,
+                llc.cache.stat_writebacks,
+                llc.stat_writeback_misses,
+            )
+            for llc in built
+        )
+        assert batched == traced
 
 
 class TestSizeMemoWriteInvalidation:

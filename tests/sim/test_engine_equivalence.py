@@ -1,13 +1,14 @@
 """Differential tests: the default engine vs the traced reference loop.
 
-``simulate_trace``'s engines (see ``repro.sim.engine``) all run the
-traced reference loop's computation — one ``hierarchy.access`` per
-demand access, per-access counter updates — or the scalar access kernel
-of ``repro.sim.batch``, which inlines the whole demand path over hoisted
-columns and batches its counters.  A tracer forces the reference loop,
-so running the same (trace, machine) pair with and without one is a
-direct differential test of the kernel: every ``RunResult`` field and
-every serialised observation must be byte-identical.
+``simulate_trace``'s traced engine (see ``repro.sim.engine``) runs one
+``hierarchy.access`` per demand access through the per-method cache
+layers; the default batch engine vector-resolves L1 hit runs and hands
+misses to the scalar access kernel of ``repro.sim.batch``, which inlines
+the whole demand path over hoisted columns and batches its counters.  A
+tracer forces the reference loop, so running the same (trace, machine)
+pair with and without one is a direct differential test of the default
+engine: every ``RunResult`` field and every serialised observation must
+be byte-identical.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ def run_once(machine, trace_name, tracer=None):
     return simulate_trace(trace, data, machine, TEST, tracer=tracer)
 
 
-class TestTracedVsFastLoop:
+class TestTracedVsBatchLoop:
     @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.label)
     @pytest.mark.parametrize("trace_name", TRACES)
     def test_results_and_observations_byte_identical(self, machine, trace_name):
-        fast = run_once(machine, trace_name)
+        batched = run_once(machine, trace_name)
         traced = run_once(machine, trace_name, tracer=TraceRecorder(limit=64))
-        assert json.dumps(fast.to_dict(), sort_keys=True) == json.dumps(
+        assert json.dumps(batched.to_dict(), sort_keys=True) == json.dumps(
             traced.to_dict(), sort_keys=True
         )
 
@@ -54,15 +55,15 @@ class TestTracedVsFastLoop:
         assert set(access_event) == {"i", "addr", "write", "level"}
 
     def test_occupancy_samples_identical_across_loops(self):
-        """The fast loop batches occupancy samples; the histogram must not
+        """The batch loop batches occupancy samples; the histogram must not
         notice (this is the counter-flush batching the tracer bypasses)."""
-        fast = run_once(BASE_VICTIM_2MB, "mcf.1")
+        batched = run_once(BASE_VICTIM_2MB, "mcf.1")
         traced = run_once(
             BASE_VICTIM_2MB, "mcf.1", tracer=TraceRecorder(limit=8)
         )
         key = "llc/victim_occupancy"
-        assert fast.obs[key] == traced.obs[key]
-        assert sum(fast.obs[key]["buckets"].values()) > 0
+        assert batched.obs[key] == traced.obs[key]
+        assert sum(batched.obs[key]["buckets"].values()) > 0
 
 
 class TestReproTraceEnvEquivalence:

@@ -103,7 +103,7 @@ class TestObservationDeterminism:
     def test_parent_trace_env_does_not_perturb_sweeps(self, tmp_path, monkeypatch):
         """$REPRO_TRACE in the parent forces the serial reference loop
         (per-access counter updates) while workers strip it and take the
-        batched fast loop; both must produce identical results and
+        default batch engine; both must produce identical results and
         counters, covering the counter-flush batching differentially."""
         plain = ExperimentRunner(TEST, cache_dir=tmp_path / "plain", jobs=4)
         plain_results = _sweep(plain)

@@ -58,10 +58,10 @@ class TestMeasureMatrix:
 
     def test_engine_recorded_in_payload(self):
         payload = measure_matrix(
-            TEST, trace_names=("sjeng.1",), repeats=1, engine="fast"
+            TEST, trace_names=("sjeng.1",), repeats=1, engine="traced"
         )
-        assert payload["engine"] == "fast"
-        assert payload_engine(payload) == "fast"
+        assert payload["engine"] == "traced"
+        assert payload_engine(payload) == "traced"
 
     def test_unknown_engine_rejected_before_measuring(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -88,19 +88,11 @@ class TestCheckRegression:
         measured with different engines are never rate-compared, even
         when the measurement is faster than the baseline."""
         problems = check_regression(
-            _payload(250.0, engine="batch"), _payload(100.0, engine="fast"), 0.30
+            _payload(250.0, engine="batch"), _payload(100.0, engine="traced"), 0.30
         )
         assert len(problems) == 1
         assert "engine mismatch" in problems[0]
-        assert "'batch'" in problems[0] and "'fast'" in problems[0]
-
-    def test_pre_engine_baseline_reads_as_fast(self):
-        """Payloads written before the engine field existed were all
-        measured with the scalar fast loop."""
-        assert payload_engine(_payload(1.0)) == "fast"
-        assert check_regression(_payload(100.0, engine="fast"), _payload(100.0)) == []
-        problems = check_regression(_payload(100.0, engine="batch"), _payload(100.0))
-        assert problems and "engine mismatch" in problems[0]
+        assert "'batch'" in problems[0] and "'traced'" in problems[0]
 
 
 class TestCommittedBaseline:

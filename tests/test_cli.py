@@ -331,6 +331,16 @@ class TestCommands:
         assert "engine: traced" in capsys.readouterr().out
         assert os.environ["REPRO_ENGINE"] == "traced"
 
+    def test_unknown_engine_exits_2(self, tmp_path, monkeypatch):
+        """An unknown engine name (here ``fast``) exits 2, whether it
+        comes from --engine or $REPRO_ENGINE."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "test", "--trace", "sjeng.1", "--engine", "fast"])
+        assert exc.value.code == 2
+        monkeypatch.setenv("REPRO_ENGINE", "fast")
+        assert main(["run", "--preset", "test", "--trace", "sjeng.1"]) == 2
+
     def test_sweep_resume_reports_salvage(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(

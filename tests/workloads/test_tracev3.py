@@ -16,6 +16,7 @@ Three properties are load-bearing:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -30,8 +31,6 @@ from repro.workloads.traceio import (
     write_trace,
     write_trace_v2,
 )
-
-np = pytest.importorskip("numpy", reason="column views need numpy")
 
 
 def small_trace(records: int = 100) -> Trace:
