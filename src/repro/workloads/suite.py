@@ -313,10 +313,10 @@ class TraceSuite:
     def pattern_params(self, spec: TraceSpec) -> PatternParams:
         """Concrete pattern parameters for this preset.
 
-        The hot set is sized at a quarter of the reference LLC: large
-        enough that it cannot live in the L2 (which is 1/8 of the LLC),
-        so hot accesses are LLC hits whose latency — and survival under
-        partner-line victimization — matters.
+        The hot set is sized at half the reference LLC (at least 32
+        lines): large enough that it cannot live in the L2 (which is 1/8
+        of the LLC), so hot accesses are LLC hits whose latency — and
+        survival under partner-line victimization — matters.
         """
         hot = max(32, self.reference_llc_lines // 2)
         footprint = int(spec.ws_factor * self.reference_llc_lines)

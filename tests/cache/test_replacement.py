@@ -13,7 +13,7 @@ from repro.cache.replacement import (
     RandomPolicy,
     SRRIPPolicy,
 )
-from repro.cache.replacement.base import DeterministicRandom
+from repro.cache.replacement.base import BLOCK_DRAWS, DeterministicRandom
 
 
 class TestLRU:
@@ -190,6 +190,28 @@ class TestRandomAndRegistry:
     def test_below_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             DeterministicRandom(1).below(0)
+
+    @pytest.mark.parametrize("seed", [1, 42, 0xFFFFFFFFFFFFFFFF, 1 << 64])
+    def test_block_is_the_next_draws(self, seed):
+        fast = DeterministicRandom(seed)
+        slow = DeterministicRandom(seed)
+        for _ in range(2):
+            assert fast.block().tolist() == [slow.next() for _ in range(BLOCK_DRAWS)]
+            fast.skip(BLOCK_DRAWS)
+            assert fast._state == slow._state
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 12345, BLOCK_DRAWS - 1, BLOCK_DRAWS])
+    def test_skip_matches_next(self, count):
+        fast = DeterministicRandom(7)
+        slow = DeterministicRandom(7)
+        fast.skip(count)
+        for _ in range(count):
+            slow.next()
+        assert fast.next() == slow.next()
+
+    def test_skip_is_bounded_by_one_block(self):
+        with pytest.raises(ValueError):
+            DeterministicRandom(1).skip(BLOCK_DRAWS + 1)
 
 
 @given(

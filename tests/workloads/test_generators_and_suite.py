@@ -91,6 +91,24 @@ class TestGenerators:
         with pytest.raises(ValueError):
             PatternGenerator(PatternParams(kind="zipf", footprint_lines=0), 1)
 
+    def test_empty_hot_set_rejected_when_hot_accesses_are_asked_for(self):
+        with pytest.raises(ValueError, match="hot_lines"):
+            PatternGenerator(
+                PatternParams(kind="zipf", footprint_lines=64, hot_lines=0, hot_fraction=0.1), 1
+            )
+        # Without hot accesses the hot set is never drawn from.
+        params = PatternParams(kind="zipf", footprint_lines=64, hot_lines=0, hot_fraction=0.0)
+        meta = TraceMeta("t", "ispec", 1, 64, "friendly", True)
+        got = PatternGenerator(params, 1).generate(meta, 500)
+        want = PatternGenerator(params, 1)._reference_generate(meta, 500)
+        assert got.addrs == want.addrs
+
+    def test_deltas_beyond_int32_rejected(self):
+        with pytest.raises(ValueError, match="instrs_per_access"):
+            PatternGenerator(
+                PatternParams(kind="zipf", footprint_lines=64, instrs_per_access=2.0**31), 1
+            )
+
     def test_invalid_length_rejected(self):
         params = PatternParams(kind="zipf", footprint_lines=16)
         generator = PatternGenerator(params, 1)
