@@ -17,9 +17,7 @@ Exposes the paper's experiments and some exploration helpers::
                    [--resume] [--redispatch N] [--fold-every N]
     repro perf [--repeats 3] [--output BENCH_PERF.json]
     repro cache verify [--strict] [--cache-dir DIR]
-    repro cache migrate [--cache-dir DIR]
     repro cache canonicalize [--cache-dir DIR]
-    repro trace migrate FILE [FILE ...]
 
 The figure/table benches proper live in ``benchmarks/`` and run through
 pytest; the CLI is the quick interactive front end.
@@ -218,7 +216,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 # Cache health: corrupt JSONL lines skipped by the
                 # tolerant loader — silent data loss made visible — plus
                 # the persistence-layer cache/* counters (lock
-                # contention, CRC rejections, legacy lines folded in).
+                # contention, CRC rejections).
                 "cache": {
                     "corrupt_lines_skipped": runner.corrupt_lines_skipped,
                     **{
@@ -770,83 +768,53 @@ def _cache_dir_from_args(args: argparse.Namespace) -> Path:
 def _cmd_cache_verify(args: argparse.Namespace) -> int:
     """Integrity census of every cache file (CRC, structure, duplicates).
 
-    Prints one row per ``results-v*.jsonl`` file: total lines, valid
-    entries, legacy (un-checksummed) lines, CRC rejections, corrupt
-    lines and duplicate keys.  With ``--strict`` any rejected line makes
-    the exit code nonzero — the CI tripwire for silent cache rot.
+    Prints one row per current-version ``results-v*.jsonl`` file: total
+    lines, valid entries, CRC rejections, corrupt lines and duplicate
+    keys.  Files of any other version are listed as stale and not read.
+    With ``--strict`` any rejected line or stale file makes the exit
+    code nonzero — the CI tripwire for silent cache rot; ``repro cache
+    canonicalize`` scrubs rejected lines, and stale files are deleted
+    by hand.
     """
     from repro.obs.registry import CounterRegistry
-    from repro.sim.resultcache import verify_cache_dir
+    from repro.sim.resultcache import CACHE_VERSION, cache_files, scan_cache_file
 
     directory = _cache_dir_from_args(args)
-    reports = verify_cache_dir(directory)
-    if not reports:
+    files = cache_files(directory)
+    if not files:
         print(f"no cache files under {directory}")
         return 0
     registry = CounterRegistry()
     print(
-        f"{'file':34s} {'lines':>7s} {'entries':>7s} {'legacy':>6s} "
+        f"{'file':34s} {'lines':>7s} {'entries':>7s} "
         f"{'crc':>5s} {'corrupt':>7s} {'dups':>5s}"
     )
-    dirty = 0
-    for report in reports:
+    dirty = stale = 0
+    for path, version in files:
+        if version != CACHE_VERSION:
+            stale += 1
+            print(f"{path.name:34s} stale v{version} file, not read")
+            continue
+        report = scan_cache_file(path)
         registry.inc("cache/verified_lines", report.lines)
         registry.inc("cache/crc_failures", report.crc_failures)
         registry.inc("cache/corrupt_lines", report.corrupt_lines)
         if not report.clean:
             dirty += 1
         print(
-            f"{report.path.name:34s} {report.lines:7d} {report.entries:7d} "
-            f"{report.plain_lines:6d} {report.crc_failures:5d} "
-            f"{report.corrupt_lines:7d} {report.duplicate_keys:5d}"
+            f"{path.name:34s} {report.lines:7d} {report.entries:7d} "
+            f"{report.crc_failures:5d} {report.corrupt_lines:7d} "
+            f"{report.duplicate_keys:5d}"
         )
     counters = registry.as_dict()
     print(
-        f"\n{len(reports)} file(s), {dirty} with rejected lines "
+        f"\n{len(files)} file(s), {dirty} with rejected lines, {stale} stale "
         f"(crc failures: {counters['cache/crc_failures']['value']}, "
         f"corrupt: {counters['cache/corrupt_lines']['value']})"
     )
-    if dirty and args.strict:
+    if (dirty or stale) and args.strict:
         print("error: cache verification failed (--strict)", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_cache_migrate(args: argparse.Namespace) -> int:
-    """Upgrade cache files to the current checksummed format, atomically.
-
-    v4 files fold into their v5 siblings (existing v5 entries win) and
-    are removed only once the replacement is durable; v5 files with
-    legacy or corrupt lines are rewritten in place; clean files are left
-    byte-untouched; pre-v4 files are reported stale and never touched.
-    """
-    from repro.sim.resultcache import migrate_cache_dir
-
-    directory = _cache_dir_from_args(args)
-    results = migrate_cache_dir(directory, lock_timeout=args.lock_timeout)
-    if not results:
-        print(f"no cache files under {directory}")
-        return 0
-    for result in results:
-        if result.action == "migrated":
-            print(
-                f"{result.source.name} -> {result.target.name}: "
-                f"{result.migrated_lines} line(s) migrated "
-                f"({result.entries} total entries)"
-            )
-        elif result.action == "rewritten":
-            print(
-                f"{result.source.name}: rewritten in place "
-                f"({result.migrated_lines} legacy line(s) upgraded, "
-                f"{result.entries} entries)"
-            )
-        elif result.action == "stale":
-            print(
-                f"{result.source.name}: stale pre-v4 format, left untouched "
-                "(results predate simulator behaviour changes)"
-            )
-        else:
-            print(f"{result.source.name}: already clean ({result.entries} entries)")
     return 0
 
 
@@ -857,17 +825,26 @@ def _cmd_cache_canonicalize(args: argparse.Namespace) -> int:
     set, independent of write order — the normal form every dispatch
     fold ends in.  Run it on a serially-produced cache before comparing
     it byte-for-byte against a distributed one (the differential test
-    and the CI dist-smoke job do exactly that).  Idempotent; already-
-    canonical files are rewritten to identical bytes.
+    and the CI dist-smoke job do exactly that), or to scrub the lines
+    ``repro cache verify`` rejects.  Idempotent; already-canonical files
+    are rewritten to identical bytes.  Only current-version files are
+    rewritten; stale ones are listed and left byte-untouched.
     """
-    from repro.sim.resultcache import canonicalize_cache_file
+    from repro.sim.resultcache import (
+        CACHE_VERSION,
+        cache_files,
+        canonicalize_cache_file,
+    )
 
     directory = _cache_dir_from_args(args)
-    files = sorted(directory.glob("results-v*.jsonl"))
+    files = cache_files(directory)
     if not files:
         print(f"no cache files under {directory}")
         return 0
-    for path in files:
+    for path, version in files:
+        if version != CACHE_VERSION:
+            print(f"{path.name}: stale v{version} file, left untouched")
+            continue
         entries = canonicalize_cache_file(path, lock_timeout=args.lock_timeout)
         print(f"{path.name}: canonical ({entries} entries)")
     return 0
@@ -877,42 +854,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     """Dispatch ``repro cache <action>``."""
     handlers = {
         "verify": _cmd_cache_verify,
-        "migrate": _cmd_cache_migrate,
         "canonicalize": _cmd_cache_canonicalize,
     }
     return handlers[args.cache_command](args)
-
-
-def _cmd_trace_migrate(args: argparse.Namespace) -> int:
-    """Upgrade trace files to the columnar v3 format, atomically.
-
-    Each file is verified under its own format before the in-place
-    rewrite; already-v3 files are reported and left untouched.  A
-    malformed file stops the run with a structured error (exit 2 via the
-    TraceFormatError -> ValueError path), leaving every original intact.
-    """
-    from repro.workloads.traceio import migrate_trace
-
-    for path in args.paths:
-        try:
-            report = migrate_trace(path)
-        except OSError as exc:
-            print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
-            return 2
-        if report.migrated:
-            print(
-                f"{report.path}: v{report.from_version} -> v3 "
-                f"({report.records} records)"
-            )
-        else:
-            print(f"{report.path}: already v3 ({report.records} records)")
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Dispatch ``repro trace <action>``."""
-    handlers = {"migrate": _cmd_trace_migrate}
-    return handlers[args.trace_command](args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1023,48 +967,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--strict",
         action="store_true",
-        help="exit nonzero if any file contains rejected lines",
-    )
-    p_migrate = cache_sub.add_parser(
-        "migrate", help="upgrade cache files to the checksummed v5 format"
+        help="exit nonzero if any file has rejected lines or is stale",
     )
     p_canonicalize = cache_sub.add_parser(
         "canonicalize",
         help="rewrite cache files key-sorted (byte-comparable normal form)",
     )
-    for p in (p_migrate, p_canonicalize):
-        p.add_argument(
-            "--lock-timeout",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help=(
-                "max seconds to wait for a cache file's lock "
-                f"(default ${LOCK_TIMEOUT_ENV} or 120)"
-            ),
-        )
-    for p in (p_verify, p_migrate, p_canonicalize):
+    p_canonicalize.add_argument(
+        "--lock-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help=(
+            "max seconds to wait for a cache file's lock "
+            f"(default ${LOCK_TIMEOUT_ENV} or 120)"
+        ),
+    )
+    for p in (p_verify, p_canonicalize):
         p.add_argument(
             "--cache-dir",
             default=None,
             metavar="DIR",
             help="cache directory (default: $REPRO_CACHE_DIR or ./.repro_cache)",
         )
-
-    p_trace = sub.add_parser(
-        "trace", help="inspect and maintain on-disk trace files"
-    )
-    trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
-    p_trace_migrate = trace_sub.add_parser(
-        "migrate",
-        help="upgrade trace files in place to the columnar v3 format",
-    )
-    p_trace_migrate.add_argument(
-        "paths",
-        nargs="+",
-        metavar="FILE",
-        help="trace files to upgrade (verified, rewritten atomically)",
-    )
 
     from repro.serve.scheduler import DEFAULT_CLIENT_QUOTA, DEFAULT_MAX_QUEUE
     from repro.serve.server import SOCKET_ENV
@@ -1259,7 +1184,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_HEARTBEAT_INTERVAL,
         metavar="SECONDS",
         help=(
-            "seconds of mid-lease silence before pinging a v3 worker; "
+            "seconds of mid-lease silence before pinging a worker; "
             f"0 disables heartbeats (default {DEFAULT_HEARTBEAT_INTERVAL})"
         ),
     )
@@ -1383,7 +1308,6 @@ def main(argv: list[str] | None = None) -> int:
         "export": _cmd_export,
         "sweep": _cmd_sweep,
         "cache": _cmd_cache,
-        "trace": _cmd_trace,
         "serve": _cmd_serve,
         "submit": _cmd_submit,
         "serve-status": _cmd_serve_status,

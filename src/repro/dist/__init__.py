@@ -5,7 +5,7 @@ and the ``repro serve`` scheduler — already guarantees that any sweep
 leaves a cache byte-identical to a clean serial run.  This package
 extends that invariant across machines: a coordinator shards the
 uncached (machine, trace) matrix into batch *leases* over the serve
-wire protocol (v2; see ``PROTOCOL.md``), workers simulate into their
+wire protocol (see ``PROTOCOL.md``), workers simulate into their
 own locked caches, and the coordinator pulls the results back, stages
 them in checksummed local shards, and folds them into its cache with
 the same atomic merge + canonicalisation every other writer uses.

@@ -2,10 +2,10 @@
 
 One coordinator owns one preset, one result cache and one job matrix.
 It drops every cell the local cache already answers, shards the
-remainder into batch leases (:data:`~repro.serve.protocol.PROTOCOL_VERSION`
-v2 ``lease`` frames) over any mix of TCP and unix-socket workers, and
-folds the pulled-back results into its cache so the distributed sweep
-is indistinguishable — byte for byte — from a serial one.
+remainder into batch leases (serve-protocol ``lease`` frames) over any
+mix of TCP and unix-socket workers, and folds the pulled-back results
+into its cache so the distributed sweep is indistinguishable — byte for
+byte — from a serial one.
 
 Fault model, in the order the machinery engages:
 
@@ -16,12 +16,10 @@ Fault model, in the order the machinery engages:
   (:class:`~repro.sim.retry.RetryPolicy` — deterministic per (job key,
   attempt), like every sweep retry).  A worker that keeps failing
   retires after ``worker_retries`` losses.
-* **Hung workers** — mid-lease silence is probed with protocol-v3
-  ``ping``/``pong`` heartbeats; a worker that answers nothing for the
-  heartbeat deadline (the ``slow-worker`` fault's target) is declared
-  lost *proactively*, instead of blocking until a transport error.
-  Workers that only speak v2 negotiate down and keep the old
-  loss-on-error behaviour.
+* **Hung workers** — mid-lease silence is probed with ``ping``/``pong``
+  heartbeats; a worker that answers nothing for the heartbeat deadline
+  (the ``slow-worker`` fault's target) is declared lost *proactively*,
+  instead of blocking until a transport error.
 * **Duplicate completion** — a partitioned worker may still finish jobs
   the coordinator has meanwhile reassigned; whichever result arrives
   first wins the fold-in and the loser is a counted no-op
@@ -101,16 +99,12 @@ DEFAULT_WORKER_RETRIES = 2
 DEFAULT_FOLD_EVERY = 1
 
 #: Default seconds of mid-lease silence before the coordinator pings a
-#: v3 worker.  0/None disables heartbeats entirely.
+#: worker.  0/None disables heartbeats entirely.
 DEFAULT_HEARTBEAT_INTERVAL = 5.0
 
 #: Default heartbeat deadline as a multiple of the interval: a worker
 #: silent (no events, no pongs) for this long is declared lost.
 HEARTBEAT_DEADLINE_FACTOR = 3.0
-
-#: Versions the coordinator offers, in preference order: v3 for
-#: heartbeats, v2 fallback (leases only, no pings) for older workers.
-_NEGOTIATE_VERSIONS = (protocol.PROTOCOL_VERSION, 2)
 
 
 class DispatchError(RuntimeError):
@@ -622,20 +616,15 @@ class DispatchCoordinator:
         # The handshake happens before heartbeats are armed, so a hung
         # worker (say, one the slow-worker fault just stalled) must not
         # be able to block it forever: the heartbeat deadline bounds the
-        # connect/negotiate reads whenever no explicit timeout is set.
+        # connect/handshake reads whenever no explicit timeout is set.
         connect_timeout = (
             self.timeout if self.timeout is not None else self.heartbeat_deadline
         )
         with ServeClient(
             health.endpoint.address, timeout=connect_timeout
         ) as client:
-            hello = client.negotiate(_NEGOTIATE_VERSIONS)
-            version = hello.get("protocol")
-            heartbeat = (
-                self.heartbeat_interval is not None
-                and isinstance(version, int)
-                and version >= protocol.PING_MIN_VERSION
-            )
+            client.handshake()
+            heartbeat = self.heartbeat_interval is not None
             if self._journal is not None:
                 self._journal.lease(
                     lease_id, health.endpoint.name, [job.key for job in batch]
@@ -655,9 +644,8 @@ class DispatchCoordinator:
             if heartbeat:
                 client.settimeout(self.heartbeat_interval)
             else:
-                # v2 worker (or heartbeats disabled): restore the
-                # caller's timeout — long jobs must not trip the
-                # handshake bound mid-lease.
+                # Heartbeats disabled: restore the caller's timeout —
+                # long jobs must not trip the handshake bound mid-lease.
                 client.settimeout(self.timeout)
             done = False
             last_traffic = time.monotonic()

@@ -9,11 +9,11 @@ failures, fold-ins — is appended to an NDJSON journal *before* the
 coordinator acts on it being done, so ``repro dispatch --resume`` can
 replay the file after a ``kill -9`` and re-lease only the remainder.
 
-Format: one record per line, ``<canonical JSON>#<crc32 hex8>`` — the
-same self-checking line discipline as the v5 result cache, so a torn
-tail (the page cache flushing half a record at crash time) is detected
-by its checksum, never half-parsed.  Replay is tolerant: bad lines are
-counted and skipped, and everything before them is recovered.
+Format: one record per line, ``<canonical JSON>#<crc32 hex8>`` — framed
+by the result cache's own :func:`~repro.sim.resultcache.frame_line`, so
+a torn tail (the page cache flushing half a record at crash time) is
+detected by its checksum, never half-parsed.  Replay is tolerant: bad
+lines are counted and skipped, and everything before them is recovered.
 
 Record kinds (the ``t`` field):
 
@@ -37,20 +37,15 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import threading
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.sim.locking import FileLock
+from repro.sim.resultcache import frame_line, unframe_line
 
 #: Journal file name next to the result cache it guards (one per preset).
 JOURNAL_FILE_NAME_TEMPLATE = "dispatch-journal-{preset}.ndjson"
-
-#: Trailing checksum a journal line must carry (same shape as v5 cache
-#: lines): ``#`` + 8 lowercase hex digits of the payload's CRC32.
-_RECORD_CRC_RE = re.compile(r"#([0-9a-f]{8})$")
 
 
 def journal_path(cache_dir: Path, preset_name: str) -> Path:
@@ -58,15 +53,9 @@ def journal_path(cache_dir: Path, preset_name: str) -> Path:
     return cache_dir / JOURNAL_FILE_NAME_TEMPLATE.format(preset=preset_name)
 
 
-def _record_crc(payload: str) -> str:
-    """CRC32 of a record's JSON payload, as 8 lowercase hex digits."""
-    return f"{zlib.crc32(payload.encode('utf-8')) & 0xFFFFFFFF:08x}"
-
-
 def encode_record(record: dict) -> str:
     """One journal line (no trailing newline): canonical JSON + CRC32."""
-    payload = json.dumps(record, sort_keys=True)
-    return f"{payload}#{_record_crc(payload)}"
+    return frame_line(json.dumps(record, sort_keys=True))
 
 
 def decode_record(line: str) -> dict | None:
@@ -76,11 +65,8 @@ def decode_record(line: str) -> dict | None:
     payload is a JSON object with a string ``t`` kind — a torn tail can
     truncate a line anywhere, so every failure mode maps to ``None``.
     """
-    match = _RECORD_CRC_RE.search(line)
-    if match is None:
-        return None
-    payload = line[: match.start()]
-    if _record_crc(payload) != match.group(1):
+    _, payload = unframe_line(line)
+    if payload is None:
         return None
     try:
         record = json.loads(payload)

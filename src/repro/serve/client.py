@@ -162,13 +162,14 @@ class ServeClient:
                 return line
             self._buffer.extend(chunk)
 
-    def handshake(self, version: int = protocol.PROTOCOL_VERSION) -> dict:
-        """Negotiate the protocol version; returns the ``hello`` event.
+    def handshake(self) -> dict:
+        """Say ``hello`` with :data:`~repro.serve.protocol.PROTOCOL_VERSION`.
 
-        Raises :class:`ServeClientError` if the server rejects the
-        version (or answers with anything but a ``hello``) — callers
-        that need v2 features (leases) must handshake first.
+        Returns the ``hello`` event.  Raises :class:`ServeClientError` if
+        the server rejects the version (or answers with anything but a
+        ``hello``) — callers that lease or ping must handshake first.
         """
+        version = protocol.PROTOCOL_VERSION
         self.request({"op": "hello", "version": version})
         event = self.next_event()
         if event.get("event") != "hello":
@@ -177,37 +178,6 @@ class ServeClient:
                 f"{version}: {event.get('detail') or event.get('reason')}"
             )
         return event
-
-    def negotiate(self, versions: tuple[int, ...]) -> dict:
-        """Handshake with the first version in ``versions`` the server takes.
-
-        A ``version-unsupported`` reject leaves the connection open by
-        design, so each fallback retries on the same socket — this is
-        how the dispatch coordinator speaks v3 (heartbeats) to current
-        workers and v2 to older ones.  Raises :class:`ServeClientError`
-        when no version is mutually supported.
-        """
-        detail: object = None
-        for version in versions:
-            self.request({"op": "hello", "version": version})
-            event = self.next_event()
-            if event.get("event") == "hello":
-                return event
-            if (
-                event.get("event") == "rejected"
-                and event.get("reason") == protocol.REJECT_VERSION
-            ):
-                detail = event.get("detail") or event.get("reason")
-                continue
-            raise ServeClientError(
-                f"{self.address.describe()} answered the version handshake "
-                f"with {event.get('event')!r}: "
-                f"{event.get('detail') or event.get('message')}"
-            )
-        raise ServeClientError(
-            f"{self.address.describe()} supports none of protocol "
-            f"version(s) {', '.join(map(str, versions))}: {detail}"
-        )
 
     def request(self, payload: dict) -> None:
         """Send one request frame."""

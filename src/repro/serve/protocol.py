@@ -8,11 +8,10 @@ with a socket and a JSON parser.
 
 Client -> server requests (``op`` field):
 
-* ``{"op": "hello", "version": <int>}`` — version negotiation (v2).
-  The server answers with a ``hello`` event carrying the negotiated
-  version, or rejects an unsupported one with reason
-  ``version-unsupported``.  v1 clients may skip the handshake entirely;
-  ``submit`` and ``status`` behave exactly as they always have.
+* ``{"op": "hello", "version": <int>}`` — the handshake.  The server
+  answers a :data:`PROTOCOL_VERSION` hello with a ``hello`` event and
+  rejects any other version with reason ``version-unsupported``;
+  ``submit`` and ``status`` need no handshake.
 * ``{"op": "submit", "id": <str>, "jobs": [<job>...], "wait": <bool>}``
   — submit one or more (machine, trace) jobs; a *sweep* is simply a
   submit with many jobs.  Each ``<job>`` is ``{"trace": <name>,
@@ -23,20 +22,18 @@ Client -> server requests (``op`` field):
   ``done``; with ``wait`` false only the admission verdict
   (``accepted``/``rejected``) is sent and the jobs run detached.
 * ``{"op": "lease", "id": <str>, "jobs": [<job>...]}`` — a batch lease
-  (v2, used by the ``repro dispatch`` coordinator): like a waiting
-  submit, but acknowledged with a ``leased`` event and terminated by
-  ``lease-done``, and only accepted after a v2 ``hello`` handshake on
-  the same connection.
+  (used by the ``repro dispatch`` coordinator): like a waiting submit,
+  but acknowledged with a ``leased`` event and terminated by
+  ``lease-done``, and only accepted after a ``hello`` handshake on the
+  same connection.
 * ``{"op": "status"}`` — one ``status`` event with the live ``serve/*``
   counters, queue depth and drain state.
-* ``{"op": "ping", "id": <str>}`` — a liveness heartbeat (v3, used by
-  the ``repro dispatch`` coordinator mid-lease).  The server answers
-  with a ``pong`` event echoing the id; a worker whose event loop is
-  hung or partitioned answers nothing, which is exactly the signal the
-  coordinator's heartbeat deadline detects.  Requires a version >= 3
-  ``hello`` handshake on the connection; v2 peers simply never ping
-  (the coordinator negotiates v3 and falls back to v2 without
-  heartbeats).
+* ``{"op": "ping", "id": <str>}`` — a liveness heartbeat (used by the
+  ``repro dispatch`` coordinator mid-lease).  The server answers with a
+  ``pong`` event echoing the id; a worker whose event loop is hung or
+  partitioned answers nothing, which is exactly the signal the
+  coordinator's heartbeat deadline detects.  Requires a ``hello``
+  handshake on the connection.
 
 Server -> client events (``event`` field): ``hello``, ``accepted``,
 ``leased``, ``rejected`` (structured: ``reason`` is one of
@@ -63,19 +60,9 @@ from dataclasses import dataclass
 
 from repro.sim.config import MachineConfig, MachineConfigError
 
-#: Protocol version, echoed in ``accepted``/``status`` events.  v2
-#: added the ``hello`` version handshake and ``lease`` batch leases;
-#: v3 added ``ping``/``pong`` liveness heartbeats; v1 requests
-#: (``submit``/``status``) are accepted unchanged.
+#: The one protocol version the server speaks: the only ``hello``
+#: version it accepts, echoed in ``hello``/``accepted``/``status`` events.
 PROTOCOL_VERSION = 3
-
-#: Oldest protocol version whose connections may ``ping`` (heartbeats
-#: are a v3 feature; the dispatch coordinator disables them after a v2
-#: fallback handshake).
-PING_MIN_VERSION = 3
-
-#: Oldest protocol version the server still speaks.
-MIN_PROTOCOL_VERSION = 1
 
 #: Hard ceiling on one frame's encoded size (request or event).  Result
 #: events carry full serialised run results (a few KB each), so 1 MiB
@@ -265,7 +252,7 @@ def parse_job(job: object, known_traces: frozenset[str]) -> JobSpec:
 
 @dataclass(frozen=True)
 class HelloRequest:
-    """One validated ``hello`` (version negotiation) frame."""
+    """One validated ``hello`` (handshake) frame."""
 
     version: int
 
@@ -288,7 +275,7 @@ def parse_hello(frame: dict) -> HelloRequest:
 
 @dataclass(frozen=True)
 class PingRequest:
-    """One validated ``ping`` (liveness heartbeat) frame (v3)."""
+    """One validated ``ping`` (liveness heartbeat) frame."""
 
     ping_id: str
 
@@ -343,7 +330,7 @@ def parse_submit(frame: dict, known_traces: frozenset[str]) -> SubmitRequest:
 
 @dataclass(frozen=True)
 class LeaseRequest:
-    """One validated batch-lease frame (v2).
+    """One validated batch-lease frame.
 
     A lease is a waiting submit with coordinator semantics: the server
     acknowledges it with ``leased`` instead of ``accepted``, always

@@ -113,9 +113,9 @@ class _Connection:
         self.name = name
         self.reader = reader
         self.writer = writer
-        #: Protocol version negotiated by a ``hello`` handshake; ``None``
-        #: until one happens (v1 clients never send one).
-        self.protocol_version: int | None = None
+        #: Whether a ``hello`` handshake succeeded on this connection
+        #: (``lease`` and ``ping`` need one; ``submit`` and ``status`` do not).
+        self.said_hello = False
         self._events: asyncio.Queue = asyncio.Queue()
         self._finished = False
 
@@ -385,46 +385,56 @@ class ExperimentServer:
             )
 
     def _handle_hello(self, conn: _Connection, frame: dict) -> None:
-        """Version negotiation: pin the connection's protocol version.
+        """The handshake: accept exactly ``protocol.PROTOCOL_VERSION``.
 
-        An unsupported version is an admission reject (the client may
-        retry with another version on the same connection), never a
-        connection-closing protocol error.
+        Any other version is an admission reject (the connection stays
+        open and may say ``hello`` again), never a connection-closing
+        protocol error.
         """
         request = protocol.parse_hello(frame)
-        if not (
-            protocol.MIN_PROTOCOL_VERSION
-            <= request.version
-            <= protocol.PROTOCOL_VERSION
-        ):
+        if request.version != protocol.PROTOCOL_VERSION:
             self.runner.registry.inc("serve/version_rejected")
             conn.emit(
                 {
                     "event": "rejected",
                     "reason": protocol.REJECT_VERSION,
                     "detail": (
-                        f"protocol version {request.version} is outside the "
-                        f"supported range {protocol.MIN_PROTOCOL_VERSION}.."
-                        f"{protocol.PROTOCOL_VERSION}"
+                        f"protocol version {request.version} is not supported; "
+                        f"this server speaks version {protocol.PROTOCOL_VERSION}"
                     ),
                 }
             )
             return
-        conn.protocol_version = request.version
+        conn.said_hello = True
         conn.emit(
             {
                 "event": "hello",
-                "protocol": request.version,
-                "server_protocol": protocol.PROTOCOL_VERSION,
-                "min_protocol": protocol.MIN_PROTOCOL_VERSION,
+                "protocol": protocol.PROTOCOL_VERSION,
                 "preset": self.preset.name,
                 "worker": self.worker,
                 "pid": os.getpid(),
             }
         )
 
+    def _rejected_without_hello(
+        self, conn: _Connection, request_id: str, op: str
+    ) -> bool:
+        """Reject ``op`` (and return True) unless the connection said ``hello``."""
+        if conn.said_hello:
+            return False
+        self.runner.registry.inc("serve/version_rejected")
+        conn.emit(
+            {
+                "event": "rejected",
+                "id": request_id,
+                "reason": protocol.REJECT_VERSION,
+                "detail": f"{op} requires a hello handshake on this connection",
+            }
+        )
+        return True
+
     def _handle_ping(self, conn: _Connection, frame: dict) -> None:
-        """Answer one liveness heartbeat with a ``pong`` (v3).
+        """Answer one liveness heartbeat with a ``pong``.
 
         The answer is emitted through the connection's ordinary event
         queue, interleaving with any in-flight lease stream — a worker
@@ -433,22 +443,7 @@ class ExperimentServer:
         dispatch coordinator's heartbeat deadline wants.
         """
         request = protocol.parse_ping(frame)
-        if (
-            conn.protocol_version is None
-            or conn.protocol_version < protocol.PING_MIN_VERSION
-        ):
-            self.runner.registry.inc("serve/version_rejected")
-            conn.emit(
-                {
-                    "event": "rejected",
-                    "id": request.ping_id,
-                    "reason": protocol.REJECT_VERSION,
-                    "detail": (
-                        f"ping requires a version >= {protocol.PING_MIN_VERSION} "
-                        "hello handshake on this connection"
-                    ),
-                }
-            )
+        if self._rejected_without_hello(conn, request.ping_id, "ping"):
             return
         self.runner.registry.inc("serve/pings")
         conn.emit({"event": "pong", "id": request.ping_id, "pid": os.getpid()})
@@ -456,19 +451,7 @@ class ExperimentServer:
     def _handle_lease(self, conn: _Connection, frame: dict) -> None:
         """Grant one batch lease: a waiting submit with lease framing."""
         request = protocol.parse_lease(frame, self._known_traces)
-        if conn.protocol_version is None or conn.protocol_version < 2:
-            self.runner.registry.inc("serve/version_rejected")
-            conn.emit(
-                {
-                    "event": "rejected",
-                    "id": request.lease_id,
-                    "reason": protocol.REJECT_VERSION,
-                    "detail": (
-                        "lease requires a version >= 2 hello handshake "
-                        "on this connection"
-                    ),
-                }
-            )
+        if self._rejected_without_hello(conn, request.lease_id, "lease"):
             return
 
         def lease_emit(event: dict) -> None:

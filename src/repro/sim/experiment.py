@@ -28,9 +28,8 @@ enter the result cache.
 
 Results are invalidated by bumping
 :data:`~repro.sim.resultcache.CACHE_VERSION` whenever the simulator's
-behaviour (or the on-disk format) changes.  The v4 -> v5 bump was
-format-only, so a ``results-v4-*.jsonl`` cache left by an older build
-is read transparently (and ``repro cache migrate`` upgrades it).
+behaviour (or the on-disk format) changes; the runner reads only the
+current version's file.
 
 The persistence layer is multi-process safe: every disk write happens
 under the cache's advisory lock (:mod:`repro.sim.locking`), sweep
@@ -60,7 +59,6 @@ from repro.sim.parallel import (
 )
 from repro.sim.resultcache import (
     CACHE_VERSION,
-    LEGACY_CACHE_VERSION,
     append_cache_entries,
     cache_file_name,
     corrupt_line_count,
@@ -195,30 +193,6 @@ class ExperimentRunner:
             self.registry.inc("sweep/corrupt_lines", skipped)
         if crc_failed:
             self.registry.inc("cache/crc_failures", crc_failed)
-        self._load_legacy_cache()
-
-    def _load_legacy_cache(self) -> None:
-        """Fold in a v4-format cache file left by an older build.
-
-        The v4 -> v5 bump changed only the line format, so v4 results
-        remain valid: entries not shadowed by the v5 file are read
-        straight into memory (``cache/migrated_lines`` counts them) and
-        keep working without any operator action.  ``repro cache
-        migrate`` performs the durable upgrade.
-        """
-        assert self._cache_path is not None
-        legacy = self._cache_path.parent / cache_file_name(
-            self.preset.name, LEGACY_CACHE_VERSION
-        )
-        if not legacy.exists():
-            return
-        migrated = 0
-        for key, result in iter_cache_entries(legacy):
-            if key not in self._memory:
-                self._memory[key] = result
-                migrated += 1
-        if migrated:
-            self.registry.inc("cache/migrated_lines", migrated)
 
     def _sync_lock_stats(self) -> None:
         """Fold new lock contention events into the ``cache/*`` counters."""

@@ -185,10 +185,10 @@ def sweep_health_summary(
     Accepts :meth:`~repro.obs.registry.CounterRegistry.as_dict` output;
     counters that never fired print as 0 so the line's shape is stable.
     Covers the fault-tolerance counters (``sweep/*``) and the
-    persistence-layer ones (``cache/*``: lock contention, checksum
-    rejections, legacy lines folded in).  ``engine``, if given, is the
-    resolved simulation engine name and leads the line, so sweep logs
-    record which inner loop produced them.
+    persistence-layer ones (``cache/*``: lock contention and checksum
+    rejections).  ``engine``, if given, is the resolved simulation
+    engine name and leads the line, so sweep logs record which inner
+    loop produced them.
     """
     names = (
         ("retries", "sweep/retries"),
@@ -199,7 +199,6 @@ def sweep_health_summary(
         ("lock waits", "cache/lock_waits"),
         ("lock timeouts", "cache/lock_timeouts"),
         ("CRC failures", "cache/crc_failures"),
-        ("migrated lines", "cache/migrated_lines"),
     )
     values = []
     if engine is not None:

@@ -8,14 +8,13 @@ single-run stores and the atomic fold-in merge used by sweeps, so the
 main cache file and the worker shards can never drift apart — and no
 two processes can tear each other's writes.
 
-**Format v5** (this version): ``<canonical JSON>#<crc32 hex8>``.  The
-checksum turns silent corruption — a bit flipped at rest, a line torn
-mid-write whose remnant still parses — into a *detected*, counted,
-skipped line.  **Format v4** (plain JSON lines, no checksum) is read
-transparently; :func:`migrate_cache_dir` (surfaced as ``repro cache
-migrate``) upgrades whole files atomically.  The two are unambiguous:
-a JSON object line always ends with ``}``, never with ``#`` + 8 hex
-digits.
+**Format v5** (the only version read): ``<canonical JSON>#<crc32
+hex8>``.  The checksum turns silent corruption — a bit flipped at rest,
+a line torn mid-write whose remnant still parses, a suffix torn off —
+into a *detected*, counted, skipped line.  :func:`frame_line` and
+:func:`unframe_line` are the one copy of that framing rule; the
+dispatch journal (:mod:`repro.dist.journal`) frames its records with
+them too.  Files of any other version are stale: no reader opens them.
 
 Loading is *tolerant*: a worker interrupted mid-write (Ctrl-C, OOM kill,
 crashed pool) leaves a truncated final line behind, and a cache that
@@ -38,9 +37,11 @@ Write primitives and their concurrency contracts:
   via temp file + ``fsync`` + ``os.replace``.  Two overlapping sweeps
   over the same matrix produce a cache byte-identical to a clean
   serial run.
+* :func:`canonicalize_cache_file` — the same locked read-and-scrub,
+  rewritten key-sorted; ``repro cache canonicalize`` is also the repair
+  for a file ``repro cache verify --strict`` rejects.
 * :func:`write_cache_entries` — the atomic rewrite primitive (no lock;
-  callers hold it), also used by migration so an interrupted migrate
-  leaves the original file intact.
+  callers hold it).
 """
 
 from __future__ import annotations
@@ -57,22 +58,15 @@ from typing import Iterable, Iterator
 from repro.sim.locking import FileLock
 
 #: Cache format version: bumped whenever simulator behaviour *or* the
-#: on-disk format changes.  v5 is a format-only bump over v4 (per-line
-#: CRC32), so v4 results remain behaviourally valid and are read
-#: transparently / migrated; versions before 4 predate simulator
-#: behaviour changes and are never migrated.
+#: on-disk format changes.  Files named for any other version are stale.
 CACHE_VERSION = 5
 
-#: The newest prior version whose *results* are still valid (the v4 ->
-#: v5 bump changed only the line format, not the simulator).
-LEGACY_CACHE_VERSION = 4
-
-#: A v5 line ends with ``#`` + 8 lowercase hex digits (the CRC32 of the
-#: JSON payload before it).  A plain-JSON v4 line ends with ``}``.
+#: A framed line ends with ``#`` + 8 lowercase hex digits (the CRC32 of
+#: the JSON payload before it).
 _CRC_SUFFIX_RE = re.compile(r"#([0-9a-f]{8})$")
 
 #: Cache file naming scheme shared by the runner and the cache tools.
-_CACHE_FILE_RE = re.compile(r"^results-v(\d+)-(.+)\.jsonl$")
+_CACHE_FILE_RE = re.compile(r"^results-v(\d+)-.+\.jsonl$")
 
 
 class CorruptCacheLineWarning(RuntimeWarning):
@@ -116,14 +110,35 @@ def crc_failure_total() -> int:
     return sum(_crc_counts.values())
 
 
-def cache_file_name(preset_name: str, version: int = CACHE_VERSION) -> str:
-    """Canonical cache file name for a preset at a format version."""
-    return f"results-v{version}-{preset_name}.jsonl"
+def cache_file_name(preset_name: str) -> str:
+    """Canonical cache file name for a preset at :data:`CACHE_VERSION`."""
+    return f"results-v{CACHE_VERSION}-{preset_name}.jsonl"
 
 
 def _payload_crc(payload: str) -> str:
     """CRC32 of a line's JSON payload, as 8 lowercase hex digits."""
     return f"{zlib.crc32(payload.encode('utf-8')) & 0xFFFFFFFF:08x}"
+
+
+def frame_line(payload: str) -> str:
+    """``payload`` with its ``#<crc32 hex8>`` suffix (no trailing newline)."""
+    return f"{payload}#{_payload_crc(payload)}"
+
+
+def unframe_line(line: str) -> tuple[str, str | None]:
+    """Check one stripped framed line; returns ``(status, payload)``.
+
+    ``status`` is ``"ok"`` (the payload follows), ``"crc"`` (a suffix is
+    present but does not match) or ``"corrupt"`` (no suffix at all); the
+    payload is ``None`` unless the status is ``"ok"``.
+    """
+    match = _CRC_SUFFIX_RE.search(line)
+    if match is None:
+        return "corrupt", None
+    payload = line[: match.start()]
+    if _payload_crc(payload) != match.group(1):
+        return "crc", None
+    return "ok", payload
 
 
 def encode_entry(key: str, result: dict) -> str:
@@ -135,24 +150,20 @@ def encode_entry(key: str, result: dict) -> str:
     trailing ``#crc32`` covers the JSON payload, so bit rot and torn
     writes are detected on load rather than silently accepted.
     """
-    payload = json.dumps({"key": key, "result": result}, sort_keys=True)
-    return f"{payload}#{_payload_crc(payload)}"
+    return frame_line(json.dumps({"key": key, "result": result}, sort_keys=True))
 
 
 def _decode_line(line: str) -> tuple[str, str | None, dict | None]:
     """Classify one stripped, non-empty line.
 
     Returns ``(status, key, result)`` where status is ``"ok"`` (a valid
-    v5 or legacy v4 entry), ``"crc"`` (v5-shaped but checksum mismatch)
-    or ``"corrupt"`` (unparseable or structurally wrong).
+    entry), ``"crc"`` (checksum suffix present but wrong) or
+    ``"corrupt"`` (no checksum suffix, unparseable or structurally
+    wrong).
     """
-    match = _CRC_SUFFIX_RE.search(line)
-    if match is not None:
-        payload = line[: match.start()]
-        if _payload_crc(payload) != match.group(1):
-            return "crc", None, None
-    else:
-        payload = line  # legacy v4: no checksum to verify
+    status, payload = unframe_line(line)
+    if payload is None:
+        return status, None, None
     try:
         entry = json.loads(payload)
     except json.JSONDecodeError:
@@ -169,11 +180,10 @@ def _decode_line(line: str) -> tuple[str, str | None, dict | None]:
 def iter_cache_entries(path: Path) -> Iterator[tuple[str, dict]]:
     """Stream ``(key, result)`` pairs from a JSONL cache file, one pass.
 
-    Accepts v5 (checksummed) and v4 (plain) lines interchangeably.
-    Blank lines are ignored; truncated, structurally wrong or
-    CRC-rejected lines are skipped, counted, and reported with one
-    :class:`CorruptCacheLineWarning` per file per process.  A missing
-    file yields nothing.
+    Blank lines are ignored; truncated, unchecksummed, structurally
+    wrong or CRC-rejected lines are skipped, counted, and reported with
+    one :class:`CorruptCacheLineWarning` per file per process.  A
+    missing file yields nothing.
     """
     if not path.exists():
         return
@@ -254,7 +264,7 @@ def write_cache_entries(path: Path, items: Iterable[tuple[str, dict]]) -> int:
     old file or the new one, never a half-written hybrid, and a crash
     at any point leaves the original intact.  Callers that race other
     writers must hold the cache lock; this primitive itself does not
-    take it (migration and merge both call it with the lock held).
+    take it (merge and canonicalize both call it with the lock held).
     """
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
     written = 0
@@ -304,6 +314,40 @@ class MergeStats:
     lock_waits: int
 
 
+def _read_for_rewrite(path: Path) -> tuple[list[str], dict[str, dict], bool]:
+    """Tolerantly read ``path`` for a locked rewrite (caller holds the lock).
+
+    Returns ``(order, values, dirty)``: keys in first-seen order, their
+    last-seen results, and whether a rewrite must scrub anything —
+    blank, corrupt or CRC-failed lines (each counted via
+    :func:`_account_skip`) or repeated keys.  A missing file reads as
+    empty and clean.
+    """
+    order: list[str] = []
+    values: dict[str, dict] = {}
+    dirty = False
+    if not path.exists():
+        return order, values, dirty
+    with path.open() as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                dirty = True
+                continue
+            status, key, result = _decode_line(line)
+            if status != "ok":
+                dirty = True
+                _account_skip(path, status)
+                continue
+            assert key is not None and result is not None
+            if key in values:
+                dirty = True
+            else:
+                order.append(key)
+            values[key] = result
+    return order, values, dirty
+
+
 def merge_cache_entries(
     path: Path,
     items: Iterable[tuple[str, dict]],
@@ -321,36 +365,14 @@ def merge_cache_entries(
     scrubs any corrupt or checksum-failed lines it skipped (they are
     counted in the returned :class:`MergeStats`).
 
-    When the file is already clean, fully v5 and contains every
+    When the file is already clean, duplicate-free and contains every
     incoming key, its bytes are left untouched.
     """
     lock = FileLock.for_target(path, timeout=lock_timeout)
     with lock:
         before_corrupt = corrupt_line_total()
         before_crc = crc_failure_total()
-        order: list[str] = []
-        values: dict[str, dict] = {}
-        rewrite_needed = False
-        if path.exists():
-            with path.open() as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        rewrite_needed = True  # scrub blank lines too
-                        continue
-                    status, key, result = _decode_line(line)
-                    if status != "ok":
-                        rewrite_needed = True  # scrub, but count via iter logic
-                        _account_skip(path, status)
-                        continue
-                    assert key is not None and result is not None
-                    if key in values:
-                        rewrite_needed = True  # dedup repeated keys
-                    else:
-                        order.append(key)
-                    values[key] = result
-                    if not _CRC_SUFFIX_RE.search(line):
-                        rewrite_needed = True  # upgrade legacy v4 lines
+        order, values, dirty = _read_for_rewrite(path)
         existing = len(order)
         new = 0
         for key, result in items:
@@ -358,7 +380,7 @@ def merge_cache_entries(
                 order.append(key)
                 values[key] = result
                 new += 1
-        if new or rewrite_needed:
+        if new or dirty:
             write_cache_entries(path, ((key, values[key]) for key in order))
     return MergeStats(
         new_entries=new,
@@ -382,39 +404,15 @@ def canonicalize_cache_file(
     of the entry set — any mix of concurrent clients converges on the
     cache a clean serial run of the union of their jobs would leave.
 
-    Idempotent and conservative: an already-sorted, fully-v5, duplicate-
+    Idempotent and conservative: an already-sorted, clean, duplicate-
     free file is left byte-untouched; duplicates resolve last-wins (the
     append-path semantics); corrupt or CRC-failed lines are scrubbed and
     counted like every other tolerant read.  A missing file is a no-op.
     """
-    lock = FileLock.for_target(path, timeout=lock_timeout)
-    with lock:
-        if not path.exists():
-            return 0
-        order: list[str] = []
-        values: dict[str, dict] = {}
-        rewrite_needed = False
-        with path.open() as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    rewrite_needed = True
-                    continue
-                status, key, result = _decode_line(line)
-                if status != "ok":
-                    rewrite_needed = True
-                    _account_skip(path, status)
-                    continue
-                assert key is not None and result is not None
-                if key in values:
-                    rewrite_needed = True  # last-wins dedupe forces a rewrite
-                else:
-                    order.append(key)
-                values[key] = result
-                if not _CRC_SUFFIX_RE.search(line):
-                    rewrite_needed = True  # upgrade legacy v4 lines
+    with FileLock.for_target(path, timeout=lock_timeout):
+        order, values, dirty = _read_for_rewrite(path)
         ordered = sorted(values)
-        if rewrite_needed or order != ordered:
+        if dirty or order != ordered:
             write_cache_entries(path, ((key, values[key]) for key in ordered))
     return len(values)
 
@@ -436,12 +434,12 @@ def _account_skip(path: Path, status: str) -> None:
             f"{path}: skipped corrupt cache line(s) during merge; "
             "the atomic rewrite scrubbed them",
             CorruptCacheLineWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
 # ----------------------------------------------------------------------
-# Offline integrity tooling: `repro cache verify` / `repro cache migrate`.
+# Offline integrity tooling: `repro cache verify`.
 # ----------------------------------------------------------------------
 
 
@@ -452,7 +450,6 @@ class CacheFileReport:
     path: Path
     lines: int = 0
     entries: int = 0
-    plain_lines: int = 0
     crc_failures: int = 0
     corrupt_lines: int = 0
     duplicate_keys: int = 0
@@ -466,11 +463,11 @@ class CacheFileReport:
 def scan_cache_file(path: Path) -> CacheFileReport:
     """Full integrity scan of one cache file (no warnings, no tallies).
 
-    Counts total lines, valid entries, legacy (un-checksummed) v4
-    lines, CRC rejections, structurally corrupt lines and duplicate
-    keys — the per-file census ``repro cache verify`` reports.
+    Counts total lines, valid entries, CRC rejections, structurally
+    corrupt (including unchecksummed) lines and duplicate keys — the
+    per-file census ``repro cache verify`` reports.
     """
-    lines = entries = plain = crc_failed = corrupt = duplicates = 0
+    lines = entries = crc_failed = corrupt = duplicates = 0
     seen: set[str] = set()
     with path.open() as handle:
         for line in handle:
@@ -486,8 +483,6 @@ def scan_cache_file(path: Path) -> CacheFileReport:
             else:
                 assert key is not None
                 entries += 1
-                if not _CRC_SUFFIX_RE.search(line):
-                    plain += 1
                 if key in seen:
                     duplicates += 1
                 seen.add(key)
@@ -495,7 +490,6 @@ def scan_cache_file(path: Path) -> CacheFileReport:
         path=path,
         lines=lines,
         entries=entries,
-        plain_lines=plain,
         crc_failures=crc_failed,
         corrupt_lines=corrupt,
         duplicate_keys=duplicates,
@@ -503,89 +497,14 @@ def scan_cache_file(path: Path) -> CacheFileReport:
 
 
 def cache_files(directory: Path) -> list[tuple[Path, int]]:
-    """``(path, format version)`` for every cache file in ``directory``."""
+    """``(path, format version)`` for every cache file in ``directory``.
+
+    Only ``CACHE_VERSION`` files are read or rewritten; the cache tools
+    list every other version as stale and leave it byte-untouched.
+    """
     out = []
     for path in sorted(directory.glob("results-v*.jsonl")):
         match = _CACHE_FILE_RE.match(path.name)
         if match:
             out.append((path, int(match.group(1))))
     return out
-
-
-def verify_cache_dir(directory: Path) -> list[CacheFileReport]:
-    """Scan every cache file under ``directory``; returns per-file reports."""
-    return [scan_cache_file(path) for path, _ in cache_files(directory)]
-
-
-@dataclass(frozen=True)
-class MigrateResult:
-    """What ``repro cache migrate`` did to one cache file.
-
-    ``action`` is ``"migrated"`` (a legacy-version file upgraded to the
-    current name and format), ``"rewritten"`` (a current-version file
-    re-encoded in place to scrub plain or corrupt lines), ``"clean"``
-    (already fully v5, untouched) or ``"stale"`` (a pre-v4 file whose
-    results predate simulator behaviour changes — never migrated).
-    """
-
-    source: Path
-    target: Path
-    action: str
-    entries: int = 0
-    migrated_lines: int = 0
-
-
-def migrate_cache_file(
-    path: Path, version: int, *, lock_timeout: float | None = None
-) -> MigrateResult:
-    """Upgrade one cache file to format v5, atomically.
-
-    * A ``v4`` file's entries are folded into its v5 sibling (existing
-      v5 entries win), written atomically; the v4 original is removed
-      only after the replacement succeeds, so an interrupted migration
-      leaves it intact.
-    * A ``v5`` file containing legacy plain lines (or corrupt lines) is
-      rewritten in place under its lock; already-clean files are left
-      byte-untouched.
-    * Files older than v4 hold results from older simulator behaviour
-      and are reported ``stale``, never rewritten.
-    """
-    if version < LEGACY_CACHE_VERSION:
-        return MigrateResult(source=path, target=path, action="stale")
-    if version == LEGACY_CACHE_VERSION:
-        match = _CACHE_FILE_RE.match(path.name)
-        assert match is not None  # caller found it via cache_files()
-        target = path.with_name(cache_file_name(match.group(2)))
-        entries = list(iter_cache_entries(path))
-        stats = merge_cache_entries(target, entries, lock_timeout=lock_timeout)
-        path.unlink()  # only after the v5 replacement is durable
-        return MigrateResult(
-            source=path,
-            target=target,
-            action="migrated",
-            entries=stats.existing_entries + stats.new_entries,
-            migrated_lines=stats.new_entries,
-        )
-    report = scan_cache_file(path)
-    if report.clean and report.plain_lines == 0 and report.duplicate_keys == 0:
-        return MigrateResult(
-            source=path, target=path, action="clean", entries=report.entries
-        )
-    stats = merge_cache_entries(path, (), lock_timeout=lock_timeout)
-    return MigrateResult(
-        source=path,
-        target=path,
-        action="rewritten",
-        entries=stats.existing_entries,
-        migrated_lines=report.plain_lines,
-    )
-
-
-def migrate_cache_dir(
-    directory: Path, *, lock_timeout: float | None = None
-) -> list[MigrateResult]:
-    """Migrate every cache file under ``directory``; returns what happened."""
-    return [
-        migrate_cache_file(path, version, lock_timeout=lock_timeout)
-        for path, version in cache_files(directory)
-    ]

@@ -20,14 +20,11 @@ from repro.workloads.suite import (
 )
 from repro.workloads.trace import LOAD, STORE, Trace, TraceMeta
 from repro.workloads.traceio import (
-    migrate_trace,
-    MigrationReport,
     open_trace_columns,
     read_trace,
     trace_file_version,
     TraceFormatError,
     write_trace,
-    write_trace_v2,
 )
 
 __all__ = [
@@ -54,11 +51,8 @@ __all__ = [
     "TraceMeta",
     "TraceSpec",
     "TraceSuite",
-    "migrate_trace",
-    "MigrationReport",
     "open_trace_columns",
     "read_trace",
     "trace_file_version",
     "write_trace",
-    "write_trace_v2",
 ]

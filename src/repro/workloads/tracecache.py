@@ -165,10 +165,9 @@ def load_trace(path: str | os.PathLike) -> Trace:
 
     The key is ``(path, fingerprint)`` where the fingerprint is the v3
     header checksum (which covers the section table's per-column CRCs
-    and therefore, transitively, the payload bytes) or a full-file CRC
-    for legacy formats — so replacing the file's contents in place
-    always misses and re-parses, while repeated loads of an unchanged
-    file are dict hits.
+    and therefore, transitively, the payload bytes) — so replacing the
+    file's contents in place always misses and re-parses, while
+    repeated loads of an unchanged file are dict hits.
     """
     from repro.workloads.traceio import read_trace, trace_fingerprint
 

@@ -1,4 +1,4 @@
-"""Binary trace file formats (columnar v3, legacy v1/v2).
+"""Binary trace file format (columnar v3, the only version read).
 
 Lets users persist generated traces or bring their own (e.g. converted
 from a Pin/DynamoRIO capture).  The current format, **v3**, is a
@@ -24,13 +24,8 @@ touched; each section's CRC makes the *data* trustworthy independently.
 The file must end exactly at the last section's end and inter-section
 padding must be zero — trailing garbage (a concatenated second file, a
 partially overwritten longer file) raises :class:`TraceFormatError`
-rather than being ignored.
-
-Legacy v1/v2 files (header + three back-to-back arrays, v2 with one
-whole-file CRC footer) are read transparently; :func:`write_trace_v2`
-still writes them for tools pinned to the old format, and
-:func:`migrate_trace` upgrades any readable file to v3 atomically
-(``repro trace migrate`` is the CLI front end).
+rather than being ignored.  So does a file of any other format
+version: every reader names the version it found.
 """
 
 from __future__ import annotations
@@ -42,17 +37,12 @@ import sys
 import zlib
 from array import array
 from pathlib import Path
-from typing import NamedTuple
 
 from repro.workloads.trace import Trace, TraceMeta
 
 _MAGIC = b"RPTR"
-#: Current format version (v3 = columnar, per-section checksums).
+#: The format version (v3 = columnar, per-section checksums).
 _VERSION = 3
-#: Last whole-file-CRC version (still written by :func:`write_trace_v2`).
-_V2 = 2
-#: Oldest version still readable (no checksums at all).
-_LEGACY_VERSION = 1
 _LITTLE = sys.byteorder == "little"
 
 #: Column sections in on-disk order: (attribute, array typecode).
@@ -67,15 +57,6 @@ _HEADER_TAIL = struct.Struct("<I")
 
 class TraceFormatError(ValueError):
     """Raised when a trace file is malformed or unsupported."""
-
-
-class MigrationReport(NamedTuple):
-    """Outcome of one :func:`migrate_trace` call."""
-
-    path: Path
-    from_version: int
-    records: int
-    migrated: bool
 
 
 def _aligned(offset: int) -> int:
@@ -128,37 +109,6 @@ def write_trace(trace: Trace, path: str | Path) -> None:
             position = section_offset + len(payload)
 
 
-def write_trace_v2(trace: Trace, path: str | Path) -> None:
-    """Serialise a trace in the legacy v2 format (whole-file CRC footer).
-
-    Kept for tools pinned to the old row-ish layout and as the fixture
-    writer for the migration tests; new files should use
-    :func:`write_trace`.
-    """
-    meta_json = json.dumps(trace.meta.__dict__).encode("utf-8")
-    with open(path, "wb") as handle:
-        out = _CrcWriter(handle)
-        out.write(_MAGIC)
-        out.write(struct.pack("<HI", _V2, len(meta_json)))
-        out.write(meta_json)
-        out.write(struct.pack("<Q", len(trace)))
-        for name, _ in _COLUMNS:
-            out.write(_le_bytes(getattr(trace, name)))
-        handle.write(struct.pack("<I", out.crc & 0xFFFFFFFF))
-
-
-class _CrcWriter:
-    """File-handle wrapper that CRCs every byte it forwards."""
-
-    def __init__(self, handle) -> None:
-        self._handle = handle
-        self.crc = 0
-
-    def write(self, data: bytes) -> None:
-        self.crc = zlib.crc32(data, self.crc)
-        self._handle.write(data)
-
-
 def trace_file_version(path: str | Path) -> int:
     """The format version of a trace file (magic + version field only)."""
     with open(path, "rb") as handle:
@@ -169,6 +119,14 @@ def trace_file_version(path: str | Path) -> int:
     return version
 
 
+def _unsupported(path: str | Path, version: int) -> TraceFormatError:
+    """The error every reader raises for a file of another format version."""
+    return TraceFormatError(
+        f"{path}: trace format v{version} is not supported; "
+        f"only v{_VERSION} files are read"
+    )
+
+
 def trace_fingerprint(path: str | Path) -> tuple[int, int]:
     """``(format_version, checksum)`` identifying a trace file's contents.
 
@@ -176,8 +134,7 @@ def trace_fingerprint(path: str | Path) -> tuple[int, int]:
     section table's per-column CRCs, so it pins the payload bytes
     transitively without reading past the header.  The header CRC is
     recomputed and verified here, so a fingerprint never vouches for a
-    file whose header is corrupt.  Legacy (v1/v2) files have no such
-    summary and are CRC'd in full.  Used by
+    file whose header is corrupt.  Used by
     :mod:`repro.workloads.tracecache` as the cache-key component that
     makes in-place file rewrites miss.
     """
@@ -188,41 +145,32 @@ def trace_fingerprint(path: str | Path) -> tuple[int, int]:
                 f"{path}: not a trace file (magic {head[:4]!r})"
             )
         (version,) = struct.unpack("<H", head[4:6])
-        if version == _VERSION:
-            if len(head) < 10:
-                raise TraceFormatError(f"{path}: truncated header")
-            (meta_len,) = struct.unpack("<I", head[6:10])
-            rest_len = (
-                meta_len
-                + 8  # u64 record count
-                + len(_COLUMNS) * _TOC_ENTRY.size
-                + _HEADER_TAIL.size
-            )
-            rest = handle.read(rest_len)
-            if len(rest) != rest_len:
-                raise TraceFormatError(f"{path}: truncated header")
-            (stored,) = _HEADER_TAIL.unpack(rest[-_HEADER_TAIL.size :])
-            computed = (
-                zlib.crc32(head + rest[: -_HEADER_TAIL.size]) & 0xFFFFFFFF
-            )
-            if stored != computed:
-                raise TraceFormatError(
-                    f"{path}: header checksum mismatch (stored {stored:08x}, "
-                    f"computed {computed:08x}); the file is corrupt"
-                )
-            return version, stored
-        if version not in (_LEGACY_VERSION, _V2):
-            raise TraceFormatError(
-                f"{path}: unsupported version {version} (expected <= {_VERSION})"
-            )
-        crc = zlib.crc32(head)
-        while chunk := handle.read(1 << 20):
-            crc = zlib.crc32(chunk, crc)
-        return version, crc & 0xFFFFFFFF
+        if version != _VERSION:
+            raise _unsupported(path, version)
+        if len(head) < 10:
+            raise TraceFormatError(f"{path}: truncated header")
+        (meta_len,) = struct.unpack("<I", head[6:10])
+        rest_len = (
+            meta_len
+            + 8  # u64 record count
+            + len(_COLUMNS) * _TOC_ENTRY.size
+            + _HEADER_TAIL.size
+        )
+        rest = handle.read(rest_len)
+    if len(rest) != rest_len:
+        raise TraceFormatError(f"{path}: truncated header")
+    (stored,) = _HEADER_TAIL.unpack(rest[-_HEADER_TAIL.size :])
+    computed = zlib.crc32(head + rest[: -_HEADER_TAIL.size]) & 0xFFFFFFFF
+    if stored != computed:
+        raise TraceFormatError(
+            f"{path}: header checksum mismatch (stored {stored:08x}, "
+            f"computed {computed:08x}); the file is corrupt"
+        )
+    return version, stored
 
 
 def read_trace(path: str | Path) -> Trace:
-    """Load a trace written by any supported format version (v1-v3).
+    """Load a v3 trace file.
 
     Truncation anywhere, trailing bytes past the end of the format, and
     any checksum mismatch all raise :class:`TraceFormatError`.
@@ -234,13 +182,9 @@ def read_trace(path: str | Path) -> Trace:
     if len(data) < 6:
         raise TraceFormatError(f"{path}: truncated header")
     (version,) = struct.unpack("<H", data[4:6])
-    if version == _VERSION:
-        return _read_v3(path, data)
-    if version in (_LEGACY_VERSION, _V2):
-        return _read_legacy(path, data, version)
-    raise TraceFormatError(
-        f"{path}: unsupported version {version} (expected <= {_VERSION})"
-    )
+    if version != _VERSION:
+        raise _unsupported(path, version)
+    return _read_v3(path, data)
 
 
 def _parse_v3_header(path: str | Path, data: bytes, file_size: int | None = None):
@@ -339,17 +283,13 @@ def open_trace_columns(path: str | Path, verify: bool = True):
     i32[:]})`` without copying the sections — this is the zero-copy
     ingest path for the batch engine and bulk trace analysis.  The
     header checksum is always verified; ``verify=True`` additionally
-    checks every section CRC (touching each page once).  Requires NumPy
-    and a v3 file; legacy files must be migrated first.
+    checks every section CRC (touching each page once).  Requires NumPy.
     """
     import numpy as np  # local import: traceio itself must not need numpy
 
     version = trace_file_version(path)
     if version != _VERSION:
-        raise TraceFormatError(
-            f"{path}: open_trace_columns needs a v{_VERSION} file, got "
-            f"v{version}; run `repro trace migrate` first"
-        )
+        raise _unsupported(path, version)
     with open(path, "rb") as handle:
         head = handle.read(10)
         if len(head) < 10:
@@ -377,77 +317,6 @@ def open_trace_columns(path: str | Path, verify: bool = True):
             view = view.byteswap()
         columns[name] = view
     return meta, columns
-
-
-def _read_legacy(path: str | Path, data: bytes, version: int) -> Trace:
-    """v1/v2 reader: back-to-back arrays, v2 with a whole-file CRC."""
-    crc = 0
-
-    def take(count: int, what: str) -> bytes:
-        nonlocal offset, crc
-        chunk = data[offset : offset + count]
-        if len(chunk) != count:
-            raise TraceFormatError(f"{path}: truncated {what}")
-        offset += count
-        crc = zlib.crc32(chunk, crc)
-        return chunk
-
-    offset = 0
-    take(4, "magic")
-    _, meta_len = struct.unpack("<HI", take(6, "header"))
-    meta_json = take(meta_len, "metadata")
-    try:
-        meta = TraceMeta(**json.loads(meta_json))
-    except (TypeError, ValueError) as exc:
-        raise TraceFormatError(f"{path}: bad metadata: {exc}") from exc
-    (count,) = struct.unpack("<Q", take(8, "record count"))
-
-    columns: dict[str, array] = {}
-    for name, typecode in _COLUMNS:
-        column = array(typecode)
-        column.frombytes(take(count * column.itemsize, "records"))
-        if not _LITTLE:
-            column = _byteswapped(column)
-        columns[name] = column
-    if version >= _V2:
-        footer = data[offset : offset + 4]
-        if len(footer) != 4:
-            raise TraceFormatError(f"{path}: truncated checksum footer")
-        (stored,) = struct.unpack("<I", footer)
-        if stored != (crc & 0xFFFFFFFF):
-            raise TraceFormatError(
-                f"{path}: checksum mismatch (stored {stored:08x}, "
-                f"computed {crc & 0xFFFFFFFF:08x}); the file is corrupt"
-            )
-        offset += 4
-    if offset != len(data):
-        raise TraceFormatError(
-            f"{path}: {len(data) - offset} trailing byte(s) after the "
-            "trace payload; refusing a file the format does not account for"
-        )
-    return Trace(meta, **columns)
-
-
-def migrate_trace(path: str | Path) -> MigrationReport:
-    """Upgrade one trace file to v3 in place, atomically.
-
-    The file is fully read and verified under its own format first, the
-    v3 replacement is written next to it and swapped in with
-    ``os.replace``, so a crash mid-migration leaves the original intact.
-    Already-v3 files are left untouched (``migrated=False``).
-    """
-    path = Path(path)
-    version = trace_file_version(path)
-    trace = read_trace(path)  # verifies the file under its own format
-    if version == _VERSION:
-        return MigrationReport(path, version, len(trace), migrated=False)
-    tmp = path.with_name(path.name + ".migrate.tmp")
-    try:
-        write_trace(trace, tmp)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return MigrationReport(path, version, len(trace), migrated=True)
 
 
 def _byteswapped(data: array) -> array:

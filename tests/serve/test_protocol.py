@@ -16,7 +16,6 @@ from repro.serve import protocol
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     MAX_JOBS_PER_SUBMIT,
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     ProtocolError,
     decode_frame,
@@ -113,7 +112,7 @@ class TestHello:
         # ``version-unsupported`` reject), not a protocol violation —
         # the frame itself must parse so the connection survives.
         assert parse_hello({"op": "hello", "version": 99}).version == 99
-        old = MIN_PROTOCOL_VERSION - 1
+        old = PROTOCOL_VERSION - 1
         assert parse_hello({"op": "hello", "version": old}).version == old
 
     @pytest.mark.parametrize("version", ["2", 2.0, True, None])
@@ -145,8 +144,6 @@ class TestPing:
     def test_ping_is_a_known_op_and_pong_a_known_event(self):
         assert "ping" in protocol.REQUEST_OPS
         assert "pong" in protocol.EVENT_KINDS
-        assert protocol.PING_MIN_VERSION == 3
-        assert PROTOCOL_VERSION >= protocol.PING_MIN_VERSION
 
 
 class TestLease:

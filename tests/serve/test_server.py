@@ -175,7 +175,7 @@ class TestHeartbeat:
                 assert rejected["event"] == "rejected"
                 assert rejected["reason"] == "version-unsupported"
                 assert rejected["id"] == "hb-0"
-                assert "version >= 3" in rejected["detail"]
+                assert "hello handshake" in rejected["detail"]
                 # The reject is an admission decision, not a protocol
                 # error — the connection survives and can handshake up.
                 await h.send(writer, b'{"op": "hello", "version": 3}\n')
@@ -207,35 +207,50 @@ class TestHeartbeat:
 
         _run(scenario())
 
-    def test_ping_on_v2_connection_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2, 4, 99])
+    def test_unsupported_hello_falls_back_on_the_same_socket(
+        self, tmp_path, version
+    ):
+        """Only version 3 is spoken; a reject leaves the stream usable."""
+
         async def scenario():
             async with _Harness(tmp_path) as h:
                 reader, writer = await h.connect()
-                await h.send(writer, b'{"op": "hello", "version": 2}\n')
-                assert (await h.event(reader))["event"] == "hello"
-                await h.send(writer, b'{"op": "ping"}\n')
+                await h.send(
+                    writer, f'{{"op": "hello", "version": {version}}}\n'.encode()
+                )
                 rejected = await h.event(reader)
                 assert rejected["event"] == "rejected"
                 assert rejected["reason"] == "version-unsupported"
-                assert rejected["id"] == ""  # id defaults to empty
+                assert f"version {version} is not supported" in rejected["detail"]
+                await h.send(writer, b'{"op": "hello", "version": 3}\n')
+                hello = await h.event(reader)
+                assert hello["event"] == "hello"
+                assert hello["protocol"] == 3
                 writer.close()
 
         _run(scenario())
 
-    def test_unsupported_hello_falls_back_on_the_same_socket(self, tmp_path):
-        """The v3→v2 negotiation path: reject leaves the stream usable."""
-
+    def test_lease_before_handshake_is_rejected(self, tmp_path):
         async def scenario():
             async with _Harness(tmp_path) as h:
                 reader, writer = await h.connect()
-                await h.send(writer, b'{"op": "hello", "version": 99}\n')
+                lease = {
+                    "op": "lease",
+                    "id": "lease-1",
+                    "jobs": [{"trace": "sjeng.1"}],
+                }
+                await h.send(writer, json.dumps(lease).encode() + b"\n")
                 rejected = await h.event(reader)
                 assert rejected["event"] == "rejected"
                 assert rejected["reason"] == "version-unsupported"
-                await h.send(writer, b'{"op": "hello", "version": 3}\n')
-                hello = await h.event(reader)
-                assert hello["event"] == "hello"
-                assert hello["server_protocol"] == 3
+                assert rejected["id"] == "lease-1"
+                # The connection survives the reject.
+                await h.send(writer, b'{"op": "status"}\n')
+                status = await h.event(reader)
+                assert status["event"] == "status"
+                assert status["counters"]["serve/version_rejected"] == 1
+                assert "serve/leases_granted" not in status["counters"]
                 writer.close()
 
         _run(scenario())

@@ -91,15 +91,15 @@ class TestConcurrentSweeps:
         # computed before the other writer's results hit disk — those
         # duplicates are benign (simulations are deterministic, so the
         # values are identical and last-wins changes nothing) and the
-        # next merge or `repro cache migrate` scrubs them.
-        from repro.sim.resultcache import load_cache_entries, migrate_cache_dir
+        # next merge or `repro cache canonicalize` scrubs them.
+        from repro.sim.resultcache import canonicalize_cache_file, load_cache_entries
 
         report = scan_cache_file(_cache_file(shared_dir))
         assert report.clean
         assert load_cache_entries(_cache_file(shared_dir)) == load_cache_entries(
             _cache_file(serial_dir)
         )
-        migrate_cache_dir(shared_dir)
+        canonicalize_cache_file(_cache_file(shared_dir))
         report = scan_cache_file(_cache_file(shared_dir))
         assert report.clean and report.duplicate_keys == 0
 
@@ -131,7 +131,9 @@ class TestLockHolderDeath:
         assert scan_cache_file(_cache_file(cache_dir)).clean
 
 
-@pytest.mark.parametrize("command", [("cache", "verify"), ("cache", "migrate")])
+@pytest.mark.parametrize(
+    "command", [("cache", "verify"), ("cache", "canonicalize")]
+)
 def test_cache_tools_run_via_module_entrypoint(tmp_path, command):
     """`repro cache ...` works end to end against an empty directory."""
     proc = _repro(command + ("--cache-dir", str(tmp_path)), _env(tmp_path))

@@ -7,7 +7,11 @@ import pytest
 
 from repro.sim.config import BASELINE_2MB, TEST
 from repro.sim.experiment import CACHE_VERSION, ExperimentRunner
-from repro.sim.resultcache import CorruptCacheLineWarning, load_cache_entries
+from repro.sim.resultcache import (
+    CorruptCacheLineWarning,
+    frame_line,
+    load_cache_entries,
+)
 from repro.workloads.suite import SUITE_VERSION
 
 
@@ -44,12 +48,13 @@ class TestCacheKeys:
         """
         path = tmp_path / "cache.jsonl"
         good = {"key": "k1", "result": {"ipc": 1.0}}
+        # Valid CRC suffixes, so the structural check is what rejects them.
         lines = [
-            json.dumps(good),
-            json.dumps(["not", "a", "dict"]),
-            json.dumps({"result": {"no": "key"}}),
-            json.dumps({"key": 42, "result": {}}),
-            json.dumps({"key": "k2"}),
+            frame_line(json.dumps(good)),
+            frame_line(json.dumps(["not", "a", "dict"])),
+            frame_line(json.dumps({"result": {"no": "key"}})),
+            frame_line(json.dumps({"key": 42, "result": {}})),
+            frame_line(json.dumps({"key": "k2"})),
             "",
         ]
         path.write_text("\n".join(lines) + "\n")

@@ -1,10 +1,9 @@
 """Unit tests for the v5 checksummed result-cache format.
 
-The persistence contract under test: every line carries a CRC32 the
-loader verifies (bit rot becomes a *detected*, counted skip), merges
-fold into existing files under a lock via atomic replace (an interrupted
-merge leaves the original intact), and v4 caches keep working — read
-transparently, upgraded losslessly by migration.
+The persistence contract under test: every line must carry a CRC32 the
+loader verifies (bit rot or a torn-off suffix becomes a *detected*,
+counted skip), and merges fold into existing files under a lock via
+atomic replace (an interrupted merge leaves the original intact).
 """
 
 from __future__ import annotations
@@ -17,17 +16,16 @@ import pytest
 from repro.sim.resultcache import (
     CACHE_VERSION,
     CorruptCacheLineWarning,
-    LEGACY_CACHE_VERSION,
     cache_file_name,
+    cache_files,
+    canonicalize_cache_file,
+    corrupt_line_count,
     crc_failure_count,
     encode_entry,
     iter_cache_entries,
     load_cache_entries,
     merge_cache_entries,
-    migrate_cache_dir,
-    migrate_cache_file,
     scan_cache_file,
-    verify_cache_dir,
     write_cache_entries,
 )
 
@@ -45,12 +43,38 @@ class TestLineFormat:
         _write_v5(path, entries)
         assert list(iter_cache_entries(path)) == entries
 
-    def test_v4_plain_lines_read_transparently(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        path.write_text(json.dumps({"key": "old", "result": {"ipc": 2.0}}) + "\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CorruptCacheLineWarning)
-            assert load_cache_entries(path) == {"old": {"ipc": 2.0}}
+    def test_line_without_crc_suffix_is_corrupt(self, tmp_path):
+        """A torn-off suffix is corrupt, never an unchecked entry.
+
+        The second line lost its ``#crc32`` and its payload was altered
+        afterwards; every reader and rewriter must reject it as corrupt
+        (not as a CRC failure) and keep the intact first line.
+        """
+        good = encode_entry("k1", {"x": 1})
+        stripped = encode_entry("k2", {"x": 2}).rpartition("#")[0]
+        text = good + "\n" + stripped.replace('"x": 2', '"x": 7') + "\n"
+        load_path, merge_path, canonical_path = (
+            tmp_path / f"{name}.jsonl" for name in ("load", "merge", "canonical")
+        )
+        for path in (load_path, merge_path, canonical_path):
+            path.write_text(text)
+
+        with pytest.warns(CorruptCacheLineWarning):
+            assert load_cache_entries(load_path) == {"k1": {"x": 1}}
+        assert corrupt_line_count(load_path) == 1
+        assert crc_failure_count(load_path) == 0
+
+        report = scan_cache_file(load_path)
+        assert report.entries == 1 and not report.clean
+        assert (report.corrupt_lines, report.crc_failures) == (1, 0)
+
+        with pytest.warns(CorruptCacheLineWarning):
+            stats = merge_cache_entries(merge_path, [])
+        assert (stats.corrupt_lines, stats.crc_failures) == (1, 0)
+        with pytest.warns(CorruptCacheLineWarning):
+            assert canonicalize_cache_file(canonical_path) == 1
+        for path in (merge_path, canonical_path):
+            assert path.read_text() == good + "\n"  # scrubbed, not re-framed
 
     def test_flipped_bit_is_detected_counted_and_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -110,13 +134,6 @@ class TestMerge:
             warnings.simplefilter("error", CorruptCacheLineWarning)
             assert load_cache_entries(path) == {"k1": {"v": 1}, "k2": {"v": 2}}
 
-    def test_merge_upgrades_legacy_lines_in_place(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        path.write_text(json.dumps({"key": "old", "result": {"v": 0}}) + "\n")
-        merge_cache_entries(path, [("new", {"v": 1})])
-        for line in path.read_text().splitlines():
-            assert line.rpartition("#")[2].isalnum() and len(line.rpartition("#")[2]) == 8
-
     def test_interrupted_rewrite_leaves_original_intact(self, tmp_path, monkeypatch):
         import repro.sim.resultcache as rc
 
@@ -147,87 +164,28 @@ class TestVerifyAndMigrate:
             handle.write(bad_crc[:-1] + digit + "\n")  # checksum mismatch
         report = scan_cache_file(path)
         assert report.lines == 5
-        assert report.entries == 3
-        assert report.plain_lines == 1
-        assert report.corrupt_lines == 1
+        assert report.entries == 2
+        assert report.corrupt_lines == 2  # the unchecksummed and the torn line
         assert report.crc_failures == 1
         assert report.duplicate_keys == 1
         assert not report.clean
 
-    def test_migrate_v4_file_to_v5_sibling(self, tmp_path):
-        legacy = tmp_path / cache_file_name("test", LEGACY_CACHE_VERSION)
-        entries = {"k1": {"v": 1}, "k2": {"v": 2}}
-        legacy.write_text(
-            "".join(
-                json.dumps({"key": key, "result": result}) + "\n"
-                for key, result in entries.items()
-            )
-        )
-        [result] = migrate_cache_dir(tmp_path)
-        assert result.action == "migrated"
-        assert result.migrated_lines == 2
-        assert not legacy.exists()
-        target = tmp_path / cache_file_name("test")
-        assert load_cache_entries(target) == entries
-        assert scan_cache_file(target).clean
-
-    def test_migrate_keeps_existing_v5_entries_over_v4(self, tmp_path):
-        legacy = tmp_path / cache_file_name("test", LEGACY_CACHE_VERSION)
-        legacy.write_text(json.dumps({"key": "k", "result": {"v": "old"}}) + "\n")
+    def test_cache_files_lists_every_versioned_file(self, tmp_path):
         current = tmp_path / cache_file_name("test")
-        _write_v5(current, [("k", {"v": "new"})])
-        migrate_cache_dir(tmp_path)
-        assert load_cache_entries(current) == {"k": {"v": "new"}}
-
-    def test_migrate_is_idempotent_on_clean_files(self, tmp_path):
-        path = tmp_path / cache_file_name("test")
-        _write_v5(path, [("k1", {"v": 1})])
-        before = path.read_bytes()
-        [result] = migrate_cache_dir(tmp_path)
-        assert result.action == "clean"
-        assert path.read_bytes() == before
-
-    def test_interrupted_migration_leaves_v4_intact(self, tmp_path, monkeypatch):
-        import repro.sim.resultcache as rc
-
-        legacy = tmp_path / cache_file_name("test", LEGACY_CACHE_VERSION)
-        legacy.write_text(json.dumps({"key": "k", "result": {"v": 1}}) + "\n")
-        original = legacy.read_bytes()
-        monkeypatch.setattr(
-            rc.os, "replace", lambda src, dst: (_ for _ in ()).throw(OSError("boom"))
-        )
-        with pytest.raises(OSError):
-            migrate_cache_file(legacy, LEGACY_CACHE_VERSION)
-        monkeypatch.undo()
-        assert legacy.read_bytes() == original
-
-    def test_pre_v4_files_are_stale_and_untouched(self, tmp_path):
-        ancient = tmp_path / cache_file_name("test", 2)
-        ancient.write_text(json.dumps({"key": "k", "result": {}}) + "\n")
-        [result] = migrate_cache_dir(tmp_path)
-        assert result.action == "stale"
-        assert ancient.exists()
-
-    def test_verify_dir_covers_every_versioned_file(self, tmp_path):
-        _write_v5(tmp_path / cache_file_name("test"), [("k", {"v": 1})])
-        (tmp_path / cache_file_name("bench", LEGACY_CACHE_VERSION)).write_text(
-            json.dumps({"key": "k", "result": {}}) + "\n"
-        )
-        reports = verify_cache_dir(tmp_path)
-        assert len(reports) == 2
-        assert all(report.clean for report in reports)
+        _write_v5(current, [("k", {"v": 1})])
+        stale = tmp_path / "results-v4-bench.jsonl"
+        stale.write_text(json.dumps({"key": "k", "result": {}}) + "\n")
+        (tmp_path / "notes.jsonl").write_text("")
+        assert cache_files(tmp_path) == [(stale, 4), (current, CACHE_VERSION)]
 
     def test_current_version_constants(self):
         assert CACHE_VERSION == 5
-        assert LEGACY_CACHE_VERSION == 4
 
 
 class TestCanonicalize:
     """`canonicalize_cache_file`: the serve scheduler's byte-determinism pass."""
 
     def test_sorts_entries_by_key(self, tmp_path):
-        from repro.sim.resultcache import canonicalize_cache_file
-
         path = tmp_path / cache_file_name("test")
         _write_v5(path, [("k3", {"v": 3}), ("k1", {"v": 1}), ("k2", {"v": 2})])
         assert canonicalize_cache_file(path) == 3
@@ -236,8 +194,6 @@ class TestCanonicalize:
     def test_arrival_order_never_changes_final_bytes(self, tmp_path):
         """The invariant serve relies on: bytes are a function of the set."""
         from itertools import permutations
-
-        from repro.sim.resultcache import canonicalize_cache_file
 
         entries = [("k1", {"v": 1}), ("k2", {"v": 2}), ("k3", {"v": 3})]
         images = set()
@@ -250,8 +206,6 @@ class TestCanonicalize:
         assert len(images) == 1
 
     def test_sorted_clean_file_is_not_rewritten(self, tmp_path):
-        from repro.sim.resultcache import canonicalize_cache_file
-
         path = tmp_path / cache_file_name("test")
         _write_v5(path, [("k1", {"v": 1}), ("k2", {"v": 2})])
         stamp = path.stat().st_mtime_ns
@@ -259,20 +213,18 @@ class TestCanonicalize:
         assert path.stat().st_mtime_ns == stamp  # idempotent: no rewrite
 
     def test_scrubs_duplicates_and_legacy_lines(self, tmp_path):
-        from repro.sim.resultcache import canonicalize_cache_file
-
         path = tmp_path / cache_file_name("test")
         _write_v5(path, [("k2", {"v": 2}), ("k2", {"v": "dupe"})])
         with path.open("a") as handle:
             handle.write(json.dumps({"key": "k1", "result": {"v": 1}}) + "\n")
-        assert canonicalize_cache_file(path) == 2
+        with pytest.warns(CorruptCacheLineWarning):
+            assert canonicalize_cache_file(path) == 1
         report = scan_cache_file(path)
         assert report.clean and report.duplicate_keys == 0
         # Duplicates resolve last-wins, matching the append-path
-        # semantics a crashed-and-rerun writer produces.
-        assert load_cache_entries(path) == {"k1": {"v": 1}, "k2": {"v": "dupe"}}
+        # semantics a crashed-and-rerun writer produces; the
+        # unchecksummed legacy line is dropped, not upgraded.
+        assert load_cache_entries(path) == {"k2": {"v": "dupe"}}
 
     def test_missing_file_is_a_noop(self, tmp_path):
-        from repro.sim.resultcache import canonicalize_cache_file
-
         assert canonicalize_cache_file(tmp_path / "absent.jsonl") == 0

@@ -379,7 +379,7 @@ class TestLockAndValidationFlags:
             ["stats", "--trace", "mcf.1"],
             ["export"],
             ["sweep"],
-            ["cache", "migrate"],
+            ["cache", "canonicalize"],
         ):
             args = build_parser().parse_args(command + ["--lock-timeout", "5"])
             assert args.lock_timeout == 5.0
@@ -394,9 +394,8 @@ class TestLockAndValidationFlags:
         assert args.cache_command == "verify"
         assert args.strict
         args = build_parser().parse_args(
-            ["cache", "migrate", "--cache-dir", "/tmp/x"]
+            ["cache", "verify", "--cache-dir", "/tmp/x"]
         )
-        assert args.cache_command == "migrate"
         assert args.cache_dir == "/tmp/x"
         args = build_parser().parse_args(
             ["cache", "canonicalize", "--lock-timeout", "5"]
@@ -407,6 +406,15 @@ class TestLockAndValidationFlags:
     def test_cache_requires_an_action(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache"])
+
+    @pytest.mark.parametrize(
+        "command", [["cache", "migrate"], ["trace", "migrate", "t.rptr"]]
+    )
+    def test_retired_migrate_commands_are_unknown(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_unknown_policy_is_a_structured_cli_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -459,30 +467,37 @@ class TestCacheCommands:
         assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
         assert "no cache files" in capsys.readouterr().out
 
-    def test_migrate_upgrades_v4_and_is_idempotent(self, capsys, tmp_path, monkeypatch):
+    def test_stale_version_files_are_listed_and_never_rewritten(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Only current-version files are read or rewritten.
+
+        A v4 file beside the v5 cache survives ``canonicalize`` byte for
+        byte, and its presence fails ``verify --strict``.
+        """
         import json as _json
 
         from repro.sim.resultcache import load_cache_entries
 
         cache_file = self._seed_cache(tmp_path, monkeypatch)
-        entries = load_cache_entries(cache_file)
-        legacy = tmp_path / "results-v4-test.jsonl"
-        legacy.write_text(
+        stale = tmp_path / "results-v4-test.jsonl"
+        stale.write_text(
             "".join(
                 _json.dumps({"key": key, "result": result}) + "\n"
-                for key, result in entries.items()
+                for key, result in load_cache_entries(cache_file).items()
             )
         )
-        cache_file.unlink()  # only the v4 file remains
+        original = stale.read_bytes()
         capsys.readouterr()
-        assert main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "results-v4-test.jsonl -> results-v5-test.jsonl" in out
-        assert not legacy.exists()
-        assert load_cache_entries(tmp_path / "results-v5-test.jsonl") == entries
-        # Second migrate: everything already clean.
-        assert main(["cache", "migrate", "--cache-dir", str(tmp_path)]) == 0
-        assert "already clean" in capsys.readouterr().out
+        assert main(["cache", "canonicalize", "--cache-dir", str(tmp_path)]) == 0
+        assert "results-v4-test.jsonl: stale v4 file" in capsys.readouterr().out
+        assert stale.read_bytes() == original
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
+        assert "1 stale" in capsys.readouterr().out
+        assert main(
+            ["cache", "verify", "--cache-dir", str(tmp_path), "--strict"]
+        ) == 1
+        assert "verification failed" in capsys.readouterr().err
 
     def test_canonicalize_sorts_and_is_idempotent(self, capsys, tmp_path, monkeypatch):
         from repro.sim.resultcache import load_cache_entries
@@ -509,31 +524,3 @@ class TestCacheCommands:
     def test_canonicalize_empty_directory(self, capsys, tmp_path):
         assert main(["cache", "canonicalize", "--cache-dir", str(tmp_path)]) == 0
         assert "no cache files" in capsys.readouterr().out
-
-    def test_v4_cache_is_read_transparently_without_migration(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        """An un-migrated v4 cache still serves hits (counted as migrated
-        lines in the health counters)."""
-        import json as _json
-
-        from repro.sim.resultcache import load_cache_entries
-
-        cache_file = self._seed_cache(tmp_path, monkeypatch)
-        entries = load_cache_entries(cache_file)
-        legacy = tmp_path / "results-v4-test.jsonl"
-        legacy.write_text(
-            "".join(
-                _json.dumps({"key": key, "result": result}) + "\n"
-                for key, result in entries.items()
-            )
-        )
-        cache_file.unlink()
-        capsys.readouterr()
-        assert main(
-            ["stats", "--trace", "sjeng.1", "--preset", "test", "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["cache"]["cache/migrated_lines"] >= 1
-        # Served from the legacy file: no new v5 file full of recomputes.
-        assert legacy.exists()

@@ -84,6 +84,15 @@ def test_gate_fails_on_stale_protocol_constant(tmp_path):
     assert "PROTOCOL.md states PROTOCOL_VERSION = 7" in proc.stdout
 
 
+def test_gate_fails_on_stale_example_protocol_version(tmp_path):
+    text = (REPO_ROOT / "PROTOCOL.md").read_text()
+    doctored = text.replace('"protocol": 3', '"protocol": 2', 1)
+    assert doctored != text
+    proc = _run(_protocol_fixture(tmp_path, doctored))
+    assert proc.returncode == 1
+    assert "protocol 2 is not PROTOCOL_VERSION 3" in proc.stdout
+
+
 def test_gate_fails_when_spec_omits_an_event(tmp_path):
     # Dropping every ``lease-done`` example must trip the coverage check.
     text = (REPO_ROOT / "PROTOCOL.md").read_text()

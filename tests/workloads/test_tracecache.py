@@ -12,12 +12,7 @@ from repro.workloads.tracecache import (
     process_cache,
     reset_process_cache,
 )
-from repro.workloads.traceio import (
-    TraceFormatError,
-    trace_fingerprint,
-    write_trace,
-    write_trace_v2,
-)
+from repro.workloads.traceio import TraceFormatError, trace_fingerprint, write_trace
 
 
 @pytest.fixture(autouse=True)
@@ -147,16 +142,6 @@ class TestTraceFingerprint:
         path.write_bytes(bytes(data))
         with pytest.raises(TraceFormatError):
             trace_fingerprint(path)
-
-    def test_legacy_v2_full_file_crc(self, tmp_path):
-        path = tmp_path / "t.rptr"
-        write_trace_v2(_make_trace(), path)
-        version, crc = trace_fingerprint(path)
-        assert version == 2
-        data = bytearray(path.read_bytes())
-        data[-10] ^= 0x01
-        path.write_bytes(bytes(data))
-        assert trace_fingerprint(path)[1] != crc
 
     def test_not_a_trace_file(self, tmp_path):
         path = tmp_path / "t.rptr"

@@ -4,7 +4,13 @@ import pytest
 
 from repro.workloads.suite import TraceSuite
 from repro.workloads.trace import LOAD, STORE, Trace, TraceMeta
-from repro.workloads.traceio import read_trace, TraceFormatError, write_trace
+from repro.workloads.traceio import (
+    open_trace_columns,
+    read_trace,
+    trace_fingerprint,
+    TraceFormatError,
+    write_trace,
+)
 
 
 def small_trace():
@@ -79,15 +85,18 @@ class TestErrorHandling:
         with pytest.raises(TraceFormatError):
             read_trace(path)
 
-    def test_wrong_version(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2, 4, 99])
+    def test_wrong_version(self, tmp_path, version):
+        """Every reader rejects any version but 3, naming the one found."""
         trace = small_trace()
         path = tmp_path / "t.rptr"
         write_trace(trace, path)
         data = bytearray(path.read_bytes())
-        data[4] = 99  # version field
+        data[4] = version  # version field
         path.write_bytes(bytes(data))
-        with pytest.raises(TraceFormatError):
-            read_trace(path)
+        for reader in (read_trace, trace_fingerprint, open_trace_columns):
+            with pytest.raises(TraceFormatError, match=f"v{version} is not"):
+                reader(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         """Bytes past the end of the format are an error, not ignored."""
@@ -127,7 +136,7 @@ class TestCorruptionFuzz:
                 read_trace(victim)
 
     def test_flipped_bit_anywhere_never_passes_silently(self, tmp_path):
-        """The v2 CRC footer catches single-bit rot at any offset.
+        """The v3 checksums catch single-bit rot at any offset.
 
         Flipping one bit must either raise (checksum/structure) or —
         never — yield a trace that reads back successfully while
@@ -148,38 +157,6 @@ class TestCorruptionFuzz:
 
 
 class TestLegacyV1:
-    @staticmethod
-    def _write_v1(trace, path):
-        """A v1 writer: the current format minus the CRC footer."""
-        import json
-        import struct
-
-        meta_json = json.dumps(trace.meta.__dict__).encode("utf-8")
-        with open(path, "wb") as handle:
-            handle.write(b"RPTR")
-            handle.write(struct.pack("<HI", 1, len(meta_json)))
-            handle.write(meta_json)
-            handle.write(struct.pack("<Q", len(trace)))
-            trace.kinds.tofile(handle)
-            trace.addrs.tofile(handle)
-            trace.deltas.tofile(handle)
-
-    def test_v1_files_still_load(self, tmp_path):
-        trace = small_trace()
-        path = tmp_path / "old.rptr"
-        self._write_v1(trace, path)
-        loaded = read_trace(path)
-        assert loaded.meta == trace.meta
-        assert list(loaded.addrs) == list(trace.addrs)
-
-    def test_v1_trailing_garbage_still_rejected(self, tmp_path):
-        trace = small_trace()
-        path = tmp_path / "old.rptr"
-        self._write_v1(trace, path)
-        path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(TraceFormatError, match="trailing"):
-            read_trace(path)
-
     def test_current_files_are_v3(self, tmp_path):
         trace = small_trace()
         path = tmp_path / "t.rptr"

@@ -1,14 +1,10 @@
-"""Tests for the columnar v3 trace format and the migration path.
+"""Tests for the columnar v3 trace format.
 
-Three properties are load-bearing:
+Two properties are load-bearing:
 
 * **round-trip** — a v3 file reads back exactly what was written, both
   through the scalar :func:`read_trace` loader and the memory-mapped
   :func:`open_trace_columns` column views;
-* **migration losslessness** — ``repro trace migrate`` of a v2 (or v1)
-  file yields a v3 file whose records and metadata are identical to what
-  the scalar loader read from the original, and the rewrite is atomic
-  and idempotent;
 * **corruption detection** — truncation, bit flips in header or body,
   and trailing garbage all raise a structured :class:`TraceFormatError`
   instead of silently simulating a different workload.
@@ -19,17 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import main
 from repro.workloads.suite import TraceSuite
 from repro.workloads.trace import LOAD, STORE, Trace, TraceMeta
 from repro.workloads.traceio import (
-    migrate_trace,
     open_trace_columns,
     read_trace,
     trace_file_version,
     TraceFormatError,
     write_trace,
-    write_trace_v2,
 )
 
 
@@ -106,68 +99,12 @@ class TestRoundTrip:
     def test_mmap_requires_v3(self, tmp_path):
         trace = small_trace()
         path = tmp_path / "old.rptr"
-        write_trace_v2(trace, path)
-        with pytest.raises(TraceFormatError, match="migrate"):
-            open_trace_columns(path)
-
-
-class TestMigration:
-    def test_v2_migration_is_lossless(self, tmp_path):
-        trace = small_trace()
-        path = tmp_path / "t.rptr"
-        write_trace_v2(trace, path)
-        before = read_trace(path)  # the scalar loader's view of the v2 file
-        report = migrate_trace(path)
-        assert report.migrated
-        assert report.from_version == 2
-        assert report.records == len(trace)
-        assert trace_file_version(path) == 3
-        assert_same_trace(read_trace(path), before)
-
-    def test_migration_is_idempotent(self, tmp_path):
-        trace = small_trace()
-        path = tmp_path / "t.rptr"
-        write_trace_v2(trace, path)
-        assert migrate_trace(path).migrated
-        first = path.read_bytes()
-        report = migrate_trace(path)
-        assert not report.migrated
-        assert path.read_bytes() == first
-
-    def test_corrupt_file_is_never_replaced(self, tmp_path):
-        trace = small_trace()
-        path = tmp_path / "t.rptr"
-        write_trace_v2(trace, path)
+        write_trace(trace, path)
         data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0x40
+        data[4] = 2  # version field
         path.write_bytes(bytes(data))
-        with pytest.raises(TraceFormatError):
-            migrate_trace(path)
-        assert path.read_bytes() == bytes(data)  # original left untouched
-        assert not list(tmp_path.glob("*.tmp"))  # no temp droppings
-
-    def test_cli_migrates_and_reports(self, tmp_path, capsys):
-        a = tmp_path / "a.rptr"
-        b = tmp_path / "b.rptr"
-        write_trace_v2(small_trace(), a)
-        write_trace(small_trace(), b)
-        assert main(["trace", "migrate", str(a), str(b)]) == 0
-        out = capsys.readouterr().out
-        assert f"{a}: v2 -> v3 (100 records)" in out
-        assert f"{b}: already v3 (100 records)" in out
-        assert trace_file_version(a) == 3
-
-    def test_cli_structured_error_on_corrupt_file(self, tmp_path, capsys):
-        path = tmp_path / "bad.rptr"
-        path.write_bytes(b"RPTR" + b"\x00" * 40)
-        assert main(["trace", "migrate", str(path)]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_cli_structured_error_on_missing_file(self, tmp_path, capsys):
-        path = tmp_path / "nope.rptr"
-        assert main(["trace", "migrate", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and str(path) in err
+        with pytest.raises(TraceFormatError, match="only v3"):
+            open_trace_columns(path)
 
 
 class TestCorruptionFuzz:

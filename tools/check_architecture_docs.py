@@ -16,10 +16,12 @@ all drift at once:
   (``hello``/``submit``/``lease``/``status``, real trace names, valid
   machine specs), events and reject reasons must be ones the server
   can emit, every op/event/reason must have at least one example or
-  mention (the spec may not silently omit a message type), and the
-  constants table must match the code's values.  Skipped when the repo
-  under ``--repo-root`` has no ``src/repro/serve/protocol.py`` (e.g.
-  the minimal fixtures the docs-gate tests build).
+  mention (the spec may not silently omit a message type), every
+  example's ``protocol`` field and ``hello`` version must be the code's
+  ``PROTOCOL_VERSION``, and the constants table must match the code's
+  values.  Skipped when the repo under ``--repo-root`` has no
+  ``src/repro/serve/protocol.py`` (e.g. the minimal fixtures the
+  docs-gate tests build).
 
 Usage::
 
@@ -49,8 +51,6 @@ CONSTANT_ROW_RE = re.compile(r"\|\s*`([A-Z_]+)`\s*\|\s*`?(\d+)`?\s*\|")
 #: Constants PROTOCOL.md must state, checked against the code's values.
 SPEC_CONSTANTS = (
     "PROTOCOL_VERSION",
-    "MIN_PROTOCOL_VERSION",
-    "PING_MIN_VERSION",
     "MAX_FRAME_BYTES",
     "MAX_JOBS_PER_SUBMIT",
 )
@@ -164,6 +164,13 @@ def check_protocol_examples(repo_root: Path) -> list[str]:
         except protocol.ProtocolError as exc:
             failures.append(f"{label}: {exc}")
             continue
+        field = "version" if frame.get("op") == "hello" else "protocol"
+        version = frame.get(field, protocol.PROTOCOL_VERSION)
+        if version != protocol.PROTOCOL_VERSION:
+            failures.append(
+                f"{label}: {field} {version!r} is not "
+                f"PROTOCOL_VERSION {protocol.PROTOCOL_VERSION}"
+            )
         if "op" in frame:
             if frame["op"] not in protocol.REQUEST_OPS:
                 failures.append(f"{label}: unknown op {frame['op']!r}")
