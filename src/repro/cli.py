@@ -827,8 +827,9 @@ def _cmd_cache_canonicalize(args: argparse.Namespace) -> int:
     it byte-for-byte against a distributed one (the differential test
     and the CI dist-smoke job do exactly that), or to scrub the lines
     ``repro cache verify`` rejects.  Idempotent; already-canonical files
-    are rewritten to identical bytes.  Only current-version files are
-    rewritten; stale ones are listed and left byte-untouched.
+    are left byte-untouched, and a rewrite copies valid lines verbatim.
+    Only current-version files are rewritten; stale ones are listed and
+    left byte-untouched.
     """
     from repro.sim.resultcache import (
         CACHE_VERSION,

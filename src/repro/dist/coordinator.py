@@ -413,7 +413,7 @@ class DispatchCoordinator:
         self.registry.inc("dist/jobs_salvaged", stats.new_entries)
         # The runner snapshotted the disk cache before salvage existed;
         # reload so resolution sees the salvaged cells as cached.
-        self.runner._load_disk_cache()
+        self.runner.reload_disk_cache()
         self._log(
             f"salvaged {stats.new_entries} staged result(s) from "
             f"{shard_dir.name}"

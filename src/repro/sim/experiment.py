@@ -41,6 +41,7 @@ counters alongside the ``sweep/*`` ones.
 from __future__ import annotations
 
 import os
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -59,6 +60,7 @@ from repro.sim.parallel import (
 )
 from repro.sim.resultcache import (
     CACHE_VERSION,
+    ResultStore,
     append_cache_entries,
     cache_file_name,
     corrupt_line_count,
@@ -162,9 +164,6 @@ class ExperimentRunner:
         #: Process-local sweep health counters (``sweep/*``, ``cache/*``);
         #: never cached.
         self.registry = CounterRegistry()
-        #: Corrupt JSONL lines skipped while loading this runner's cache.
-        self.corrupt_lines_skipped = 0
-        self._memory: dict[str, dict] = {}
         self._cache_path: Path | None = None
         self._lock_waits_seen = locking.lock_wait_total()
         self._lock_timeouts_seen = locking.lock_timeout_total()
@@ -172,24 +171,34 @@ class ExperimentRunner:
             directory = cache_dir or default_cache_dir()
             directory.mkdir(parents=True, exist_ok=True)
             self._cache_path = directory / cache_file_name(preset.name)
-            self._load_disk_cache()
+        #: Every lookup goes through the store: disk results are decoded
+        #: on first use, and a line that fails to decode reads as a miss.
+        self._memory = ResultStore(self._cache_path)
+        self._memory.on_reject = partial(self.registry.inc, "sweep/corrupt_lines")
+        self.reload_disk_cache()
 
     # ------------------------------------------------------------------
     # Cache plumbing
     # ------------------------------------------------------------------
 
-    def _load_disk_cache(self) -> None:
+    def reload_disk_cache(self) -> None:
+        """Fold the cache file's current lines into this runner's store.
+
+        The constructor's load, and the refresh after another writer
+        (a dispatch salvage) changed the file.  Results already decoded
+        here are kept; a line whose decode already failed here is not
+        taken again, so it is never counted twice.
+        """
         if self._cache_path is None:
             return
         # Tolerant load: lines torn by an interrupted worker are skipped
         # (with a CorruptCacheLineWarning) instead of poisoning the cache.
         before = corrupt_line_count(self._cache_path)
         before_crc = crc_failure_count(self._cache_path)
-        self._memory.update(load_cache_entries(self._cache_path))
+        self._memory.absorb(load_cache_entries(self._cache_path))
         skipped = corrupt_line_count(self._cache_path) - before
         crc_failed = crc_failure_count(self._cache_path) - before_crc
         if skipped:
-            self.corrupt_lines_skipped += skipped
             self.registry.inc("sweep/corrupt_lines", skipped)
         if crc_failed:
             self.registry.inc("cache/crc_failures", crc_failed)
@@ -373,13 +382,21 @@ class ExperimentRunner:
         ):
             if amount:
                 self.registry.inc(name, amount)
-        if outcome.corrupt_lines:
-            self.corrupt_lines_skipped += outcome.corrupt_lines
 
     @property
     def cache_path(self) -> Path | None:
         """The on-disk cache file this runner reads and writes (if any)."""
         return self._cache_path
+
+    @property
+    def corrupt_lines_skipped(self) -> int:
+        """Corrupt cache lines skipped so far: the ``sweep/corrupt_lines`` count.
+
+        Lines rejected at load, at a result's first use, or by a sweep
+        merge.
+        """
+        metric = self.registry.as_dict().get("sweep/corrupt_lines")
+        return metric["value"] if metric else 0
 
     def job_key(self, machine: MachineConfig, trace_name: str) -> str:
         """Public cache key for one (machine, trace) run at this preset.

@@ -26,6 +26,18 @@ results.  Corrupt lines are skipped and reported via
 engine and ``repro stats`` surface every skip to the operator: silent
 data loss is a lie a report must not tell.
 
+Lines stay in their stored form until a reader needs them.
+:func:`load_cache_entries` checks each line's CRC and slices its key
+out of the canonical ``{"key": "…", "result": {…}}`` prefix without
+parsing JSON; the result is decoded the first time it is asked for
+(:class:`ResultStore`).  A line not in that shape, or whose key holds
+an escape, takes the full decode at load instead.  The one rejection
+this defers is a canonical-shaped line whose CRC matches but whose
+payload does not decode: it is counted when its key is first asked
+for, and reads as a miss.  Rewrites copy valid lines verbatim and
+re-encode only the fallback-decoded ones.  :func:`scan_cache_file`
+(``repro cache verify``) is the one full decode of every line.
+
 Write primitives and their concurrency contracts:
 
 * :func:`append_cache_entries` — append under the cache's advisory lock
@@ -42,6 +54,8 @@ Write primitives and their concurrency contracts:
   for a file ``repro cache verify --strict`` rejects.
 * :func:`write_cache_entries` — the atomic rewrite primitive (no lock;
   callers hold it).
+
+:func:`encode_entry` is the only writer of new lines.
 """
 
 from __future__ import annotations
@@ -51,9 +65,10 @@ import os
 import re
 import warnings
 import zlib
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.sim.locking import FileLock
 
@@ -64,6 +79,12 @@ CACHE_VERSION = 5
 #: A framed line ends with ``#`` + 8 lowercase hex digits (the CRC32 of
 #: the JSON payload before it).
 _CRC_SUFFIX_RE = re.compile(r"#([0-9a-f]{8})$")
+_CRC_SUFFIX_LEN = len("#00000000")
+
+#: How every :func:`encode_entry` payload opens and where its key ends
+#: (sorted keys put ``key`` before ``result``); it closes with ``}}``.
+_KEY_OPEN = '{"key": "'
+_RESULT_OPEN = '", "result": {'
 
 #: Cache file naming scheme shared by the runner and the cache tools.
 _CACHE_FILE_RE = re.compile(r"^results-v(\d+)-.+\.jsonl$")
@@ -153,37 +174,81 @@ def encode_entry(key: str, result: dict) -> str:
     return frame_line(json.dumps({"key": key, "result": result}, sort_keys=True))
 
 
-def _decode_line(line: str) -> tuple[str, str | None, dict | None]:
-    """Classify one stripped, non-empty line.
-
-    Returns ``(status, key, result)`` where status is ``"ok"`` (a valid
-    entry), ``"crc"`` (checksum suffix present but wrong) or
-    ``"corrupt"`` (no checksum suffix, unparseable or structurally
-    wrong).
-    """
-    status, payload = unframe_line(line)
-    if payload is None:
-        return status, None, None
+def _decode_payload(payload: str) -> tuple[str, dict] | None:
+    """``(key, result)`` of one CRC-checked payload, or ``None`` if corrupt."""
     try:
         entry = json.loads(payload)
     except json.JSONDecodeError:
-        return "corrupt", None, None
+        return None
     if (
         not isinstance(entry, dict)
         or not isinstance(entry.get("key"), str)
         or not isinstance(entry.get("result"), dict)
     ):
+        return None
+    return entry["key"], entry["result"]
+
+
+def _decode_line(
+    line: str, *, lazy: bool = False
+) -> tuple[str, str | None, str | dict | None]:
+    """Classify one stripped, non-empty line.
+
+    Returns ``(status, key, value)`` where status is ``"ok"`` (a valid
+    entry), ``"crc"`` (checksum suffix present but wrong) or
+    ``"corrupt"`` (no checksum suffix, unparseable or structurally
+    wrong).  The value of an ``"ok"`` line is its decoded result — or,
+    with ``lazy``, the raw line itself when the payload is in canonical
+    shape, so its key is sliced out and nothing is parsed.
+    """
+    status, payload = unframe_line(line)
+    if payload is None:
+        return status, None, None
+    if lazy:
+        key = _canonical_key(payload)
+        if key is not None:
+            return "ok", key, line
+    entry = _decode_payload(payload)
+    if entry is None:
         return "corrupt", None, None
-    return "ok", entry["key"], entry["result"]
+    key, result = entry
+    return "ok", key, result
 
 
-def iter_cache_entries(path: Path) -> Iterator[tuple[str, dict]]:
-    """Stream ``(key, result)`` pairs from a JSONL cache file, one pass.
+def _canonical_key(payload: str) -> str | None:
+    """The key of a payload in :func:`encode_entry`'s shape, unparsed.
 
-    Blank lines are ignored; truncated, unchecksummed, structurally
-    wrong or CRC-rejected lines are skipped, counted, and reported with
-    one :class:`CorruptCacheLineWarning` per file per process.  A
-    missing file yields nothing.
+    ``None`` unless the payload opens ``{"key": "<key>", "result": {``
+    and closes ``}}`` with no escape in the key.
+    """
+    if not (payload.startswith(_KEY_OPEN) and payload.endswith("}}")):
+        return None
+    end = payload.find('"', len(_KEY_OPEN))
+    if end < 0 or not payload.startswith(_RESULT_OPEN, end):
+        return None
+    key = payload[len(_KEY_OPEN) : end]
+    return None if "\\" in key else key
+
+
+def _decode_raw(key: str, line: str) -> dict | None:
+    """The result a raw canonical ``line`` holds for ``key``, or ``None``."""
+    entry = _decode_payload(line[:-_CRC_SUFFIX_LEN])
+    if entry is None or entry[0] != key:
+        return None
+    return entry[1]
+
+
+def _framed(key: str, value: str | dict) -> str:
+    """The line to write for a scanned value: raw lines go out verbatim."""
+    return value if isinstance(value, str) else encode_entry(key, value)
+
+
+def _read_valid(path: Path, *, lazy: bool) -> Iterator[tuple[str, str | dict]]:
+    """``(key, value)`` for each valid line (see :func:`_decode_line`).
+
+    Blank lines are ignored; rejected lines are counted against ``path``
+    with one :class:`CorruptCacheLineWarning` per file per process once
+    the file is exhausted.  A missing file yields nothing.
     """
     if not path.exists():
         return
@@ -194,42 +259,123 @@ def iter_cache_entries(path: Path) -> Iterator[tuple[str, dict]]:
             line = line.strip()
             if not line:
                 continue
-            status, key, result = _decode_line(line)
+            status, key, value = _decode_line(line, lazy=lazy)
             if status == "ok":
-                assert key is not None and result is not None
-                yield key, result
+                assert key is not None and value is not None
+                yield key, value
             elif status == "crc":
                 crc_failed += 1
             else:
                 corrupt += 1
     if corrupt or crc_failed:
-        resolved = str(path.resolve())
-        skipped = corrupt + crc_failed
-        _corrupt_counts[resolved] = _corrupt_counts.get(resolved, 0) + skipped
-        if crc_failed:
-            _crc_counts[resolved] = _crc_counts.get(resolved, 0) + crc_failed
-        if resolved not in _warned_corrupt:
-            _warned_corrupt.add(resolved)
-            detail = (
-                f" ({crc_failed} failed the CRC check)" if crc_failed else ""
-            )
-            warnings.warn(
-                f"{path}: skipped {skipped} corrupt cache line(s){detail}; "
-                "likely a simulation interrupted mid-write or at-rest "
-                "corruption",
-                CorruptCacheLineWarning,
-                stacklevel=2,
-            )
+        detail = f" ({crc_failed} failed the CRC check)" if crc_failed else ""
+        _tally(
+            path,
+            corrupt + crc_failed,
+            crc_failed,
+            f"skipped {corrupt + crc_failed} corrupt cache line(s){detail}; "
+            "likely a simulation interrupted mid-write or at-rest corruption",
+        )
 
 
-def load_cache_entries(path: Path) -> dict[str, dict]:
-    """Read a JSONL cache file into a key -> result mapping.
+def iter_cache_entries(path: Path) -> Iterator[tuple[str, dict]]:
+    """Stream ``(key, result)`` pairs from a JSONL cache file, one pass.
 
-    Later entries for a repeated key win, matching append-only write
-    semantics.  Tolerance and warning behaviour are those of
-    :func:`iter_cache_entries`.
+    Every line is decoded as it is read.  Blank lines are ignored;
+    truncated, unchecksummed, structurally wrong or CRC-rejected lines
+    are skipped, counted, and reported with one
+    :class:`CorruptCacheLineWarning` per file per process.  A missing
+    file yields nothing.
     """
-    return dict(iter_cache_entries(path))
+    for key, result in _read_valid(path, lazy=False):
+        assert isinstance(result, dict)
+        yield key, result
+
+
+class ResultStore(MutableMapping[str, dict]):
+    """``key -> result`` over a cache file's lines, decoded on first use.
+
+    :func:`load_cache_entries` fills it with CRC-checked raw lines; the
+    first lookup of a key decodes its line and memoizes the result, and
+    results stored later are kept as given.  A raw line whose payload
+    then fails to decode is counted against ``path`` like a load-time
+    skip, reported to ``on_reject``, and dropped: its key reads as a
+    miss.  Iteration decodes every entry it yields; ``len`` counts the
+    entries not yet found corrupt.
+    """
+
+    def __init__(self, path: Path | None = None) -> None:
+        self.path = path
+        #: Called once for each raw line whose deferred decode fails.
+        self.on_reject: Callable[[], None] | None = None
+        self._values: dict[str, str | dict] = {}
+        self._rejected: set[str] = set()
+
+    def __getitem__(self, key: str) -> dict:
+        value = self._values[key]
+        if isinstance(value, dict):
+            return value
+        result = _decode_raw(key, value)
+        if result is None:
+            del self._values[key]
+            self._rejected.add(value)
+            if self.path is not None:
+                _tally(
+                    self.path,
+                    1,
+                    0,
+                    "skipped a corrupt cache line whose result failed to "
+                    "decode on first use; it reads as a miss",
+                )
+            if self.on_reject is not None:
+                self.on_reject()
+            raise KeyError(key)
+        self._values[key] = result
+        return result
+
+    def __setitem__(self, key: str, result: dict) -> None:
+        self._values[key] = result
+
+    def __delitem__(self, key: str) -> None:
+        del self._values[key]
+
+    def __iter__(self) -> Iterator[str]:
+        for key in list(self._values):
+            if key in self:
+                yield key
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def absorb(self, other: ResultStore) -> None:
+        """Take ``other``'s entries, keeping every result decoded here.
+
+        A key still raw here takes ``other``'s value (the file's latest
+        line on a reload); a raw line this store already rejected is not
+        taken again, so it is never counted twice.
+        """
+        self._rejected |= other._rejected
+        for key, value in other._values.items():
+            if isinstance(self._values.get(key), dict):
+                continue
+            if isinstance(value, str) and value in self._rejected:
+                continue
+            self._values[key] = value
+
+
+def load_cache_entries(path: Path) -> ResultStore:
+    """Read a JSONL cache file into a lazily decoding key -> result store.
+
+    One pass checks each line's CRC and keeps it raw; results are
+    decoded on first use (:class:`ResultStore`).  Later entries for a
+    repeated key win, matching append-only write semantics.  Every line
+    rejected at load is counted and warned about as in
+    :func:`iter_cache_entries`; a canonical-shaped line whose payload
+    does not decode is counted when its key is first asked for.
+    """
+    store = ResultStore(path)
+    store._values.update(_read_valid(path, lazy=True))
+    return store
 
 
 def append_cache_entries(
@@ -264,14 +410,23 @@ def write_cache_entries(path: Path, items: Iterable[tuple[str, dict]]) -> int:
     old file or the new one, never a half-written hybrid, and a crash
     at any point leaves the original intact.  Callers that race other
     writers must hold the cache lock; this primitive itself does not
-    take it (merge and canonicalize both call it with the lock held).
+    take it.
+    """
+    return _write_lines(path, (encode_entry(key, result) for key, result in items))
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> int:
+    """The atomic replace behind every rewrite; returns lines written.
+
+    Merge and canonicalize call it with the lock held, passing raw
+    lines through verbatim.
     """
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
     written = 0
     try:
         with tmp.open("w") as handle:
-            for key, result in items:
-                handle.write(encode_entry(key, result) + "\n")
+            for line in lines:
+                handle.write(line + "\n")
                 written += 1
             handle.flush()
             os.fsync(handle.fileno())
@@ -314,38 +469,37 @@ class MergeStats:
     lock_waits: int
 
 
-def _read_for_rewrite(path: Path) -> tuple[list[str], dict[str, dict], bool]:
+def _read_for_rewrite(path: Path) -> tuple[dict[str, str | dict], bool]:
     """Tolerantly read ``path`` for a locked rewrite (caller holds the lock).
 
-    Returns ``(order, values, dirty)``: keys in first-seen order, their
-    last-seen results, and whether a rewrite must scrub anything —
+    Returns ``(values, dirty)``: each key's last-seen value in
+    first-seen key order, and whether a rewrite must scrub anything —
     blank, corrupt or CRC-failed lines (each counted via
-    :func:`_account_skip`) or repeated keys.  A missing file reads as
-    empty and clean.
+    :func:`_account_skip`) or repeated keys.  A value is the raw line
+    for a line in canonical shape (written back verbatim) and the
+    decoded result for one that took the fallback decode (re-encoded).
+    A missing file reads as empty and clean.
     """
-    order: list[str] = []
-    values: dict[str, dict] = {}
+    values: dict[str, str | dict] = {}
     dirty = False
     if not path.exists():
-        return order, values, dirty
+        return values, dirty
     with path.open() as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 dirty = True
                 continue
-            status, key, result = _decode_line(line)
+            status, key, value = _decode_line(line, lazy=True)
             if status != "ok":
                 dirty = True
                 _account_skip(path, status)
                 continue
-            assert key is not None and result is not None
+            assert key is not None and value is not None
             if key in values:
                 dirty = True
-            else:
-                order.append(key)
-            values[key] = result
-    return order, values, dirty
+            values[key] = value
+    return values, dirty
 
 
 def merge_cache_entries(
@@ -361,9 +515,12 @@ def merge_cache_entries(
     keys win over incoming ones, so a second sweep folds its results in
     without ever clobbering the first's.  New keys append in ``items``
     order, which keeps a fresh cache byte-identical to a serial run.
-    The rewrite is atomic (temp file + ``fsync`` + ``os.replace``) and
-    scrubs any corrupt or checksum-failed lines it skipped (they are
-    counted in the returned :class:`MergeStats`).
+    The rewrite is atomic (temp file + ``fsync`` + ``os.replace``),
+    copies existing lines verbatim, and scrubs any corrupt or
+    checksum-failed lines it skipped (they are counted in the returned
+    :class:`MergeStats`).  An existing line is decoded only when an
+    incoming key collides with it; one that fails to decode is scrubbed
+    and counted the same way, and the incoming entry takes its place.
 
     When the file is already clean, duplicate-free and contains every
     incoming key, its bytes are left untouched.
@@ -372,16 +529,21 @@ def merge_cache_entries(
     with lock:
         before_corrupt = corrupt_line_total()
         before_crc = crc_failure_total()
-        order, values, dirty = _read_for_rewrite(path)
-        existing = len(order)
+        values, dirty = _read_for_rewrite(path)
+        existing = len(values)
         new = 0
         for key, result in items:
-            if key not in values:
-                order.append(key)
+            held = values.get(key)
+            if isinstance(held, str) and _decode_raw(key, held) is None:
+                del values[key]
+                existing -= 1
+                _account_skip(path, "corrupt")
+                held = None
+            if held is None:
                 values[key] = result
                 new += 1
         if new or dirty:
-            write_cache_entries(path, ((key, values[key]) for key in order))
+            _write_lines(path, (_framed(key, value) for key, value in values.items()))
     return MergeStats(
         new_entries=new,
         existing_entries=existing,
@@ -399,8 +561,8 @@ def canonicalize_cache_file(
     The experiment service's determinism primitive: a server interleaves
     batches from many clients, so its cache file would otherwise end up
     ordered by *arrival*, which is not reproducible.  Sorting by key
-    (under the cache's advisory lock, via the atomic
-    :func:`write_cache_entries` rewrite) makes the bytes a pure function
+    (under the cache's advisory lock, via an atomic temp-file rewrite
+    that copies valid lines verbatim) makes the bytes a pure function
     of the entry set — any mix of concurrent clients converges on the
     cache a clean serial run of the union of their jobs would leave.
 
@@ -410,32 +572,37 @@ def canonicalize_cache_file(
     counted like every other tolerant read.  A missing file is a no-op.
     """
     with FileLock.for_target(path, timeout=lock_timeout):
-        order, values, dirty = _read_for_rewrite(path)
+        values, dirty = _read_for_rewrite(path)
         ordered = sorted(values)
-        if dirty or order != ordered:
-            write_cache_entries(path, ((key, values[key]) for key in ordered))
+        if dirty or list(values) != ordered:
+            _write_lines(path, (_framed(key, values[key]) for key in ordered))
     return len(values)
 
 
 def _account_skip(path: Path, status: str) -> None:
-    """Count one skipped line against ``path`` (merge-path accounting).
+    """Count one line a rewrite skipped against ``path``.
 
-    Mirrors :func:`iter_cache_entries`'s tallies so merges and plain
-    loads feed the same ``repro stats`` counters, but warns lazily (the
+    Feeds the same ``repro stats`` tallies as a plain load (the
     once-per-file warning still fires at most once per process).
     """
+    _tally(
+        path,
+        1,
+        int(status == "crc"),
+        "skipped corrupt cache line(s) during a rewrite; "
+        "the atomic rewrite scrubbed them",
+    )
+
+
+def _tally(path: Path, skipped: int, crc_failed: int, message: str) -> None:
+    """Count skipped lines against ``path``; warn once per file per process."""
     resolved = str(path.resolve())
-    _corrupt_counts[resolved] = _corrupt_counts.get(resolved, 0) + 1
-    if status == "crc":
-        _crc_counts[resolved] = _crc_counts.get(resolved, 0) + 1
+    _corrupt_counts[resolved] = _corrupt_counts.get(resolved, 0) + skipped
+    if crc_failed:
+        _crc_counts[resolved] = _crc_counts.get(resolved, 0) + crc_failed
     if resolved not in _warned_corrupt:
         _warned_corrupt.add(resolved)
-        warnings.warn(
-            f"{path}: skipped corrupt cache line(s) during merge; "
-            "the atomic rewrite scrubbed them",
-            CorruptCacheLineWarning,
-            stacklevel=4,
-        )
+        warnings.warn(f"{path}: {message}", CorruptCacheLineWarning, stacklevel=4)
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,42 @@
 """Tests for experiment-runner caching semantics."""
 
 import json
+import shutil
 import warnings
+from pathlib import Path
 
 import pytest
 
-from repro.sim.config import BASELINE_2MB, TEST
+import repro.sim.resultcache as resultcache
+from repro.cli import main
+from repro.sim import metrics
+from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, BENCH, TEST
 from repro.sim.experiment import CACHE_VERSION, ExperimentRunner
 from repro.sim.resultcache import (
     CorruptCacheLineWarning,
+    append_cache_entries,
+    cache_file_name,
+    corrupt_line_count,
+    encode_entry,
     frame_line,
     load_cache_entries,
+    scan_cache_file,
 )
-from repro.workloads.suite import SUITE_VERSION
+from repro.workloads.suite import SUITE_VERSION, sensitive_specs
+
+COMMITTED_BENCH = (
+    Path(__file__).resolve().parents[2] / ".repro_cache" / cache_file_name("bench")
+)
+
+
+def _counter(runner: ExperimentRunner, name: str) -> int:
+    metric = runner.registry.as_dict().get(name)
+    return metric["value"] if metric else 0
+
+
+def _undecodable_line(key: str) -> str:
+    """A line in canonical shape with a valid CRC whose result does not parse."""
+    return frame_line(f'{{"key": "{key}", "result": {{"ipc": }}}}')
 
 
 class TestCacheKeys:
@@ -90,3 +114,124 @@ class TestCacheKeys:
             # Canonical encoding: byte-identity across serial/parallel
             # sweeps depends on sorted keys.
             assert payload == json.dumps(entry, sort_keys=True)
+
+
+class TestDeferredRejection:
+    """The one rejection the raw-line store defers to a cell's first use.
+
+    A canonical-shaped line whose CRC matches but whose result does not
+    parse has its key sliced out at load; only decoding the result shows
+    it is corrupt.
+    """
+
+    CELL = (BASELINE_2MB, "sjeng.1")
+
+    def _poisoned_cache(self, tmp_path):
+        """A cache whose only line for ``CELL`` is undecodable."""
+        key = ExperimentRunner._single_key(*self.CELL, TEST.trace_length)
+        path = tmp_path / cache_file_name(TEST.name)
+        path.write_text(_undecodable_line(key) + "\n")
+        return key, path
+
+    def test_counted_on_first_use_and_resimulated(self, tmp_path):
+        key, path = self._poisoned_cache(tmp_path)
+        reference = ExperimentRunner(TEST, use_disk_cache=False).run_single(*self.CELL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CorruptCacheLineWarning)
+            runner = ExperimentRunner(TEST, cache_dir=tmp_path)
+        assert corrupt_line_count(path) == 0  # the load decoded nothing
+        assert _counter(runner, "sweep/corrupt_lines") == 0
+
+        with pytest.warns(CorruptCacheLineWarning, match="first use"):
+            assert not runner.has_cached(*self.CELL)
+        assert corrupt_line_count(path) == 1
+        assert _counter(runner, "sweep/corrupt_lines") == 1
+        assert runner.corrupt_lines_skipped == 1
+
+        result = runner.run_single(*self.CELL)  # a miss: simulated again
+        assert (runner.cache_hits, runner.cache_misses) == (0, 1)
+        assert result.to_dict() == reference.to_dict()
+        assert runner.cached_payload(key) == reference.to_dict()
+        assert _counter(runner, "sweep/corrupt_lines") == 1  # counted once
+
+    def test_serial_append_supersedes_the_bad_line(self, tmp_path):
+        key, _ = self._poisoned_cache(tmp_path)
+        with pytest.warns(CorruptCacheLineWarning):
+            result = ExperimentRunner(TEST, cache_dir=tmp_path, jobs=1).run_single(
+                *self.CELL
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CorruptCacheLineWarning)
+            fresh = ExperimentRunner(TEST, cache_dir=tmp_path)
+            assert fresh.cached_payload(key) == result.to_dict()
+        assert fresh.corrupt_lines_skipped == 0
+
+    def test_parallel_merge_replaces_the_bad_line(self, tmp_path):
+        key, path = self._poisoned_cache(tmp_path)
+        runner = ExperimentRunner(TEST, cache_dir=tmp_path, jobs=2)
+        with pytest.warns(CorruptCacheLineWarning):
+            assert runner.prewarm([self.CELL, (BASELINE_2MB, "mcf.1")]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CorruptCacheLineWarning)
+            fresh = ExperimentRunner(TEST, cache_dir=tmp_path)
+            assert fresh.cached_payload(key) == runner.cached_payload(key)
+        assert scan_cache_file(path).clean  # the merge scrubbed the bad line
+
+    def test_verify_strict_rejects_the_file(self, tmp_path, capsys):
+        self._poisoned_cache(tmp_path)
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path), "--strict"]) == 1
+        assert "verification failed" in capsys.readouterr().err
+
+
+class TestReload:
+    def test_reload_keeps_decoded_results_and_counts_a_bad_line_once(
+        self, tmp_path
+    ):
+        path = tmp_path / cache_file_name(TEST.name)
+        path.write_text(
+            encode_entry("k-good", {"ipc": 1.0})
+            + "\n"
+            + _undecodable_line("k-bad")
+            + "\n"
+        )
+        runner = ExperimentRunner(TEST, cache_dir=tmp_path)
+        decoded = runner.cached_payload("k-good")
+        with pytest.warns(CorruptCacheLineWarning):
+            assert runner.cached_payload("k-bad") is None
+        append_cache_entries(path, [("k-late", {"ipc": 3.0})])
+
+        runner.reload_disk_cache()
+        assert runner.cached_payload("k-late") == {"ipc": 3.0}
+        assert runner.cached_payload("k-good") is decoded  # not decoded again
+        assert runner.cached_payload("k-bad") is None
+        assert runner.corrupt_lines_skipped == 1
+        assert corrupt_line_count(path) == 1
+
+
+class TestDecodeOnDemand:
+    def test_figure8_table_decodes_only_the_cells_it_reads(
+        self, tmp_path, monkeypatch
+    ):
+        """A warm Figure 8 reads 120 cells of the 1,560 and decodes only those."""
+        shutil.copyfile(COMMITTED_BENCH, tmp_path / COMMITTED_BENCH.name)
+        decoded: list[str] = []
+        decode = resultcache._decode_payload
+
+        def counting_decode(payload: str):
+            decoded.append(payload)
+            return decode(payload)
+
+        monkeypatch.setattr(resultcache, "_decode_payload", counting_decode)
+        runner = ExperimentRunner(BENCH, cache_dir=tmp_path, jobs=1)
+        assert decoded == []
+
+        names = [spec.name for spec in sensitive_specs()]
+        pairs = runner.run_pair(BASELINE_2MB, BASE_VICTIM_2MB, names)
+        table = {base.trace: metrics.ipc_ratio(cand, base) for base, cand in pairs}
+        assert len(table) == 60
+        assert (runner.cache_hits, runner.cache_misses) == (120, 0)
+        assert len(decoded) == 120
+
+        assert not runner.has_cached(BASELINE_2MB, "no-such-trace")
+        assert runner.cached_payload("absent") is None
+        assert len(decoded) == 120  # absent keys decode nothing

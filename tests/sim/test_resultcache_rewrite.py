@@ -1,0 +1,322 @@
+"""Differential oracle for the raw-line rewrite path.
+
+``merge_cache_entries`` and ``canonicalize_cache_file`` copy valid lines
+verbatim, re-encode only lines that took the fallback decode, and decode
+an existing line only when an incoming key collides with it.  The
+reference below is the rewrite they replaced: decode every line, then
+re-encode every entry.  It lives only in this file.  On seeded inputs
+built from committed bench lines (shuffles, duplicates, blank lines,
+torn tails, flipped payload and CRC bits, suffix-less lines and
+valid-CRC lines not in canonical shape), both must leave the same
+bytes, report the same :class:`MergeStats` and add the same corrupt and
+CRC tallies.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import re
+import zlib
+from pathlib import Path
+
+import pytest
+
+from repro.sim.resultcache import (
+    MergeStats,
+    cache_file_name,
+    canonicalize_cache_file,
+    corrupt_line_count,
+    crc_failure_count,
+    frame_line,
+    load_cache_entries,
+    merge_cache_entries,
+)
+
+COMMITTED = (
+    Path(__file__).resolve().parents[2] / ".repro_cache" / cache_file_name("bench")
+)
+
+#: Each rewrite warns once per file; the tallies are what is compared.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore::repro.sim.resultcache.CorruptCacheLineWarning"
+)
+
+SEEDS = range(30)
+
+# ----------------------------------------------------------------------
+# The decode-all reference.
+# ----------------------------------------------------------------------
+
+_CRC_SUFFIX_RE = re.compile(r"#([0-9a-f]{8})$")
+
+
+def _crc(payload: str) -> str:
+    return f"{zlib.crc32(payload.encode('utf-8')) & 0xFFFFFFFF:08x}"
+
+
+def _ref_encode(key: str, result: dict) -> str:
+    payload = json.dumps({"key": key, "result": result}, sort_keys=True)
+    return f"{payload}#{_crc(payload)}"
+
+
+def _ref_decode(line: str) -> tuple[str, str | None, dict | None]:
+    match = _CRC_SUFFIX_RE.search(line)
+    if match is None:
+        return "corrupt", None, None
+    payload = line[: match.start()]
+    if _crc(payload) != match.group(1):
+        return "crc", None, None
+    try:
+        entry = json.loads(payload)
+    except json.JSONDecodeError:
+        return "corrupt", None, None
+    if (
+        not isinstance(entry, dict)
+        or not isinstance(entry.get("key"), str)
+        or not isinstance(entry.get("result"), dict)
+    ):
+        return "corrupt", None, None
+    return "ok", entry["key"], entry["result"]
+
+
+class _Reference:
+    """Decode-all read, merge and canonicalize; records what it did."""
+
+    def __init__(self) -> None:
+        self.corrupt = 0
+        self.crc = 0
+        self.rewrote = False
+
+    def read(self, path: Path) -> tuple[list[str], dict[str, dict], bool]:
+        order: list[str] = []
+        values: dict[str, dict] = {}
+        dirty = False
+        with path.open() as handle:
+            for line in handle:
+                line = line.strip()
+                if not line:
+                    dirty = True
+                    continue
+                status, key, result = _ref_decode(line)
+                if status != "ok":
+                    dirty = True
+                    self.corrupt += 1
+                    self.crc += status == "crc"
+                    continue
+                if key in values:
+                    dirty = True
+                else:
+                    order.append(key)
+                values[key] = result
+        return order, values, dirty
+
+    def write(self, path: Path, entries) -> None:
+        self.rewrote = True
+        path.write_text("".join(_ref_encode(k, r) + "\n" for k, r in entries))
+
+    def merge(self, path: Path, items) -> MergeStats:
+        order, values, dirty = self.read(path)
+        existing = len(order)
+        new = 0
+        for key, result in items:
+            if key not in values:
+                order.append(key)
+                values[key] = result
+                new += 1
+        if new or dirty:
+            self.write(path, ((key, values[key]) for key in order))
+        return MergeStats(new, existing, self.corrupt, self.crc, 0)
+
+    def canonicalize(self, path: Path) -> int:
+        order, values, dirty = self.read(path)
+        ordered = sorted(values)
+        if dirty or order != ordered:
+            self.write(path, ((key, values[key]) for key in ordered))
+        return len(values)
+
+
+# ----------------------------------------------------------------------
+# Seeded inputs.
+# ----------------------------------------------------------------------
+
+
+def _flip(line: str, start: int, stop: int, rng: random.Random) -> str:
+    """``line`` with one low bit of one character in ``[start, stop)`` flipped.
+
+    Only bits 0-4 flip, so a printable character stays printable and a
+    flip never splits the line.
+    """
+    index = rng.randrange(start, stop)
+    char = chr(ord(line[index]) ^ (1 << rng.randrange(5)))
+    return line[:index] + char + line[index + 1 :]
+
+
+def _off_shape(key: str, result: dict, rng: random.Random) -> str:
+    """A valid-CRC line that is not in canonical shape (valid entry or not)."""
+    payload = rng.choice(
+        [
+            # Valid entries the load must decode in full.
+            json.dumps({"result": result, "key": key}),
+            json.dumps({"key": key, "result": result}, separators=(",", ":")),
+            json.dumps({"key": key + "\\", "result": result}, sort_keys=True),
+            json.dumps({"key": key + "é", "result": result}, sort_keys=True),
+            json.dumps({"key": key, "result": result, "z": 1}, sort_keys=True),
+            # Structurally wrong lines, as a torn write can leave them.
+            json.dumps(["not", "a", "dict"]),
+            json.dumps({"result": {"no": "key"}}),
+            json.dumps({"key": 42, "result": {}}),
+            json.dumps({"key": key}),
+            json.dumps({"key": key, "result": []}),
+        ]
+    )
+    return frame_line(payload)
+
+
+def _mutate(line: str, rng: random.Random) -> list[str]:
+    """Zero or more lines standing in for one committed ``line``."""
+    kind = rng.choice(
+        [
+            "keep",
+            "keep",
+            "keep",
+            "padded",
+            "duplicate",
+            "blank",
+            "torn",
+            "payload-bit",
+            "crc-bit",
+            "no-suffix",
+            "off-shape",
+        ]
+    )
+    suffix = len(line) - len("#00000000")
+    if kind == "padded":
+        return ["  " + line + "\t"]
+    if kind == "duplicate":
+        return [line, line]
+    if kind == "blank":
+        return [line, rng.choice(["", "   "])]
+    if kind == "torn":
+        return [line[: rng.randrange(1, len(line))]]
+    if kind == "payload-bit":
+        return [_flip(line, 0, suffix, rng)]
+    if kind == "crc-bit":
+        return [_flip(line, suffix + 1, len(line), rng)]
+    if kind == "no-suffix":
+        return [line[:suffix]]
+    if kind == "off-shape":
+        entry = json.loads(line[:suffix])
+        return [_off_shape(entry["key"], entry["result"], rng)]
+    return [line]
+
+
+def _seeded_input(
+    seed: int, committed: list[str]
+) -> tuple[str, list[tuple[str, dict]]]:
+    """One cache file's text and one batch of incoming merge items."""
+    rng = random.Random(seed)
+    picked = rng.sample(committed, 24)
+    held, spare = picked[:16], picked[16:]
+    lines = [out for line in held for out in _mutate(line, rng)]
+    rng.shuffle(lines)
+    text = "".join(line + "\n" for line in lines)
+    if rng.random() < 0.5:
+        tail = rng.choice(spare)
+        text += tail[: rng.randrange(1, len(tail))]  # torn, no newline
+    # Incoming items: some collide with valid held entries, always with
+    # the off-shape ones, carrying a result the existing entry must beat;
+    # the rest are new.
+    held_keys = {json.loads(line[: -len("#00000000")])["key"] for line in held}
+    stripped = (line.strip() for line in lines)
+    valid = [key for status, key, _ in map(_ref_decode, stripped) if status == "ok"]
+    colliding = {key for key in valid if key not in held_keys}
+    colliding.update(rng.sample(valid, min(4, len(valid))))
+    items = [(key, {"incoming": seed}) for key in sorted(colliding)]
+    for line in spare[:4]:
+        entry = json.loads(line[: -len("#00000000")])
+        items.append((entry["key"], entry["result"]))
+    rng.shuffle(items)
+    return text, items
+
+
+@pytest.fixture(scope="module")
+def committed() -> list[str]:
+    return COMMITTED.read_text().splitlines()
+
+
+def _pair(tmp_path: Path, text: str) -> tuple[Path, Path]:
+    ref, raw = tmp_path / "ref.jsonl", tmp_path / "raw.jsonl"
+    ref.write_text(text)
+    raw.write_text(text)
+    return ref, raw
+
+
+class _Tallies:
+    """The corrupt and CRC tallies one call adds against ``path``."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.inode = path.stat().st_ino
+        self.corrupt = corrupt_line_count(path)
+        self.crc = crc_failure_count(path)
+
+    def added(self) -> tuple[int, int]:
+        return (
+            corrupt_line_count(self.path) - self.corrupt,
+            crc_failure_count(self.path) - self.crc,
+        )
+
+    def rewrote(self) -> bool:
+        return self.path.stat().st_ino != self.inode
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_load_matches_decode_all_reference(seed, committed, tmp_path):
+    text, _ = _seeded_input(seed, committed)
+    ref_path, raw_path = _pair(tmp_path, text)
+    reference = _Reference()
+    _, values, _ = reference.read(ref_path)
+    tallies = _Tallies(raw_path)
+    assert dict(load_cache_entries(raw_path)) == values
+    assert tallies.added() == (reference.corrupt, reference.crc)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_merge_matches_decode_all_reference(seed, committed, tmp_path):
+    text, items = _seeded_input(seed, committed)
+    ref_path, raw_path = _pair(tmp_path, text)
+    reference = _Reference()
+    expected = reference.merge(ref_path, items)
+    tallies = _Tallies(raw_path)
+    stats = merge_cache_entries(raw_path, items)
+    assert raw_path.read_bytes() == ref_path.read_bytes()
+    assert stats == expected
+    assert tallies.added() == (reference.corrupt, reference.crc)
+    assert tallies.rewrote() == reference.rewrote
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_canonicalize_matches_decode_all_reference(seed, committed, tmp_path):
+    text, _ = _seeded_input(seed, committed)
+    ref_path, raw_path = _pair(tmp_path, text)
+    reference = _Reference()
+    expected = reference.canonicalize(ref_path)
+    tallies = _Tallies(raw_path)
+    assert canonicalize_cache_file(raw_path) == expected
+    assert raw_path.read_bytes() == ref_path.read_bytes()
+    assert tallies.added() == (reference.corrupt, reference.crc)
+    assert tallies.rewrote() == reference.rewrote
+
+
+def test_canonicalize_whole_committed_cache_matches_reference(tmp_path):
+    """The full 1,560-line bench cache, reversed and with one duplicate."""
+    lines = COMMITTED.read_text().splitlines(keepends=True)
+    text = "".join(reversed(lines)) + lines[len(lines) // 2]
+    ref_path, raw_path = _pair(tmp_path, text)
+    reference = _Reference()
+    expected = reference.canonicalize(ref_path)
+    assert canonicalize_cache_file(raw_path) == expected == len(lines)
+    assert raw_path.read_bytes() == ref_path.read_bytes()
+    assert reference.rewrote
+
