@@ -17,11 +17,8 @@ Way ``w`` of set ``s`` lives at index ``s * ways + w``; each
 :class:`_Set` handle carries that base offset next to its lookup dict.
 The columns are plain Python lists, deliberately: CPython indexes lists
 2-4x faster than ``array.array``/NumPy scalars, and this class's methods
-and the scalar access kernel touch these columns on every access, while
-the batch engine's vectorised probe snapshots a whole column with a
-single C call (``numpy.array(cache.tags)``) once per chunk and follows
-later membership changes through :attr:`SetAssociativeCache.log` — see
-:mod:`repro.sim.batch`.  Replacement policies outside the two inline
+and the scalar access kernel (:mod:`repro.sim.batch`) touch these
+columns on every access.  Replacement policies outside the two inline
 fast paths keep their opaque per-set state objects, unchanged.
 """
 
@@ -110,11 +107,6 @@ class SetAssociativeCache:
         self.stat_misses = 0
         self.stat_evictions = 0
         self.stat_writebacks = 0
-        #: Membership mutation log for the batch engine's L1 snapshot.
-        #: When set (a list), ``fill`` and ``invalidate`` append the flat
-        #: slot whose tag/valid columns they changed; hits never change
-        #: membership, so they never log.  None (the default) disables it.
-        self.log: list[int] | None = None
 
     # ------------------------------------------------------------------
     # Core operations
@@ -197,8 +189,6 @@ class SetAssociativeCache:
         valid[slot] = True
         dirty_bits[slot] = dirty
         lookup[addr] = way
-        if self.log is not None:
-            self.log.append(slot)
         if self._lru_inline:
             index = cset.index
             clock = self.clocks[index] + 1
@@ -228,8 +218,6 @@ class SetAssociativeCache:
         self.valid[slot] = False
         self.dirty[slot] = False
         cset.valid_count -= 1
-        if self.log is not None:
-            self.log.append(slot)
         if self._lru_inline:
             # Inlined LRUPolicy.on_invalidate: free ways age to stamp 0.
             self.stamps[slot] = 0

@@ -166,7 +166,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     """Observability counters for one or more traces on one machine."""
-    from repro.obs.registry import CounterRegistry, merge_observations
+    from repro.obs.registry import (
+        CounterRegistry,
+        load_snapshots,
+        merge_observations,
+    )
     from repro.obs.tracing import TraceRecorder
     from repro.sim.report import observability_summary
     from repro.sim.single_core import simulate_trace
@@ -202,6 +206,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     trace_cache = process_cache().snapshot()
     registry.timer("trace/load_seconds").seconds += trace_cache["load_seconds"]
 
+    # Snapshots of long-lived components (serve-stats.json,
+    # dist-stats.json), keyed by component.
+    snapshots = load_snapshots(default_cache_dir())
+
     with registry.timer("phase/report"):
         merged = merge_observations([run.obs for run in results])
         if args.json:
@@ -234,12 +242,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                     for key, value in trace_cache.items()
                 },
             }
-            serve_stats = _serve_stats_snapshot()
-            if serve_stats is not None:
-                payload["serve"] = serve_stats
-            dist_stats = _dist_stats_snapshot()
-            if dist_stats is not None:
-                payload["dist"] = dist_stats
+            for component, snapshot in snapshots.items():
+                payload.setdefault(component, snapshot)
             print(json.dumps(payload, indent=2, sort_keys=True))
             return 0
         print(f"machine: {machine.label}")
@@ -254,20 +258,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 print(f"cache {label}: {metric['value']}")
         for key in ("hits", "misses", "evictions"):
             print(f"trace cache {key}: {trace_cache[key]}")
-        serve_stats = _serve_stats_snapshot()
-        if serve_stats is not None:
-            for name in sorted(serve_stats.get("counters", {})):
-                metric = serve_stats["counters"][name]
-                if name.startswith("serve/") and metric.get("kind") == "counter":
-                    label = name.removeprefix("serve/").replace("_", " ")
-                    print(f"serve {label}: {metric['value']}")
-        dist_stats = _dist_stats_snapshot()
-        if dist_stats is not None:
-            for name in sorted(dist_stats.get("counters", {})):
-                metric = dist_stats["counters"][name]
-                if name.startswith("dist/") and metric.get("kind") == "counter":
-                    label = name.removeprefix("dist/").replace("_", " ")
-                    print(f"dist {label}: {metric['value']}")
+        for component, snapshot in snapshots.items():
+            prefix = f"{component}/"
+            for name, metric in sorted(snapshot.get("counters", {}).items()):
+                if name.startswith(prefix) and metric.get("kind") == "counter":
+                    label = name.removeprefix(prefix).replace("_", " ")
+                    print(f"{component} {label}: {metric['value']}")
         print("wall time by phase:")
     for name, seconds in registry.timers.items():
         print(f"  {name:16s} {seconds:8.3f}s")
@@ -367,20 +363,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_stats_snapshot() -> dict | None:
-    """The last server's ``serve-stats.json`` snapshot, if one exists."""
-    from repro.serve.stats import load_serve_stats
-
-    return load_serve_stats(default_cache_dir())
-
-
-def _dist_stats_snapshot() -> dict | None:
-    """The last dispatch's ``dist-stats.json`` snapshot, if one exists."""
-    from repro.dist.stats import load_dist_stats
-
-    return load_dist_stats(default_cache_dir())
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the long-lived experiment service until SIGTERM/SIGINT drain.
 
@@ -446,7 +428,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     Exit codes: 0 all jobs resolved (or accepted, without ``--wait``),
     1 the submission was rejected or any job failed, 2 the server was
-    unreachable (missing/stale socket — one clean line, no traceback).
+    unreachable (missing/stale socket) or was lost: it closed the stream
+    before ``accepted`` (``done`` under ``--wait``).  Either way one
+    clean line, no traceback.
     """
     from repro.serve.client import Address, ServeClient, ServeClientError
 
@@ -509,6 +493,12 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                 elif kind == "error":
                     print(f"error: {event.get('message')}", file=sys.stderr)
                     return 1
+            else:
+                awaited = "done" if args.wait else "accepted"
+                raise ServeClientError(
+                    f"{client.address.describe()} closed the connection "
+                    f"before {awaited!r}"
+                )
     except ServeClientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ Modules:
   ``repro dispatch --workers N``.
 * :mod:`repro.dist.coordinator` — the coordinator proper: lease
   assignment, per-worker health tracking, seeded-backoff reassignment
-  of jobs from lost workers, and the byte-deterministic fold-in.
-* :mod:`repro.dist.stats` — the ``dist-stats.json`` post-mortem
-  snapshot surfaced by ``repro stats``.
+  of jobs from lost workers, and the byte-deterministic fold-in, plus
+  the ``dist-stats.json`` post-mortem snapshot surfaced by
+  ``repro stats``.
 """

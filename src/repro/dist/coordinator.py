@@ -68,7 +68,6 @@ from repro.dist.journal import (
     journal_path,
     replay_journal,
 )
-from repro.dist.stats import write_dist_stats
 from repro.dist.worker import LocalWorkerPool, WorkerEndpoint
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeClientError, ServeTimeout
@@ -1028,25 +1027,21 @@ class DispatchCoordinator:
 
     def _write_stats(self, report: DispatchReport, final: bool) -> None:
         """Snapshot ``dist/*`` counters to ``dist-stats.json`` (atomic)."""
-        payload = {
-            "pid": os.getpid(),
-            "preset": self.preset_name,
-            "protocol": protocol.PROTOCOL_VERSION,
-            "final": final,
-            "lease_size": self.lease_size,
-            "worker_retries": self.worker_retries,
-            "fold_every": self.fold_every,
-            "heartbeat_interval": self.heartbeat_interval,
-            "heartbeat_deadline": self.heartbeat_deadline,
-            "resumed": self._resumed,
-            "report": report.to_dict(),
-            "counters": self.registry.as_dict(),
-            "timers": self.registry.timers,
-        }
-        try:
-            write_dist_stats(self.cache_dir, payload)
-        except OSError:
-            pass  # observability must never take the dispatch down
+        self.registry.write_snapshot(
+            self.cache_dir,
+            "dist",
+            pid=os.getpid(),
+            preset=self.preset_name,
+            protocol=protocol.PROTOCOL_VERSION,
+            final=final,
+            lease_size=self.lease_size,
+            worker_retries=self.worker_retries,
+            fold_every=self.fold_every,
+            heartbeat_interval=self.heartbeat_interval,
+            heartbeat_deadline=self.heartbeat_deadline,
+            resumed=self._resumed,
+            report=report.to_dict(),
+        )
 
     @staticmethod
     def _log(message: str) -> None:

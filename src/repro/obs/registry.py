@@ -21,12 +21,26 @@ Serialised observations are plain dicts — ``{name: {"kind": ...,
 ...}}`` — so they travel inside the JSONL result cache unchanged, and
 :func:`merge_observations` aggregates them across traces, shards or
 whole sweeps with per-kind merge semantics.
+
+Long-lived components (``repro serve``, ``repro dispatch``) are separate
+processes, so their counters reach a later ``repro stats`` through a
+snapshot file in the cache directory, ``<component>-stats.json``:
+:meth:`CounterRegistry.write_snapshot` rewrites it atomically and
+:func:`load_snapshots` reads every one back.  A snapshot is the
+post-mortem view of what the component did, readable after it exited.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
+import os
 import time
+from pathlib import Path
 from typing import Iterable, Mapping
+
+#: ``<component>`` + this suffix names a component's snapshot file.
+SNAPSHOT_SUFFIX = "-stats.json"
 
 
 class MetricKindError(TypeError):
@@ -159,6 +173,26 @@ class CounterRegistry:
             if not isinstance(metric, Timer)
         }
 
+    def write_snapshot(self, cache_dir: Path, component: str, **fields) -> None:
+        """Atomically (re)write ``<component>-stats.json`` in ``cache_dir``.
+
+        The payload is ``fields`` plus this registry's ``counters``
+        (:meth:`as_dict`) and live ``timers``.  Temp file plus
+        ``os.replace`` in the same directory, so readers see the old
+        snapshot or the new one, never a torn hybrid.  An ``OSError`` is
+        swallowed: observability must never take its component down.
+        """
+        path = Path(cache_dir) / f"{component}{SNAPSHOT_SUFFIX}"
+        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+        payload = {**fields, "counters": self.as_dict(), "timers": self.timers}
+        with contextlib.suppress(OSError):
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+
 
 class ScopedRegistry:
     """Prefixing view over a :class:`CounterRegistry`."""
@@ -195,6 +229,24 @@ class ScopedRegistry:
     def scoped(self, prefix: str) -> "ScopedRegistry":
         """A registry view nested one prefix deeper."""
         return ScopedRegistry(self._registry, self._name(prefix))
+
+
+def load_snapshots(cache_dir: Path) -> dict[str, dict]:
+    """Every readable ``<component>-stats.json`` in ``cache_dir``, by component.
+
+    A corrupt snapshot is treated as absent: it is an observability
+    artifact, never load-bearing state, so tolerating rot beats failing
+    a stats report over it.
+    """
+    snapshots = {}
+    for path in sorted(Path(cache_dir).glob(f"*{SNAPSHOT_SUFFIX}")):
+        try:
+            payload = json.loads(path.read_text())
+        except (OSError, ValueError):
+            continue
+        if isinstance(payload, dict):
+            snapshots[path.name.removesuffix(SNAPSHOT_SUFFIX)] = payload
+    return snapshots
 
 
 def merge_observations(observations: Iterable[Mapping]) -> dict:

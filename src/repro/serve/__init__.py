@@ -18,8 +18,10 @@ result cache:
   reclaim, graceful drain on ``SIGTERM``.
 * :mod:`repro.serve.client` — the blocking client used by
   ``repro submit`` and ``repro serve-status``.
-* :mod:`repro.serve.stats` — the ``serve-stats.json`` snapshot that
-  feeds ``repro stats --json`` after the server exits.
+
+The server snapshots its counters to ``serve-stats.json``
+(:meth:`repro.obs.registry.CounterRegistry.write_snapshot`), which
+feeds ``repro stats --json`` after the server exits.
 
 The load-bearing invariant extends the repo-wide one: any mix of
 concurrent clients leaves ``.repro_cache/`` byte-identical to a clean

@@ -40,7 +40,9 @@ and batch-size histograms, per-phase timers), which flow into
 Testing hook: ``$REPRO_SERVE_BATCH_DELAY`` (seconds, float) delays each
 batch before it executes, widening the window in which concurrent
 submissions dedupe against in-flight work — the serve smoke tests use
-it to make "dedupe against in-flight" deterministic.
+it to make "dedupe against in-flight" deterministic.  It is read once,
+when the scheduler is built, so a malformed value fails the server's
+startup rather than its first batch.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from repro.serve import protocol
 from repro.serve.protocol import JobSpec
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.resultcache import canonicalize_cache_file
-from repro.sim.retry import FailedCell
+from repro.sim.retry import FailedCell, _env_float
 
 #: Testing hook: seconds to sleep before executing each batch.
 BATCH_DELAY_ENV = "REPRO_SERVE_BATCH_DELAY"
@@ -132,6 +134,8 @@ class JobScheduler:
         self.registry = runner.registry
         self.max_queue = max(1, max_queue)
         self.client_quota = max(1, client_quota)
+        #: Seconds slept before each batch (``$REPRO_SERVE_BATCH_DELAY``).
+        self.batch_delay = _env_float(BATCH_DELAY_ENV, 0.0)
         self._inflight: dict[str, _InFlight] = {}
         self._queue: list[_InFlight] = []
         self._outstanding: dict[str, int] = {}
@@ -340,9 +344,8 @@ class JobScheduler:
                     entry.running = True
                 self.registry.observe("serve/queue_depth", len(batch))
                 self.registry.observe("serve/batch_jobs", len(batch))
-                delay = float(os.environ.get(BATCH_DELAY_ENV, "0") or 0)
-                if delay > 0:
-                    await asyncio.sleep(delay)
+                if self.batch_delay > 0:
+                    await asyncio.sleep(self.batch_delay)
                 try:
                     failures = await loop.run_in_executor(
                         self._executor, self._execute_batch, batch

@@ -33,7 +33,6 @@ from pathlib import Path
 
 from repro.serve import protocol
 from repro.serve.scheduler import JobScheduler, SubmitRejected
-from repro.serve.stats import write_serve_stats
 from repro.sim.config import PRESETS
 from repro.sim.experiment import ExperimentRunner, default_cache_dir
 from repro.workloads.suite import all_specs
@@ -270,26 +269,21 @@ class ExperimentServer:
 
     def _write_stats(self, final: bool = False) -> None:
         """Snapshot counters to ``serve-stats.json`` (atomic replace)."""
-        registry = self.runner.registry
-        payload = {
-            "pid": os.getpid(),
-            "preset": self.preset.name,
-            "worker": self.worker,
-            "protocol": protocol.PROTOCOL_VERSION,
-            "address": str(self.socket_path)
+        self.runner.registry.write_snapshot(
+            self.cache_dir,
+            "serve",
+            pid=os.getpid(),
+            preset=self.preset.name,
+            worker=self.worker,
+            protocol=protocol.PROTOCOL_VERSION,
+            address=str(self.socket_path)
             if self.socket_path is not None
             else f"tcp://{self.tcp[0]}:{self.tcp[1]}",
-            "draining": self.scheduler.draining,
-            "final": final,
-            "queue_depth": self.scheduler.queue_depth,
-            "inflight_jobs": self.scheduler.inflight_jobs,
-            "counters": registry.as_dict(),
-            "timers": registry.timers,
-        }
-        try:
-            write_serve_stats(self.cache_dir, payload)
-        except OSError:
-            pass  # observability must never take the service down
+            draining=self.scheduler.draining,
+            final=final,
+            queue_depth=self.scheduler.queue_depth,
+            inflight_jobs=self.scheduler.inflight_jobs,
+        )
 
     def _progress_from_worker(self, done: int, total: int, key: str) -> None:
         """Runner progress callback (executor thread) -> loop thread."""

@@ -1,34 +1,4 @@
-"""Batch access engine and the scalar access kernel it shares with mixes.
-
-The single-core inner loop spends most of its instructions deciding, one
-access at a time, that an address is an L1 hit and touching the LRU
-state.  This engine snapshots the L1's flat tag/valid columns **once**
-(the columnar layout from :mod:`repro.cache.setassoc` exists for exactly
-this) and resolves hit/way predictions for whole spans of the trace with
-vectorised probes.  Predictions stay exact precisely until the first
-predicted miss: L1 hits never change cache *membership*, so the leading
-run of predicted hits is applied wholesale with NumPy; the miss itself
-goes through the scalar access kernel.
-
-What makes the engine *resumable* is the L1's mutation log
-(``SetAssociativeCache.log``, plus the kernel's own ``log`` argument for
-the L1 changes it inlines): only fills and invalidations change L1
-membership, and each appends the flat slot it touched.  After handling
-a miss scalar-side the engine patches exactly those slots of its
-snapshot and re-enters the vectorised probe immediately — no whole-cache
-re-snapshot, and no falling back to scalar until an arbitrary chunk
-boundary.  ``chunk_size`` survives as the *probe cap*: the most
-predictions examined per probe (tests exercise boundary cases with it).
-
-Two adaptations keep miss-heavy phases from drowning in probe overhead:
-
-* the probe segment length doubles while segments keep fully hitting and
-  shrinks toward the observed run length after a miss, so only consumed
-  predictions are paid for;
-* runs shorter than ``VEC_MIN`` are replayed through the scalar kernel
-  (the fixed cost of the vector apply exceeds its benefit there), and
-  after ``SHORT_LIMIT`` consecutive short runs the engine processes a
-  ``BURST`` of accesses purely scalar-side before probing again.
+"""Batch access engine: the scalar access kernel single-core runs and mixes share.
 
 The scalar access kernel (:func:`scalar_kernel`) is the one inlined
 copy of the demand path — the L1 hit and the miss path of
@@ -37,23 +7,13 @@ over columns hoisted once per (hierarchy, trace), with every counter
 batched in closure cells and flushed once.  Inlined updates land in the
 same order with the same values as the per-method reference — the
 hierarchy's and the LLC architectures' own methods, which the traced
-engine runs.  Its callers: this engine (each scalar span) and the mix
-driver (each thread's run-ahead span).
+engine runs.  Both of its callers drive it the same way, building it
+once per (hierarchy, trace), calling ``run`` and then ``flush``:
 
-The vector apply reproduces the scalar kernel bit-for-bit:
-
-* cycles accumulate through a seeded ``cumsum`` — a *sequential* IEEE
-  float64 fold, element-identical to the scalar ``cycles += delta *
-  base_cpi`` chain (``np.sum``'s pairwise reduction would not be);
-* exact LRU state: within a run each set's clock advances once per
-  touch, so a touch's stamp is ``clock_before[set] + rank-within-set``;
-  the final stamp of each (set, way) is its last touch's stamp, and
-  per-set clocks advance by per-set touch counts (``bincount``);
-* ``data.on_write`` fires per store, in trace order, with plain-int
-  addresses (NumPy integer scalars are kept out of all model state —
-  they would silently slow every later scalar touch);
-* victim-occupancy samples falling inside a run all observe the same
-  value, since a pure L1-hit run cannot change LLC state.
+* the ``batch`` engine of :func:`repro.sim.single_core.simulate_trace`
+  runs the whole trace as one span;
+* the mix driver (:func:`repro.sim.multi_core.simulate_mix`) runs each
+  thread's run-ahead spans.
 
 Byte-identity against the traced reference loop — results and
 serialised observations — is enforced by the differential fuzz oracles
@@ -64,8 +24,6 @@ in ``tests/sim/test_batch_equivalence.py`` (single core) and
 from __future__ import annotations
 
 from math import inf, nextafter
-
-import numpy as np
 
 from repro.cache.hierarchy import _decompression_cycles
 from repro.cache.prefetch import _PAGE_LINES, _PAGE_MASK, _PAGE_SHIFT
@@ -80,35 +38,6 @@ _READ = int(AccessKind.READ)
 _WRITEBACK = int(AccessKind.WRITEBACK)
 _PREFETCH = int(AccessKind.PREFETCH)
 
-#: Default probe cap: the most hit predictions one probe examines.
-#: Large enough to amortise the per-probe numpy calls on hit-dominated
-#: traces, small enough that nothing is wasted when the trace turns.
-DEFAULT_CHUNK = 4096
-
-#: First probe segment length.  Predictions past the first miss are
-#: discarded, so the probe grows geometrically from this floor instead
-#: of paying for the whole cap up front.
-PROBE_MIN = 512
-
-#: Segment-length floor after a miss shrinks the probe.
-SEG_MIN = 64
-
-#: Hit runs shorter than this are replayed scalar-side: the vector
-#: apply's fixed cost (argsort/bincount/cumsum setup) only pays for
-#: itself on longer runs.
-VEC_MIN = 32
-
-#: A run shorter than this counts toward the consecutive-short-run
-#: streak that triggers a scalar burst.
-SHORT_RUN = 8
-
-#: Consecutive short runs before the engine stops probing for a while.
-SHORT_LIMIT = 4
-
-#: Accesses processed purely scalar-side once a miss-heavy phase is
-#: detected, before the next vectorised probe.
-BURST = 512
-
 
 def scalar_kernel(
     deltas,
@@ -120,7 +49,6 @@ def scalar_kernel(
     victim_occupancy,
     sample_every: int,
     samples: list,
-    log: list | None = None,
     addr_offset: int = 0,
     size_memo: dict | None = None,
     size_fn=None,
@@ -136,8 +64,7 @@ def scalar_kernel(
     the batched counters back once, after the last run, so kernels over
     one shared LLC sum correctly.  ``addr_offset`` is added on the
     hierarchy side only: ``on_write`` and the size lookups (by default
-    the hierarchy's) take the trace address.  ``log`` receives each L1
-    slot whose membership changes; ``None`` discards them.
+    the hierarchy's) take the trace address.
     """
     l1 = hierarchy.l1
     l1_sets = l1._sets
@@ -219,9 +146,6 @@ def scalar_kernel(
     llc_exposed = core.llc_exposed
     mlp_llc = core.mlp_llc
     mlp_memory = core.mlp_memory
-    discard_log = log is None
-    if discard_log:
-        log = []
 
     # Hierarchy/cache counters, batched in closure cells until flush().
     accesses_c = 0
@@ -448,7 +372,6 @@ def scalar_kernel(
                                     l1_dirty[islot] = False
                                     icset.valid_count -= 1
                                     l1_stamps[islot] = 0
-                                    log.append(islot)
                                 icset = l2_sets[uvictim & l2_mask]
                                 iway = icset.lookup.pop(uvictim, None)
                                 if iway is not None:
@@ -719,7 +642,6 @@ def scalar_kernel(
                                     l1_dirty[islot] = False
                                     icset.valid_count -= 1
                                     l1_stamps[islot] = 0
-                                    log.append(islot)
                                 icset = l2_sets[
                                     replaced_addr & l2_mask
                                 ]
@@ -783,7 +705,6 @@ def scalar_kernel(
                                     l1_dirty[islot] = False
                                     icset.valid_count -= 1
                                     l1_stamps[islot] = 0
-                                    log.append(islot)
                                 icset = l2_sets[inv_addr & l2_mask]
                                 iway = icset.lookup.pop(inv_addr, None)
                                 if iway is not None:
@@ -863,7 +784,6 @@ def scalar_kernel(
                             l1_dirty[v1slot] = False
                             v1set.valid_count -= 1
                             l1_stamps[v1slot] = 0
-                            log.append(v1slot)
                         if was_dirty:
                             writebacks_to_llc_c += 1
                             if unc is not None:
@@ -1039,7 +959,6 @@ def scalar_kernel(
                 clock1 = l1_clocks[index1] + 1
                 l1_clocks[index1] = clock1
                 l1_stamps[slot1] = clock1
-                log.append(slot1)
                 if victim1_dirty:
                     # Dirty L1 victim merges into the (inclusive) L2:
                     # l2.probe(victim1, is_write=True), inlined.
@@ -1132,7 +1051,6 @@ def scalar_kernel(
                                 l1_dirty[islot] = False
                                 icset.valid_count -= 1
                                 l1_stamps[islot] = 0
-                                log.append(islot)
                             icset = l2_sets[uvictim & l2_mask]
                             iway = icset.lookup.pop(uvictim, None)
                             if iway is not None:
@@ -1348,7 +1266,6 @@ def scalar_kernel(
                                     l1_dirty[islot] = False
                                     icset.valid_count -= 1
                                     l1_stamps[islot] = 0
-                                    log.append(islot)
                                 icset = l2_sets[
                                     replaced_addr & l2_mask
                                 ]
@@ -1410,8 +1327,6 @@ def scalar_kernel(
         core.instructions = instructions
         core.stall_cycles = stall_cycles
         accesses_c += i - start
-        if discard_log:
-            log.clear()
         return i, next_sample
 
     def flush() -> None:
@@ -1458,237 +1373,3 @@ def scalar_kernel(
             bv_vp.stat_replacements += bv_replacements_c
 
     return run, flush
-
-
-def run_batch_loop(
-    deltas,
-    addrs,
-    kinds,
-    hierarchy,
-    core,
-    on_write,
-    victim_occupancy,
-    sample_every: int,
-    next_sample: int,
-    occupancy,
-    chunk_size: int | None = None,
-) -> None:
-    """Run one trace through the hierarchy with resumable vector probes.
-
-    Mutates ``hierarchy``/``core``/``occupancy`` exactly like the traced
-    loop in :func:`repro.sim.single_core.simulate_trace`, flushing the
-    scalar kernel's batched counters once at the end.  ``next_sample``
-    is ``-1`` when the LLC has no victim cache to sample.
-    """
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    cap = chunk_size
-    length = len(addrs)
-
-    l1 = hierarchy.l1
-    l1_mask = l1._set_mask
-    num_sets = l1_mask + 1
-    ways = l1.ways
-    l1_tags = l1.tags
-    l1_valid = l1.valid
-    l1_stamps = l1.stamps
-    l1_clocks = l1.clocks
-    l1_dirty = l1.dirty
-    base_cpi = core.base_cpi
-    vector_hits = 0
-    samples: list[int] = []
-
-    # Zero-copy views over the trace's packed array.array columns.
-    np_addrs = np.frombuffer(addrs, dtype=np.int64)
-    np_deltas = np.frombuffer(deltas, dtype=np.int32)
-    np_kinds = np.frombuffer(kinds, dtype=np.int8)
-
-    # One snapshot of the L1's flat columns for the whole trace.  The
-    # 2-D probe views alias the flat arrays, so patching a flat slot
-    # below updates what the probe sees.
-    t_flat = np.array(l1_tags, dtype=np.int64)
-    v_flat = np.array(l1_valid, dtype=bool)
-    tags2d = t_flat.reshape(num_sets, ways)
-    valid2d = v_flat.reshape(num_sets, ways)
-    log: list[int] = []
-    run_scalar, flush = scalar_kernel(
-        deltas,
-        addrs,
-        kinds,
-        hierarchy,
-        core,
-        on_write,
-        victim_occupancy,
-        sample_every,
-        samples,
-        log=log,
-    )
-    # The L1 changes the kernel leaves to the hierarchy's methods
-    # (multi-line back-invalidations, the defensive L2 refill) log too.
-    prev_log = l1.log
-    l1.log = log
-    # Past this many logged slots (a scalar burst logs thousands) a bulk
-    # refresh of the whole snapshot is cheaper than per-slot patching:
-    # the list->array assignment is one C loop, a patch is four
-    # interpreted operations per slot.
-    refresh_floor = (num_sets * ways) // 4
-
-    try:
-        lo = 0
-        seg = PROBE_MIN if PROBE_MIN < cap else cap
-        short_runs = 0
-        while lo < length:
-            # Sync: patch the snapshot slots the scalar side mutated.
-            if log:
-                if len(log) > refresh_floor:
-                    t_flat[:] = l1_tags
-                    v_flat[:] = l1_valid
-                else:
-                    for slot in log:
-                        t_flat[slot] = l1_tags[slot]
-                        v_flat[slot] = l1_valid[slot]
-                log.clear()
-
-            # Probe the leading hit run from lo, in adaptively sized
-            # segments, examining at most ``cap`` predictions.
-            probe_hi = lo + cap
-            if probe_hi > length:
-                probe_hi = length
-            run_len = 0
-            part_sets: list = []
-            part_ways: list = []
-            seg_lo = lo
-            miss = False
-            while seg_lo < probe_hi:
-                seg_hi = seg_lo + seg
-                if seg_hi > probe_hi:
-                    seg_hi = probe_hi
-                a = np_addrs[seg_lo:seg_hi]
-                sidx = a & l1_mask
-                eq = (tags2d[sidx] == a[:, None]) & valid2d[sidx]
-                seg_hit = eq.any(axis=1)
-                if seg_hit.all():
-                    part_sets.append(sidx)
-                    part_ways.append(eq.argmax(axis=1))
-                    run_len += seg_hi - seg_lo
-                    seg_lo = seg_hi
-                    grown = seg * 2
-                    seg = grown if grown < cap else cap
-                else:
-                    k = int(np.argmax(~seg_hit))
-                    if k:
-                        part_sets.append(sidx[:k])
-                        part_ways.append(eq[:k].argmax(axis=1))
-                        run_len += k
-                    miss = True
-                    shrunk = 2 * run_len
-                    if shrunk < SEG_MIN:
-                        shrunk = SEG_MIN
-                    seg = shrunk if shrunk < cap else cap
-                    break
-            m = lo + run_len
-
-            if run_len >= VEC_MIN:
-                # ---- vector-apply the leading hit run [lo, m) ----
-                scalar_lo = m
-                if len(part_sets) == 1:
-                    r_set = part_sets[0]
-                    r_way = part_ways[0]
-                else:
-                    r_set = np.concatenate(part_sets)
-                    r_way = np.concatenate(part_ways)
-                r_flat = r_set * ways + r_way
-
-                # Exact LRU stamps: rank of each touch within its set's
-                # ordered touches (stable sort keeps trace order per set).
-                order = np.argsort(r_set, kind="stable")
-                s_sorted = r_set[order]
-                group_start = np.searchsorted(s_sorted, s_sorted, side="left")
-                ranks = np.empty(run_len, dtype=np.int64)
-                ranks[order] = np.arange(run_len, dtype=np.int64) - group_start + 1
-                clocks_np = np.array(l1_clocks, dtype=np.int64)
-                stamp_vals = clocks_np[r_set] + ranks
-
-                # Each (set, way)'s final stamp is its *last* touch's stamp.
-                order2 = np.argsort(r_flat, kind="stable")
-                f_sorted = r_flat[order2]
-                last = np.empty(run_len, dtype=bool)
-                last[-1] = True
-                np.not_equal(f_sorted[1:], f_sorted[:-1], out=last[:-1])
-                wb_pos = order2[last]
-                for flat, stamp in zip(
-                    r_flat[wb_pos].tolist(), stamp_vals[wb_pos].tolist()
-                ):
-                    l1_stamps[flat] = stamp
-
-                counts = np.bincount(r_set, minlength=num_sets)
-                touched = np.flatnonzero(counts)
-                for index, count in zip(
-                    touched.tolist(), counts[touched].tolist()
-                ):
-                    l1_clocks[index] += count
-
-                # Stores: dirty bits (order-free) and on_write (in order).
-                wr_rel = np.flatnonzero(np_kinds[lo:m] == 1)
-                if wr_rel.size:
-                    for flat in np.unique(r_flat[wr_rel]).tolist():
-                        l1_dirty[flat] = True
-                    for j in wr_rel.tolist():
-                        on_write(addrs[lo + j])
-
-                d_run = np_deltas[lo:m]
-                core.instructions += int(d_run.sum(dtype=np.int64))
-                # Seeded sequential cumsum == the scalar float fold.
-                buf = np.empty(run_len + 1, dtype=np.float64)
-                buf[0] = core.cycles
-                np.multiply(d_run, base_cpi, out=buf[1:])
-                core.cycles = float(buf.cumsum()[-1])
-                vector_hits += run_len
-
-                if 0 <= next_sample < m:
-                    value = victim_occupancy()
-                    while next_sample < m:
-                        samples.append(value)
-                        next_sample += sample_every
-            else:
-                # Short run: the vector apply's fixed cost exceeds its
-                # benefit, so replay these hits through the scalar kernel.
-                scalar_lo = lo
-
-            # Scalar span: the short run (if any), the predicted miss,
-            # and — in a detected miss-heavy phase — a whole burst.
-            scalar_hi = m + 1 if miss else m
-            if miss:
-                if run_len < SHORT_RUN:
-                    short_runs += 1
-                    if short_runs >= SHORT_LIMIT:
-                        # Stay primed: while the miss-heavy phase lasts,
-                        # one more short run re-triggers the next burst
-                        # immediately instead of after SHORT_LIMIT more
-                        # wasted probes.
-                        short_runs = SHORT_LIMIT
-                        scalar_hi = m + BURST
-                        if scalar_hi > length:
-                            scalar_hi = length
-                else:
-                    short_runs = 0
-
-
-            # Scalar kernel for [scalar_lo, scalar_hi); its L1 mutations
-            # land in the log and are patched in at the next sync.
-            if scalar_lo < scalar_hi:
-                _, next_sample = run_scalar(scalar_lo, scalar_hi, next_sample)
-
-            lo = scalar_hi if miss else m
-    finally:
-        l1.log = prev_log
-
-    flush()
-    stats = hierarchy.stats
-    stats.accesses += vector_hits
-    stats.l1_hits += vector_hits
-    l1.stat_hits += vector_hits
-    for value in samples:
-        occupancy.observe(value)

@@ -7,10 +7,9 @@
     through the per-method cache layers, per-access counter updates,
     one tracer record per access.  Always used when a tracer is active.
 ``batch``
-    The chunked engine (:mod:`repro.sim.batch`): a vectorised probe
-    against an L1 snapshot resolves each leading run of hits with
-    NumPy, and the scalar access kernel
-    (:func:`repro.sim.batch.scalar_kernel`) handles the misses.
+    The scalar access kernel (:func:`repro.sim.batch.scalar_kernel`):
+    the demand path inlined over hoisted columns, with counters batched
+    and flushed once, run over the whole trace as one span.
 
 Multi-program mixes (:func:`repro.sim.multi_core.simulate_mix`) follow
 the same selection: ``traced`` keeps the per-access loop as the

@@ -7,10 +7,10 @@ attached to it: this module measures single-worker engine throughput
 regressions are caught by CI instead of being discovered months later in
 a 60-trace sweep that suddenly takes an afternoon.
 
-Three entry points share this engine:
+Two entry points share this engine:
 
 * ``repro perf`` — the CLI subcommand for interactive measurement,
-* ``benchmarks/bench_perf.py`` — the standalone script CI runs,
+  profiling (``--profile``) and CI's perf-smoke gate (``--check``);
 * :func:`check_regression` — the gate comparing a fresh measurement
   against the committed ``BENCH_PERF.json`` baseline.
 
@@ -413,14 +413,3 @@ def run(args) -> int:
         )
     return 0
 
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone entry point (``benchmarks/bench_perf.py``)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="bench_perf",
-        description="measure single-worker simulation throughput",
-    )
-    add_arguments(parser)
-    return run(parser.parse_args(argv))

@@ -12,12 +12,12 @@ from dataclasses import asdict, dataclass, field
 
 from repro.cache.hierarchy import L1, CacheHierarchy
 from repro.compression.stats import publish_codec_histograms
-from repro.sim import batch
-from repro.sim.engine import resolve_engine
 from repro.memory.dram import DRAMModel
 from repro.obs.registry import CounterRegistry
 from repro.obs.tracing import TraceRecorder
+from repro.sim.batch import scalar_kernel
 from repro.sim.config import MachineConfig, Preset
+from repro.sim.engine import resolve_engine
 from repro.timing.core_model import CoreParams, CoreTimingModel
 from repro.timing.latency import LatencyParams
 from repro.workloads.datagen import LineDataModel
@@ -101,7 +101,6 @@ def simulate_trace(
     tracer: TraceRecorder | None = None,
     registry: CounterRegistry | None = None,
     engine: str | None = None,
-    chunk_size: int | None = None,
 ) -> RunResult:
     """Run one trace through one machine configuration.
 
@@ -113,10 +112,9 @@ def simulate_trace(
 
     ``engine`` picks the inner loop (see :mod:`repro.sim.engine`);
     ``None`` means ``$REPRO_ENGINE`` or the default.  An active tracer
-    always forces the traced reference loop.  ``chunk_size`` is the
-    batch engine's chunk length (tests exercise boundary cases with it).
-    The engine choice never appears in the result: both engines are
-    byte-identical, so a cached result is engine-independent.
+    always forces the traced reference loop.  The engine choice never
+    appears in the result: both engines are byte-identical, so a cached
+    result is engine-independent.
     """
     llc = machine.build_llc(preset)
     dram = DRAMModel()
@@ -164,8 +162,8 @@ def simulate_trace(
     # Two equivalent inner loops (see repro.sim.engine).  The traced
     # loop is the reference: one hierarchy.access per demand access,
     # per-access counter updates, one tracer.record per access.  The
-    # batch loop vector-resolves each chunk's leading run of L1 hits and
-    # hands the misses to the scalar access kernel.
+    # batch loop runs the scalar access kernel over the whole trace as
+    # one span, the way simulate_mix runs each thread's spans.
     # tests/sim/test_engine_equivalence.py and
     # tests/sim/test_batch_equivalence.py prove both produce
     # byte-identical RunResults and observations.
@@ -173,7 +171,8 @@ def simulate_trace(
 
     with registry.timer("phase/simulate"):
         if engine_name == "batch":
-            batch.run_batch_loop(
+            samples: list[int] = []
+            run, flush = scalar_kernel(
                 deltas,
                 addrs,
                 kinds,
@@ -182,10 +181,12 @@ def simulate_trace(
                 on_write,
                 victim_occupancy,
                 sample_every,
-                next_sample,
-                occupancy,
-                chunk_size=chunk_size,
+                samples,
             )
+            run(0, length, next_sample)
+            flush()
+            for value in samples:
+                occupancy.observe(value)
         else:
             for i in range(length):
                 advance(deltas[i])

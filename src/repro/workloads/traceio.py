@@ -2,10 +2,11 @@
 
 Lets users persist generated traces or bring their own (e.g. converted
 from a Pin/DynamoRIO capture).  The current format, **v3**, is a
-columnar layout built for the vectorised batch engine: each of the three
-record columns lands in its own contiguous, 64-byte-aligned, individually
-checksummed section, so a reader can memory-map any column directly as a
-NumPy array (:func:`open_trace_columns`) without parsing past the header.
+columnar layout: each of the three record columns lands in its own
+contiguous, 64-byte-aligned, individually checksummed section, so
+:func:`read_trace` loads each column with one bulk copy, and a reader
+can memory-map any column directly as a NumPy array
+(:func:`open_trace_columns`) without parsing past the header.
 
 v3 layout, all fixed-width fields little-endian::
 
@@ -280,8 +281,10 @@ def open_trace_columns(path: str | Path, verify: bool = True):
     """Memory-map a v3 trace's columns as read-only NumPy arrays.
 
     Returns ``(meta, {"kinds": i8[:], "addrs": i64[:], "deltas":
-    i32[:]})`` without copying the sections — this is the zero-copy
-    ingest path for the batch engine and bulk trace analysis.  The
+    i32[:]})`` without copying the sections — the zero-copy ingest
+    path for bulk trace analysis (simulation takes the
+    :class:`~repro.workloads.trace.Trace` that :func:`read_trace`
+    loads).  The
     header checksum is always verified; ``verify=True`` additionally
     checks every section CRC (touching each page once).  Requires NumPy.
     """

@@ -7,6 +7,7 @@ import pytest
 from repro.obs.registry import (
     CounterRegistry,
     MetricKindError,
+    load_snapshots,
     merge_observations,
 )
 
@@ -126,3 +127,53 @@ class TestMergeObservations:
         merged = merge_observations([serialised, serialised])
         assert merged["c"]["value"] == 6
         assert merged["h"]["buckets"] == {"5": 4}
+
+
+class TestSnapshots:
+    def test_write_then_load_round_trips_by_component(self, tmp_path):
+        reg = CounterRegistry()
+        reg.inc("serve/jobs_submitted", 3)
+        with reg.timer("serve/batch"):
+            pass
+        reg.write_snapshot(tmp_path, "serve", pid=7, final=True)
+        other = CounterRegistry()
+        other.inc("dist/workers_lost")
+        other.write_snapshot(tmp_path, "dist", report={"jobs": 2})
+
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dist-stats.json",
+            "serve-stats.json",
+        ]
+        snapshots = load_snapshots(tmp_path)
+        assert list(snapshots) == ["dist", "serve"]
+        serve = snapshots["serve"]
+        assert serve["pid"] == 7 and serve["final"] is True
+        assert serve["counters"] == reg.as_dict()
+        assert set(serve["timers"]) == {"serve/batch"}
+        assert snapshots["dist"]["report"] == {"jobs": 2}
+        assert snapshots["dist"]["counters"]["dist/workers_lost"]["value"] == 1
+
+    def test_rewrite_replaces_the_previous_snapshot(self, tmp_path):
+        reg = CounterRegistry()
+        reg.write_snapshot(tmp_path, "serve", final=False)
+        reg.inc("serve/jobs_completed")
+        reg.write_snapshot(tmp_path, "serve", final=True)
+        snapshot = load_snapshots(tmp_path)["serve"]
+        assert snapshot["final"] is True
+        assert snapshot["counters"]["serve/jobs_completed"]["value"] == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["serve-stats.json"]
+
+    def test_corrupt_or_non_object_snapshot_reads_as_absent(self, tmp_path):
+        CounterRegistry().write_snapshot(tmp_path, "serve")
+        (tmp_path / "dist-stats.json").write_text('{"counters": ')
+        (tmp_path / "odd-stats.json").write_text("[1, 2]")
+        assert list(load_snapshots(tmp_path)) == ["serve"]
+
+    def test_missing_directory_has_no_snapshots(self, tmp_path):
+        assert load_snapshots(tmp_path / "absent") == {}
+
+    def test_unwritable_directory_is_swallowed(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        CounterRegistry().write_snapshot(blocker / "cache", "serve")
+        assert load_snapshots(blocker / "cache") == {}

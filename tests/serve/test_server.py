@@ -11,10 +11,13 @@ from __future__ import annotations
 import asyncio
 import json
 import socket as socketlib
+import threading
 
 import pytest
 
-from repro.serve.protocol import MAX_FRAME_BYTES
+from repro.cli import main
+from repro.serve.protocol import MAX_FRAME_BYTES, encode_frame
+from repro.serve.scheduler import BATCH_DELAY_ENV
 from repro.sim.config import BASE_VICTIM_2MB
 from repro.serve.server import (
     ExperimentServer,
@@ -280,6 +283,109 @@ class TestStaleSocket:
             assert path.exists()
         finally:
             listener.close()
+
+
+class _HangUpStub:
+    """A unix-socket stub server: reads one request, sends ``events``, closes."""
+
+    def __init__(self, path, events):
+        self.listener = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
+        self.listener.bind(str(path))
+        self.listener.listen(1)
+        self.events = events
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        conn, _ = self.listener.accept()
+        with conn, conn.makefile("rb") as reader:
+            reader.readline()
+            for event in self.events:
+                conn.sendall(encode_frame(event))
+
+    def close(self):
+        self.thread.join(timeout=TIMEOUT)
+        self.listener.close()
+        assert not self.thread.is_alive()
+
+
+ACCEPTED = {
+    "event": "accepted",
+    "id": "stub",
+    "jobs": 1,
+    "cache_hits": 0,
+    "deduped": 0,
+    "enqueued": 1,
+}
+
+
+class TestSubmitToLostServer:
+    """A stream that ends before the awaited event is a lost server: exit 2."""
+
+    @pytest.mark.parametrize(
+        "flags,events",
+        [
+            (["--wait"], [ACCEPTED]),
+            (["--wait", "--json"], [ACCEPTED]),
+            ([], []),
+            (["--json"], []),
+        ],
+        ids=["wait", "wait-json", "no-accepted", "no-accepted-json"],
+    )
+    def test_hang_up_exits_2_with_one_line(self, tmp_path, capsys, flags, events):
+        path = tmp_path / "stub.sock"
+        stub = _HangUpStub(path, events)
+        try:
+            code = main(
+                ["submit", "--socket", str(path), "--trace", "sjeng.1", *flags]
+            )
+        finally:
+            stub.close()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert len(errors) == 1
+        awaited = "done" if "--wait" in flags else "accepted"
+        assert errors[0].startswith("error: ")
+        assert f"before '{awaited}'" in errors[0]
+
+
+class TestMalformedBatchDelay:
+    """``$REPRO_SERVE_BATCH_DELAY`` is parsed before the socket is bound."""
+
+    def test_server_construction_rejects_non_number(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(BATCH_DELAY_ENV, "abc")
+        with pytest.raises(ValueError, match=BATCH_DELAY_ENV):
+            ExperimentServer(
+                "test", socket_path=tmp_path / "serve.sock", cache_dir=tmp_path
+            )
+
+    def test_repro_serve_exits_2_before_binding(self, tmp_path, capsys, monkeypatch):
+        started = []
+
+        async def run(self):
+            started.append(self)
+            return 0
+
+        monkeypatch.setattr(ExperimentServer, "run", run)
+        monkeypatch.setenv(BATCH_DELAY_ENV, "abc")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        path = tmp_path / "serve.sock"
+        code = main(["serve", "--preset", "test", "--socket", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not started
+        assert not path.exists()
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: ${BATCH_DELAY_ENV} must be a number")
+
+    def test_numeric_delay_is_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(BATCH_DELAY_ENV, "0.25")
+        server = ExperimentServer(
+            "test", socket_path=tmp_path / "serve.sock", cache_dir=tmp_path
+        )
+        assert server.scheduler.batch_delay == 0.25
 
 
 class TestParseTcp:

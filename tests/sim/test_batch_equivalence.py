@@ -1,19 +1,18 @@
 """Differential fuzz oracle: the batch engine vs the traced reference.
 
-The batch engine (``repro.sim.batch``) vector-resolves each chunk's
-leading run of L1 hits against a snapshot of the L1's flat columns and
-hands everything from the first predicted miss onward to the scalar
-body.  Its correctness argument has sharp edges — snapshot staleness,
-exact LRU stamp reconstruction, sequential-fold cycle accumulation,
-store ordering, occupancy sampling inside vs outside a run, chunk
-boundaries — so it is proven, not argued: this module fuzzes dozens of
-seeded randomized traces across every replacement policy, every LLC
-architecture and Base-Victim's non-default variants (each of which the
-scalar kernel serves through a different lane), plus a stub LLC whose
-multi-line back-invalidations reach the L1 outside the kernel.  It
-requires the batched run to be **byte-identical** to the traced
-reference — every ``RunResult`` field and every serialised observation
-(``obs``) — on each one.
+The batch engine runs the scalar access kernel
+(``repro.sim.batch.scalar_kernel``) over the whole trace: the demand
+path inlined over hoisted columns, with every counter batched in
+closure cells and flushed once.  Each inlined update must land in the
+same order with the same values as the per-method reference, and the
+kernel has a separate lane for each LLC flavor, so it is proven, not
+argued: this module fuzzes dozens of seeded randomized traces across
+every replacement policy, every LLC architecture and Base-Victim's
+non-default variants (each of which the kernel serves through a
+different lane), plus a stub LLC whose multi-line back-invalidations
+reach the L1 outside the kernel.  It requires the batched run to be
+**byte-identical** to the traced reference — every ``RunResult`` field
+and every serialised observation (``obs``) — on each one.
 
 Traces are generated from the case seed alone, so every failure
 reproduces from its parametrized test id.
@@ -36,9 +35,9 @@ from repro.sim.single_core import simulate_trace
 from repro.workloads.datagen import LineDataModel, build_palette
 from repro.workloads.trace import LOAD, STORE, Trace, TraceMeta
 
-#: Policies the oracle sweeps the LLC over (the L1/L2 stay LRU — that is
-#: what the batch engine vectorises; the LLC policy shapes the miss tail
-#: the scalar body must interleave with exactly).
+#: Policies the oracle sweeps the LLC over (the L1/L2 stay LRU, the only
+#: private-cache policy the kernel inlines; the LLC policy shapes the
+#: miss path the kernel must reproduce exactly).
 POLICIES = ("lru", "nru", "srrip", "drrip")
 ARCHS = ("uncompressed", "base-victim")
 
@@ -57,11 +56,11 @@ def fuzz_trace(seed: int) -> Trace:
     """One randomized trace, fully determined by ``seed``.
 
     The generator mixes regimes so every engine path is exercised: an
-    L1-resident hot set (long vectorised hit runs), an LLC-scale region
-    (miss tails through L2/LLC/memory), short streaming bursts (membership
-    churn right after a snapshot), and occasional revisits of recently
-    touched lines (hits whose stamps the vector apply must get exactly
-    right).  Lengths are deliberately varied around the chunk size.
+    L1-resident hot set (long runs of L1 hits), an LLC-scale region
+    (misses through L2/LLC/memory), short streaming bursts (L1 and L2
+    membership churn and prefetcher training), and occasional revisits
+    of recently touched lines (hits whose LRU stamps must come out
+    exactly right).
     """
     rng = random.Random(seed)
     length = rng.randrange(200, 800)
@@ -154,11 +153,9 @@ def miss_trace(seed: int) -> Trace:
     """A miss-dominated randomized trace (working set >> L1 and LLC).
 
     Near-uniform accesses over several LLC capacities, so almost every
-    access walks the full scalar miss body — L2 probe, LLC fill,
-    eviction, DRAM accounting — with only incidental vectorised hit
-    runs.  This is the regime the resumable batch engine re-enters the
-    NumPy probe from, and the regime the end-to-end bench matrix is
-    weighted toward.
+    access walks the kernel's full miss path — L2 probe, LLC fill,
+    eviction, DRAM accounting — with only incidental L1 hits.  This is
+    the regime the end-to-end bench matrix is weighted toward.
     """
     rng = random.Random(seed)
     length = rng.randrange(600, 1400)
@@ -213,7 +210,7 @@ MISS_CASES = list(_miss_cases())
 
 
 class TestMissDominatedOracle:
-    """Byte-identity where the scalar miss body does nearly all the work."""
+    """Byte-identity where the kernel's miss path does nearly all the work."""
 
     @pytest.mark.parametrize(
         "seed,machine",
@@ -281,8 +278,7 @@ class InvalidatingLLC(LLCArchitecture):
     ``(line, False)`` for each line named for it.  The kernel serves this
     LLC through its generic lane and hands any multi-line
     ``invalidates`` list to the hierarchy's own back-invalidation, so
-    those L1 changes reach the batch engine only through the L1's
-    mutation log.
+    those L1 changes happen outside the kernel's inlined code.
     """
 
     name = "invalidating"
@@ -321,14 +317,11 @@ def invalidation_trace(rounds: int = 24) -> tuple[Trace, tuple]:
 
     Eight hot lines stay L1-resident, four in each of the L1's two sets.
     Each round reads one fresh trigger line (always in set 1), whose LLC
-    access drops two hot lines of set 0, then runs 48 hot accesses.
-    With the two back-invalidations patched into the snapshot, the
-    probe predicts a miss within the run's first accesses; without
-    them, it predicts the whole run as hits and vector-applies it.  The
-    trigger's own fill lands in the other set, so the kernel's log
-    cannot patch the dropped slots by accident.  Only two lines go per
-    trigger: with every hot line gone at once, the engine would stay in
-    a scalar burst and never probe the stale snapshot.
+    access drops two hot lines of set 0, then runs 48 hot accesses,
+    every fifth a store.  The kernel's next accesses to the dropped
+    lines must see them gone: they miss, refill the L1 and evict, where
+    a kernel that missed the hierarchy-side invalidations would count
+    L1 hits and keep stale LRU and dirty state.
     """
     hot = [0x5000 + line for line in range(8)]
     kinds = array("b")
@@ -362,9 +355,9 @@ def invalidation_trace(rounds: int = 24) -> tuple[Trace, tuple]:
 
 
 class TestHierarchySideInvalidations:
-    """The snapshot sync covers L1 changes made outside the kernel."""
+    """The kernel sees L1 changes made outside its inlined code."""
 
-    def test_multi_line_back_invalidations_patch_the_snapshot(self):
+    def test_multi_line_back_invalidations_reach_the_kernel(self):
         trace, triggers = invalidation_trace()
         machine = InvalidatingMachine(triggers=triggers)
         batched = run_engine(trace, machine, "batch")
@@ -405,7 +398,7 @@ class TestUnpublishedLLCCounters:
 class TestSizeMemoWriteInvalidation:
     """Property: the size memo tracks on_write rotations exactly.
 
-    The batch engine's fill fast path reads ``size_memo`` (falling back
+    The scalar kernel's fill fast path reads ``size_memo`` (falling back
     to ``size_of``), so a stale entry after a store would silently skew
     compressed fills.  A primed model replaying an arbitrary store
     sequence must agree with a never-primed model at every step.
@@ -453,31 +446,9 @@ class TestSizeMemoWriteInvalidation:
 
 
 class TestChunkBoundaries:
-    """Chunk-size edge cases, all on one miss-and-hit-mixed fuzz trace."""
+    """The degenerate span: a trace with no accesses at all."""
 
     MACHINE = MachineConfig(arch="base-victim", policy="lru").validate()
-    SEED = 99_001
-
-    @pytest.fixture(scope="class")
-    def reference(self):
-        return run_engine(fuzz_trace(self.SEED), self.MACHINE, "traced")
-
-    @pytest.mark.parametrize("chunk_size", [1, 7, 63, 10**9])
-    def test_odd_tiny_and_oversized_chunks(self, reference, chunk_size):
-        batched = run_engine(
-            fuzz_trace(self.SEED), self.MACHINE, "batch", chunk_size=chunk_size
-        )
-        assert batched == reference
-
-    def test_chunk_longer_than_trace_equals_single_chunk(self):
-        trace = fuzz_trace(self.SEED)
-        assert run_engine(
-            trace, self.MACHINE, "batch", chunk_size=len(trace) + 1
-        ) == run_engine(trace, self.MACHINE, "batch", chunk_size=10**9)
-
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            run_engine(fuzz_trace(self.SEED), self.MACHINE, "batch", chunk_size=0)
 
     def test_empty_trace(self):
         meta = TraceMeta(
@@ -495,31 +466,32 @@ class TestChunkBoundaries:
 
 
 class TestTraceWindowAcrossChunks:
-    """$REPRO_TRACE windows spanning chunk boundaries.
+    """A $REPRO_TRACE window that covers only part of the trace.
 
     An active tracer forces the traced reference loop by design, so the
     invariant under test is: an env-traced run whose recording window
-    spans what would be several batch chunks is byte-identical to the
-    batched run of the same trace — tracing can never perturb state, and
-    the batch engine can never disagree with what the tracer saw.
+    ends partway through the trace is byte-identical to the batched run
+    of the same trace — tracing can never perturb state, and the batch
+    engine can never disagree with what the tracer saw.
     """
 
     MACHINE = MachineConfig(arch="base-victim", policy="nru").validate()
     SEED = 99_002
+    WINDOW = 175
 
     def test_window_spans_chunk_boundaries(self, tmp_path, monkeypatch):
         trace = fuzz_trace(self.SEED)
-        chunk = 50  # several boundaries inside the window below
-        batched = run_engine(trace, self.MACHINE, "batch", chunk_size=chunk)
+        assert len(trace) > self.WINDOW
+        batched = run_engine(trace, self.MACHINE, "batch")
 
         out = tmp_path / "events.jsonl"
         monkeypatch.setenv(TRACE_ENV, "1")
-        monkeypatch.setenv(TRACE_LIMIT_ENV, str(3 * chunk + chunk // 2))
+        monkeypatch.setenv(TRACE_LIMIT_ENV, str(self.WINDOW))
         monkeypatch.setenv(TRACE_FILE_ENV, str(out))
-        traced = run_engine(trace, self.MACHINE, "batch", chunk_size=chunk)
+        traced = run_engine(trace, self.MACHINE, "batch")
 
         assert batched == traced
         events = [json.loads(line) for line in out.read_text().splitlines()]
         recorded = [event["i"] for event in events if "i" in event]
         assert recorded[0] == 0
-        assert recorded[-1] > 2 * chunk  # the window really spans chunks
+        assert recorded[-1] < len(trace) - 1  # the window really ends early

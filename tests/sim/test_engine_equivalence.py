@@ -2,13 +2,14 @@
 
 ``simulate_trace``'s traced engine (see ``repro.sim.engine``) runs one
 ``hierarchy.access`` per demand access through the per-method cache
-layers; the default batch engine vector-resolves L1 hit runs and hands
-misses to the scalar access kernel of ``repro.sim.batch``, which inlines
-the whole demand path over hoisted columns and batches its counters.  A
-tracer forces the reference loop, so running the same (trace, machine)
-pair with and without one is a direct differential test of the default
-engine: every ``RunResult`` field and every serialised observation must
-be byte-identical.
+layers; the default batch engine runs the scalar access kernel of
+``repro.sim.batch`` over the whole trace, which inlines the demand path
+over hoisted columns, batches its counters and collects its occupancy
+samples for one histogram update at the end.  A tracer forces the
+reference loop, so running the same (trace, machine) pair with and
+without one is a direct differential test of the default engine: every
+``RunResult`` field and every serialised observation must be
+byte-identical.
 """
 
 from __future__ import annotations

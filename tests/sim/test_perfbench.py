@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.sim.config import TEST
+from repro.sim.engine import ENGINE_ENV
 from repro.sim.perfbench import (
     SCHEMA_VERSION,
     aggregate_rate,
@@ -132,3 +134,38 @@ class TestCommittedBaseline:
         )
         assert ratio >= 1.0
         assert bench["speedup"] == pytest.approx(ratio, abs=5e-4)
+
+
+class TestPerfCommand:
+    """``repro perf --check``: the exit path CI's perf-smoke job gates on."""
+
+    SLICE = [
+        "perf", "--preset", "test", "--trace", "sjeng.1",
+        "--machine", "baseline", "--repeats", "1", "--engine", "batch",
+    ]
+
+    def _baseline(self, tmp_path, rate: float) -> Path:
+        path = tmp_path / "BENCH_PERF.json"
+        matrix = {"after": _payload(rate, engine="batch")}
+        path.write_text(json.dumps({"matrices": {"test-ci": matrix}}))
+        return path
+
+    def _perf(self, tmp_path, monkeypatch, rate: float) -> int:
+        # ``repro`` exports --engine to the environment; restore it after.
+        monkeypatch.setenv(ENGINE_ENV, "batch")
+        baseline = self._baseline(tmp_path, rate)
+        return main(
+            [*self.SLICE, "--check", str(baseline), "--section", "test-ci",
+             "--output", str(tmp_path / "measured.json")]
+        )
+
+    def test_beaten_baseline_exits_0(self, tmp_path, monkeypatch, capsys):
+        assert self._perf(tmp_path, monkeypatch, rate=1.0) == 0
+        assert "perf gate OK" in capsys.readouterr().out
+        measured = json.loads((tmp_path / "measured.json").read_text())
+        assert payload_engine(measured) == "batch"
+        assert [e["trace"] for e in measured["entries"]] == ["sjeng.1"]
+
+    def test_unreachable_baseline_exits_1(self, tmp_path, monkeypatch, capsys):
+        assert self._perf(tmp_path, monkeypatch, rate=1e15) == 1
+        assert "PERF REGRESSION" in capsys.readouterr().err
