@@ -3,6 +3,12 @@
 Used in the paper's Section III/IV worked examples and as a Victim Cache
 policy variant in Section VI.B.4.  Per-set state is a monotonically
 increasing timestamp per way; the victim is the smallest timestamp.
+
+A :class:`~repro.cache.setassoc.SetAssociativeCache` on exactly this
+class (the private L1/L2) inlines LRU as lookup-dict order instead, as
+does the scalar kernel; this stamp path is the reference that inline
+path is tested against (``tests/cache/test_setassoc.py`` and
+``tests/sim/test_batch_equivalence.py``).
 """
 
 from __future__ import annotations

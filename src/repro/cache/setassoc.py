@@ -10,16 +10,23 @@ The cache is line-granular and trace-driven: addresses are line numbers
 update on hit) from ``fill`` (allocation + victim eviction) so a hierarchy
 can thread misses through lower levels before filling.
 
-Storage layout (PR 6): one flat column per field across *all* sets —
-``tags``/``valid``/``dirty`` always, plus ``stamps``/``clocks`` for the
-inline LRU policy and ``referenced``/``hands`` for the inline NRU policy.
-Way ``w`` of set ``s`` lives at index ``s * ways + w``; each
-:class:`_Set` handle carries that base offset next to its lookup dict.
-The columns are plain Python lists, deliberately: CPython indexes lists
-2-4x faster than ``array.array``/NumPy scalars, and this class's methods
-and the scalar access kernel (:mod:`repro.sim.batch`) touch these
-columns on every access.  Replacement policies outside the two inline
-fast paths keep their opaque per-set state objects, unchanged.
+Storage layout: one flat column per field across *all* sets —
+``tags``/``valid``/``dirty`` always, plus ``referenced``/``hands`` for
+the inline NRU policy.  Way ``w`` of set ``s`` lives at index
+``s * ways + w``; each :class:`_Set` handle carries that base offset
+next to its lookup dict.  The columns are plain Python lists,
+deliberately: CPython indexes lists 2-4x faster than
+``array.array``/NumPy scalars, and this class's methods and the scalar
+access kernel (:mod:`repro.sim.batch`) touch these columns on every
+access.
+
+The inline LRU policy keeps no column at all: a set's recency order is
+its lookup dict's insertion order.  A hit moves the line to the end, a
+fill appends it, and a full set evicts the first key — the line a
+per-set stamp clock would give the smallest stamp.  Replacement
+policies outside the two inline fast paths keep their opaque per-set
+state objects; :class:`LRUPolicy`'s stamp path is the reference the
+inline LRU is tested against.
 """
 
 from __future__ import annotations
@@ -49,10 +56,13 @@ class _Set:
         #: Flat-column offset of way 0: ``index * ways``.
         self.base = base
         #: addr -> way, kept in sync with tags/valid for O(1) lookup.
+        #: Under inline LRU its insertion order is the recency order,
+        #: least recently used first.
         self.lookup: dict[int, int] = {}
         #: Opaque per-set state for non-inline policies; None for the
-        #: inline LRU/NRU paths, whose state lives in the flat columns
-        #: (a single source of truth — a stale reader fails loudly).
+        #: inline LRU/NRU paths, whose state is the lookup order (LRU)
+        #: or the flat columns (NRU) — a single source of truth, so a
+        #: stale reader fails loudly.
         self.policy_state = policy_state
         self.valid_count = 0
 
@@ -75,9 +85,10 @@ class SetAssociativeCache:
         self._set_mask = num_sets - 1
         #: The private L1/L2 caches are always LRU and the default LLC
         #: policy is NRU; for exactly those policy classes, probe/fill
-        #: apply the touch inline on the flat columns instead of through
-        #: a method call per access.  Any other policy (or subclass)
-        #: takes the generic path over per-set state objects.
+        #: apply the touch inline (LRU in the lookup dict's order, NRU
+        #: on the flat columns) instead of through a method call per
+        #: access.  Any other policy (or subclass) takes the generic
+        #: path over per-set state objects.
         self._lru_inline = type(policy) is LRUPolicy
         self._nru_inline = type(policy) is NRUPolicy
         inline = self._lru_inline or self._nru_inline
@@ -86,10 +97,6 @@ class SetAssociativeCache:
         self.tags = [0] * total
         self.valid = [False] * total
         self.dirty = [False] * total
-        #: LRU columns (inline path only): per-way timestamps and a
-        #: per-set clock.
-        self.stamps = [0] * total if self._lru_inline else None
-        self.clocks = [0] * num_sets if self._lru_inline else None
         #: NRU columns (inline path only): per-way referenced bits and a
         #: per-set rotating hand.
         self.referenced = [False] * total if self._nru_inline else None
@@ -115,15 +122,15 @@ class SetAssociativeCache:
     def probe(self, addr: int, is_write: bool = False) -> bool:
         """Look up ``addr``; update policy and dirty bit on hit."""
         cset = self._sets[addr & self._set_mask]
-        way = cset.lookup.get(addr)
+        lookup = cset.lookup
+        way = lookup.get(addr)
         if way is None:
             self.stat_misses += 1
             return False
         if self._lru_inline:
-            index = cset.index
-            clock = self.clocks[index] + 1
-            self.clocks[index] = clock
-            self.stamps[cset.base + way] = clock
+            # Inline LRU touch: move the line to the MRU end.
+            del lookup[addr]
+            lookup[addr] = way
         elif self._nru_inline:
             self.referenced[cset.base + way] = True
         else:
@@ -152,10 +159,9 @@ class SetAssociativeCache:
         victim: EvictedLine | None = None
         if cset.valid_count == ways:
             if self._lru_inline:
-                # Inline LRUPolicy.choose_victim: oldest stamp, first
-                # way on ties (index() returns the first minimum).
-                seg = self.stamps[base : base + ways]
-                way = seg.index(min(seg))
+                # Inline LRUPolicy.choose_victim: the least recently
+                # touched line is the lookup dict's first key.
+                way = lookup[next(iter(lookup))]
             elif self._nru_inline:
                 # Inline NRUPolicy.choose_victim: first clear referenced
                 # bit from the rotating hand, with the classic reset when
@@ -189,14 +195,9 @@ class SetAssociativeCache:
         valid[slot] = True
         dirty_bits[slot] = dirty
         lookup[addr] = way
-        if self._lru_inline:
-            index = cset.index
-            clock = self.clocks[index] + 1
-            self.clocks[index] = clock
-            self.stamps[slot] = clock
-        elif self._nru_inline:
+        if self._nru_inline:
             self.referenced[slot] = True
-        else:
+        elif not self._lru_inline:
             self.policy.on_fill(cset.policy_state, way)
         return victim
 
@@ -218,13 +219,10 @@ class SetAssociativeCache:
         self.valid[slot] = False
         self.dirty[slot] = False
         cset.valid_count -= 1
-        if self._lru_inline:
-            # Inlined LRUPolicy.on_invalidate: free ways age to stamp 0.
-            self.stamps[slot] = 0
-        elif self._nru_inline:
+        if self._nru_inline:
             # Inlined NRUPolicy.on_invalidate.
             self.referenced[slot] = False
-        else:
+        elif not self._lru_inline:
             self.policy.on_invalidate(cset.policy_state, way)
         return True, was_dirty
 

@@ -115,6 +115,17 @@ def _runner_from_args(
     )
 
 
+def _check_trace_names(args: argparse.Namespace) -> None:
+    """Reject an unknown ``--trace`` before any runner, cache or worker exists."""
+    names = getattr(args, "traces", None) or []
+    if isinstance(getattr(args, "trace", None), str):
+        names = [args.trace]
+    known = {spec.name for spec in all_specs()}
+    for name in names:
+        if name not in known:
+            raise ValueError(f"unknown trace {name!r} (see repro list-traces)")
+
+
 def _machine_from_args(args: argparse.Namespace) -> MachineConfig:
     # validate() fires at CLI time: a bad --policy fails here with a
     # structured error instead of deep inside the first simulation.
@@ -1305,11 +1316,12 @@ def main(argv: list[str] | None = None) -> int:
         "dispatch": _cmd_dispatch,
     }
     try:
+        _check_trace_names(args)
         return handlers[args.command](args)
     except LockTimeoutError as exc:  # another process wedged the cache lock
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # e.g. a malformed $REPRO_JOBS or machine config
+    except ValueError as exc:  # e.g. a malformed $REPRO_JOBS, trace or machine
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SweepFailedError as exc:  # strict-mode sweep with failed cells

@@ -72,8 +72,6 @@ def scalar_kernel(
     ways = l1.ways
     l1_tags = l1.tags
     l1_valid = l1.valid
-    l1_stamps = l1.stamps
-    l1_clocks = l1.clocks
     l1_dirty = l1.dirty
 
     l2 = hierarchy.l2
@@ -82,8 +80,6 @@ def scalar_kernel(
     l2_ways = l2.ways
     l2_tags = l2.tags
     l2_valid = l2.valid
-    l2_stamps = l2.stamps
-    l2_clocks = l2.clocks
     l2_dirty = l2.dirty
 
     prefetcher = hierarchy.prefetcher
@@ -219,25 +215,22 @@ def scalar_kernel(
                 on_write(taddr)
             addr = taddr + addr_offset
             cset = l1_sets[addr & l1_mask]
-            way = cset.lookup.get(addr)
+            lookup1 = cset.lookup
+            way = lookup1.pop(addr, None)
             if way is not None:
-                # Inlined l1.probe hit: LRU touch plus the dirty bit.
-                index = cset.index
-                clock = l1_clocks[index] + 1
-                l1_clocks[index] = clock
-                l1_stamps[cset.base + way] = clock
+                # Inlined l1.probe hit: the LRU touch reinserts the line
+                # at the lookup dict's MRU end; plus the dirty bit.
+                lookup1[addr] = way
                 if is_write:
                     l1_dirty[cset.base + way] = True
                 l1_hits += 1
             else:
                 # Inlined l2.probe (a demand read never dirties L2).
                 l2set = l2_sets[addr & l2_mask]
-                l2way = l2set.lookup.get(addr)
+                lookup2 = l2set.lookup
+                l2way = lookup2.pop(addr, None)
                 if l2way is not None:
-                    index = l2set.index
-                    clock = l2_clocks[index] + 1
-                    l2_clocks[index] = clock
-                    l2_stamps[l2set.base + l2way] = clock
+                    lookup2[addr] = l2way
                     l2_probe_hits_c += 1
                     l2_hits_c += 1
                     stall = l2_stall
@@ -371,7 +364,6 @@ def scalar_kernel(
                                     l1_valid[islot] = False
                                     l1_dirty[islot] = False
                                     icset.valid_count -= 1
-                                    l1_stamps[islot] = 0
                                 icset = l2_sets[uvictim & l2_mask]
                                 iway = icset.lookup.pop(uvictim, None)
                                 if iway is not None:
@@ -381,7 +373,6 @@ def scalar_kernel(
                                     l2_valid[islot] = False
                                     l2_dirty[islot] = False
                                     icset.valid_count -= 1
-                                    l2_stamps[islot] = 0
                                 if present:
                                     back_invalidations_c += 1
                                 if idirty and not uvictim_dirty:
@@ -641,7 +632,6 @@ def scalar_kernel(
                                     l1_valid[islot] = False
                                     l1_dirty[islot] = False
                                     icset.valid_count -= 1
-                                    l1_stamps[islot] = 0
                                 icset = l2_sets[
                                     replaced_addr & l2_mask
                                 ]
@@ -655,7 +645,6 @@ def scalar_kernel(
                                     l2_valid[islot] = False
                                     l2_dirty[islot] = False
                                     icset.valid_count -= 1
-                                    l2_stamps[islot] = 0
                                 if present:
                                     back_invalidations_c += 1
                                 if idirty and not was_dirty:
@@ -704,7 +693,6 @@ def scalar_kernel(
                                     l1_valid[islot] = False
                                     l1_dirty[islot] = False
                                     icset.valid_count -= 1
-                                    l1_stamps[islot] = 0
                                 icset = l2_sets[inv_addr & l2_mask]
                                 iway = icset.lookup.pop(inv_addr, None)
                                 if iway is not None:
@@ -714,7 +702,6 @@ def scalar_kernel(
                                     l2_valid[islot] = False
                                     l2_dirty[islot] = False
                                     icset.valid_count -= 1
-                                    l2_stamps[islot] = 0
                                 if present:
                                     back_invalidations_c += 1
                                 if idirty and not wrote_back:
@@ -743,34 +730,28 @@ def scalar_kernel(
                             ) / mlp_memory
 
                     # Inlined hierarchy._fill_l2(addr) on the miss
-                    # path (the L2-hit path fills only the L1).
+                    # path (the L2-hit path fills only the L1).  The
+                    # fill appends at the lookup dict's MRU end; a full
+                    # set evicts its first (least recently used) key.
                     base2 = l2set.base
-                    index2 = l2set.index
                     if l2set.valid_count < l2_ways:
                         slot2 = l2_valid.index(False, base2, base2 + l2_ways)
                         l2set.valid_count += 1
                         l2_tags[slot2] = addr
                         l2_valid[slot2] = True
                         l2_dirty[slot2] = False
-                        l2set.lookup[addr] = slot2 - base2
-                        clock2 = l2_clocks[index2] + 1
-                        l2_clocks[index2] = clock2
-                        l2_stamps[slot2] = clock2
+                        lookup2[addr] = slot2 - base2
                     else:
-                        seg2 = l2_stamps[base2 : base2 + l2_ways]
-                        slot2 = base2 + seg2.index(min(seg2))
-                        victim2 = l2_tags[slot2]
+                        victim2 = next(iter(lookup2))
+                        way2 = lookup2.pop(victim2)
+                        slot2 = base2 + way2
                         victim2_dirty = l2_dirty[slot2]
-                        del l2set.lookup[victim2]
                         l2_evictions_c += 1
                         if victim2_dirty:
                             l2_writebacks_c += 1
                         l2_tags[slot2] = addr
                         l2_dirty[slot2] = False
-                        l2set.lookup[addr] = slot2 - base2
-                        clock2 = l2_clocks[index2] + 1
-                        l2_clocks[index2] = clock2
-                        l2_stamps[slot2] = clock2
+                        lookup2[addr] = way2
 
                         # L1 must not outlive its L2 copy (inclusive
                         # pair): l1.invalidate, inlined.
@@ -783,7 +764,6 @@ def scalar_kernel(
                             l1_valid[v1slot] = False
                             l1_dirty[v1slot] = False
                             v1set.valid_count -= 1
-                            l1_stamps[v1slot] = 0
                         if was_dirty:
                             writebacks_to_llc_c += 1
                             if unc is not None:
@@ -935,40 +915,36 @@ def scalar_kernel(
                                 llc_hint(victim2)
 
                 # Inlined hierarchy._fill_l1(addr, is_write) — both
-                # the L2-hit and the L2-miss paths converge here.
+                # the L2-hit and the L2-miss paths converge here.  As
+                # in the L2 fill, the LRU victim is the first key.
                 base1 = cset.base
                 victim1_dirty = False
                 victim1 = 0
                 if cset.valid_count == ways:
-                    seg1 = l1_stamps[base1 : base1 + ways]
-                    slot1 = base1 + seg1.index(min(seg1))
-                    victim1 = l1_tags[slot1]
+                    victim1 = next(iter(lookup1))
+                    way = lookup1.pop(victim1)
+                    slot1 = base1 + way
                     victim1_dirty = l1_dirty[slot1]
-                    del cset.lookup[victim1]
                     l1_evictions_c += 1
                     if victim1_dirty:
                         l1_writebacks_c += 1
                 else:
                     slot1 = l1_valid.index(False, base1, base1 + ways)
+                    way = slot1 - base1
                     cset.valid_count += 1
                 l1_tags[slot1] = addr
                 l1_valid[slot1] = True
                 l1_dirty[slot1] = is_write
-                cset.lookup[addr] = slot1 - base1
-                index1 = cset.index
-                clock1 = l1_clocks[index1] + 1
-                l1_clocks[index1] = clock1
-                l1_stamps[slot1] = clock1
+                lookup1[addr] = way
                 if victim1_dirty:
                     # Dirty L1 victim merges into the (inclusive) L2:
-                    # l2.probe(victim1, is_write=True), inlined.
+                    # l2.probe(victim1, is_write=True), inlined with its
+                    # LRU touch.
                     m2set = l2_sets[victim1 & l2_mask]
-                    m2way = m2set.lookup.get(victim1)
+                    m2lookup = m2set.lookup
+                    m2way = m2lookup.pop(victim1, None)
                     if m2way is not None:
-                        index = m2set.index
-                        clock = l2_clocks[index] + 1
-                        l2_clocks[index] = clock
-                        l2_stamps[m2set.base + m2way] = clock
+                        m2lookup[victim1] = m2way
                         l2_dirty[m2set.base + m2way] = True
                         l2_probe_hits_c += 1
                     else:
@@ -1050,7 +1026,6 @@ def scalar_kernel(
                                 l1_valid[islot] = False
                                 l1_dirty[islot] = False
                                 icset.valid_count -= 1
-                                l1_stamps[islot] = 0
                             icset = l2_sets[uvictim & l2_mask]
                             iway = icset.lookup.pop(uvictim, None)
                             if iway is not None:
@@ -1060,7 +1035,6 @@ def scalar_kernel(
                                 l2_valid[islot] = False
                                 l2_dirty[islot] = False
                                 icset.valid_count -= 1
-                                l2_stamps[islot] = 0
                             if present:
                                 back_invalidations_c += 1
                             if idirty and not uvictim_dirty:
@@ -1265,7 +1239,6 @@ def scalar_kernel(
                                     l1_valid[islot] = False
                                     l1_dirty[islot] = False
                                     icset.valid_count -= 1
-                                    l1_stamps[islot] = 0
                                 icset = l2_sets[
                                     replaced_addr & l2_mask
                                 ]
@@ -1279,7 +1252,6 @@ def scalar_kernel(
                                     l2_valid[islot] = False
                                     l2_dirty[islot] = False
                                     icset.valid_count -= 1
-                                    l2_stamps[islot] = 0
                                 if present:
                                     back_invalidations_c += 1
                                 if idirty and not was_dirty:

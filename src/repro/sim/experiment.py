@@ -73,6 +73,7 @@ from repro.sim.retry import FailedCell, RetryPolicy, SweepFailedError
 from repro.sim.single_core import RunResult, simulate_trace
 from repro.workloads.mixes import MixSpec
 from repro.workloads.suite import SUITE_VERSION, TraceSuite
+from repro.workloads.tracecache import process_cache
 
 __all__ = ["CACHE_VERSION", "ExperimentRunner", "default_cache_dir"]
 
@@ -153,6 +154,10 @@ class ExperimentRunner:
         self.suite = TraceSuite(preset.reference_llc_lines, preset.trace_length)
         self.use_disk_cache = use_disk_cache
         self.jobs = resolve_jobs(jobs)
+        # Resolve $REPRO_TRACE_CACHE_ENTRIES here: a malformed value must
+        # fail the command, not turn each job that first needs a trace
+        # into a failed cell.
+        process_cache()
         self.progress = progress
         self.fault_policy = RetryPolicy.from_env(retries, job_timeout)
         self.strict = strict

@@ -138,18 +138,20 @@ def process_cache() -> TraceCache:
     """The process-wide :class:`TraceCache` singleton.
 
     Created on first use; the LRU bound honors ``$REPRO_TRACE_CACHE_ENTRIES``
-    at creation time (later environment changes are ignored).
+    at creation time (later environment changes are ignored).  A value
+    that is not an integer raises ``ValueError``, like ``$REPRO_JOBS``.
     """
     global _PROCESS_CACHE
     if _PROCESS_CACHE is None:
-        raw = os.environ.get(MAX_ENTRIES_ENV)
-        if raw is None:
-            bound = DEFAULT_MAX_ENTRIES
-        else:
+        raw = os.environ.get(MAX_ENTRIES_ENV, "").strip()
+        bound = DEFAULT_MAX_ENTRIES
+        if raw:
             try:
                 bound = max(0, int(raw))
             except ValueError:
-                bound = DEFAULT_MAX_ENTRIES
+                raise ValueError(
+                    f"${MAX_ENTRIES_ENV} must be an integer, got {raw!r}"
+                ) from None
         _PROCESS_CACHE = TraceCache(bound)
     return _PROCESS_CACHE
 

@@ -160,3 +160,52 @@ class TestCapacityInvariant:
         for addr in addrs:
             cache.access(addr)
             assert cache.contains(addr)
+
+
+class _StampLRU(LRUPolicy):
+    """``LRUPolicy`` under another type.
+
+    Inline LRU requires the exact type, so a cache built on this one
+    takes the generic per-set stamp path: the reference the inline,
+    lookup-order LRU is checked against.
+    """
+
+
+_OPERATION = st.tuples(
+    st.sampled_from(("probe", "fill", "invalidate")),
+    st.integers(0, 47),
+    st.booleans(),
+)
+
+
+class TestInlineLRUMatchesStampReference:
+    @given(st.lists(_OPERATION, min_size=1, max_size=400))
+    @settings(max_examples=100)
+    def test_same_outcomes_as_the_policy_object_path(self, operations):
+        inline = small_cache(ways=4, sets=4)
+        reference = small_cache(ways=4, sets=4, policy=_StampLRU())
+        assert inline._lru_inline and not reference._lru_inline
+        for op, addr, flag in operations:
+            if op == "probe":
+                outcomes = [cache.probe(addr, flag) for cache in (inline, reference)]
+            elif op == "fill":
+                if inline.contains(addr):
+                    continue  # fill only absent lines
+                outcomes = [cache.fill(addr, dirty=flag) for cache in (inline, reference)]
+            else:
+                outcomes = [cache.invalidate(addr) for cache in (inline, reference)]
+            assert outcomes[0] == outcomes[1]
+            assert inline.is_dirty(addr) == reference.is_dirty(addr)
+        for index in range(4):
+            assert inline.set_contents(index) == reference.set_contents(index)
+            # The lookup dict's order is the stamp order, least recent first.
+            base = index * reference.ways
+            state = reference._sets[index].policy_state
+            by_recency = [
+                reference.tags[base + way]
+                for way in reversed(reference.policy.stack_order(state))
+                if reference.valid[base + way]
+            ]
+            assert list(inline._sets[index].lookup) == by_recency
+        for counter in ("stat_hits", "stat_misses", "stat_evictions", "stat_writebacks"):
+            assert getattr(inline, counter) == getattr(reference, counter)

@@ -14,6 +14,10 @@ reach the L1 outside the kernel.  It requires the batched run to be
 **byte-identical** to the traced reference — every ``RunResult`` field
 and every serialised observation (``obs``) — on each one.
 
+The same seeded traces also drive :class:`CacheHierarchy` with its
+private L1/L2 on the inline LRU (recency kept in each set's lookup-dict
+order) against the same caches on :class:`LRUPolicy`'s per-set stamps.
+
 Traces are generated from the case seed alone, so every failure
 reproduces from its parametrized test id.
 """
@@ -27,8 +31,13 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.replacement import LRUPolicy
 from repro.cache.replacement.victim import VICTIM_POLICIES
+from repro.cache.setassoc import SetAssociativeCache
 from repro.core.interfaces import AccessKind, LLCArchitecture
+from repro.memory.dram import DRAMModel
+from repro.obs.registry import CounterRegistry
 from repro.obs.tracing import TRACE_ENV, TRACE_FILE_ENV, TRACE_LIMIT_ENV
 from repro.sim.config import ARCH_BASE_VICTIM, ARCH_CHOICES, TEST, MachineConfig
 from repro.sim.single_core import simulate_trace
@@ -59,7 +68,7 @@ def fuzz_trace(seed: int) -> Trace:
     L1-resident hot set (long runs of L1 hits), an LLC-scale region
     (misses through L2/LLC/memory), short streaming bursts (L1 and L2
     membership churn and prefetcher training), and occasional revisits
-    of recently touched lines (hits whose LRU stamps must come out
+    of recently touched lines (hits whose LRU order must come out
     exactly right).
     """
     rng = random.Random(seed)
@@ -352,6 +361,67 @@ def invalidation_trace(rounds: int = 24) -> tuple[Trace, tuple]:
         cache_sensitive=True,
     )
     return Trace(meta, kinds, addrs, deltas), tuple(triggers)
+
+
+class _StampLRU(LRUPolicy):
+    """``LRUPolicy`` under another type.
+
+    The private caches inline LRU only for the exact type, so a cache
+    built on this one takes the generic per-set stamp path: the
+    reference the inline, lookup-order LRU must reproduce.
+    """
+
+
+def hierarchy_run(trace: Trace, machine: MachineConfig, stamp_lru: bool):
+    """Drive ``trace`` through a fresh ``CacheHierarchy`` and LLC.
+
+    Returns every access's outcome, the hierarchy's stats and every
+    published counter (L1, L2 and LLC).
+    """
+    data = fuzz_data(trace.meta.seed)
+    hierarchy = CacheHierarchy(
+        machine.build_llc(TEST),
+        size_fn=data.size_of,
+        config=TEST.hierarchy_config(machine.prefetch_degree),
+        memory=DRAMModel(),
+    )
+    if stamp_lru:
+        l1, l2 = hierarchy.l1, hierarchy.l2
+        hierarchy.l1 = SetAssociativeCache(l1.geometry, _StampLRU(), name=l1.name)
+        hierarchy.l2 = SetAssociativeCache(l2.geometry, _StampLRU(), name=l2.name)
+    outcomes = []
+    for kind, addr, delta in zip(trace.kinds, trace.addrs, trace.deltas):
+        hierarchy.now += delta
+        is_write = kind == STORE
+        if is_write:
+            data.on_write(addr)
+        outcome = hierarchy.access(addr, is_write)
+        outcomes.append(
+            (outcome.level, outcome.extra_llc_cycles, outcome.dram_latency)
+        )
+    hierarchy.check_inclusion()
+    registry = CounterRegistry()
+    hierarchy.publish_observations(registry)
+    return outcomes, hierarchy.stats, registry.as_dict()
+
+
+LRU_CASES = [(case_id, seed, machine, "fuzz") for case_id, seed, machine in CASES]
+LRU_CASES += ARCH_CASES
+
+
+class TestInlineLRUReference:
+    """The inline L1/L2 LRU against ``LRUPolicy``'s stamp path."""
+
+    @pytest.mark.parametrize(
+        "seed,machine,kind",
+        [case[1:] for case in LRU_CASES],
+        ids=[c[0] for c in LRU_CASES],
+    )
+    def test_hierarchy_matches_stamp_lru(self, seed, machine, kind):
+        trace = TRACE_KINDS[kind](seed)
+        inline = hierarchy_run(trace, machine, stamp_lru=False)
+        reference = hierarchy_run(trace, machine, stamp_lru=True)
+        assert inline == reference
 
 
 class TestHierarchySideInvalidations:

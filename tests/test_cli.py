@@ -426,6 +426,32 @@ class TestLockAndValidationFlags:
         assert "policy" in err and "'mru'" in err
         assert "valid choices" in err and "nru" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--preset", "test"],
+            ["compare", "--preset", "test"],
+            ["stats", "--preset", "test", "--trace", "sjeng.1"],
+            ["perf", "--preset", "test"],
+            ["sweep", "--preset", "test"],
+            ["submit"],
+            ["dispatch", "--preset", "test", "--workers", "1"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_unknown_trace_is_rejected_up_front(
+        self, command, capsys, tmp_path, monkeypatch
+    ):
+        """An unknown --trace exits 2 with one line naming it, before any
+        runner, cache file, journal or worker exists."""
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        assert main(command + ["--trace", "nosuch"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown trace 'nosuch' (see repro list-traces)"
+        ]
+        assert not cache_dir.exists()
+
     def test_unknown_victim_policy_is_rejected_eagerly(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         code = main(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main
 from repro.workloads import tracecache
 from repro.workloads.datagen import build_palette, LineDataModel
 from repro.workloads.suite import TraceSuite
@@ -113,10 +114,27 @@ class TestProcessCache:
         reset_process_cache()
         assert process_cache().max_entries == 5
 
-    def test_env_bound_garbage_falls_back_to_default(self, monkeypatch):
+    def test_env_bound_garbage_is_rejected(self, monkeypatch):
         monkeypatch.setenv(tracecache.MAX_ENTRIES_ENV, "not-a-number")
         reset_process_cache()
-        assert process_cache().max_entries == tracecache.DEFAULT_MAX_ENTRIES
+        with pytest.raises(ValueError, match="must be an integer, got 'not-a-number'"):
+            process_cache()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_env_bound_garbage_fails_the_command(
+        self, command, capsys, tmp_path, monkeypatch
+    ):
+        """Resolved when the runner is built, so a malformed bound exits 2
+        instead of failing every cell (which a relaxed sweep exits 0 on)."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv(tracecache.MAX_ENTRIES_ENV, "abc")
+        reset_process_cache()
+        assert main([command, "--preset", "test", "--trace", "sjeng.1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: $REPRO_TRACE_CACHE_ENTRIES must be an integer, got 'abc'"
+        ]
+        assert not list(tmp_path.iterdir())
 
 
 class TestTraceFingerprint:
