@@ -42,10 +42,11 @@ class VictimInsertionPolicy(abc.ABC):
 
     name: str = "abstract"
 
-    #: Decisions made / occupied slots overwritten; bumped by the LLC so
-    #: every concrete policy gets the accounting for free.
-    stat_choices: int = 0
-    stat_replacements: int = 0
+    def __init__(self) -> None:
+        #: Decisions made / occupied slots overwritten; bumped by the LLC
+        #: so every concrete policy gets the accounting for free.
+        self.stat_choices = 0
+        self.stat_replacements = 0
 
     @abc.abstractmethod
     def choose(self, candidates: Sequence[VictimCandidate]) -> int:
@@ -117,6 +118,7 @@ class RandomVictimPolicy(VictimInsertionPolicy):
     name = "random"
 
     def __init__(self, seed: int = 0xBADC0DE) -> None:
+        super().__init__()
         self._rng = DeterministicRandom(seed)
 
     def choose(self, candidates: Sequence[VictimCandidate]) -> int:

@@ -1317,11 +1317,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         _check_trace_names(args)
+        if hasattr(args, "engine"):
+            # Every subcommand that simulates takes --engine: a malformed
+            # $REPRO_ENGINE fails before any cache, socket or worker exists.
+            resolve_engine()
         return handlers[args.command](args)
     except LockTimeoutError as exc:  # another process wedged the cache lock
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # e.g. a malformed $REPRO_JOBS, trace or machine
+    except ValueError as exc:  # e.g. a malformed $REPRO_JOBS, engine, trace or machine
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SweepFailedError as exc:  # strict-mode sweep with failed cells

@@ -4,8 +4,12 @@ The scalar access kernel (:func:`scalar_kernel`) is the one inlined
 copy of the demand path — the L1 hit and the miss path of
 :meth:`~repro.cache.hierarchy.CacheHierarchy.access` —
 over columns hoisted once per (hierarchy, trace), with every counter
-batched in closure cells and flushed once.  Inlined updates land in the
-same order with the same values as the per-method reference — the
+batched in closure cells and flushed once.  Each LLC operation that the
+demand, prefetch and writeback lanes share is written once, as a
+closure over those columns and cells: the single-line back-invalidation,
+the generic ``llc.access`` call, the uncompressed-NRU fill, and
+Base-Victim's fill and victim drop.  Inlined updates land in the same
+order with the same values as the per-method reference — the
 hierarchy's and the LLC architectures' own methods, which the traced
 engine runs.  Both of its callers drive it the same way, building it
 once per (hierarchy, trace), calling ``run`` and then ``flush``:
@@ -15,10 +19,11 @@ once per (hierarchy, trace), calling ``run`` and then ``flush``:
 * the mix driver (:func:`repro.sim.multi_core.simulate_mix`) runs each
   thread's run-ahead spans.
 
-Byte-identity against the traced reference loop — results and
-serialised observations — is enforced by the differential fuzz oracles
-in ``tests/sim/test_batch_equivalence.py`` (single core) and
-``tests/sim/test_mix_equivalence.py`` (shared-LLC mixes).
+Byte-identity against the traced reference loop — results, serialised
+observations and the machine state left behind — is enforced by the
+differential fuzz oracles in ``tests/sim/test_batch_equivalence.py``
+(single core) and ``tests/sim/test_mix_equivalence.py`` (shared-LLC
+mixes).
 """
 
 from __future__ import annotations
@@ -94,13 +99,13 @@ def scalar_kernel(
 
     # LLC flavor lanes.  The perf matrix runs exactly two LLC flavors,
     # and both spend the bench traces almost entirely in the miss path,
-    # so their hottest entry points are inlined below over hoisted
-    # columns: ``unc`` selects the full inline of the uncompressed-NRU
-    # LLC (demand, writeback, prefetch and hint sites); ``bv`` selects
-    # the inlined contains/hint_downgrade of the NRU Base-Victim LLC,
-    # and ``bv_fast`` additionally its demand, writeback and prefetch
-    # fills when victims are clean and inserted by ECM.  Any other
-    # flavor takes the plain method calls.
+    # so their hottest entry points are inlined over hoisted columns:
+    # ``unc`` selects the full inline of the uncompressed-NRU LLC
+    # (demand, writeback, prefetch and hint sites); ``bv`` selects the
+    # inlined contains/hint_downgrade of the NRU Base-Victim LLC, and
+    # ``bv_fast`` additionally its demand, writeback and prefetch fills
+    # when victims are clean and inserted by ECM.  Any other flavor
+    # takes ``llc_call``, the plain method call.
     unc = None
     bv = None
     if isinstance(llc, UncompressedLLC) and type(llc.policy) is NRUPolicy:
@@ -119,8 +124,10 @@ def scalar_kernel(
         bv_mask = llc._set_mask
         bv_spl = llc.segments_per_line
         bv_vp = llc.victim_policy
-        # The inlined fills below run NRU's hand scan, ECM's slot choice
-        # and the clean-victim writeback; other configs keep the method.
+        # The inlined fills run NRU's hand scan and ECM's slot choice.
+        # With clean victims no victim line is ever dirty, so every
+        # victim drop is silent and every fill installs a clean line;
+        # other configs keep the method.
         bv_fast = type(bv_vp) is ECMVictimPolicy and llc.clean_victims
     else:
         bv_fast = False
@@ -134,7 +141,6 @@ def scalar_kernel(
     memory = hierarchy.memory
     mem_read = memory.read if memory is not None else None
     mem_write = memory.write if memory is not None else None
-    process_invalidates = hierarchy._process_invalidates
     fill_l2 = hierarchy._fill_l2
 
     base_cpi = core.base_cpi
@@ -181,17 +187,234 @@ def scalar_kernel(
     bv_choices_c = 0
     bv_replacements_c = 0
 
+    def back_invalidate(line, wrote_back, now):
+        """Drop ``line``, which left the LLC's baseline image, from L1 and L2.
+
+        ``hierarchy._process_invalidates`` for one line: dirty upstream
+        data goes to memory unless the LLC already wrote it back.
+        """
+        nonlocal back_invalidations_c, memory_writes_c
+        iset = l1_sets[line & l1_mask]
+        way = iset.lookup.pop(line, None)
+        if way is None:
+            present = dirty = False
+        else:
+            present = True
+            slot = iset.base + way
+            dirty = l1_dirty[slot]
+            l1_valid[slot] = False
+            l1_dirty[slot] = False
+            iset.valid_count -= 1
+        iset = l2_sets[line & l2_mask]
+        way = iset.lookup.pop(line, None)
+        if way is not None:
+            present = True
+            slot = iset.base + way
+            dirty = dirty or l2_dirty[slot]
+            l2_valid[slot] = False
+            l2_dirty[slot] = False
+            iset.valid_count -= 1
+        if present:
+            back_invalidations_c += 1
+        if dirty and not wrote_back:
+            memory_writes_c += 1
+            if memory is not None:
+                mem_write(line, now)
+
+    def llc_call(line, kind, size, now):
+        """``hierarchy._llc_access``: ``(result, DRAM read latency)``.
+
+        One ``llc.access`` with its stats merge, DRAM traffic and a
+        ``back_invalidate`` per line the LLC dropped.
+        """
+        nonlocal memory_reads_c, memory_writes_c, silent_evictions_c
+        nonlocal llc_data_reads_c, llc_data_writes_c, llc_fill_segments_c
+        nonlocal llc_accesses_c
+        result = llc_access(line, kind, size)
+        memory_reads_c += result.memory_reads
+        memory_writes_c += result.memory_writes
+        silent_evictions_c += result.silent_evictions
+        llc_data_reads_c += result.data_reads
+        llc_data_writes_c += result.data_writes
+        llc_fill_segments_c += result.fill_segments
+        llc_accesses_c += 1
+        read_latency = 0.0
+        if memory is not None:
+            if result.memory_reads:
+                read_latency = mem_read(line, now)
+            for _ in range(result.memory_writes):
+                mem_write(line, now)
+        for dropped, dropped_wrote_back in result.invalidates:
+            back_invalidate(dropped, dropped_wrote_back, now)
+        return result, read_latency
+
+    def unc_fill(uset, line, now):
+        """Read ``line`` from memory into the uncompressed-NRU LLC.
+
+        A miss or a prefetch: ``cache.fill`` (NRU rotating hand; see
+        repro.cache.setassoc), inlined.  A full set evicts the hand's
+        victim, writing it back if dirty and back-invalidating it.
+        Returns the DRAM read latency.
+        """
+        nonlocal memory_reads_c, memory_writes_c, llc_data_writes_c
+        nonlocal llc_fill_segments_c, unc_evictions_c, unc_writebacks_c
+        memory_reads_c += 1
+        llc_data_writes_c += 1
+        llc_fill_segments_c += 1
+        read_latency = mem_read(line, now) if memory is not None else 0.0
+        base = uset.base
+        if uset.valid_count == u_ways:
+            index = uset.index
+            hand = u_hands[index]
+            try:
+                way = u_ref.index(False, base + hand, base + u_ways) - base
+            except ValueError:
+                try:
+                    way = u_ref.index(False, base, base + hand) - base
+                except ValueError:
+                    for w in range(base, base + u_ways):
+                        u_ref[w] = False
+                    way = hand
+            u_hands[index] = way + 1 if way + 1 < u_ways else 0
+            slot = base + way
+            victim = u_tags[slot]
+            victim_dirty = u_dirty[slot]
+            del uset.lookup[victim]
+            unc_evictions_c += 1
+            if victim_dirty:
+                unc_writebacks_c += 1
+                memory_writes_c += 1
+                if memory is not None:
+                    mem_write(line, now)
+            back_invalidate(victim, victim_dirty, now)
+        else:
+            slot = u_valid.index(False, base, base + u_ways)
+            way = slot - base
+            uset.valid_count += 1
+        u_tags[slot] = line
+        u_valid[slot] = True
+        u_dirty[slot] = False
+        uset.lookup[line] = way
+        u_ref[slot] = True
+        return read_latency
+
+    def bv_drop_victim(bset, way):
+        """``BaseVictimLLC._evict_victim``; victims are clean, so it is silent."""
+        nonlocal silent_evictions_c, bv_silent_c
+        del bset.vict_lookup[bset.vict_tags[way]]
+        bv._victim_resident -= 1
+        bset.vict_valid[way] = False
+        silent_evictions_c += 1
+        bv_silent_c += 1
+
+    def bv_fill(bset, line, size, now):
+        """Install clean ``line`` in the Baseline Cache: a miss or a promotion.
+
+        ``BaseVictimLLC._fill_baseline`` and its ECM ``_insert_victim``,
+        inlined: free way first, then the NRU hand scan.  A dirty
+        replaced line is written back so it is demoted clean (Section
+        IV.A), the fill's victim partner is dropped when the two no
+        longer share the way (Section IV.B.5), and the replaced line is
+        back-invalidated whether it is demoted or dropped.
+        """
+        nonlocal memory_writes_c, llc_data_reads_c, llc_data_writes_c
+        nonlocal llc_fill_segments_c, bv_choices_c, bv_replacements_c
+        nonlocal bv_demotions_c
+        base_valid = bset.base_valid
+        base_size = bset.base_size
+        vict_valid = bset.vict_valid
+        state = bset.policy_state
+        referenced = state.referenced
+        replaced = None
+        if bset.base_valid_count < len(base_valid):
+            way = base_valid.index(False)
+            bset.base_valid_count += 1
+        else:
+            hand = state.hand
+            nways = len(referenced)
+            try:
+                way = referenced.index(False, hand)
+            except ValueError:
+                try:
+                    way = referenced.index(False, 0, hand)
+                except ValueError:
+                    for w in range(nways):
+                        referenced[w] = False
+                    way = hand
+            state.hand = way + 1 if way + 1 < nways else 0
+            replaced = bset.base_tags[way]
+            was_dirty = bset.base_dirty[way]
+            if was_dirty:
+                memory_writes_c += 1
+                if memory is not None:
+                    mem_write(line, now)
+            replaced_size = base_size[way]
+            del bset.base_lookup[replaced]
+        bset.base_tags[way] = line
+        base_valid[way] = True
+        bset.base_dirty[way] = False
+        base_size[way] = size
+        bset.base_lookup[line] = way
+        referenced[way] = True
+        if vict_valid[way] and size + bset.vict_size[way] > bv_spl:
+            bv.stat_partner_evictions += 1
+            bv_drop_victim(bset, way)
+        llc_data_writes_c += 1
+        llc_fill_segments_c += size
+        if replaced is None:
+            return
+
+        # ECM over the parallel columns: among the ways whose base
+        # partner leaves room, a free slot beside the largest base,
+        # else the occupied slot beside the largest base.
+        room = bv_spl - replaced_size
+        way = free_way = -1
+        occ_size = free_size = -1
+        w = 0
+        for bvalid, bsize, vvalid in zip(base_valid, base_size, vict_valid):
+            if not bvalid:
+                bsize = 0
+            if bsize <= room:
+                if vvalid:
+                    if bsize > occ_size:
+                        occ_size = bsize
+                        way = w
+                elif bsize > free_size:
+                    free_size = bsize
+                    free_way = w
+            w += 1
+        if free_way >= 0:
+            way = free_way
+        if way < 0:
+            bv.stat_demotion_drops += 1
+        else:
+            bv_choices_c += 1
+            if vict_valid[way]:
+                bv_replacements_c += 1
+                bv_drop_victim(bset, way)
+            bset.vict_tags[way] = replaced
+            vict_valid[way] = True
+            bset.vict_size[way] = replaced_size
+            bset.clock += 1
+            bset.vict_stamp[way] = bset.clock
+            bset.vict_lookup[replaced] = way
+            bv._victim_resident += 1
+            bv_demotions_c += 1
+            # Migration: read out of the base way, write into here.
+            llc_data_reads_c += 1
+            llc_data_writes_c += 1
+            llc_fill_segments_c += replaced_size
+        back_invalidate(replaced, was_dirty, now)
+
     def run(i, hi, next_sample, before=inf, after=inf):
         nonlocal accesses_c, l1_hits, l2_hits_c, llc_hits_c, llc_victim_hits_c
         nonlocal llc_misses_c, compressed_hits_c, memory_reads_c, memory_writes_c
-        nonlocal silent_evictions_c, llc_data_reads_c, llc_data_writes_c
-        nonlocal llc_fill_segments_c, llc_accesses_c, writebacks_to_llc_c
-        nonlocal prefetch_fills_c, l1_evictions_c, l1_writebacks_c, l2_hits_c
-        nonlocal l2_probe_hits_c, l2_probe_misses_c, l2_evictions_c, l2_writebacks_c
-        nonlocal back_invalidations_c, unc_hits_c, unc_misses_c, unc_evictions_c
-        nonlocal unc_writebacks_c, unc_wbmiss_c, bv_base_hits_c, bv_victim_hits_c
-        nonlocal bv_misses_c, bv_promotions_c, bv_demotions_c, bv_silent_c
-        nonlocal bv_choices_c, bv_replacements_c
+        nonlocal llc_data_reads_c, llc_data_writes_c, llc_fill_segments_c
+        nonlocal llc_accesses_c, writebacks_to_llc_c, prefetch_fills_c
+        nonlocal l1_evictions_c, l1_writebacks_c, l2_probe_hits_c
+        nonlocal l2_probe_misses_c, l2_evictions_c, l2_writebacks_c
+        nonlocal unc_hits_c, unc_misses_c, unc_wbmiss_c, bv_base_hits_c
+        nonlocal bv_victim_hits_c, bv_misses_c, bv_promotions_c
         # For floats, ``cycles <= after`` is ``cycles < nextafter(after,
         # inf)``, so the window costs one comparison per access.
         limit = nextafter(after, inf)
@@ -275,11 +498,7 @@ def scalar_kernel(
                             del pf_table[next(iter(pf_table))]
 
                     if unc is not None:
-                        # UncompressedLLC.access(addr, READ, 1),
-                        # inlined together with its stats merge,
-                        # DRAM accounting and back-invalidation —
-                        # same call order, same values as the
-                        # generic branch below.
+                        # UncompressedLLC.access(addr, READ, 1), inlined.
                         ucset = u_sets[addr & u_mask]
                         uway = ucset.lookup.get(addr)
                         llc_accesses_c += 1
@@ -294,109 +513,16 @@ def scalar_kernel(
                         else:
                             unc_misses_c += 1
                             llc_misses_c += 1
-                            memory_reads_c += 1
-                            llc_data_writes_c += 1
-                            llc_fill_segments_c += 1
                             llc_data_reads_c += 1
-                            read_latency = (
-                                mem_read(addr, cycles)
-                                if memory is not None
-                                else 0.0
-                            )
+                            read_latency = unc_fill(ucset, addr, cycles)
                             stall = (
                                 llc_exposed
                                 + extra_tag_cycles
                                 + read_latency
                             ) / mlp_memory
-                            # cache.fill, inlined (NRU rotating
-                            # hand; see repro.cache.setassoc).
-                            ubase = ucset.base
-                            if ucset.valid_count == u_ways:
-                                uindex = ucset.index
-                                hand = u_hands[uindex]
-                                try:
-                                    uway = (
-                                        u_ref.index(
-                                            False,
-                                            ubase + hand,
-                                            ubase + u_ways,
-                                        )
-                                        - ubase
-                                    )
-                                except ValueError:
-                                    try:
-                                        uway = (
-                                            u_ref.index(
-                                                False, ubase, ubase + hand
-                                            )
-                                            - ubase
-                                        )
-                                    except ValueError:
-                                        for w in range(
-                                            ubase, ubase + u_ways
-                                        ):
-                                            u_ref[w] = False
-                                        uway = hand
-                                u_hands[uindex] = (
-                                    uway + 1 if uway + 1 < u_ways else 0
-                                )
-                                uslot = ubase + uway
-                                uvictim = u_tags[uslot]
-                                uvictim_dirty = u_dirty[uslot]
-                                del ucset.lookup[uvictim]
-                                unc_evictions_c += 1
-                                if uvictim_dirty:
-                                    unc_writebacks_c += 1
-                                    memory_writes_c += 1
-                                    if memory is not None:
-                                        mem_write(addr, cycles)
-                                # Back-invalidate the evicted line
-                                # (single-line
-                                # _process_invalidates, inlined).
-                                icset = l1_sets[uvictim & l1_mask]
-                                iway = icset.lookup.pop(uvictim, None)
-                                if iway is None:
-                                    present = idirty = False
-                                else:
-                                    present = True
-                                    islot = icset.base + iway
-                                    idirty = l1_dirty[islot]
-                                    l1_valid[islot] = False
-                                    l1_dirty[islot] = False
-                                    icset.valid_count -= 1
-                                icset = l2_sets[uvictim & l2_mask]
-                                iway = icset.lookup.pop(uvictim, None)
-                                if iway is not None:
-                                    present = True
-                                    islot = icset.base + iway
-                                    idirty = idirty or l2_dirty[islot]
-                                    l2_valid[islot] = False
-                                    l2_dirty[islot] = False
-                                    icset.valid_count -= 1
-                                if present:
-                                    back_invalidations_c += 1
-                                if idirty and not uvictim_dirty:
-                                    memory_writes_c += 1
-                                    if memory is not None:
-                                        mem_write(uvictim, cycles)
-                            else:
-                                uslot = u_valid.index(
-                                    False, ubase, ubase + u_ways
-                                )
-                                uway = uslot - ubase
-                                ucset.valid_count += 1
-                            u_tags[uslot] = addr
-                            u_valid[uslot] = True
-                            u_dirty[uslot] = False
-                            ucset.lookup[addr] = uway
-                            u_ref[uslot] = True
                     elif bv_fast:
                         # BaseVictimLLC.access(addr, READ, size) —
-                        # _base_hit/_victim_hit/_miss, _fill_baseline
-                        # and _insert_victim — inlined for the demand
-                        # read with its stats merge, DRAM accounting
-                        # and back-invalidation.  Same order, same
-                        # values; the fuzz oracle proves it.
+                        # _base_hit, _victim_hit or _miss — inlined.
                         size = memo_get(taddr)
                         if size is None:
                             size = size_fn(taddr)
@@ -419,32 +545,30 @@ def scalar_kernel(
                         else:
                             vict_way = bcset.vict_lookup.get(addr)
                             if vict_way is not None:
-                                # _victim_hit READ, inlined.
+                                # _victim_hit READ: the line leaves the
+                                # Victim Cache and is promoted exactly
+                                # like a fill.
                                 bv_victim_hits_c += 1
                                 llc_hits_c += 1
                                 llc_victim_hits_c += 1
                                 llc_data_reads_c += 1
-                                stored_size = bcset.vict_size[vict_way]
+                                # Promoted at its stored size.
+                                size = bcset.vict_size[vict_way]
                                 extra = extra_tag_cycles
-                                if 0 < stored_size < bv_spl:
+                                if 0 < size < bv_spl:
                                     compressed_hits_c += 1
                                     extra += decompression_cycles
                                 stall = (llc_exposed + extra) / mlp_llc
-                                fill_size = stored_size
-                                stored_dirty = bcset.vict_dirty[
-                                    vict_way
-                                ]
                                 del bcset.vict_lookup[addr]
                                 bv._victim_resident -= 1
                                 bcset.vict_valid[vict_way] = False
-                                bcset.vict_dirty[vict_way] = False
-                                fill_dirty = stored_dirty
-                                promotion = True
+                                bv_promotions_c += 1
                             else:
                                 # _miss READ, inlined.
                                 bv_misses_c += 1
                                 llc_misses_c += 1
                                 memory_reads_c += 1
+                                llc_data_reads_c += 1
                                 read_latency = (
                                     mem_read(addr, cycles)
                                     if memory is not None
@@ -455,204 +579,7 @@ def scalar_kernel(
                                     + extra_tag_cycles
                                     + read_latency
                                 ) / mlp_memory
-                                fill_size = size
-                                fill_dirty = False
-                                promotion = False
-
-                            # _fill_baseline, inlined: free way
-                            # first, then the NRU hand scan, then
-                            # the compression steps.
-                            base_lookup = bcset.base_lookup
-                            base_valid = bcset.base_valid
-                            base_tags = bcset.base_tags
-                            base_dirty_col = bcset.base_dirty
-                            base_size_col = bcset.base_size
-                            vict_valid = bcset.vict_valid
-                            state = bcset.policy_state
-                            referenced = state.referenced
-                            have_replaced = False
-                            replaced_addr = 0
-                            replaced_size = 0
-                            was_dirty = False
-                            if bcset.base_valid_count < len(base_valid):
-                                bway = base_valid.index(False)
-                                bcset.base_valid_count += 1
-                            else:
-                                hand = state.hand
-                                bways = len(referenced)
-                                try:
-                                    bway = referenced.index(False, hand)
-                                except ValueError:
-                                    try:
-                                        bway = referenced.index(
-                                            False, 0, hand
-                                        )
-                                    except ValueError:
-                                        for w in range(bways):
-                                            referenced[w] = False
-                                        bway = hand
-                                state.hand = (
-                                    bway + 1 if bway + 1 < bways else 0
-                                )
-                                replaced_addr = base_tags[bway]
-                                was_dirty = base_dirty_col[bway]
-                                if was_dirty:
-                                    # Write back so the demoted
-                                    # line is clean (Section IV.A).
-                                    memory_writes_c += 1
-                                    if memory is not None:
-                                        mem_write(addr, cycles)
-                                replaced_size = base_size_col[bway]
-                                have_replaced = True
-                                del base_lookup[replaced_addr]
-                            base_tags[bway] = addr
-                            base_valid[bway] = True
-                            base_dirty_col[bway] = fill_dirty
-                            base_size_col[bway] = fill_size
-                            base_lookup[addr] = bway
-                            referenced[bway] = True
-                            if (
-                                vict_valid[bway]
-                                and fill_size + bcset.vict_size[bway]
-                                > bv_spl
-                            ):
-                                # Section IV.B.5: the fill no longer
-                                # shares the physical way.
-                                bv.stat_partner_evictions += 1
-                                del bcset.vict_lookup[
-                                    bcset.vict_tags[bway]
-                                ]
-                                bv._victim_resident -= 1
-                                vict_valid[bway] = False
-                                if bcset.vict_dirty[bway]:
-                                    bcset.vict_dirty[bway] = False
-                                    memory_writes_c += 1
-                                    if memory is not None:
-                                        mem_write(addr, cycles)
-                                else:
-                                    silent_evictions_c += 1
-                                    bv_silent_c += 1
-
-                            if have_replaced:
-                                # _insert_victim (ECM scan over the
-                                # parallel columns), inlined.
-                                room = bv_spl - replaced_size
-                                way_v = -1
-                                free_way = -1
-                                free_size = -1
-                                occ_size = -1
-                                w = 0
-                                for bvalid, bsize, vvalid in zip(
-                                    base_valid,
-                                    base_size_col,
-                                    vict_valid,
-                                ):
-                                    if not bvalid:
-                                        bsize = 0
-                                    if bsize <= room:
-                                        if vvalid:
-                                            if bsize > occ_size:
-                                                occ_size = bsize
-                                                way_v = w
-                                        elif bsize > free_size:
-                                            free_size = bsize
-                                            free_way = w
-                                    w += 1
-                                if free_way >= 0:
-                                    way_v = free_way
-                                if way_v < 0:
-                                    bv.stat_demotion_drops += 1
-                                else:
-                                    bv_choices_c += 1
-                                    if vict_valid[way_v]:
-                                        bv_replacements_c += 1
-                                        del bcset.vict_lookup[
-                                            bcset.vict_tags[way_v]
-                                        ]
-                                        bv._victim_resident -= 1
-                                        vict_valid[way_v] = False
-                                        if bcset.vict_dirty[way_v]:
-                                            bcset.vict_dirty[
-                                                way_v
-                                            ] = False
-                                            memory_writes_c += 1
-                                            if memory is not None:
-                                                mem_write(addr, cycles)
-                                        else:
-                                            silent_evictions_c += 1
-                                            bv_silent_c += 1
-                                    bcset.vict_tags[way_v] = (
-                                        replaced_addr
-                                    )
-                                    vict_valid[way_v] = True
-                                    bcset.vict_dirty[way_v] = False
-                                    bcset.vict_size[way_v] = (
-                                        replaced_size
-                                    )
-                                    bcset.clock += 1
-                                    bcset.vict_stamp[way_v] = (
-                                        bcset.clock
-                                    )
-                                    bcset.vict_lookup[
-                                        replaced_addr
-                                    ] = way_v
-                                    bv._victim_resident += 1
-                                    bv_demotions_c += 1
-                                    # Migration: read out of the
-                                    # base way, write into here.
-                                    llc_data_reads_c += 1
-                                    llc_data_writes_c += 1
-                                    llc_fill_segments_c += (
-                                        replaced_size
-                                    )
-
-                            llc_data_writes_c += 1
-                            llc_fill_segments_c += fill_size
-                            if promotion:
-                                bv_promotions_c += 1
-                            else:
-                                llc_data_reads_c += 1
-
-                            if have_replaced:
-                                # Back-invalidate the replaced line
-                                # (single-line
-                                # _process_invalidates, inlined).
-                                icset = l1_sets[
-                                    replaced_addr & l1_mask
-                                ]
-                                iway = icset.lookup.pop(
-                                    replaced_addr, None
-                                )
-                                if iway is None:
-                                    present = idirty = False
-                                else:
-                                    present = True
-                                    islot = icset.base + iway
-                                    idirty = l1_dirty[islot]
-                                    l1_valid[islot] = False
-                                    l1_dirty[islot] = False
-                                    icset.valid_count -= 1
-                                icset = l2_sets[
-                                    replaced_addr & l2_mask
-                                ]
-                                iway = icset.lookup.pop(
-                                    replaced_addr, None
-                                )
-                                if iway is not None:
-                                    present = True
-                                    islot = icset.base + iway
-                                    idirty = idirty or l2_dirty[islot]
-                                    l2_valid[islot] = False
-                                    l2_dirty[islot] = False
-                                    icset.valid_count -= 1
-                                if present:
-                                    back_invalidations_c += 1
-                                if idirty and not was_dirty:
-                                    memory_writes_c += 1
-                                    if memory is not None:
-                                        mem_write(
-                                            replaced_addr, cycles
-                                        )
+                            bv_fill(bcset, addr, size, cycles)
                     else:
                         if uses_sizes:
                             size = memo_get(taddr)
@@ -660,60 +587,9 @@ def scalar_kernel(
                                 size = size_fn(taddr)
                         else:
                             size = 1
-                        result = llc_access(addr, _READ, size)
-                        memory_reads_c += result.memory_reads
-                        memory_writes_c += result.memory_writes
-                        silent_evictions_c += result.silent_evictions
-                        llc_data_reads_c += result.data_reads
-                        llc_data_writes_c += result.data_writes
-                        llc_fill_segments_c += result.fill_segments
-                        llc_accesses_c += 1
-                        read_latency = 0.0
-                        if memory is not None:
-                            if result.memory_reads:
-                                read_latency = mem_read(addr, cycles)
-                            for _ in range(result.memory_writes):
-                                mem_write(addr, cycles)
-                        inv = result.invalidates
-                        if inv:
-                            if len(inv) == 1:
-                                # hierarchy._process_invalidates,
-                                # inlined for the dominant one-line
-                                # case (a fill drops at most one
-                                # line from the baseline image).
-                                inv_addr, wrote_back = inv[0]
-                                icset = l1_sets[inv_addr & l1_mask]
-                                iway = icset.lookup.pop(inv_addr, None)
-                                if iway is None:
-                                    present = idirty = False
-                                else:
-                                    present = True
-                                    islot = icset.base + iway
-                                    idirty = l1_dirty[islot]
-                                    l1_valid[islot] = False
-                                    l1_dirty[islot] = False
-                                    icset.valid_count -= 1
-                                icset = l2_sets[inv_addr & l2_mask]
-                                iway = icset.lookup.pop(inv_addr, None)
-                                if iway is not None:
-                                    present = True
-                                    islot = icset.base + iway
-                                    idirty = idirty or l2_dirty[islot]
-                                    l2_valid[islot] = False
-                                    l2_dirty[islot] = False
-                                    icset.valid_count -= 1
-                                if present:
-                                    back_invalidations_c += 1
-                                if idirty and not wrote_back:
-                                    # Most-recent data lived
-                                    # upstream; it must reach
-                                    # memory.
-                                    memory_writes_c += 1
-                                    if memory is not None:
-                                        mem_write(inv_addr, cycles)
-                            else:
-                                hierarchy.now = cycles
-                                process_invalidates(result)
+                        result, read_latency = llc_call(
+                            addr, _READ, size, cycles
+                        )
                         extra = extra_tag_cycles
                         if result.hit:
                             llc_hits_c += 1
@@ -820,25 +696,7 @@ def scalar_kernel(
                                         # Section IV.B.5: the grown
                                         # line no longer shares.
                                         bv.stat_partner_evictions += 1
-                                        del bcset.vict_lookup[
-                                            bcset.vict_tags[base_way]
-                                        ]
-                                        bv._victim_resident -= 1
-                                        bcset.vict_valid[
-                                            base_way
-                                        ] = False
-                                        if bcset.vict_dirty[base_way]:
-                                            bcset.vict_dirty[
-                                                base_way
-                                            ] = False
-                                            memory_writes_c += 1
-                                            if memory is not None:
-                                                mem_write(
-                                                    victim2, cycles
-                                                )
-                                        else:
-                                            silent_evictions_c += 1
-                                            bv_silent_c += 1
+                                        bv_drop_victim(bcset, base_way)
                                 elif victim2 not in bcset.vict_lookup:
                                     # Writeback to a non-resident
                                     # line bypasses to memory.
@@ -848,30 +706,9 @@ def scalar_kernel(
                                     if memory is not None:
                                         mem_write(victim2, cycles)
                                 else:
-                                    wb = llc_access(
-                                        victim2, _WRITEBACK, size_v
+                                    llc_call(
+                                        victim2, _WRITEBACK, size_v, cycles
                                     )
-                                    memory_reads_c += wb.memory_reads
-                                    memory_writes_c += wb.memory_writes
-                                    silent_evictions_c += (
-                                        wb.silent_evictions
-                                    )
-                                    llc_data_reads_c += wb.data_reads
-                                    llc_data_writes_c += wb.data_writes
-                                    llc_fill_segments_c += (
-                                        wb.fill_segments
-                                    )
-                                    llc_accesses_c += 1
-                                    if memory is not None:
-                                        if wb.memory_reads:
-                                            mem_read(victim2, cycles)
-                                        for _ in range(
-                                            wb.memory_writes
-                                        ):
-                                            mem_write(victim2, cycles)
-                                    if wb.invalidates:
-                                        hierarchy.now = cycles
-                                        process_invalidates(wb)
                             else:
                                 if uses_sizes:
                                     size_v = memo_get(victim2 - addr_offset)
@@ -879,22 +716,7 @@ def scalar_kernel(
                                         size_v = size_fn(victim2 - addr_offset)
                                 else:
                                     size_v = 1
-                                wb = llc_access(victim2, _WRITEBACK, size_v)
-                                memory_reads_c += wb.memory_reads
-                                memory_writes_c += wb.memory_writes
-                                silent_evictions_c += wb.silent_evictions
-                                llc_data_reads_c += wb.data_reads
-                                llc_data_writes_c += wb.data_writes
-                                llc_fill_segments_c += wb.fill_segments
-                                llc_accesses_c += 1
-                                if memory is not None:
-                                    if wb.memory_reads:
-                                        mem_read(victim2, cycles)
-                                    for _ in range(wb.memory_writes):
-                                        mem_write(victim2, cycles)
-                                if wb.invalidates:
-                                    hierarchy.now = cycles
-                                    process_invalidates(wb)
+                                llc_call(victim2, _WRITEBACK, size_v, cycles)
                         elif l2_hints:
                             # Clean, unreused L2 eviction: CHAR-style
                             # downgrade hint (hint_downgrade, inlined
@@ -954,104 +776,18 @@ def scalar_kernel(
                         hierarchy.now = cycles
                         fill_l2(victim1, dirty=True)
 
-                # Hardware prefetches issued by this miss.
+                # Hardware prefetches issued by this miss.  Like the
+                # reference, a prefetch lookup counts no LLC hit or
+                # miss, and a prefetch that hits is dropped silently.
                 for target in prefetches:
                     if unc is not None:
-                        # contains + PREFETCH access, inlined: after
-                        # the residency check the access is always a
-                        # fill (prefetch hits are dropped silently).
-                        # Like the reference, a prefetch lookup counts
-                        # no LLC hit or miss.
+                        # contains + PREFETCH access, inlined.
                         ucset = u_sets[target & u_mask]
                         if target in ucset.lookup:
                             continue
                         llc_accesses_c += 1
-                        memory_reads_c += 1
-                        llc_data_writes_c += 1
-                        llc_fill_segments_c += 1
                         prefetch_fills_c += 1
-                        if memory is not None:
-                            mem_read(target, cycles)
-                        ubase = ucset.base
-                        if ucset.valid_count == u_ways:
-                            uindex = ucset.index
-                            hand = u_hands[uindex]
-                            try:
-                                uway = (
-                                    u_ref.index(
-                                        False,
-                                        ubase + hand,
-                                        ubase + u_ways,
-                                    )
-                                    - ubase
-                                )
-                            except ValueError:
-                                try:
-                                    uway = (
-                                        u_ref.index(
-                                            False, ubase, ubase + hand
-                                        )
-                                        - ubase
-                                    )
-                                except ValueError:
-                                    for w in range(
-                                        ubase, ubase + u_ways
-                                    ):
-                                        u_ref[w] = False
-                                    uway = hand
-                            u_hands[uindex] = (
-                                uway + 1 if uway + 1 < u_ways else 0
-                            )
-                            uslot = ubase + uway
-                            uvictim = u_tags[uslot]
-                            uvictim_dirty = u_dirty[uslot]
-                            del ucset.lookup[uvictim]
-                            unc_evictions_c += 1
-                            if uvictim_dirty:
-                                unc_writebacks_c += 1
-                                memory_writes_c += 1
-                                if memory is not None:
-                                    mem_write(target, cycles)
-                            # Back-invalidate the evicted line
-                            # (single-line _process_invalidates,
-                            # inlined).
-                            icset = l1_sets[uvictim & l1_mask]
-                            iway = icset.lookup.pop(uvictim, None)
-                            if iway is None:
-                                present = idirty = False
-                            else:
-                                present = True
-                                islot = icset.base + iway
-                                idirty = l1_dirty[islot]
-                                l1_valid[islot] = False
-                                l1_dirty[islot] = False
-                                icset.valid_count -= 1
-                            icset = l2_sets[uvictim & l2_mask]
-                            iway = icset.lookup.pop(uvictim, None)
-                            if iway is not None:
-                                present = True
-                                islot = icset.base + iway
-                                idirty = idirty or l2_dirty[islot]
-                                l2_valid[islot] = False
-                                l2_dirty[islot] = False
-                                icset.valid_count -= 1
-                            if present:
-                                back_invalidations_c += 1
-                            if idirty and not uvictim_dirty:
-                                memory_writes_c += 1
-                                if memory is not None:
-                                    mem_write(uvictim, cycles)
-                        else:
-                            uslot = u_valid.index(
-                                False, ubase, ubase + u_ways
-                            )
-                            uway = uslot - ubase
-                            ucset.valid_count += 1
-                        u_tags[uslot] = target
-                        u_valid[uslot] = True
-                        u_dirty[uslot] = False
-                        ucset.lookup[target] = uway
-                        u_ref[uslot] = True
+                        unc_fill(ucset, target, cycles)
                         continue
                     if bv is not None:
                         # BaseVictimLLC.contains, inlined.
@@ -1062,10 +798,9 @@ def scalar_kernel(
                         ):
                             continue
                         if bv_fast:
-                            # PREFETCH to a non-resident line:
-                            # _miss and _fill_baseline, inlined (the
-                            # residency check above rules out both
-                            # hit paths).
+                            # PREFETCH to a non-resident line: _miss,
+                            # inlined (the residency check above
+                            # rules out both hit paths).
                             size_p = memo_get(target - addr_offset)
                             if size_p is None:
                                 size_p = size_fn(target - addr_offset)
@@ -1075,216 +810,17 @@ def scalar_kernel(
                             prefetch_fills_c += 1
                             if memory is not None:
                                 mem_read(target, cycles)
-                            fill_size = size_p
-
-                            # _fill_baseline, inlined.
-                            base_lookup = bcset.base_lookup
-                            base_valid = bcset.base_valid
-                            base_tags = bcset.base_tags
-                            base_dirty_col = bcset.base_dirty
-                            base_size_col = bcset.base_size
-                            vict_valid = bcset.vict_valid
-                            state = bcset.policy_state
-                            referenced = state.referenced
-                            have_replaced = False
-                            replaced_addr = 0
-                            replaced_size = 0
-                            was_dirty = False
-                            if bcset.base_valid_count < len(base_valid):
-                                bway = base_valid.index(False)
-                                bcset.base_valid_count += 1
-                            else:
-                                hand = state.hand
-                                bways = len(referenced)
-                                try:
-                                    bway = referenced.index(False, hand)
-                                except ValueError:
-                                    try:
-                                        bway = referenced.index(
-                                            False, 0, hand
-                                        )
-                                    except ValueError:
-                                        for w in range(bways):
-                                            referenced[w] = False
-                                        bway = hand
-                                state.hand = (
-                                    bway + 1 if bway + 1 < bways else 0
-                                )
-                                replaced_addr = base_tags[bway]
-                                was_dirty = base_dirty_col[bway]
-                                if was_dirty:
-                                    memory_writes_c += 1
-                                    if memory is not None:
-                                        mem_write(target, cycles)
-                                replaced_size = base_size_col[bway]
-                                have_replaced = True
-                                del base_lookup[replaced_addr]
-                            base_tags[bway] = target
-                            base_valid[bway] = True
-                            base_dirty_col[bway] = False
-                            base_size_col[bway] = fill_size
-                            base_lookup[target] = bway
-                            referenced[bway] = True
-                            if (
-                                vict_valid[bway]
-                                and fill_size + bcset.vict_size[bway]
-                                > bv_spl
-                            ):
-                                bv.stat_partner_evictions += 1
-                                del bcset.vict_lookup[
-                                    bcset.vict_tags[bway]
-                                ]
-                                bv._victim_resident -= 1
-                                vict_valid[bway] = False
-                                if bcset.vict_dirty[bway]:
-                                    bcset.vict_dirty[bway] = False
-                                    memory_writes_c += 1
-                                    if memory is not None:
-                                        mem_write(target, cycles)
-                                else:
-                                    silent_evictions_c += 1
-                                    bv_silent_c += 1
-
-                            if have_replaced:
-                                # _insert_victim (ECM scan), inlined.
-                                room = bv_spl - replaced_size
-                                way_v = -1
-                                free_way = -1
-                                free_size = -1
-                                occ_size = -1
-                                w = 0
-                                for bvalid, bsize, vvalid in zip(
-                                    base_valid,
-                                    base_size_col,
-                                    vict_valid,
-                                ):
-                                    if not bvalid:
-                                        bsize = 0
-                                    if bsize <= room:
-                                        if vvalid:
-                                            if bsize > occ_size:
-                                                occ_size = bsize
-                                                way_v = w
-                                        elif bsize > free_size:
-                                            free_size = bsize
-                                            free_way = w
-                                    w += 1
-                                if free_way >= 0:
-                                    way_v = free_way
-                                if way_v < 0:
-                                    bv.stat_demotion_drops += 1
-                                else:
-                                    bv_choices_c += 1
-                                    if vict_valid[way_v]:
-                                        bv_replacements_c += 1
-                                        del bcset.vict_lookup[
-                                            bcset.vict_tags[way_v]
-                                        ]
-                                        bv._victim_resident -= 1
-                                        vict_valid[way_v] = False
-                                        if bcset.vict_dirty[way_v]:
-                                            bcset.vict_dirty[
-                                                way_v
-                                            ] = False
-                                            memory_writes_c += 1
-                                            if memory is not None:
-                                                mem_write(
-                                                    target, cycles
-                                                )
-                                        else:
-                                            silent_evictions_c += 1
-                                            bv_silent_c += 1
-                                    bcset.vict_tags[way_v] = (
-                                        replaced_addr
-                                    )
-                                    vict_valid[way_v] = True
-                                    bcset.vict_dirty[way_v] = False
-                                    bcset.vict_size[way_v] = (
-                                        replaced_size
-                                    )
-                                    bcset.clock += 1
-                                    bcset.vict_stamp[way_v] = (
-                                        bcset.clock
-                                    )
-                                    bcset.vict_lookup[
-                                        replaced_addr
-                                    ] = way_v
-                                    bv._victim_resident += 1
-                                    bv_demotions_c += 1
-                                    llc_data_reads_c += 1
-                                    llc_data_writes_c += 1
-                                    llc_fill_segments_c += (
-                                        replaced_size
-                                    )
-
-                            llc_data_writes_c += 1
-                            llc_fill_segments_c += fill_size
-
-                            if have_replaced:
-                                # Back-invalidate the replaced line
-                                # (single-line
-                                # _process_invalidates, inlined).
-                                icset = l1_sets[
-                                    replaced_addr & l1_mask
-                                ]
-                                iway = icset.lookup.pop(
-                                    replaced_addr, None
-                                )
-                                if iway is None:
-                                    present = idirty = False
-                                else:
-                                    present = True
-                                    islot = icset.base + iway
-                                    idirty = l1_dirty[islot]
-                                    l1_valid[islot] = False
-                                    l1_dirty[islot] = False
-                                    icset.valid_count -= 1
-                                icset = l2_sets[
-                                    replaced_addr & l2_mask
-                                ]
-                                iway = icset.lookup.pop(
-                                    replaced_addr, None
-                                )
-                                if iway is not None:
-                                    present = True
-                                    islot = icset.base + iway
-                                    idirty = idirty or l2_dirty[islot]
-                                    l2_valid[islot] = False
-                                    l2_dirty[islot] = False
-                                    icset.valid_count -= 1
-                                if present:
-                                    back_invalidations_c += 1
-                                if idirty and not was_dirty:
-                                    memory_writes_c += 1
-                                    if memory is not None:
-                                        mem_write(
-                                            replaced_addr, cycles
-                                        )
+                            bv_fill(bcset, target, size_p, cycles)
                             continue
                     elif llc_contains(target):
-                        continue  # a prefetch hit is dropped silently
+                        continue
                     if uses_sizes:
                         size_p = memo_get(target - addr_offset)
                         if size_p is None:
                             size_p = size_fn(target - addr_offset)
                     else:
                         size_p = 1
-                    pf = llc_access(target, _PREFETCH, size_p)
-                    memory_reads_c += pf.memory_reads
-                    memory_writes_c += pf.memory_writes
-                    silent_evictions_c += pf.silent_evictions
-                    llc_data_reads_c += pf.data_reads
-                    llc_data_writes_c += pf.data_writes
-                    llc_fill_segments_c += pf.fill_segments
-                    llc_accesses_c += 1
-                    if memory is not None:
-                        if pf.memory_reads:
-                            mem_read(target, cycles)
-                        for _ in range(pf.memory_writes):
-                            mem_write(target, cycles)
-                    if pf.invalidates:
-                        hierarchy.now = cycles
-                        process_invalidates(pf)
+                    pf, _ = llc_call(target, _PREFETCH, size_p, cycles)
                     if not pf.hit:
                         prefetch_fills_c += 1
 

@@ -22,7 +22,8 @@ proven byte-identical — results *and* serialised observations — by
 Selection order: explicit argument > ``$REPRO_ENGINE`` > ``batch``.
 The CLI's ``--engine`` writes the environment variable so parallel
 sweep workers (fork or spawn, see :mod:`repro.sim.parallel`) inherit
-the choice.  Any other name is an error.
+the choice.  Any other name is an error; every CLI subcommand that
+takes ``--engine`` checks ``$REPRO_ENGINE`` before it does any work.
 """
 
 from __future__ import annotations
@@ -46,10 +47,13 @@ def resolve_engine(explicit: str | None = None) -> str:
     silently simulating with the default.
     """
     requested = explicit
+    source = ""
     if requested is None:
         requested = os.environ.get(ENGINE_ENV, "").strip() or DEFAULT_ENGINE
+        source = f" in ${ENGINE_ENV}"
     if requested not in ENGINES:
         raise ValueError(
-            f"unknown engine {requested!r}; expected one of {', '.join(ENGINES)}"
+            f"unknown engine {requested!r}{source}; "
+            f"expected one of {', '.join(ENGINES)}"
         )
     return requested

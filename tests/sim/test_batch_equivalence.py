@@ -9,10 +9,13 @@ kernel has a separate lane for each LLC flavor, so it is proven, not
 argued: this module fuzzes dozens of seeded randomized traces across
 every replacement policy, every LLC architecture and Base-Victim's
 non-default variants (each of which the kernel serves through a
-different lane), plus a stub LLC whose multi-line back-invalidations
-reach the L1 outside the kernel.  It requires the batched run to be
-**byte-identical** to the traced reference — every ``RunResult`` field
-and every serialised observation (``obs``) — on each one.
+different lane), plus a stub LLC whose accesses drop several lines at
+once.  It requires the batched run to be **byte-identical** to the
+traced reference — every ``RunResult`` field and every serialised
+observation (``obs``) — on each one.  The fuzz, miss and architecture
+cases also require both engines to leave the same L1, L2, prefetcher,
+LLC and DRAM state behind (see ``tests/sim/endstate.py``), and the
+batch side's LLC to pass its own invariant check.
 
 The same seeded traces also drive :class:`CacheHierarchy` with its
 private L1/L2 on the inline LRU (recency kept in each set's lookup-dict
@@ -39,10 +42,13 @@ from repro.core.interfaces import AccessKind, LLCArchitecture
 from repro.memory.dram import DRAMModel
 from repro.obs.registry import CounterRegistry
 from repro.obs.tracing import TRACE_ENV, TRACE_FILE_ENV, TRACE_LIMIT_ENV
+from repro.sim import single_core
 from repro.sim.config import ARCH_BASE_VICTIM, ARCH_CHOICES, TEST, MachineConfig
 from repro.sim.single_core import simulate_trace
 from repro.workloads.datagen import LineDataModel, build_palette
 from repro.workloads.trace import LOAD, STORE, Trace, TraceMeta
+
+from .endstate import assert_same_state, record_hierarchies
 
 #: Policies the oracle sweeps the LLC over (the L1/L2 stay LRU, the only
 #: private-cache policy the kernel inlines; the LLC policy shapes the
@@ -132,6 +138,16 @@ def run_engine(trace: Trace, machine: MachineConfig, engine: str, **kwargs) -> s
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
+def assert_engines_agree(monkeypatch, trace: Trace, machine: MachineConfig) -> None:
+    """Batch vs traced: byte-identical results and the same end state."""
+    built = record_hierarchies(monkeypatch, single_core)
+    assert run_engine(trace, machine, "batch") == run_engine(
+        trace, machine, "traced"
+    )
+    batch, traced = built
+    assert_same_state([batch], [traced])
+
+
 def _cases():
     """(case_id, seed, machine) for the full fuzz matrix."""
     case = 0
@@ -151,11 +167,8 @@ class TestFuzzOracle:
     @pytest.mark.parametrize(
         "seed,machine", [case[1:] for case in CASES], ids=[c[0] for c in CASES]
     )
-    def test_batched_run_byte_identical_to_traced(self, seed, machine):
-        trace = fuzz_trace(seed)
-        assert run_engine(trace, machine, "batch") == run_engine(
-            trace, machine, "traced"
-        )
+    def test_batched_run_byte_identical_to_traced(self, monkeypatch, seed, machine):
+        assert_engines_agree(monkeypatch, fuzz_trace(seed), machine)
 
 
 def miss_trace(seed: int) -> Trace:
@@ -226,11 +239,10 @@ class TestMissDominatedOracle:
         [case[1:] for case in MISS_CASES],
         ids=[c[0] for c in MISS_CASES],
     )
-    def test_miss_dominated_byte_identical_to_traced(self, seed, machine):
-        trace = miss_trace(seed)
-        assert run_engine(trace, machine, "batch") == run_engine(
-            trace, machine, "traced"
-        )
+    def test_miss_dominated_byte_identical_to_traced(
+        self, monkeypatch, seed, machine
+    ):
+        assert_engines_agree(monkeypatch, miss_trace(seed), machine)
 
 
 def _arch_machines():
@@ -273,11 +285,10 @@ class TestArchitectureOracle:
         [case[1:] for case in ARCH_CASES],
         ids=[c[0] for c in ARCH_CASES],
     )
-    def test_every_architecture_byte_identical_to_traced(self, seed, machine, kind):
-        trace = TRACE_KINDS[kind](seed)
-        assert run_engine(trace, machine, "batch") == run_engine(
-            trace, machine, "traced"
-        )
+    def test_every_architecture_byte_identical_to_traced(
+        self, monkeypatch, seed, machine, kind
+    ):
+        assert_engines_agree(monkeypatch, TRACE_KINDS[kind](seed), machine)
 
 
 class InvalidatingLLC(LLCArchitecture):
@@ -285,9 +296,9 @@ class InvalidatingLLC(LLCArchitecture):
 
     A demand read of a trigger address returns the inner result plus
     ``(line, False)`` for each line named for it.  The kernel serves this
-    LLC through its generic lane and hands any multi-line
-    ``invalidates`` list to the hierarchy's own back-invalidation, so
-    those L1 changes happen outside the kernel's inlined code.
+    LLC through its generic lane, whose ``llc_call`` back-invalidates
+    every line of a multi-line ``invalidates`` list, one at a time, with
+    the same single-line code the inlined fills use.
     """
 
     name = "invalidating"
@@ -329,8 +340,8 @@ def invalidation_trace(rounds: int = 24) -> tuple[Trace, tuple]:
     access drops two hot lines of set 0, then runs 48 hot accesses,
     every fifth a store.  The kernel's next accesses to the dropped
     lines must see them gone: they miss, refill the L1 and evict, where
-    a kernel that missed the hierarchy-side invalidations would count
-    L1 hits and keep stale LRU and dirty state.
+    a kernel that applied only the first line of a multi-line drop
+    would count L1 hits and keep stale LRU and dirty state.
     """
     hot = [0x5000 + line for line in range(8)]
     kinds = array("b")
@@ -425,7 +436,12 @@ class TestInlineLRUReference:
 
 
 class TestHierarchySideInvalidations:
-    """The kernel sees L1 changes made outside its inlined code."""
+    """Multi-line back-invalidations, which the kernel applies line by line.
+
+    The kernel's later accesses must see every dropped line gone from
+    L1 and L2, exactly as the hierarchy's own back-invalidation leaves
+    them in the traced reference.
+    """
 
     def test_multi_line_back_invalidations_reach_the_kernel(self):
         trace, triggers = invalidation_trace()

@@ -8,9 +8,12 @@ reference — it re-picks the thread with the smallest clock (the first on
 ties) before every access and issues it through ``hierarchy.access``.
 This module requires the two to produce **byte-identical**
 ``MixRunResult``s — every per-thread field and every serialised
-observation — over seeded mixes across the LLC matrix, and on the
-scheduler's edge cases: clock ties, a thread that wraps its trace many
-times, and occupancy samples that land on a span boundary.
+observation — and to leave the same machine state behind (every
+thread's L1, L2 and prefetcher, the shared LLC and DRAM; see
+``tests/sim/endstate.py``) over seeded mixes across the LLC matrix, and
+on the scheduler's edge cases: clock ties, a thread that wraps its
+trace many times, and occupancy samples that land on a span boundary.
+The kernel side's LLC must also pass its own invariant check.
 
 Mixes are built from the case seed alone, so every failure reproduces
 from its parametrized test id.
@@ -26,6 +29,7 @@ from math import inf
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
+from repro.sim import multi_core
 from repro.sim.batch import scalar_kernel
 from repro.sim.config import TEST, MachineConfig, Preset
 from repro.sim.engine import ENGINE_ENV
@@ -35,6 +39,8 @@ from repro.workloads.datagen import LineDataModel, build_palette
 from repro.workloads.mixes import MixSpec
 from repro.workloads.suite import TraceSuite, sensitive_specs
 from repro.workloads.trace import LOAD, STORE, Trace, TraceMeta
+
+from .endstate import assert_same_state, record_hierarchies
 
 POLICIES = ("nru", "lru", "srrip", "drrip")
 
@@ -71,10 +77,13 @@ def run_mix(monkeypatch, mix, machine, preset, suite_factory, engine) -> str:
 
 
 def assert_engines_agree(monkeypatch, mix, machine, preset, suite_factory) -> dict:
-    """Kernel vs traced byte-identity; returns the decoded result."""
+    """Kernel vs traced byte-identity and end state; returns the decoded result."""
+    built = record_hierarchies(monkeypatch, multi_core)
     kernel = run_mix(monkeypatch, mix, machine, preset, suite_factory, "batch")
     traced = run_mix(monkeypatch, mix, machine, preset, suite_factory, "traced")
     assert kernel == traced
+    threads = len(mix.trace_names)
+    assert_same_state(built[:threads], built[threads:])
     return json.loads(kernel)
 
 

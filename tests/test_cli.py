@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -450,6 +453,52 @@ class TestLockAndValidationFlags:
         assert capsys.readouterr().err.splitlines() == [
             "error: unknown trace 'nosuch' (see repro list-traces)"
         ]
+        assert not cache_dir.exists()
+
+    ENGINE_ERROR = (
+        "error: unknown engine 'fast' in $REPRO_ENGINE; "
+        "expected one of batch, traced"
+    )
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--preset", "test", "--trace", "mcf.1"],
+            ["dispatch", "--preset", "test", "--trace", "mcf.1", "--workers", "1"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_malformed_engine_env_is_rejected_up_front(
+        self, command, capsys, tmp_path, monkeypatch
+    ):
+        """A malformed $REPRO_ENGINE exits 2 with one line naming it,
+        before any cache file, journal or worker exists."""
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        monkeypatch.setenv("REPRO_ENGINE", "fast")
+        assert main(command) == 2
+        assert capsys.readouterr().err.splitlines() == [self.ENGINE_ERROR]
+        assert not cache_dir.exists()
+
+    def test_serve_with_malformed_engine_env_never_binds(self, tmp_path):
+        """``repro serve`` checks $REPRO_ENGINE before it binds its socket
+        (a subprocess with a timeout, so a server that binds and waits
+        fails the test instead of hanging it)."""
+        cache_dir = tmp_path / "cache"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env["REPRO_CACHE_DIR"] = str(cache_dir)
+        env["REPRO_ENGINE"] = "fast"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--preset", "test"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [self.ENGINE_ERROR]
         assert not cache_dir.exists()
 
     def test_unknown_victim_policy_is_rejected_eagerly(self, capsys, tmp_path, monkeypatch):
