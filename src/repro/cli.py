@@ -826,7 +826,7 @@ def _cmd_cache_canonicalize(args: argparse.Namespace) -> int:
     set, independent of write order — the normal form every dispatch
     fold ends in.  Run it on a serially-produced cache before comparing
     it byte-for-byte against a distributed one (the differential test
-    and the CI dist-smoke job do exactly that), or to scrub the lines
+    and the CI chaos-smoke job do exactly that), or to scrub the lines
     ``repro cache verify`` rejects.  Idempotent; already-canonical files
     are left byte-untouched, and a rewrite copies valid lines verbatim.
     Only current-version files are rewritten; stale ones are listed and

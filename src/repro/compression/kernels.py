@@ -13,7 +13,7 @@ argument of Pekhimenko et al. — this module recomputes them in bulk:
   codecs in :mod:`repro.compression.bdi`/``fpc``/``cpack`` (enforced by
   ``tests/compression/test_kernels.py``);
 * :func:`ring_bases` evaluates the data model's address hash over the
-  distinct addresses of a trace's v3 columnar address array, so the
+  distinct addresses of a trace's int64 address column, so the
   per-address size memo can be primed in one pass at load time.
 
 The kernels are *size* kernels only — they never build payloads, so
@@ -214,8 +214,8 @@ def size_histogram(kernel, lines: Sequence[bytes]) -> tuple[tuple[int, int], ...
 def ring_bases(addrs, seed: int, ring_size: int) -> "tuple[np.ndarray, np.ndarray]":
     """(distinct addresses, ``_mix(addr ^ seed) % ring_size``) for a trace.
 
-    ``addrs`` is anything the buffer protocol exposes as int64 (the v3
-    columnar address array).  One vectorised pass replaces millions of
+    ``addrs`` is anything the buffer protocol exposes as int64 (a
+    trace's ``addrs`` column).  One vectorised pass replaces millions of
     scalar hash evaluations with one per *distinct* line address.
     """
     unique = np.unique(np.frombuffer(addrs, dtype=np.int64))

@@ -10,7 +10,7 @@ owns the two ways a coordinator finds its fleet:
   (``tcp:HOST:PORT`` or a unix-socket path) for real multi-host runs.
 * :class:`LocalWorkerPool` — ``--workers N`` spawns N serve
   subprocesses on private sockets and cache directories under the
-  coordinator's cache dir; the differential tests, the CI dist-smoke
+  coordinator's cache dir; the differential tests, the CI chaos-smoke
   job and single-box scale-out all use it.
 
 Spawned workers deliberately do *not* inherit ``$REPRO_FAULTS`` /

@@ -240,7 +240,7 @@ def load_baseline(path: Path, section: str) -> dict:
         except KeyError:
             known = ", ".join(sorted(data["matrices"]))
             raise KeyError(
-                f"{path}: no section {section!r} with an 'after' payload "
+                f"no section {section!r} with an 'after' payload "
                 f"(known sections: {known})"
             ) from None
     return data
@@ -322,7 +322,7 @@ def add_arguments(parser) -> None:
     parser.add_argument(
         "--check",
         metavar="BASELINE",
-        help="compare against a committed BENCH_PERF.json and exit 1 on regression",
+        help="gate on a committed BENCH_PERF.json (exit 1: regression, 2: unreadable)",
     )
     parser.add_argument(
         "--section",
@@ -357,6 +357,18 @@ def run(args) -> int:
             file=sys.stderr,
         )
         return 2
+    baseline: dict | None = None
+    if args.check:
+        # A bad baseline is a usage error (exit 2) found before measuring,
+        # never a regression (exit 1) after a full run.
+        try:
+            baseline = load_baseline(Path(args.check), args.section)
+        except (OSError, ValueError, KeyError) as exc:
+            # str() of an OSError repeats the path; of a KeyError, quotes it.
+            reason = (exc.strerror if isinstance(exc, OSError)
+                      else exc.args[0] if isinstance(exc, KeyError) else exc)
+            print(f"error: baseline {args.check}: {reason}", file=sys.stderr)
+            return 2
 
     def progress(done: int, total: int, label: str) -> None:
         """Render an in-place progress line on stderr."""
@@ -398,8 +410,7 @@ def run(args) -> int:
         Path(args.output).write_text(json.dumps(payload, indent=2, sort_keys=True))
         print(f"wrote {args.output}")
 
-    if args.check:
-        baseline = load_baseline(Path(args.check), args.section)
+    if baseline is not None:
         problems = check_regression(payload, baseline, args.max_regression)
         if problems:
             print("PERF REGRESSION:", file=sys.stderr)

@@ -19,13 +19,6 @@ from repro.workloads.suite import (
     TraceSuite,
 )
 from repro.workloads.trace import LOAD, STORE, Trace, TraceMeta
-from repro.workloads.traceio import (
-    open_trace_columns,
-    read_trace,
-    trace_file_version,
-    TraceFormatError,
-    write_trace,
-)
 
 __all__ = [
     "all_specs",
@@ -47,12 +40,7 @@ __all__ = [
     "STORE",
     "THREADS_PER_MIX",
     "Trace",
-    "TraceFormatError",
     "TraceMeta",
     "TraceSpec",
     "TraceSuite",
-    "open_trace_columns",
-    "read_trace",
-    "trace_file_version",
-    "write_trace",
 ]

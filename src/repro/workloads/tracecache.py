@@ -1,13 +1,13 @@
-"""Bounded per-process cache of parsed traces and derived size tables.
+"""Bounded per-process cache of generated traces and derived size tables.
 
 Every cell of a sweep pays two fixed costs before its first simulated
-access: generating (or parsing) the trace, and precomputing the codec
-size tables the compressed-LLC fast path reads (see
+access: generating the trace, and precomputing the codec size tables
+the compressed-LLC fast path reads (see
 :mod:`repro.compression.kernels`).  Both are pure functions of their
-inputs — a synthetic trace of (suite version, preset, name), a file
-trace of its bytes, size tables of (trace addresses, seed, palette) — so
-a sweep that visits the same trace once per machine configuration
-recomputes identical values many times over.
+inputs — a synthetic trace of (suite version, preset, name), size
+tables of (trace addresses, seed, palette) — so a sweep that visits the
+same trace once per machine configuration recomputes identical values
+many times over.
 
 :class:`TraceCache` memo-izes those loads process-wide behind an LRU
 bound.  One instance per process (:func:`process_cache`) is shared by
@@ -22,10 +22,6 @@ namespaced tuples:
 * ``("sizes", SUITE_VERSION, reference_llc_lines, length, name)`` —
   the ``(ring_bases, version-0 sizes)`` pair from
   :meth:`~repro.workloads.datagen.LineDataModel.precompute_size_tables`.
-* ``("file", path, (format_version, checksum))`` — a trace parsed from
-  disk via :func:`load_trace`; the checksum comes from
-  :func:`~repro.workloads.traceio.trace_fingerprint`, so a rewritten
-  file at the same path can never serve a stale parse.
 
 Cached values must be treated as immutable by consumers; the one
 sanctioned exception is the ring-base dict inside a ``"sizes"`` entry,
@@ -47,17 +43,15 @@ import time
 from collections import OrderedDict
 from typing import Any, Callable
 
-from repro.workloads.trace import Trace
-
-#: Default LRU bound.  A paper-preset trace holds four million-element
-#: columns, so an unbounded cache could swallow the host's memory on a
-#: 100-trace sweep; 128 entries covers a full bench-preset matrix
-#: (trace + size-table entry per cell) with room to spare.
+#: Default LRU bound.  A paper-preset trace holds three 1.5M-element
+#: columns (about 19 MiB), so an unbounded cache could swallow the host's
+#: memory on a 100-trace sweep; 128 entries covers a full bench-preset
+#: matrix (trace + size-table entry per cell) with room to spare.
 DEFAULT_MAX_ENTRIES = 128
 
-#: Environment override for the bound.  ``0`` disables retention
-#: entirely (every lookup loads; nothing is stored), which is the
-#: memory-pressure escape hatch for paper-length traces.
+#: Environment override for the bound.  Each ``TraceSuite`` keeps every
+#: trace it generated regardless, so the bound (even ``0``, which stores
+#: nothing here) limits only the traces shared across suites, plus size tables.
 MAX_ENTRIES_ENV = "REPRO_TRACE_CACHE_ENTRIES"
 
 
@@ -161,18 +155,3 @@ def reset_process_cache() -> None:
     global _PROCESS_CACHE
     _PROCESS_CACHE = None
 
-
-def load_trace(path: str | os.PathLike) -> Trace:
-    """Parse a trace file through the process cache.
-
-    The key is ``(path, fingerprint)`` where the fingerprint is the v3
-    header checksum (which covers the section table's per-column CRCs
-    and therefore, transitively, the payload bytes) — so replacing the
-    file's contents in place always misses and re-parses, while
-    repeated loads of an unchanged file are dict hits.
-    """
-    from repro.workloads.traceio import read_trace, trace_fingerprint
-
-    path_str = os.fspath(path)
-    key = ("file", path_str, trace_fingerprint(path_str))
-    return process_cache().get(key, lambda: read_trace(path_str))

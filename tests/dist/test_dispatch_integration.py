@@ -4,8 +4,8 @@ The tentpole invariant with workers dying under it: a dispatch sharded
 across a fleet of ``repro serve --worker`` processes — including one
 the ``worker-lost`` fault kills mid-dispatch — leaves a cache
 byte-identical to a canonicalized serial ``repro sweep`` of the same
-matrix, and the loss is visible in ``repro stats``.  This is the same
-code path CI's dist-smoke job drives.
+matrix, and the loss is visible in ``repro stats``.  CI's tier-1 job
+runs it on every supported Python.
 """
 
 from __future__ import annotations

@@ -169,3 +169,41 @@ class TestPerfCommand:
     def test_unreachable_baseline_exits_1(self, tmp_path, monkeypatch, capsys):
         assert self._perf(tmp_path, monkeypatch, rate=1e15) == 1
         assert "PERF REGRESSION" in capsys.readouterr().err
+
+    def _refused(self, monkeypatch, capsys, check, section: str) -> list[str]:
+        """Run ``--check`` against a baseline that must fail before measuring."""
+        monkeypatch.setenv(ENGINE_ENV, "batch")
+
+        def measure_matrix(*args, **kwargs):
+            pytest.fail("measured the matrix before rejecting the baseline")
+
+        monkeypatch.setattr("repro.sim.perfbench.measure_matrix", measure_matrix)
+        code = main([*self.SLICE, "--check", str(check), "--section", section])
+        assert code == 2
+        return capsys.readouterr().err.splitlines()
+
+    def test_missing_baseline_exits_2_before_measuring(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        missing = tmp_path / "nonexistent.json"
+        err = self._refused(monkeypatch, capsys, missing, "test-ci")
+        assert err == [f"error: baseline {missing}: No such file or directory"]
+
+    def test_invalid_baseline_json_exits_2_before_measuring(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        garbled = tmp_path / "BENCH_PERF.json"
+        garbled.write_text("{not json")
+        err = self._refused(monkeypatch, capsys, garbled, "test-ci")
+        assert len(err) == 1
+        assert err[0].startswith(f"error: baseline {garbled}: Expecting ")
+
+    def test_unknown_section_exits_2_before_measuring(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        baseline = self._baseline(tmp_path, rate=1.0)
+        err = self._refused(monkeypatch, capsys, baseline, "typo")
+        assert err == [
+            f"error: baseline {baseline}: no section 'typo' with an 'after' "
+            "payload (known sections: test-ci)"
+        ]

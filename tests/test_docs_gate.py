@@ -1,4 +1,4 @@
-"""Tier-1 enforcement of the ARCHITECTURE.md and PROTOCOL.md docs gates."""
+"""Tier-1 enforcement of the docs gate (module map, protocol spec, code refs)."""
 
 import shutil
 import subprocess
@@ -101,6 +101,27 @@ def test_gate_fails_when_spec_omits_an_event(tmp_path):
     proc = _run(_protocol_fixture(tmp_path, doctored))
     assert proc.returncode == 1
     assert "no example for event 'lease-done'" in proc.stdout
+
+
+def test_gate_fails_on_unresolved_code_reference(tmp_path):
+    fixture = _protocol_fixture(tmp_path, (REPO_ROOT / "PROTOCOL.md").read_text())
+    (fixture / "README.md").write_text(
+        "# Notes\n"
+        "\n"
+        "The kernel is `repro.sim.batch.scalar_kernel` in `repro/sim/batch.py`.\n"
+        "Traces came from `repro.workloads.nosuch`,\n"
+        "which lived in `src/repro/nosuch.py`.\n"
+        "```\n"
+        "`repro.fenced.blocks.are.not.prose`\n"
+        "```\n"
+    )
+    proc = _run(fixture)
+    assert proc.returncode == 1
+    assert "README.md:4: repro.workloads.nosuch" in proc.stdout
+    assert "README.md:5: src/repro/nosuch.py" in proc.stdout
+    # Resolvable references and fenced blocks are not reported.
+    assert "README.md:3:" not in proc.stdout
+    assert "README.md:7:" not in proc.stdout
 
 
 def test_readme_links_architecture():

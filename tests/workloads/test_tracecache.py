@@ -6,14 +6,11 @@ from repro.cli import main
 from repro.workloads import tracecache
 from repro.workloads.datagen import build_palette, LineDataModel
 from repro.workloads.suite import TraceSuite
-from repro.workloads.trace import Trace, TraceMeta
 from repro.workloads.tracecache import (
     TraceCache,
-    load_trace,
     process_cache,
     reset_process_cache,
 )
-from repro.workloads.traceio import TraceFormatError, trace_fingerprint, write_trace
 
 
 @pytest.fixture(autouse=True)
@@ -22,25 +19,6 @@ def _fresh_process_cache():
     reset_process_cache()
     yield
     reset_process_cache()
-
-
-def _make_trace(name="t", length=32):
-    meta = TraceMeta(
-        name=name,
-        category="ispec",
-        seed=7,
-        footprint_lines=64,
-        comp_class="friendly",
-        cache_sensitive=True,
-        mlp_l2=2.0,
-        mlp_llc=3.0,
-        mlp_memory=1.5,
-        instrs_per_access=10.0,
-    )
-    trace = Trace(meta)
-    for i in range(length):
-        trace.append(kind=0, addr=i * 3, delta=4)
-    return trace
 
 
 class TestTraceCache:
@@ -135,59 +113,6 @@ class TestProcessCache:
             "error: $REPRO_TRACE_CACHE_ENTRIES must be an integer, got 'abc'"
         ]
         assert not list(tmp_path.iterdir())
-
-
-class TestTraceFingerprint:
-    def test_v3_uses_stored_header_crc(self, tmp_path):
-        path = tmp_path / "t.rptr"
-        write_trace(_make_trace(), path)
-        version, crc = trace_fingerprint(path)
-        assert version == 3
-        # Stable across calls, and cheap: the payload is never read.
-        assert trace_fingerprint(path) == (version, crc)
-
-    def test_v3_changes_when_contents_change(self, tmp_path):
-        a, b = tmp_path / "a.rptr", tmp_path / "b.rptr"
-        write_trace(_make_trace(length=32), a)
-        write_trace(_make_trace(length=33), b)
-        assert trace_fingerprint(a) != trace_fingerprint(b)
-
-    def test_v3_corrupt_header_rejected(self, tmp_path):
-        path = tmp_path / "t.rptr"
-        write_trace(_make_trace(), path)
-        data = bytearray(path.read_bytes())
-        data[8] ^= 0xFF  # inside the metadata-length field
-        path.write_bytes(bytes(data))
-        with pytest.raises(TraceFormatError):
-            trace_fingerprint(path)
-
-    def test_not_a_trace_file(self, tmp_path):
-        path = tmp_path / "t.rptr"
-        path.write_bytes(b"NOPE")
-        with pytest.raises(TraceFormatError):
-            trace_fingerprint(path)
-
-
-class TestLoadTrace:
-    def test_second_load_is_a_hit(self, tmp_path):
-        path = tmp_path / "t.rptr"
-        write_trace(_make_trace(), path)
-        first = load_trace(path)
-        second = load_trace(path)
-        assert second is first
-        snap = process_cache().snapshot()
-        assert snap["hits"] == 1
-        assert snap["misses"] == 1
-
-    def test_rewritten_file_misses(self, tmp_path):
-        path = tmp_path / "t.rptr"
-        write_trace(_make_trace(length=16), path)
-        first = load_trace(path)
-        write_trace(_make_trace(length=24), path)
-        second = load_trace(path)
-        assert second is not first
-        assert len(second) == 24
-        assert process_cache().stat_misses == 2
 
 
 class TestSuiteIntegration:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs gate: keep ARCHITECTURE.md and PROTOCOL.md in sync with the code.
+"""Docs gate: keep the prose docs in sync with the code.
 
-Two independent checks, both run by CI's lint job and by
+Three independent checks, all run by CI's lint job and by
 ``tests/test_docs_gate.py``; their failures aggregate so one run shows
 all drift at once:
 
@@ -22,6 +22,16 @@ all drift at once:
   values.  Skipped when the repo under ``--repo-root`` has no
   ``src/repro/serve/protocol.py`` (e.g. the minimal fixtures the
   docs-gate tests build).
+* **Code references** — every backticked ``repro.<dotted>`` name and
+  every backticked ``.py`` path outside fenced blocks in the prose docs
+  (``PROSE_DOCS``; ROADMAP.md and CHANGES.md record history and are not
+  checked) must resolve.  A dotted name's longest prefix that is a
+  module under ``src/repro`` must exist, and the component after it, if
+  any, must be a top-level name of that module, read from its AST (no
+  import, so this check needs no NumPy).  A path that contains ``/``
+  and ends in ``.py`` must exist under the repo root or ``src/``.  Each
+  unresolved reference is reported as ``DOC:LINE: REF``; a doc the
+  tree lacks is skipped.
 
 Usage::
 
@@ -31,6 +41,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import re
 import sys
@@ -47,6 +58,21 @@ JSON_BLOCK_RE = re.compile(r"```json\n(.*?)```", re.DOTALL)
 
 # Constants-table rows: | `NAME` | value | ...
 CONSTANT_ROW_RE = re.compile(r"\|\s*`([A-Z_]+)`\s*\|\s*`?(\d+)`?\s*\|")
+
+#: Prose docs whose code references must resolve.
+PROSE_DOCS = (
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "ARCHITECTURE.md",
+    "PROTOCOL.md",
+    "docs/OPERATIONS.md",
+)
+
+# One inline code span, e.g. `repro.sim.batch` or `tests/test_cli.py`.
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+# The dotted name a span starts with, e.g. `repro.sim.perfbench.run()`.
+DOTTED_REF_RE = re.compile(r"repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 
 #: Constants PROTOCOL.md must state, checked against the code's values.
 SPEC_CONSTANTS = (
@@ -98,6 +124,72 @@ def check_module_map(repo_root: Path) -> list[str]:
         failures.append(f"module missing from ARCHITECTURE.md module map: {name}")
     for name in sorted(documented - actual):
         failures.append(f"ARCHITECTURE.md lists a module that no longer exists: {name}")
+    return failures
+
+
+def _module_file(src_root: Path, dotted: str) -> Path | None:
+    """The source file of module ``dotted`` under ``src_root``, if any."""
+    base = src_root.joinpath(*dotted.split("."))
+    for path in (base / "__init__.py", base.with_suffix(".py")):
+        if path.is_file():
+            return path
+    return None
+
+
+def _top_level_names(path: Path) -> set[str]:
+    """Names a module's top-level statements bind (defs, assignments, imports)."""
+    names: set[str] = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _resolves(src_root: Path, dotted: str) -> bool:
+    """Whether ``repro.<...>`` names a module or one of its top-level names."""
+    parts = dotted.split(".")
+    for end in range(len(parts), 0, -1):
+        module = _module_file(src_root, ".".join(parts[:end]))
+        if module is not None:
+            return end == len(parts) or parts[end] in _top_level_names(module)
+    return False
+
+
+def check_code_references(repo_root: Path) -> list[str]:
+    """Unresolved code references in the prose docs, as ``DOC:LINE: REF``."""
+    src_root = repo_root / "src"
+    failures = []
+    for doc in PROSE_DOCS:
+        path = repo_root / doc
+        if not path.exists():
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fenced = False
+        for number, line in enumerate(lines, start=1):
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+                continue
+            if fenced:
+                continue
+            for span in CODE_SPAN_RE.findall(line):
+                dotted = DOTTED_REF_RE.match(span)
+                if dotted:
+                    ref = dotted.group(0)
+                    ok = _resolves(src_root, ref)
+                elif "/" in span and span.endswith(".py"):
+                    ref = span
+                    ok = (repo_root / ref).exists() or (src_root / ref).exists()
+                else:
+                    continue
+                if not ok:
+                    failures.append(f"{doc}:{number}: {ref}")
     return failures
 
 
@@ -220,7 +312,7 @@ def check_protocol_examples(repo_root: Path) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run both checks; 0 iff docs and code agree."""
+    """Run every check; 0 iff docs and code agree."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--repo-root",
@@ -232,12 +324,16 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = check_module_map(args.repo_root)
     failures += check_protocol_examples(args.repo_root)
+    failures += check_code_references(args.repo_root)
     if failures:
         for line in failures:
             print(line)
         print(f"\ndocs gate FAILED: {len(failures)} problem(s).")
         return 1
-    print("docs gate OK: module map and protocol spec match the code.")
+    print(
+        "docs gate OK: module map, protocol spec and code references "
+        "match the code."
+    )
     return 0
 
 
