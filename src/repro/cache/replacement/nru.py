@@ -2,8 +2,14 @@
 
 The paper's default LLC policy (Section V): each line has one "referenced"
 bit.  Hits and fills set the bit; the victim is the first way whose bit is
-clear.  When every bit is set, all bits except the just-touched way's are
-cleared (the classic NRU reset) and the search repeats.
+clear, searching from a rotating hand.  When every bit is set, all bits
+are cleared (the classic NRU reset) and the way at the hand is the victim.
+
+This is the one copy of NRU.  Every LLC that runs it — the uncompressed
+cache, Base-Victim's Baseline Cache, the two-tag designs — keeps its bits
+in each set's :class:`_NRUState`, and the scalar access kernel
+(:mod:`repro.sim.batch`) sets and clears those bits inline but takes
+every full-set victim from :meth:`NRUPolicy.choose_victim`.
 """
 
 from __future__ import annotations

@@ -11,22 +11,21 @@ update on hit) from ``fill`` (allocation + victim eviction) so a hierarchy
 can thread misses through lower levels before filling.
 
 Storage layout: one flat column per field across *all* sets —
-``tags``/``valid``/``dirty`` always, plus ``referenced``/``hands`` for
-the inline NRU policy.  Way ``w`` of set ``s`` lives at index
-``s * ways + w``; each :class:`_Set` handle carries that base offset
-next to its lookup dict.  The columns are plain Python lists,
+``tags``, ``valid`` and ``dirty``.  Way ``w`` of set ``s`` lives at
+index ``s * ways + w``; each :class:`_Set` handle carries that base
+offset next to its lookup dict.  The columns are plain Python lists,
 deliberately: CPython indexes lists 2-4x faster than
 ``array.array``/NumPy scalars, and this class's methods and the scalar
 access kernel (:mod:`repro.sim.batch`) touch these columns on every
 access.
 
-The inline LRU policy keeps no column at all: a set's recency order is
-its lookup dict's insertion order.  A hit moves the line to the end, a
-fill appends it, and a full set evicts the first key — the line a
-per-set stamp clock would give the smallest stamp.  Replacement
-policies outside the two inline fast paths keep their opaque per-set
-state objects; :class:`LRUPolicy`'s stamp path is the reference the
-inline LRU is tested against.
+Dict-order LRU is the one inline policy, the private L1/L2's: a set's
+recency order is its lookup dict's insertion order.  A hit moves the
+line to the end, a fill appends it, and a full set evicts the first key
+— the line a per-set stamp clock would give the smallest stamp.  Every
+other policy, NRU included, keeps its opaque per-set state object and
+runs through its own methods; :class:`LRUPolicy`'s stamp path is the
+reference the inline LRU is tested against.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from typing import Iterator, NamedTuple
 from repro.cache.config import CacheGeometry
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.replacement.lru import LRUPolicy
-from repro.cache.replacement.nru import NRUPolicy
 
 
 class EvictedLine(NamedTuple):
@@ -49,19 +47,17 @@ class EvictedLine(NamedTuple):
 class _Set:
     """Per-set handle: lookup dict plus this set's offset into the columns."""
 
-    __slots__ = ("index", "base", "lookup", "policy_state", "valid_count")
+    __slots__ = ("base", "lookup", "policy_state", "valid_count")
 
-    def __init__(self, index: int, base: int, policy_state: object) -> None:
-        self.index = index
+    def __init__(self, base: int, policy_state: object) -> None:
         #: Flat-column offset of way 0: ``index * ways``.
         self.base = base
         #: addr -> way, kept in sync with tags/valid for O(1) lookup.
         #: Under inline LRU its insertion order is the recency order,
         #: least recently used first.
         self.lookup: dict[int, int] = {}
-        #: Opaque per-set state for non-inline policies; None for the
-        #: inline LRU/NRU paths, whose state is the lookup order (LRU)
-        #: or the flat columns (NRU) — a single source of truth, so a
+        #: Opaque per-set policy state; None under inline LRU, whose
+        #: state is the lookup order — a single source of truth, so a
         #: stale reader fails loudly.
         self.policy_state = policy_state
         self.valid_count = 0
@@ -83,30 +79,22 @@ class SetAssociativeCache:
         num_sets = geometry.num_sets
         self.ways = ways
         self._set_mask = num_sets - 1
-        #: The private L1/L2 caches are always LRU and the default LLC
-        #: policy is NRU; for exactly those policy classes, probe/fill
-        #: apply the touch inline (LRU in the lookup dict's order, NRU
-        #: on the flat columns) instead of through a method call per
+        #: The private L1/L2 caches are always LRU; for exactly that
+        #: policy class, probe/fill apply the touch inline, in the
+        #: lookup dict's order, instead of through a method call per
         #: access.  Any other policy (or subclass) takes the generic
         #: path over per-set state objects.
         self._lru_inline = type(policy) is LRUPolicy
-        self._nru_inline = type(policy) is NRUPolicy
-        inline = self._lru_inline or self._nru_inline
 
         total = num_sets * ways
         self.tags = [0] * total
         self.valid = [False] * total
         self.dirty = [False] * total
-        #: NRU columns (inline path only): per-way referenced bits and a
-        #: per-set rotating hand.
-        self.referenced = [False] * total if self._nru_inline else None
-        self.hands = [0] * num_sets if self._nru_inline else None
 
         self._sets = [
             _Set(
-                index,
                 index * ways,
-                None if inline else policy.make_set_state(ways, index),
+                None if self._lru_inline else policy.make_set_state(ways, index),
             )
             for index in range(num_sets)
         ]
@@ -131,8 +119,6 @@ class SetAssociativeCache:
             # Inline LRU touch: move the line to the MRU end.
             del lookup[addr]
             lookup[addr] = way
-        elif self._nru_inline:
-            self.referenced[cset.base + way] = True
         else:
             self.policy.on_hit(cset.policy_state, way)
         if is_write:
@@ -162,23 +148,6 @@ class SetAssociativeCache:
                 # Inline LRUPolicy.choose_victim: the least recently
                 # touched line is the lookup dict's first key.
                 way = lookup[next(iter(lookup))]
-            elif self._nru_inline:
-                # Inline NRUPolicy.choose_victim: first clear referenced
-                # bit from the rotating hand, with the classic reset when
-                # every bit is set.
-                referenced = self.referenced
-                index = cset.index
-                hand = self.hands[index]
-                try:
-                    way = referenced.index(False, base + hand, base + ways) - base
-                except ValueError:
-                    try:
-                        way = referenced.index(False, base, base + hand) - base
-                    except ValueError:
-                        for w in range(base, base + ways):
-                            referenced[w] = False
-                        way = hand
-                self.hands[index] = way + 1 if way + 1 < ways else 0
             else:
                 way = self.policy.choose_victim(cset.policy_state)
             slot = base + way
@@ -195,9 +164,7 @@ class SetAssociativeCache:
         valid[slot] = True
         dirty_bits[slot] = dirty
         lookup[addr] = way
-        if self._nru_inline:
-            self.referenced[slot] = True
-        elif not self._lru_inline:
+        if not self._lru_inline:
             self.policy.on_fill(cset.policy_state, way)
         return victim
 
@@ -219,10 +186,7 @@ class SetAssociativeCache:
         self.valid[slot] = False
         self.dirty[slot] = False
         cset.valid_count -= 1
-        if self._nru_inline:
-            # Inlined NRUPolicy.on_invalidate.
-            self.referenced[slot] = False
-        elif not self._lru_inline:
+        if not self._lru_inline:
             self.policy.on_invalidate(cset.policy_state, way)
         return True, was_dirty
 
@@ -231,11 +195,7 @@ class SetAssociativeCache:
         cset = self._sets[addr & self._set_mask]
         way = cset.lookup.get(addr)
         if way is not None:
-            if self._nru_inline:
-                # Inlined NRUPolicy.on_hint: clear the referenced bit.
-                self.referenced[cset.base + way] = False
-            else:
-                self.policy.on_hint(cset.policy_state, way)
+            self.policy.on_hint(cset.policy_state, way)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -105,7 +105,10 @@ def scalar_kernel(
     # inlined contains/hint_downgrade of the NRU Base-Victim LLC, and
     # ``bv_fast`` additionally its demand, writeback and prefetch fills
     # when victims are clean and inserted by ECM.  Any other flavor
-    # takes ``llc_call``, the plain method call.
+    # takes ``llc_call``, the plain method call.  Both NRU lanes touch
+    # each set's ``policy_state.referenced`` bits inline on hits, hints
+    # and fills, and take a full set's victim from the policy's own
+    # ``choose_victim``, the one copy of NRU's hand scan.
     unc = None
     bv = None
     if isinstance(llc, UncompressedLLC) and type(llc.policy) is NRUPolicy:
@@ -116,18 +119,18 @@ def scalar_kernel(
         u_tags = unc.tags
         u_valid = unc.valid
         u_dirty = unc.dirty
-        u_ref = unc.referenced
-        u_hands = unc.hands
+        choose_victim = llc.policy.choose_victim
     elif isinstance(llc, BaseVictimLLC) and type(llc.policy) is NRUPolicy:
         bv = llc
         bv_sets = llc._sets
         bv_mask = llc._set_mask
         bv_spl = llc.segments_per_line
         bv_vp = llc.victim_policy
-        # The inlined fills run NRU's hand scan and ECM's slot choice.
-        # With clean victims no victim line is ever dirty, so every
-        # victim drop is silent and every fill installs a clean line;
-        # other configs keep the method.
+        choose_victim = llc.policy.choose_victim
+        # The inlined fills run ECM's slot choice.  With clean victims
+        # no victim line is ever dirty, so every victim drop is silent
+        # and every fill installs a clean line; other configs keep the
+        # method.
         bv_fast = type(bv_vp) is ECMVictimPolicy and llc.clean_victims
     else:
         bv_fast = False
@@ -251,9 +254,8 @@ def scalar_kernel(
     def unc_fill(uset, line, now):
         """Read ``line`` from memory into the uncompressed-NRU LLC.
 
-        A miss or a prefetch: ``cache.fill`` (NRU rotating hand; see
-        repro.cache.setassoc), inlined.  A full set evicts the hand's
-        victim, writing it back if dirty and back-invalidating it.
+        A miss or a prefetch: ``cache.fill``, inlined.  A full set evicts
+        NRU's victim, writing it back if dirty and back-invalidating it.
         Returns the DRAM read latency.
         """
         nonlocal memory_reads_c, memory_writes_c, llc_data_writes_c
@@ -264,18 +266,7 @@ def scalar_kernel(
         read_latency = mem_read(line, now) if memory is not None else 0.0
         base = uset.base
         if uset.valid_count == u_ways:
-            index = uset.index
-            hand = u_hands[index]
-            try:
-                way = u_ref.index(False, base + hand, base + u_ways) - base
-            except ValueError:
-                try:
-                    way = u_ref.index(False, base, base + hand) - base
-                except ValueError:
-                    for w in range(base, base + u_ways):
-                        u_ref[w] = False
-                    way = hand
-            u_hands[index] = way + 1 if way + 1 < u_ways else 0
+            way = choose_victim(uset.policy_state)
             slot = base + way
             victim = u_tags[slot]
             victim_dirty = u_dirty[slot]
@@ -295,7 +286,7 @@ def scalar_kernel(
         u_valid[slot] = True
         u_dirty[slot] = False
         uset.lookup[line] = way
-        u_ref[slot] = True
+        uset.policy_state.referenced[way] = True
         return read_latency
 
     def bv_drop_victim(bset, way):
@@ -311,7 +302,7 @@ def scalar_kernel(
         """Install clean ``line`` in the Baseline Cache: a miss or a promotion.
 
         ``BaseVictimLLC._fill_baseline`` and its ECM ``_insert_victim``,
-        inlined: free way first, then the NRU hand scan.  A dirty
+        inlined: free way first, then NRU's victim.  A dirty
         replaced line is written back so it is demoted clean (Section
         IV.A), the fill's victim partner is dropped when the two no
         longer share the way (Section IV.B.5), and the replaced line is
@@ -323,25 +314,12 @@ def scalar_kernel(
         base_valid = bset.base_valid
         base_size = bset.base_size
         vict_valid = bset.vict_valid
-        state = bset.policy_state
-        referenced = state.referenced
         replaced = None
         if bset.base_valid_count < len(base_valid):
             way = base_valid.index(False)
             bset.base_valid_count += 1
         else:
-            hand = state.hand
-            nways = len(referenced)
-            try:
-                way = referenced.index(False, hand)
-            except ValueError:
-                try:
-                    way = referenced.index(False, 0, hand)
-                except ValueError:
-                    for w in range(nways):
-                        referenced[w] = False
-                    way = hand
-            state.hand = way + 1 if way + 1 < nways else 0
+            way = choose_victim(bset.policy_state)
             replaced = bset.base_tags[way]
             was_dirty = bset.base_dirty[way]
             if was_dirty:
@@ -355,7 +333,7 @@ def scalar_kernel(
         bset.base_dirty[way] = False
         base_size[way] = size
         bset.base_lookup[line] = way
-        referenced[way] = True
+        bset.policy_state.referenced[way] = True
         if vict_valid[way] and size + bset.vict_size[way] > bv_spl:
             bv.stat_partner_evictions += 1
             bv_drop_victim(bset, way)
@@ -503,7 +481,7 @@ def scalar_kernel(
                         uway = ucset.lookup.get(addr)
                         llc_accesses_c += 1
                         if uway is not None:
-                            u_ref[ucset.base + uway] = True
+                            ucset.policy_state.referenced[uway] = True
                             unc_hits_c += 1
                             llc_hits_c += 1
                             llc_data_reads_c += 1
@@ -650,9 +628,8 @@ def scalar_kernel(
                                 uway = ucset.lookup.get(victim2)
                                 llc_accesses_c += 1
                                 if uway is not None:
-                                    uslot = ucset.base + uway
-                                    u_ref[uslot] = True
-                                    u_dirty[uslot] = True
+                                    ucset.policy_state.referenced[uway] = True
+                                    u_dirty[ucset.base + uway] = True
                                     unc_hits_c += 1
                                     llc_data_writes_c += 1
                                     llc_fill_segments_c += 1
@@ -725,7 +702,7 @@ def scalar_kernel(
                                 ucset = u_sets[victim2 & u_mask]
                                 uway = ucset.lookup.get(victim2)
                                 if uway is not None:
-                                    u_ref[ucset.base + uway] = False
+                                    ucset.policy_state.referenced[uway] = False
                             elif bv is not None:
                                 bcset = bv_sets[victim2 & bv_mask]
                                 bway = bcset.base_lookup.get(victim2)

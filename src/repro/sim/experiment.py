@@ -54,6 +54,7 @@ from repro.sim.parallel import (
     SINGLE,
     SweepJob,
     SweepOutcome,
+    _remove_shards,
     execute_job,
     resolve_jobs,
     run_sweep,
@@ -97,20 +98,11 @@ def _owner_is_alive(shard_dir: Path) -> bool:
     be salvaged.  An unparseable suffix is treated as dead — better to
     salvage a stray directory than to leak results forever.
     """
-    suffix = shard_dir.name.rsplit("-", 1)[-1]
     try:
-        pid = int(suffix)
+        pid = int(shard_dir.name.rsplit("-", 1)[-1])
     except ValueError:
         return False
-    if pid == os.getpid():
-        return True
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # exists, owned by someone else
-    return True
+    return pid == os.getpid() or locking._pid_alive(pid)
 
 
 class ExperimentRunner:
@@ -258,15 +250,7 @@ class ExperimentRunner:
             self.registry.inc("sweep/resumed_cells", len(recovered))
             self._sync_lock_stats()
         for shard_dir in orphans:
-            for shard in shard_dir.glob("shard-*.jsonl"):
-                try:
-                    shard.unlink()
-                except OSError:
-                    pass
-            try:
-                shard_dir.rmdir()
-            except OSError:
-                pass
+            _remove_shards(shard_dir)
         return sorted(recovered)
 
     def _store(self, key: str, result: dict) -> None:

@@ -224,6 +224,24 @@ def check_regression(
     return problems
 
 
+def _payload_problem(payload: object) -> str | None:
+    """Why ``payload`` is not a measurement to gate on (None if it is)."""
+    if not isinstance(payload, dict):
+        return f"expected a measurement object, got {type(payload).__name__}"
+    if payload.get("engine") not in ENGINES:
+        return (
+            f"engine {payload.get('engine')!r} is not one of "
+            f"{', '.join(ENGINES)}"
+        )
+    if not isinstance(payload.get("entries"), list):
+        return "'entries' is not a list"
+    aggregate = payload.get("aggregate")
+    rate = aggregate.get("accesses_per_sec") if isinstance(aggregate, dict) else None
+    if type(rate) not in (int, float) or not rate > 0:
+        return "'aggregate.accesses_per_sec' is not a positive number"
+    return None
+
+
 def load_baseline(path: Path, section: str) -> dict:
     """Load one matrix section of a committed ``BENCH_PERF.json``.
 
@@ -231,18 +249,27 @@ def load_baseline(path: Path, section: str) -> dict:
     "after": ...}}}``; the gate compares against the ``after`` payload
     (the engine as shipped).  A bare measurement payload (no
     ``matrices`` wrapper) is accepted too, for ad-hoc comparisons.
+    Either way the payload must be a measurement — an engine from
+    ``ENGINES``, a list of entries and a positive aggregate rate — or
+    this raises ``ValueError``; an unknown section raises ``KeyError``.
     """
     with path.open() as handle:
         data = json.load(handle)
-    if "matrices" in data:
+    if isinstance(data, dict) and "matrices" in data:
+        matrices = data["matrices"]
+        if not isinstance(matrices, dict):
+            raise ValueError("'matrices' is not an object")
         try:
-            return data["matrices"][section]["after"]
-        except KeyError:
-            known = ", ".join(sorted(data["matrices"]))
+            data = matrices[section]["after"]
+        except (KeyError, TypeError):
+            known = ", ".join(sorted(matrices))
             raise KeyError(
                 f"no section {section!r} with an 'after' payload "
                 f"(known sections: {known})"
             ) from None
+    problem = _payload_problem(data)
+    if problem is not None:
+        raise ValueError(f"not a measurement payload: {problem}")
     return data
 
 

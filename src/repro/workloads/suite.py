@@ -290,7 +290,7 @@ def poor_specs() -> list[TraceSpec]:
 
 
 class TraceSuite:
-    """Generates and caches traces for one (reference LLC, length) preset."""
+    """Generates traces for one (reference LLC, length) preset."""
 
     def __init__(self, reference_llc_lines: int, length: int) -> None:
         if reference_llc_lines <= 0:
@@ -301,7 +301,6 @@ class TraceSuite:
             raise ValueError(f"length must be positive, got {length}")
         self.reference_llc_lines = reference_llc_lines
         self.length = length
-        self._traces: dict[str, Trace] = {}
 
     def spec(self, name: str) -> TraceSpec:
         """Look up a trace spec by name."""
@@ -342,16 +341,13 @@ class TraceSuite:
     def trace(self, name: str) -> Trace:
         """Generate (or fetch cached) the trace for ``name``.
 
-        The per-instance dict keeps the historical object-identity
-        guarantee (two calls on one suite return the same ``Trace``);
-        the process-wide :func:`~repro.workloads.tracecache.process_cache`
-        behind it shares generation across suite *instances* — the
-        runner's, each parallel worker's, and every perf-bench
-        measurement in the same process.
+        The one memo is the process-wide
+        :func:`~repro.workloads.tracecache.process_cache`, which shares
+        generation across suite *instances* — the runner's, each parallel
+        worker's, and every perf-bench measurement in the same process —
+        under its ``$REPRO_TRACE_CACHE_ENTRIES`` bound.  A repeat call
+        returns the same ``Trace`` while its entry is resident.
         """
-        cached = self._traces.get(name)
-        if cached is not None:
-            return cached
 
         def generate() -> Trace:
             spec = self.spec(name)
@@ -370,9 +366,7 @@ class TraceSuite:
             generator = PatternGenerator(self.pattern_params(spec), spec.seed)
             return generator.generate(meta, self.length)
 
-        trace = process_cache().get(self._cache_key("trace", name), generate)
-        self._traces[name] = trace
-        return trace
+        return process_cache().get(self._cache_key("trace", name), generate)
 
     def data_model(self, name: str) -> LineDataModel:
         """Fresh data model (palette + write evolution) for one run.

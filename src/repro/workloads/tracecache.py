@@ -49,9 +49,9 @@ from typing import Any, Callable
 #: matrix (trace + size-table entry per cell) with room to spare.
 DEFAULT_MAX_ENTRIES = 128
 
-#: Environment override for the bound.  Each ``TraceSuite`` keeps every
-#: trace it generated regardless, so the bound (even ``0``, which stores
-#: nothing here) limits only the traces shared across suites, plus size tables.
+#: Environment override for the bound.  This cache is the only memo of
+#: generated traces and size tables, so the bound limits everything a
+#: process keeps of them; ``0`` keeps nothing.
 MAX_ENTRIES_ENV = "REPRO_TRACE_CACHE_ENTRIES"
 
 

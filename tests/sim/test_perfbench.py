@@ -207,3 +207,37 @@ class TestPerfCommand:
             f"error: baseline {baseline}: no section 'typo' with an 'after' "
             "payload (known sections: test-ci)"
         ]
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            ([1], "not a measurement payload: expected a measurement object, got list"),
+            (1, "not a measurement payload: expected a measurement object, got int"),
+            (
+                {"entries": []},
+                "not a measurement payload: engine None is not one of batch, traced",
+            ),
+            (
+                {"matrices": {"test-ci": {"after": {"entries": []}}}},
+                "not a measurement payload: engine None is not one of batch, traced",
+            ),
+            (
+                {"engine": "batch", "entries": {}, "aggregate": {"accesses_per_sec": 1}},
+                "not a measurement payload: 'entries' is not a list",
+            ),
+            (
+                {"engine": "batch", "entries": [], "aggregate": {"accesses_per_sec": 0}},
+                "not a measurement payload: 'aggregate.accesses_per_sec' is not "
+                "a positive number",
+            ),
+            ({"matrices": [1]}, "'matrices' is not an object"),
+        ],
+        ids=["list", "number", "no-engine", "wrapped", "entries", "rate", "matrices"],
+    )
+    def test_non_measurement_baseline_exits_2_before_measuring(
+        self, tmp_path, monkeypatch, capsys, data, reason
+    ):
+        baseline = tmp_path / "BENCH_PERF.json"
+        baseline.write_text(json.dumps(data))
+        err = self._refused(monkeypatch, capsys, baseline, "test-ci")
+        assert err == [f"error: baseline {baseline}: {reason}"]

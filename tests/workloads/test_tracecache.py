@@ -1,5 +1,8 @@
 """Tests for the bounded per-process trace cache (sweep-wide reuse)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cli import main
@@ -132,12 +135,23 @@ class TestSuiteIntegration:
         assert len(long.trace("mcf.1")) == 800
         assert process_cache().snapshot()["misses"] == 2
 
-    def test_instance_cache_still_serves_repeat_calls(self):
+    def test_repeat_call_is_one_process_cache_hit(self):
         suite = TraceSuite(reference_llc_lines=512, length=400)
         trace = suite.trace("mcf.1")
         assert suite.trace("mcf.1") is trace
-        # The second call never reached the process cache (L1 hit).
-        assert process_cache().snapshot()["hits"] == 0
+        snap = process_cache().snapshot()
+        assert (snap["misses"], snap["hits"]) == (1, 1)
+
+    def test_bound_limits_what_a_suite_keeps(self, monkeypatch):
+        monkeypatch.setenv(tracecache.MAX_ENTRIES_ENV, "1")
+        reset_process_cache()
+        suite = TraceSuite(reference_llc_lines=512, length=400)
+        first = weakref.ref(suite.trace("mcf.1"))
+        suite.trace("sjeng.1")
+        gc.collect()
+        # The suite holds no trace of its own: once the bound evicts
+        # mcf.1, nothing keeps it alive.
+        assert first() is None
 
     def test_adopted_size_tables_match_uncached_model(self):
         suite = TraceSuite(reference_llc_lines=512, length=400)
