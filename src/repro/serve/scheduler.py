@@ -39,8 +39,8 @@ and batch-size histograms, per-phase timers), which flow into
 
 Testing hook: ``$REPRO_SERVE_BATCH_DELAY`` (seconds, float) delays each
 batch before it executes, widening the window in which concurrent
-submissions dedupe against in-flight work — the serve smoke tests use
-it to make "dedupe against in-flight" deterministic.  It is read once,
+submissions dedupe against in-flight work — the serve integration tests
+use it to make "dedupe against in-flight" deterministic.  It is read once,
 when the scheduler is built, so a malformed value fails the server's
 startup rather than its first batch.
 """

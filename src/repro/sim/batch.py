@@ -11,13 +11,16 @@ the generic ``llc.access`` call, the uncompressed-NRU fill, and
 Base-Victim's fill and victim drop.  Inlined updates land in the same
 order with the same values as the per-method reference — the
 hierarchy's and the LLC architectures' own methods, which the traced
-engine runs.  Both of its callers drive it the same way, building it
-once per (hierarchy, trace), calling ``run`` and then ``flush``:
+engine runs.  The replay loop is a generator, so one frame serves every
+span of a (hierarchy, trace) and a span costs one ``send``, not a call
+that rebuilds a frame over the closure's free variables.  Both of its
+callers drive it the same way, building it once per (hierarchy, trace),
+calling ``run`` and then ``flush``:
 
 * the ``batch`` engine of :func:`repro.sim.single_core.simulate_trace`
   runs the whole trace as one span;
 * the mix driver (:func:`repro.sim.multi_core.simulate_mix`) runs each
-  thread's run-ahead spans.
+  thread's run-ahead spans, often only one or two accesses long.
 
 Byte-identity against the traced reference loop — results, serialised
 observations and the machine state left behind — is enforced by the
@@ -27,8 +30,6 @@ mixes).
 """
 
 from __future__ import annotations
-
-from math import inf, nextafter
 
 from repro.cache.hierarchy import _decompression_cycles
 from repro.cache.prefetch import _PAGE_LINES, _PAGE_MASK, _PAGE_SHIFT
@@ -60,16 +61,24 @@ def scalar_kernel(
 ):
     """The scalar access body for one (hierarchy, trace): ``(run, flush)``.
 
-    ``run(i, hi, next_sample, before=inf, after=inf)`` replays accesses
-    from trace index ``i`` up to ``hi`` while the core's clock is ``<
-    before`` and ``<= after``; it returns ``(next index, next_sample)``
-    and leaves ``core`` current.  After the access at ``next_sample`` it
-    appends ``victim_occupancy()`` to ``samples`` and advances by
-    ``sample_every`` (``-1`` never samples).  ``flush()`` adds (``+=``)
-    the batched counters back once, after the last run, so kernels over
-    one shared LLC sum correctly.  ``addr_offset`` is added on the
-    hierarchy side only: ``on_write`` and the size lookups (by default
-    the hierarchy's) take the trace address.
+    ``run((i, hi, next_sample, limit))`` replays one span: accesses from
+    trace index ``i`` up to ``hi`` while the core's clock is ``< limit``
+    (``inf`` runs to ``hi``).  It returns ``(next index, next_sample,
+    clock)`` and leaves ``core`` current.  After the access at
+    ``next_sample`` it appends ``victim_occupancy()`` to ``samples`` and
+    advances by ``sample_every`` (``-1`` never samples).
+
+    ``run`` is the bound ``send`` of one generator, so every span
+    resumes the same frame.  That frame reads the core's cycles,
+    instructions and stall cycles once, at the first span, and owns
+    them from then on: it writes them back to ``core`` at the end of
+    every span, and nothing else may write ``core`` between spans.
+
+    ``flush()`` adds (``+=``) the batched counters back once, after the
+    last span, so kernels over one shared LLC sum correctly.
+    ``addr_offset`` is added on the hierarchy side only: ``on_write``
+    and the size lookups (by default the hierarchy's) take the trace
+    address.
     """
     l1 = hierarchy.l1
     l1_sets = l1._sets
@@ -384,7 +393,8 @@ def scalar_kernel(
             llc_fill_segments_c += replaced_size
         back_invalidate(replaced, was_dirty, now)
 
-    def run(i, hi, next_sample, before=inf, after=inf):
+    def replay():
+        """The span loop behind ``run``: one frame for every span."""
         nonlocal accesses_c, l1_hits, l2_hits_c, llc_hits_c, llc_victim_hits_c
         nonlocal llc_misses_c, compressed_hits_c, memory_reads_c, memory_writes_c
         nonlocal llc_data_reads_c, llc_data_writes_c, llc_fill_segments_c
@@ -393,426 +403,423 @@ def scalar_kernel(
         nonlocal l2_probe_misses_c, l2_evictions_c, l2_writebacks_c
         nonlocal unc_hits_c, unc_misses_c, unc_wbmiss_c, bv_base_hits_c
         nonlocal bv_victim_hits_c, bv_misses_c, bv_promotions_c
-        # For floats, ``cycles <= after`` is ``cycles < nextafter(after,
-        # inf)``, so the window costs one comparison per access.
-        limit = nextafter(after, inf)
-        if before < limit:
-            limit = before
+        i, hi, next_sample, limit = yield
         cycles = core.cycles
         instructions = core.instructions
         stall_cycles = core.stall_cycles
-        start = i
-        # Indexed reads, not zip over slices: a mix span is often one or
-        # two accesses, and per-call slicing would cost more than that.
-        for i in range(start, hi):
-            if cycles >= limit:
-                break
-            delta = deltas[i]
-            taddr = addrs[i]
-            instructions += delta
-            cycles += delta * base_cpi
-            is_write = kinds[i] == 1
-            if is_write:
-                on_write(taddr)
-            addr = taddr + addr_offset
-            cset = l1_sets[addr & l1_mask]
-            lookup1 = cset.lookup
-            way = lookup1.pop(addr, None)
-            if way is not None:
-                # Inlined l1.probe hit: the LRU touch reinserts the line
-                # at the lookup dict's MRU end; plus the dirty bit.
-                lookup1[addr] = way
+        while True:
+            start = i
+            # Indexed reads, not zip over slices: a mix span is often one or
+            # two accesses, and per-span slicing would cost more than that.
+            for i in range(start, hi):
+                if cycles >= limit:
+                    break
+                delta = deltas[i]
+                taddr = addrs[i]
+                instructions += delta
+                cycles += delta * base_cpi
+                is_write = kinds[i] == 1
                 if is_write:
-                    l1_dirty[cset.base + way] = True
-                l1_hits += 1
-            else:
-                # Inlined l2.probe (a demand read never dirties L2).
-                l2set = l2_sets[addr & l2_mask]
-                lookup2 = l2set.lookup
-                l2way = lookup2.pop(addr, None)
-                if l2way is not None:
-                    lookup2[addr] = l2way
-                    l2_probe_hits_c += 1
-                    l2_hits_c += 1
-                    stall = l2_stall
-                    prefetches: list[int] | tuple[()] = ()
+                    on_write(taddr)
+                addr = taddr + addr_offset
+                cset = l1_sets[addr & l1_mask]
+                lookup1 = cset.lookup
+                way = lookup1.pop(addr, None)
+                if way is not None:
+                    # Inlined l1.probe hit: the LRU touch reinserts the line
+                    # at the lookup dict's MRU end; plus the dirty bit.
+                    lookup1[addr] = way
+                    if is_write:
+                        l1_dirty[cset.base + way] = True
+                    l1_hits += 1
                 else:
-                    l2_probe_misses_c += 1
+                    # Inlined l2.probe (a demand read never dirties L2).
+                    l2set = l2_sets[addr & l2_mask]
+                    lookup2 = l2set.lookup
+                    l2way = lookup2.pop(addr, None)
+                    if l2way is not None:
+                        lookup2[addr] = l2way
+                        l2_probe_hits_c += 1
+                        l2_hits_c += 1
+                        stall = l2_stall
+                        prefetches: list[int] | tuple[()] = ()
+                    else:
+                        l2_probe_misses_c += 1
 
-                    # Prefetcher training (StreamPrefetcher.observe,
-                    # inlined; the branches are reordered but every
-                    # table/counter update lands in the same order).
-                    prefetches = ()
-                    if pf_degree:
-                        page = addr >> _PAGE_SHIFT
-                        offset = addr & _PAGE_MASK
-                        entry = pf_table.pop(page, None)
-                        if entry is None:
-                            pf_table[page] = (offset, 0, False)
-                        else:
-                            last_offset, stride, trained = entry
-                            new_stride = offset - last_offset
-                            if new_stride == 0:
-                                pf_table[page] = entry
-                            elif new_stride == stride and (
-                                trained or stride != 0
-                            ):
-                                if not trained:
-                                    prefetcher.stat_trainings += 1
-                                # StreamPrefetcher._issue, inlined:
-                                # degree lines ahead, within the page.
-                                prefetches = []
-                                page_base = page * _PAGE_LINES
-                                target = offset
-                                for _ in range(pf_degree):
-                                    target += stride
-                                    if 0 <= target < _PAGE_LINES:
-                                        prefetches.append(page_base + target)
-                                prefetcher.stat_issued += len(prefetches)
-                                pf_table[page] = (offset, stride, True)
+                        # Prefetcher training (StreamPrefetcher.observe,
+                        # inlined; the branches are reordered but every
+                        # table/counter update lands in the same order).
+                        prefetches = ()
+                        if pf_degree:
+                            page = addr >> _PAGE_SHIFT
+                            offset = addr & _PAGE_MASK
+                            entry = pf_table.pop(page, None)
+                            if entry is None:
+                                pf_table[page] = (offset, 0, False)
                             else:
-                                pf_table[page] = (offset, new_stride, False)
-                        while len(pf_table) > pf_table_size:
-                            del pf_table[next(iter(pf_table))]
+                                last_offset, stride, trained = entry
+                                new_stride = offset - last_offset
+                                if new_stride == 0:
+                                    pf_table[page] = entry
+                                elif new_stride == stride and (
+                                    trained or stride != 0
+                                ):
+                                    if not trained:
+                                        prefetcher.stat_trainings += 1
+                                    # StreamPrefetcher._issue, inlined:
+                                    # degree lines ahead, within the page.
+                                    prefetches = []
+                                    page_base = page * _PAGE_LINES
+                                    target = offset
+                                    for _ in range(pf_degree):
+                                        target += stride
+                                        if 0 <= target < _PAGE_LINES:
+                                            prefetches.append(page_base + target)
+                                    prefetcher.stat_issued += len(prefetches)
+                                    pf_table[page] = (offset, stride, True)
+                                else:
+                                    pf_table[page] = (offset, new_stride, False)
+                            while len(pf_table) > pf_table_size:
+                                del pf_table[next(iter(pf_table))]
 
-                    if unc is not None:
-                        # UncompressedLLC.access(addr, READ, 1), inlined.
-                        ucset = u_sets[addr & u_mask]
-                        uway = ucset.lookup.get(addr)
-                        llc_accesses_c += 1
-                        if uway is not None:
-                            ucset.policy_state.referenced[uway] = True
-                            unc_hits_c += 1
-                            llc_hits_c += 1
-                            llc_data_reads_c += 1
-                            stall = (
-                                llc_exposed + extra_tag_cycles
-                            ) / mlp_llc
-                        else:
-                            unc_misses_c += 1
-                            llc_misses_c += 1
-                            llc_data_reads_c += 1
-                            read_latency = unc_fill(ucset, addr, cycles)
-                            stall = (
-                                llc_exposed
-                                + extra_tag_cycles
-                                + read_latency
-                            ) / mlp_memory
-                    elif bv_fast:
-                        # BaseVictimLLC.access(addr, READ, size) —
-                        # _base_hit, _victim_hit or _miss — inlined.
-                        size = memo_get(taddr)
-                        if size is None:
-                            size = size_fn(taddr)
-                        bcset = bv_sets[addr & bv_mask]
-                        llc_accesses_c += 1
-                        base_way = bcset.base_lookup.get(addr)
-                        if base_way is not None:
-                            # _base_hit READ, inlined.
-                            bv_base_hits_c += 1
-                            bcset.policy_state.referenced[
-                                base_way
-                            ] = True
-                            llc_hits_c += 1
-                            llc_data_reads_c += 1
-                            extra = extra_tag_cycles
-                            if 0 < bcset.base_size[base_way] < bv_spl:
-                                compressed_hits_c += 1
-                                extra += decompression_cycles
-                            stall = (llc_exposed + extra) / mlp_llc
-                        else:
-                            vict_way = bcset.vict_lookup.get(addr)
-                            if vict_way is not None:
-                                # _victim_hit READ: the line leaves the
-                                # Victim Cache and is promoted exactly
-                                # like a fill.
-                                bv_victim_hits_c += 1
+                        if unc is not None:
+                            # UncompressedLLC.access(addr, READ, 1), inlined.
+                            ucset = u_sets[addr & u_mask]
+                            uway = ucset.lookup.get(addr)
+                            llc_accesses_c += 1
+                            if uway is not None:
+                                ucset.policy_state.referenced[uway] = True
+                                unc_hits_c += 1
                                 llc_hits_c += 1
-                                llc_victim_hits_c += 1
                                 llc_data_reads_c += 1
-                                # Promoted at its stored size.
-                                size = bcset.vict_size[vict_way]
-                                extra = extra_tag_cycles
-                                if 0 < size < bv_spl:
-                                    compressed_hits_c += 1
-                                    extra += decompression_cycles
-                                stall = (llc_exposed + extra) / mlp_llc
-                                del bcset.vict_lookup[addr]
-                                bv._victim_resident -= 1
-                                bcset.vict_valid[vict_way] = False
-                                bv_promotions_c += 1
+                                stall = (
+                                    llc_exposed + extra_tag_cycles
+                                ) / mlp_llc
                             else:
-                                # _miss READ, inlined.
-                                bv_misses_c += 1
+                                unc_misses_c += 1
                                 llc_misses_c += 1
-                                memory_reads_c += 1
                                 llc_data_reads_c += 1
-                                read_latency = (
-                                    mem_read(addr, cycles)
-                                    if memory is not None
-                                    else 0.0
-                                )
+                                read_latency = unc_fill(ucset, addr, cycles)
                                 stall = (
                                     llc_exposed
                                     + extra_tag_cycles
                                     + read_latency
                                 ) / mlp_memory
-                            bv_fill(bcset, addr, size, cycles)
-                    else:
-                        if uses_sizes:
+                        elif bv_fast:
+                            # BaseVictimLLC.access(addr, READ, size) —
+                            # _base_hit, _victim_hit or _miss — inlined.
                             size = memo_get(taddr)
                             if size is None:
                                 size = size_fn(taddr)
-                        else:
-                            size = 1
-                        result, read_latency = llc_call(
-                            addr, _READ, size, cycles
-                        )
-                        extra = extra_tag_cycles
-                        if result.hit:
-                            llc_hits_c += 1
-                            if result.victim_hit:
-                                llc_victim_hits_c += 1
-                            if result.compressed_hit:
-                                compressed_hits_c += 1
-                                extra += decompression_cycles
-                            stall = (llc_exposed + extra) / mlp_llc
-                        else:
-                            llc_misses_c += 1
-                            stall = (
-                                llc_exposed + extra + read_latency
-                            ) / mlp_memory
-
-                    # Inlined hierarchy._fill_l2(addr) on the miss
-                    # path (the L2-hit path fills only the L1).  The
-                    # fill appends at the lookup dict's MRU end; a full
-                    # set evicts its first (least recently used) key.
-                    base2 = l2set.base
-                    if l2set.valid_count < l2_ways:
-                        slot2 = l2_valid.index(False, base2, base2 + l2_ways)
-                        l2set.valid_count += 1
-                        l2_tags[slot2] = addr
-                        l2_valid[slot2] = True
-                        l2_dirty[slot2] = False
-                        lookup2[addr] = slot2 - base2
-                    else:
-                        victim2 = next(iter(lookup2))
-                        way2 = lookup2.pop(victim2)
-                        slot2 = base2 + way2
-                        victim2_dirty = l2_dirty[slot2]
-                        l2_evictions_c += 1
-                        if victim2_dirty:
-                            l2_writebacks_c += 1
-                        l2_tags[slot2] = addr
-                        l2_dirty[slot2] = False
-                        lookup2[addr] = way2
-
-                        # L1 must not outlive its L2 copy (inclusive
-                        # pair): l1.invalidate, inlined.
-                        v1set = l1_sets[victim2 & l1_mask]
-                        v1way = v1set.lookup.pop(victim2, None)
-                        was_dirty = victim2_dirty
-                        if v1way is not None:
-                            v1slot = v1set.base + v1way
-                            was_dirty = was_dirty or l1_dirty[v1slot]
-                            l1_valid[v1slot] = False
-                            l1_dirty[v1slot] = False
-                            v1set.valid_count -= 1
-                        if was_dirty:
-                            writebacks_to_llc_c += 1
-                            if unc is not None:
-                                # UncompressedLLC WRITEBACK, inlined:
-                                # a hit refreshes and dirties the
-                                # line; a miss bypasses to memory.
-                                ucset = u_sets[victim2 & u_mask]
-                                uway = ucset.lookup.get(victim2)
-                                llc_accesses_c += 1
-                                if uway is not None:
-                                    ucset.policy_state.referenced[uway] = True
-                                    u_dirty[ucset.base + uway] = True
-                                    unc_hits_c += 1
-                                    llc_data_writes_c += 1
-                                    llc_fill_segments_c += 1
-                                else:
-                                    unc_misses_c += 1
-                                    unc_wbmiss_c += 1
-                                    memory_writes_c += 1
-                                    if memory is not None:
-                                        mem_write(victim2, cycles)
-                            elif bv_fast:
-                                # BaseVictimLLC WRITEBACK: the two
-                                # dominant outcomes (in-place base
-                                # hit, non-resident bypass) inlined;
-                                # the rare victim-hit promotion keeps
-                                # the method call.
-                                size_v = memo_get(victim2 - addr_offset)
-                                if size_v is None:
-                                    size_v = size_fn(victim2 - addr_offset)
-                                bcset = bv_sets[victim2 & bv_mask]
-                                base_way = bcset.base_lookup.get(
-                                    victim2
-                                )
-                                if base_way is not None:
-                                    # _base_hit WRITEBACK: the data
-                                    # and size change in place.
-                                    llc_accesses_c += 1
-                                    bv_base_hits_c += 1
-                                    bcset.policy_state.referenced[
-                                        base_way
-                                    ] = True
-                                    bcset.base_dirty[base_way] = True
-                                    bcset.base_size[base_way] = size_v
-                                    llc_data_writes_c += 1
-                                    llc_fill_segments_c += size_v
-                                    if (
-                                        bcset.vict_valid[base_way]
-                                        and size_v
-                                        + bcset.vict_size[base_way]
-                                        > bv_spl
-                                    ):
-                                        # Section IV.B.5: the grown
-                                        # line no longer shares.
-                                        bv.stat_partner_evictions += 1
-                                        bv_drop_victim(bcset, base_way)
-                                elif victim2 not in bcset.vict_lookup:
-                                    # Writeback to a non-resident
-                                    # line bypasses to memory.
-                                    llc_accesses_c += 1
-                                    bv.stat_writeback_misses += 1
-                                    memory_writes_c += 1
-                                    if memory is not None:
-                                        mem_write(victim2, cycles)
-                                else:
-                                    llc_call(
-                                        victim2, _WRITEBACK, size_v, cycles
-                                    )
+                            bcset = bv_sets[addr & bv_mask]
+                            llc_accesses_c += 1
+                            base_way = bcset.base_lookup.get(addr)
+                            if base_way is not None:
+                                # _base_hit READ, inlined.
+                                bv_base_hits_c += 1
+                                bcset.policy_state.referenced[
+                                    base_way
+                                ] = True
+                                llc_hits_c += 1
+                                llc_data_reads_c += 1
+                                extra = extra_tag_cycles
+                                if 0 < bcset.base_size[base_way] < bv_spl:
+                                    compressed_hits_c += 1
+                                    extra += decompression_cycles
+                                stall = (llc_exposed + extra) / mlp_llc
                             else:
-                                if uses_sizes:
+                                vict_way = bcset.vict_lookup.get(addr)
+                                if vict_way is not None:
+                                    # _victim_hit READ: the line leaves the
+                                    # Victim Cache and is promoted exactly
+                                    # like a fill.
+                                    bv_victim_hits_c += 1
+                                    llc_hits_c += 1
+                                    llc_victim_hits_c += 1
+                                    llc_data_reads_c += 1
+                                    # Promoted at its stored size.
+                                    size = bcset.vict_size[vict_way]
+                                    extra = extra_tag_cycles
+                                    if 0 < size < bv_spl:
+                                        compressed_hits_c += 1
+                                        extra += decompression_cycles
+                                    stall = (llc_exposed + extra) / mlp_llc
+                                    del bcset.vict_lookup[addr]
+                                    bv._victim_resident -= 1
+                                    bcset.vict_valid[vict_way] = False
+                                    bv_promotions_c += 1
+                                else:
+                                    # _miss READ, inlined.
+                                    bv_misses_c += 1
+                                    llc_misses_c += 1
+                                    memory_reads_c += 1
+                                    llc_data_reads_c += 1
+                                    read_latency = (
+                                        mem_read(addr, cycles)
+                                        if memory is not None
+                                        else 0.0
+                                    )
+                                    stall = (
+                                        llc_exposed
+                                        + extra_tag_cycles
+                                        + read_latency
+                                    ) / mlp_memory
+                                bv_fill(bcset, addr, size, cycles)
+                        else:
+                            if uses_sizes:
+                                size = memo_get(taddr)
+                                if size is None:
+                                    size = size_fn(taddr)
+                            else:
+                                size = 1
+                            result, read_latency = llc_call(
+                                addr, _READ, size, cycles
+                            )
+                            extra = extra_tag_cycles
+                            if result.hit:
+                                llc_hits_c += 1
+                                if result.victim_hit:
+                                    llc_victim_hits_c += 1
+                                if result.compressed_hit:
+                                    compressed_hits_c += 1
+                                    extra += decompression_cycles
+                                stall = (llc_exposed + extra) / mlp_llc
+                            else:
+                                llc_misses_c += 1
+                                stall = (
+                                    llc_exposed + extra + read_latency
+                                ) / mlp_memory
+
+                        # Inlined hierarchy._fill_l2(addr) on the miss
+                        # path (the L2-hit path fills only the L1).  The
+                        # fill appends at the lookup dict's MRU end; a full
+                        # set evicts its first (least recently used) key.
+                        base2 = l2set.base
+                        if l2set.valid_count < l2_ways:
+                            slot2 = l2_valid.index(False, base2, base2 + l2_ways)
+                            l2set.valid_count += 1
+                            l2_tags[slot2] = addr
+                            l2_valid[slot2] = True
+                            l2_dirty[slot2] = False
+                            lookup2[addr] = slot2 - base2
+                        else:
+                            victim2 = next(iter(lookup2))
+                            way2 = lookup2.pop(victim2)
+                            slot2 = base2 + way2
+                            victim2_dirty = l2_dirty[slot2]
+                            l2_evictions_c += 1
+                            if victim2_dirty:
+                                l2_writebacks_c += 1
+                            l2_tags[slot2] = addr
+                            l2_dirty[slot2] = False
+                            lookup2[addr] = way2
+
+                            # L1 must not outlive its L2 copy (inclusive
+                            # pair): l1.invalidate, inlined.
+                            v1set = l1_sets[victim2 & l1_mask]
+                            v1way = v1set.lookup.pop(victim2, None)
+                            was_dirty = victim2_dirty
+                            if v1way is not None:
+                                v1slot = v1set.base + v1way
+                                was_dirty = was_dirty or l1_dirty[v1slot]
+                                l1_valid[v1slot] = False
+                                l1_dirty[v1slot] = False
+                                v1set.valid_count -= 1
+                            if was_dirty:
+                                writebacks_to_llc_c += 1
+                                if unc is not None:
+                                    # UncompressedLLC WRITEBACK, inlined:
+                                    # a hit refreshes and dirties the
+                                    # line; a miss bypasses to memory.
+                                    ucset = u_sets[victim2 & u_mask]
+                                    uway = ucset.lookup.get(victim2)
+                                    llc_accesses_c += 1
+                                    if uway is not None:
+                                        ucset.policy_state.referenced[uway] = True
+                                        u_dirty[ucset.base + uway] = True
+                                        unc_hits_c += 1
+                                        llc_data_writes_c += 1
+                                        llc_fill_segments_c += 1
+                                    else:
+                                        unc_misses_c += 1
+                                        unc_wbmiss_c += 1
+                                        memory_writes_c += 1
+                                        if memory is not None:
+                                            mem_write(victim2, cycles)
+                                elif bv_fast:
+                                    # BaseVictimLLC WRITEBACK: the two
+                                    # dominant outcomes (in-place base
+                                    # hit, non-resident bypass) inlined;
+                                    # the rare victim-hit promotion keeps
+                                    # the method call.
                                     size_v = memo_get(victim2 - addr_offset)
                                     if size_v is None:
                                         size_v = size_fn(victim2 - addr_offset)
+                                    bcset = bv_sets[victim2 & bv_mask]
+                                    base_way = bcset.base_lookup.get(
+                                        victim2
+                                    )
+                                    if base_way is not None:
+                                        # _base_hit WRITEBACK: the data
+                                        # and size change in place.
+                                        llc_accesses_c += 1
+                                        bv_base_hits_c += 1
+                                        bcset.policy_state.referenced[
+                                            base_way
+                                        ] = True
+                                        bcset.base_dirty[base_way] = True
+                                        bcset.base_size[base_way] = size_v
+                                        llc_data_writes_c += 1
+                                        llc_fill_segments_c += size_v
+                                        if (
+                                            bcset.vict_valid[base_way]
+                                            and size_v
+                                            + bcset.vict_size[base_way]
+                                            > bv_spl
+                                        ):
+                                            # Section IV.B.5: the grown
+                                            # line no longer shares.
+                                            bv.stat_partner_evictions += 1
+                                            bv_drop_victim(bcset, base_way)
+                                    elif victim2 not in bcset.vict_lookup:
+                                        # Writeback to a non-resident
+                                        # line bypasses to memory.
+                                        llc_accesses_c += 1
+                                        bv.stat_writeback_misses += 1
+                                        memory_writes_c += 1
+                                        if memory is not None:
+                                            mem_write(victim2, cycles)
+                                    else:
+                                        llc_call(
+                                            victim2, _WRITEBACK, size_v, cycles
+                                        )
                                 else:
-                                    size_v = 1
-                                llc_call(victim2, _WRITEBACK, size_v, cycles)
-                        elif l2_hints:
-                            # Clean, unreused L2 eviction: CHAR-style
-                            # downgrade hint (hint_downgrade, inlined
-                            # for both matrix LLC flavors).
-                            if unc is not None:
-                                ucset = u_sets[victim2 & u_mask]
-                                uway = ucset.lookup.get(victim2)
-                                if uway is not None:
-                                    ucset.policy_state.referenced[uway] = False
-                            elif bv is not None:
-                                bcset = bv_sets[victim2 & bv_mask]
-                                bway = bcset.base_lookup.get(victim2)
-                                if bway is not None:
-                                    bcset.policy_state.referenced[
-                                        bway
-                                    ] = False
-                            else:
-                                llc_hint(victim2)
+                                    if uses_sizes:
+                                        size_v = memo_get(victim2 - addr_offset)
+                                        if size_v is None:
+                                            size_v = size_fn(victim2 - addr_offset)
+                                    else:
+                                        size_v = 1
+                                    llc_call(victim2, _WRITEBACK, size_v, cycles)
+                            elif l2_hints:
+                                # Clean, unreused L2 eviction: CHAR-style
+                                # downgrade hint (hint_downgrade, inlined
+                                # for both matrix LLC flavors).
+                                if unc is not None:
+                                    ucset = u_sets[victim2 & u_mask]
+                                    uway = ucset.lookup.get(victim2)
+                                    if uway is not None:
+                                        ucset.policy_state.referenced[uway] = False
+                                elif bv is not None:
+                                    bcset = bv_sets[victim2 & bv_mask]
+                                    bway = bcset.base_lookup.get(victim2)
+                                    if bway is not None:
+                                        bcset.policy_state.referenced[
+                                            bway
+                                        ] = False
+                                else:
+                                    llc_hint(victim2)
 
-                # Inlined hierarchy._fill_l1(addr, is_write) — both
-                # the L2-hit and the L2-miss paths converge here.  As
-                # in the L2 fill, the LRU victim is the first key.
-                base1 = cset.base
-                victim1_dirty = False
-                victim1 = 0
-                if cset.valid_count == ways:
-                    victim1 = next(iter(lookup1))
-                    way = lookup1.pop(victim1)
-                    slot1 = base1 + way
-                    victim1_dirty = l1_dirty[slot1]
-                    l1_evictions_c += 1
-                    if victim1_dirty:
-                        l1_writebacks_c += 1
-                else:
-                    slot1 = l1_valid.index(False, base1, base1 + ways)
-                    way = slot1 - base1
-                    cset.valid_count += 1
-                l1_tags[slot1] = addr
-                l1_valid[slot1] = True
-                l1_dirty[slot1] = is_write
-                lookup1[addr] = way
-                if victim1_dirty:
-                    # Dirty L1 victim merges into the (inclusive) L2:
-                    # l2.probe(victim1, is_write=True), inlined with its
-                    # LRU touch.
-                    m2set = l2_sets[victim1 & l2_mask]
-                    m2lookup = m2set.lookup
-                    m2way = m2lookup.pop(victim1, None)
-                    if m2way is not None:
-                        m2lookup[victim1] = m2way
-                        l2_dirty[m2set.base + m2way] = True
-                        l2_probe_hits_c += 1
+                    # Inlined hierarchy._fill_l1(addr, is_write) — both
+                    # the L2-hit and the L2-miss paths converge here.  As
+                    # in the L2 fill, the LRU victim is the first key.
+                    base1 = cset.base
+                    victim1_dirty = False
+                    victim1 = 0
+                    if cset.valid_count == ways:
+                        victim1 = next(iter(lookup1))
+                        way = lookup1.pop(victim1)
+                        slot1 = base1 + way
+                        victim1_dirty = l1_dirty[slot1]
+                        l1_evictions_c += 1
+                        if victim1_dirty:
+                            l1_writebacks_c += 1
                     else:
-                        # Inclusion guarantees presence; refill
-                        # defensively if not (rare repair path).
-                        l2_probe_misses_c += 1
-                        hierarchy.now = cycles
-                        fill_l2(victim1, dirty=True)
+                        slot1 = l1_valid.index(False, base1, base1 + ways)
+                        way = slot1 - base1
+                        cset.valid_count += 1
+                    l1_tags[slot1] = addr
+                    l1_valid[slot1] = True
+                    l1_dirty[slot1] = is_write
+                    lookup1[addr] = way
+                    if victim1_dirty:
+                        # Dirty L1 victim merges into the (inclusive) L2:
+                        # l2.probe(victim1, is_write=True), inlined with its
+                        # LRU touch.
+                        m2set = l2_sets[victim1 & l2_mask]
+                        m2lookup = m2set.lookup
+                        m2way = m2lookup.pop(victim1, None)
+                        if m2way is not None:
+                            m2lookup[victim1] = m2way
+                            l2_dirty[m2set.base + m2way] = True
+                            l2_probe_hits_c += 1
+                        else:
+                            # Inclusion guarantees presence; refill
+                            # defensively if not (rare repair path).
+                            l2_probe_misses_c += 1
+                            hierarchy.now = cycles
+                            fill_l2(victim1, dirty=True)
 
-                # Hardware prefetches issued by this miss.  Like the
-                # reference, a prefetch lookup counts no LLC hit or
-                # miss, and a prefetch that hits is dropped silently.
-                for target in prefetches:
-                    if unc is not None:
-                        # contains + PREFETCH access, inlined.
-                        ucset = u_sets[target & u_mask]
-                        if target in ucset.lookup:
+                    # Hardware prefetches issued by this miss.  Like the
+                    # reference, a prefetch lookup counts no LLC hit or
+                    # miss, and a prefetch that hits is dropped silently.
+                    for target in prefetches:
+                        if unc is not None:
+                            # contains + PREFETCH access, inlined.
+                            ucset = u_sets[target & u_mask]
+                            if target in ucset.lookup:
+                                continue
+                            llc_accesses_c += 1
+                            prefetch_fills_c += 1
+                            unc_fill(ucset, target, cycles)
                             continue
-                        llc_accesses_c += 1
-                        prefetch_fills_c += 1
-                        unc_fill(ucset, target, cycles)
-                        continue
-                    if bv is not None:
-                        # BaseVictimLLC.contains, inlined.
-                        bcset = bv_sets[target & bv_mask]
-                        if (
-                            target in bcset.base_lookup
-                            or target in bcset.vict_lookup
-                        ):
+                        if bv is not None:
+                            # BaseVictimLLC.contains, inlined.
+                            bcset = bv_sets[target & bv_mask]
+                            if (
+                                target in bcset.base_lookup
+                                or target in bcset.vict_lookup
+                            ):
+                                continue
+                            if bv_fast:
+                                # PREFETCH to a non-resident line: _miss,
+                                # inlined (the residency check above
+                                # rules out both hit paths).
+                                size_p = memo_get(target - addr_offset)
+                                if size_p is None:
+                                    size_p = size_fn(target - addr_offset)
+                                llc_accesses_c += 1
+                                bv_misses_c += 1
+                                memory_reads_c += 1
+                                prefetch_fills_c += 1
+                                if memory is not None:
+                                    mem_read(target, cycles)
+                                bv_fill(bcset, target, size_p, cycles)
+                                continue
+                        elif llc_contains(target):
                             continue
-                        if bv_fast:
-                            # PREFETCH to a non-resident line: _miss,
-                            # inlined (the residency check above
-                            # rules out both hit paths).
+                        if uses_sizes:
                             size_p = memo_get(target - addr_offset)
                             if size_p is None:
                                 size_p = size_fn(target - addr_offset)
-                            llc_accesses_c += 1
-                            bv_misses_c += 1
-                            memory_reads_c += 1
+                        else:
+                            size_p = 1
+                        pf, _ = llc_call(target, _PREFETCH, size_p, cycles)
+                        if not pf.hit:
                             prefetch_fills_c += 1
-                            if memory is not None:
-                                mem_read(target, cycles)
-                            bv_fill(bcset, target, size_p, cycles)
-                            continue
-                    elif llc_contains(target):
-                        continue
-                    if uses_sizes:
-                        size_p = memo_get(target - addr_offset)
-                        if size_p is None:
-                            size_p = size_fn(target - addr_offset)
-                    else:
-                        size_p = 1
-                    pf, _ = llc_call(target, _PREFETCH, size_p, cycles)
-                    if not pf.hit:
-                        prefetch_fills_c += 1
 
-                cycles += stall
-                stall_cycles += stall
-            if i == next_sample:
-                samples.append(victim_occupancy())
-                next_sample += sample_every
-        else:
-            i = hi
-        core.cycles = cycles
-        core.instructions = instructions
-        core.stall_cycles = stall_cycles
-        accesses_c += i - start
-        return i, next_sample
+                    cycles += stall
+                    stall_cycles += stall
+                if i == next_sample:
+                    samples.append(victim_occupancy())
+                    next_sample += sample_every
+            else:
+                i = hi
+            core.cycles = cycles
+            core.instructions = instructions
+            core.stall_cycles = stall_cycles
+            accesses_c += i - start
+            i, hi, next_sample, limit = yield i, next_sample, cycles
 
     def flush() -> None:
         stats = hierarchy.stats
@@ -857,4 +864,6 @@ def scalar_kernel(
             bv_vp.stat_choices += bv_choices_c
             bv_vp.stat_replacements += bv_replacements_c
 
-    return run, flush
+    spans = replay()
+    next(spans)
+    return spans.send, flush

@@ -16,16 +16,20 @@ not share lines).
 The ``traced`` engine (see :mod:`repro.sim.engine`) is the reference:
 one scheduling decision and one ``hierarchy.access`` per access.  The
 ``batch`` engine gives each thread its own scalar access kernel
-(:func:`repro.sim.batch.scalar_kernel`) and schedules by *run-ahead*:
-the chosen thread keeps issuing while it would still be chosen — its
-clock below every earlier thread's and at most every later thread's —
-which is exactly the reference order, one kernel span per decision.
+(:func:`repro.sim.batch.scalar_kernel`) and schedules by *run-ahead*
+over a run queue of ``(clock, thread)`` pairs kept in sorted order.
+The head is the thread the reference picks, and it keeps issuing while
+it would still be chosen: while its clock is below the runner-up's when
+the runner-up is an earlier thread, and at most the runner-up's when it
+is a later one.  That one bound is exactly the reference order, one
+kernel span per decision.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, nextafter
 
 from repro.cache.hierarchy import L1, CacheHierarchy
 from repro.memory.dram import DRAMModel
@@ -221,28 +225,34 @@ def simulate_mix(
             if thread.index >= len(trace) and thread.wrap():
                 unfinished -= 1
     else:
-        # Run-ahead.  A span's window is the smallest clock among the
-        # earlier threads (strict) and among the later ones (inclusive);
-        # the occupancy countdown is mix-global, like the reference's
-        # step count.  Spans are often one or two accesses long, so the
-        # scheduler works on plain lists.
+        # Run-ahead over a run queue sorted by (clock, thread): the head
+        # is the reference's pick, smallest clock and first on ties.  It
+        # runs until it reaches the runner-up's clock if the runner-up
+        # is an earlier thread (which wins the tie), and until it passes
+        # that clock otherwise; for floats, ``cycles <= c`` is ``cycles
+        # < nextafter(c, inf)``, so the kernel checks one strict bound.
+        # The occupancy countdown is mix-global, like the reference's
+        # step count.
         runs = [run for run, _ in kernels]
         lengths = [len(thread.trace) for thread in threads]
-        clocks = [thread.core.cycles for thread in threads]
-        last = len(threads) - 1
+        queue = sorted((thread.core.cycles, k) for k, thread in enumerate(threads))
         countdown = sample_every
         while unfinished > 0:
-            k = clocks.index(min(clocks))
+            _, k = queue.pop(0)
+            limit, runner_up = queue[0]
+            if runner_up > k:
+                limit = nextafter(limit, inf)
             thread = threads[k]
             start = thread.index
-            index, next_sample = runs[k](
-                start,
-                lengths[k],
-                start + countdown - 1 if victim_occupancy is not None else -1,
-                min(clocks[:k]) if k else inf,
-                min(clocks[k + 1 :]) if k < last else inf,
+            index, next_sample, clock = runs[k](
+                (
+                    start,
+                    lengths[k],
+                    start + countdown - 1 if victim_occupancy is not None else -1,
+                    limit,
+                )
             )
-            clocks[k] = thread.core.cycles
+            insort(queue, (clock, k))
             countdown = next_sample - index + 1
             thread.index = index
             if index == lengths[k] and thread.wrap():

@@ -9,6 +9,7 @@ figures need (IPC, DRAM reads/writes, LLC behaviour, energy inputs).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from math import inf
 
 from repro.cache.hierarchy import L1, CacheHierarchy
 from repro.compression.stats import publish_codec_histograms
@@ -183,7 +184,7 @@ def simulate_trace(
                 sample_every,
                 samples,
             )
-            run(0, length, next_sample)
+            run((0, length, next_sample, inf))
             flush()
             for value in samples:
                 occupancy.observe(value)

@@ -9,6 +9,13 @@ compressed-size distributions and assert, per access, that no hit of the
 uncompressed cache is ever missed by Base-Victim — across LRU, NRU and
 SRRIP — plus the companion invariant that Victim Cache lines are always
 clean (which is what makes every victim eviction silent).
+
+The same streams also bound both caches from above, by Belady's MIN:
+no cache that holds C lines of a set makes more hits on that set's
+requests than optimal offline replacement with bypass at C lines.  An
+uncompressed set holds W lines and a Base-Victim set at most 2W (two
+tags per way), so a model that invents hits fails here even when it
+keeps the floor.
 """
 
 from __future__ import annotations
@@ -32,6 +39,10 @@ POLICIES = ("lru", "nru", "srrip")
 
 NUM_TRACES = 50
 ACCESSES_PER_TRACE = 500
+
+#: The test geometry: 4 sets x 4 ways.
+SETS = 4
+WAYS = 4
 
 
 def random_trace(seed: int) -> list[tuple[int, int, int]]:
@@ -59,8 +70,35 @@ def random_trace(seed: int) -> list[tuple[int, int, int]]:
     return ops
 
 
+def belady_hits(stream: list[int], capacity: int) -> int:
+    """Hits of Belady's MIN with bypass on ``stream``, ``capacity`` lines.
+
+    On a miss in a full cache, the resident line reused furthest in the
+    future is evicted, unless the request itself is reused no sooner,
+    in which case it bypasses the cache.
+    """
+    never = len(stream)
+    next_use = [never] * len(stream)
+    seen: dict[int, int] = {}
+    for i in range(len(stream) - 1, -1, -1):
+        next_use[i] = seen.get(stream[i], never)
+        seen[stream[i]] = i
+    resident: dict[int, int] = {}  # line -> index of its next use
+    hits = 0
+    for i, line in enumerate(stream):
+        if line in resident:
+            hits += 1
+        elif len(resident) == capacity:
+            furthest = max(resident, key=resident.__getitem__)
+            if resident[furthest] <= next_use[i]:
+                continue
+            del resident[furthest]
+        resident[line] = next_use[i]
+    return hits
+
+
 def make_pair(policy_name: str) -> tuple[BaseVictimLLC, UncompressedLLC]:
-    geometry = CacheGeometry(4 * 4 * 64, 4)  # 4 sets x 4 ways
+    geometry = CacheGeometry(SETS * WAYS * 64, WAYS)
     bv = BaseVictimLLC(
         geometry,
         make_policy(policy_name),
@@ -88,6 +126,25 @@ def test_hit_rate_never_below_uncompressed(policy_name):
             )
         assert bv_hits >= shadow_hits
         bv.check_invariants()
+
+
+@pytest.mark.parametrize("policy_name", POLICIES)
+def test_hits_never_above_belady_min(policy_name):
+    """Per set, hits <= MIN's: W lines uncompressed, 2W for Base-Victim."""
+    for seed in range(NUM_TRACES):
+        bv, shadow = make_pair(policy_name)
+        streams: list[list[int]] = [[] for _ in range(SETS)]
+        bv_hits = [0] * SETS
+        shadow_hits = [0] * SETS
+        for addr, kind, size in random_trace(seed):
+            index = addr & (SETS - 1)
+            streams[index].append(addr)
+            bv_hits[index] += bv.access(addr, kind, size).hit
+            shadow_hits[index] += shadow.access(addr, kind, size).hit
+        for index, stream in enumerate(streams):
+            where = f"policy={policy_name} seed={seed} set={index}"
+            assert shadow_hits[index] <= belady_hits(stream, WAYS), where
+            assert bv_hits[index] <= belady_hits(stream, 2 * WAYS), where
 
 
 @pytest.mark.parametrize("policy_name", POLICIES)

@@ -3,7 +3,8 @@
 The tentpole invariant, now with a server in the middle: any mix of
 concurrent clients leaves the shared cache byte-identical to a clean
 serial run of the union of their jobs.  These tests drive the same code
-path CI's serve-smoke job and two real terminals would take.
+path two real terminals would take; the dedupe test also reads its
+counter back the way an operator does, through ``repro stats --json``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-
-import pytest
 
 from repro.serve.scheduler import BATCH_DELAY_ENV
 from repro.serve.server import READY_PREFIX, SOCKET_ENV
@@ -145,6 +144,16 @@ class TestByteIdentity:
         stats = json.loads((cache_dir / "serve-stats.json").read_text())
         assert stats["counters"]["serve/jobs_deduped"]["value"] == 2
         assert stats["counters"]["serve/jobs_enqueued"]["value"] == 2
+
+        # The same counter, read back through repro stats.
+        report = _repro(
+            ("stats", "--preset", "test", "--trace", "sjeng.1", "--json"),
+            _env(cache_dir),
+        )
+        out, err = report.communicate(timeout=TIMEOUT)
+        assert report.returncode == 0, err
+        counters = json.loads(out)["serve"]["counters"]
+        assert counters["serve/jobs_deduped"]["value"] == 2
 
 
 class TestAdmissionAndDrain:

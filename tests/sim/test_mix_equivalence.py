@@ -11,8 +11,10 @@ This module requires the two to produce **byte-identical**
 observation — and to leave the same machine state behind (every
 thread's L1, L2 and prefetcher, the shared LLC and DRAM; see
 ``tests/sim/endstate.py``) over seeded mixes across the LLC matrix, and
-on the scheduler's edge cases: clock ties, a thread that wraps its
-trace many times, and occupancy samples that land on a span boundary.
+on the scheduler's edge cases: clock ties (among four copies of one
+trace, and a later thread that reaches an earlier one's clock exactly),
+a thread that wraps its trace many times, and occupancy samples that
+land on a span boundary.
 The kernel side's LLC must also pass its own invariant check.
 
 Mixes are built from the case seed alone, so every failure reproduces
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import random
 from array import array
-from math import inf
+from math import inf, nextafter
 
 import pytest
 
@@ -147,6 +149,21 @@ class StubSuite:
         return LineDataModel(build_palette("ispec", "mixed", seed), seed=seed)
 
 
+def fixed_trace(name: str, seed: int, lines: list[int], deltas: list[int]) -> Trace:
+    """A load-only trace over the given lines and instruction deltas."""
+    meta = TraceMeta(
+        name=name,
+        category="fuzz",
+        seed=seed,
+        footprint_lines=len(set(lines)),
+        comp_class="mixed",
+        cache_sensitive=True,
+    )
+    return Trace(
+        meta, array("b", [LOAD] * len(lines)), array("q", lines), array("i", deltas)
+    )
+
+
 def stub_factory(*traces: Trace):
     return lambda: StubSuite({trace.meta.name: trace for trace in traces})
 
@@ -180,6 +197,27 @@ class TestSchedulerEdgeCases:
             monkeypatch, mix, machine, SHORT, stub_factory(fast, *slow)
         )
         assert result["threads"][0]["accesses"] > 5 * len(fast)
+
+    @pytest.mark.parametrize("machine", (UNC, BV), ids=lambda m: m.label)
+    def test_a_later_thread_yields_when_it_reaches_an_earlier_threads_clock(
+        self, monkeypatch, machine
+    ):
+        # a and b miss to different DRAM channels with equal latency and
+        # then hit in L1, so they stand exactly tied before their third
+        # accesses.  Those conflict in channel 0, bank 2 (the thread
+        # offsets change only the row), so the order shows in the
+        # cycles: the earlier thread, a, must issue first.  c and d
+        # start late, on banks a and b never use.
+        a = fixed_trace("a", 51, [0, 0, 4], [1, 1, 1])
+        b = fixed_trace("b", 52, [1, 1, 4], [1, 1, 1])
+        c = fixed_trace("c", 53, [9, 9, 9], [5000, 1, 1])
+        d = fixed_trace("d", 54, [11, 11, 11], [5000, 1, 1])
+        mix = MixSpec("tie", ("a", "b", "c", "d"))
+        result = assert_engines_agree(
+            monkeypatch, mix, machine, SHORT, stub_factory(a, b, c, d)
+        )
+        first, second = (thread["cycles"] for thread in result["threads"][:2])
+        assert first < second
 
     @pytest.mark.parametrize("sample_every", (1, 2, 3, 7))
     def test_occupancy_samples_on_span_boundaries(self, monkeypatch, sample_every):
@@ -218,24 +256,25 @@ class TestKernelWindow:
         )
         return run, core, len(trace)
 
-    def _span(self, before=inf, after=inf) -> int:
+    def _span(self, limit: float) -> int:
         run, _, length = self._kernel()
-        stop, _ = run(0, length, -1, before, after)
+        stop, _, _ = run((0, length, -1, limit))
         return stop
 
-    def test_before_is_strict_and_after_is_inclusive(self):
+    def test_limit_is_strict(self):
         run, core, length = self._kernel()
         clocks = []
         for i in range(length):
-            run(i, i + 1, -1)
-            clocks.append(core.cycles)
+            _, _, clock = run((i, i + 1, -1, inf))
+            assert clock == core.cycles
+            clocks.append(clock)
         mid = length // 2
         bound = clocks[mid]  # the clock once access ``mid`` is done
-        # cycles < before: access mid + 1 would start at exactly bound.
-        assert self._span(before=bound) == mid + 1
-        # cycles <= after: it is issued, and the span stops after it.
-        assert self._span(after=bound) == mid + 2
+        # cycles < limit: access mid + 1 would start at exactly bound.
+        assert self._span(bound) == mid + 1
+        # The next float up issues it, and the span stops after it.
+        assert self._span(nextafter(bound, inf)) == mid + 2
 
     def test_stops_at_the_trace_end(self):
-        run, _, length = self._kernel()
-        assert run(length - 3, length, -1) == (length, -1)
+        run, core, length = self._kernel()
+        assert run((length - 3, length, -1, inf)) == (length, -1, core.cycles)
