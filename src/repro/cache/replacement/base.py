@@ -21,9 +21,9 @@ from typing import TYPE_CHECKING, Any, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-# The block form imports NumPy when first used.  Imported here, ahead of
-# the rest of the program, NumPy made ``import repro`` about 15 ms (8%)
-# slower on a 2-vCPU x86_64 host.
+# The block form imports NumPy when first used, as the program imports the
+# two modules that build arrays (ARCHITECTURE.md, below the module map),
+# so that ``import repro`` never loads NumPy.
 
 #: Shape of one :meth:`DeterministicRandom.block`: ``BLOCK_LANES`` lanes,
 #: each stepping ``BLOCK_STEPS`` states from its own jump-ahead start.

@@ -388,7 +388,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     import asyncio
 
-    from repro.serve.server import ExperimentServer, ServeError, parse_tcp
+    from repro.serve.protocol import ServeError, parse_tcp
+    from repro.serve.server import ExperimentServer
 
     try:
         server = ExperimentServer(
@@ -993,8 +994,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="cache directory (default: $REPRO_CACHE_DIR or ./.repro_cache)",
         )
 
-    from repro.serve.scheduler import DEFAULT_CLIENT_QUOTA, DEFAULT_MAX_QUEUE
-    from repro.serve.server import SOCKET_ENV
+    from repro.serve.protocol import (
+        DEFAULT_CLIENT_QUOTA,
+        DEFAULT_MAX_QUEUE,
+        SOCKET_ENV,
+    )
 
     p_serve = sub.add_parser(
         "serve",

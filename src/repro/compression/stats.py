@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from repro.compression import ALGORITHMS, kernels, make_compressor
+from repro.compression import ALGORITHMS, make_compressor
 
 
 @lru_cache(maxsize=256)
@@ -29,6 +29,8 @@ def _size_histograms(lines: tuple[bytes, ...]) -> tuple[tuple[str, tuple[tuple[i
     set) and the zero codec stay scalar.  Kernel and scalar sizes are
     byte-identical (tests/compression/test_kernels.py).
     """
+    from repro.compression import kernels
+
     out = []
     for name in sorted(ALGORITHMS):
         kernel = kernels.SIZE_KERNELS.get(name)

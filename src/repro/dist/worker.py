@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import IO
 
 from repro.serve.client import Address, ServeClient, ServeClientError
-from repro.serve.server import SOCKET_ENV, ServeError, parse_tcp
+from repro.serve.protocol import SOCKET_ENV, ServeError, parse_tcp
 from repro.sim.experiment import CACHE_DIR_ENV
 from repro.sim.faultinject import FAULTS_DIR_ENV, FAULTS_ENV
 from repro.sim.locking import _pid_alive

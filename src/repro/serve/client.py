@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.serve import protocol
-from repro.serve.server import SOCKET_ENV, default_socket_path, parse_tcp
+from repro.serve.protocol import SOCKET_ENV, default_socket_path, parse_tcp
 from repro.sim.experiment import default_cache_dir
 
 

@@ -51,14 +51,23 @@ an oversized payload, an unknown trace or an invalid machine
 configuration is rejected with a :class:`ProtocolError` before any
 simulation state is touched, mirroring the eager
 ``MachineConfig.validate()`` contract the CLI already enforces.
+
+The names both ends resolve before the first frame also live here: the
+socket address (:data:`SOCKET_ENV`, :func:`default_socket_path`,
+:func:`parse_tcp`) and the admission defaults the CLI shows.  The
+client, the dispatch worker and ``repro --help`` import them from this
+module, so only the server process loads asyncio.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.sim.config import MachineConfig, MachineConfigError
+from repro.sim.experiment import default_cache_dir
 
 #: The one protocol version the server speaks: the only ``hello``
 #: version it accepts, echoed in ``hello``/``accepted``/``status`` events.
@@ -74,6 +83,17 @@ MAX_FRAME_BYTES = 1 << 20
 #: queue capacity and quotas — happens in the scheduler; this bound just
 #: keeps a single frame parseable and the reject message honest).
 MAX_JOBS_PER_SUBMIT = 4096
+
+#: Default admission-control bounds of a server's scheduler
+#: (``repro serve --max-queue`` / ``--client-quota``).
+DEFAULT_MAX_QUEUE = 1024
+DEFAULT_CLIENT_QUOTA = 256
+
+#: Environment variable overriding the default unix socket path.
+SOCKET_ENV = "REPRO_SERVE_SOCKET"
+
+#: Default socket file name (sibling of the result cache it fronts).
+SOCKET_FILE_NAME = "serve.sock"
 
 #: Structured reasons a ``rejected`` event may carry.
 REJECT_QUEUE_FULL = "queue-full"
@@ -122,6 +142,29 @@ _MACHINE_FIELDS = {
 
 class ProtocolError(ValueError):
     """A frame violated the serve wire protocol (shape, size or content)."""
+
+
+class ServeError(RuntimeError):
+    """A startup or shutdown failure with a clean one-line message."""
+
+
+def default_socket_path(cache_dir: Path | None = None) -> Path:
+    """Resolve the unix socket path: ``$REPRO_SERVE_SOCKET`` or cache dir."""
+    override = os.environ.get(SOCKET_ENV)
+    if override:
+        return Path(override)
+    return (cache_dir or default_cache_dir()) / SOCKET_FILE_NAME
+
+
+def parse_tcp(spec: str) -> tuple[str, int]:
+    """Parse a ``host:port`` TCP spec (IPv6 hosts may be bracketed)."""
+    host, sep, port = spec.rpartition(":")
+    if not sep or not host:
+        raise ServeError(f"--tcp needs host:port, got {spec!r}")
+    try:
+        return host.strip("[]"), int(port)
+    except ValueError:
+        raise ServeError(f"--tcp port must be an integer, got {port!r}") from None
 
 
 def encode_frame(payload: dict) -> bytes:

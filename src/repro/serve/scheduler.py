@@ -54,17 +54,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.serve import protocol
-from repro.serve.protocol import JobSpec
+from repro.serve.protocol import DEFAULT_CLIENT_QUOTA, DEFAULT_MAX_QUEUE, JobSpec
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.resultcache import canonicalize_cache_file
 from repro.sim.retry import FailedCell, _env_float
 
 #: Testing hook: seconds to sleep before executing each batch.
 BATCH_DELAY_ENV = "REPRO_SERVE_BATCH_DELAY"
-
-#: Default admission-control bounds (overridable per server).
-DEFAULT_MAX_QUEUE = 1024
-DEFAULT_CLIENT_QUOTA = 256
 
 #: Callback that delivers one server->client event dict.
 EmitFn = Callable[[dict], None]

@@ -32,16 +32,11 @@ import sys
 from pathlib import Path
 
 from repro.serve import protocol
+from repro.serve.protocol import ServeError, default_socket_path
 from repro.serve.scheduler import JobScheduler, SubmitRejected
 from repro.sim.config import PRESETS
 from repro.sim.experiment import ExperimentRunner, default_cache_dir
 from repro.workloads.suite import all_specs
-
-#: Environment variable overriding the default unix socket path.
-SOCKET_ENV = "REPRO_SERVE_SOCKET"
-
-#: Default socket file name (sibling of the result cache it fronts).
-SOCKET_FILE_NAME = "serve.sock"
 
 #: Line printed (stdout, flushed) once the server accepts connections;
 #: tests and CI scripts wait for it.
@@ -52,29 +47,6 @@ _STREAM_LIMIT = protocol.MAX_FRAME_BYTES + 1024
 
 #: Grace period for clients to read their final events at shutdown.
 _SHUTDOWN_GRACE = 5.0
-
-
-class ServeError(RuntimeError):
-    """A startup or shutdown failure with a clean one-line message."""
-
-
-def default_socket_path(cache_dir: Path | None = None) -> Path:
-    """Resolve the unix socket path: ``$REPRO_SERVE_SOCKET`` or cache dir."""
-    override = os.environ.get(SOCKET_ENV)
-    if override:
-        return Path(override)
-    return (cache_dir or default_cache_dir()) / SOCKET_FILE_NAME
-
-
-def parse_tcp(spec: str) -> tuple[str, int]:
-    """Parse a ``host:port`` TCP spec (IPv6 hosts may be bracketed)."""
-    host, sep, port = spec.rpartition(":")
-    if not sep or not host:
-        raise ServeError(f"--tcp needs host:port, got {spec!r}")
-    try:
-        return host.strip("[]"), int(port)
-    except ValueError:
-        raise ServeError(f"--tcp port must be an integer, got {port!r}") from None
 
 
 def reclaim_stale_socket(path: Path) -> bool:

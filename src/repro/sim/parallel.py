@@ -248,9 +248,18 @@ def _run_chunk(chunk: Sequence[tuple[int, SweepJob]]) -> list[JobOutcome]:
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
-    """Prefer fork where available (fast start, no import tax)."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    """Prefer fork where available (fast start, no import tax).
+
+    ``import repro`` leaves NumPy unloaded, so before a fork the parent
+    imports the two modules that need it; every worker inherits them
+    instead of importing NumPy at its first trace.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    import repro.compression.kernels  # noqa: F401
+    import repro.workloads.generators  # noqa: F401
+
+    return multiprocessing.get_context("fork")
 
 
 # ----------------------------------------------------------------------

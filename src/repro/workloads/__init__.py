@@ -7,7 +7,6 @@ from repro.workloads.datagen import (
     PATTERNS,
     build_palette,
 )
-from repro.workloads.generators import PatternGenerator, PatternParams
 from repro.workloads.mixes import MixSpec, NUM_MIXES, THREADS_PER_MIX, build_mixes
 from repro.workloads.suite import (
     all_specs,
@@ -33,8 +32,6 @@ __all__ = [
     "NUM_MIXES",
     "PaletteEntry",
     "PATTERNS",
-    "PatternGenerator",
-    "PatternParams",
     "poor_specs",
     "sensitive_specs",
     "STORE",

@@ -21,7 +21,6 @@ import struct
 from dataclasses import dataclass
 
 from repro.cache.replacement.base import DeterministicRandom
-from repro.compression import kernels
 from repro.compression.base import CompressionAlgorithm
 from repro.compression.segments import EVAL_GEOMETRY, SegmentGeometry
 
@@ -159,6 +158,8 @@ def build_palette(
         # kernel pass instead of one scalar compress() per line;
         # byte-identity with the scalar codec is enforced by
         # tests/compression/test_kernels.py.
+        from repro.compression import kernels
+
         matrix = kernels.lines_matrix(data for _, data in synthesised)
         sizes = kernels.bdi_size_bytes(matrix).tolist()
     else:
@@ -278,6 +279,8 @@ class LineDataModel:
         Pure function of (trace addresses, seed, palette): both dicts are
         shareable across runs — :meth:`adopt_size_tables` installs them.
         """
+        from repro.compression import kernels
+
         unique, bases = kernels.ring_bases(addrs, self._seed, _RING_SIZE)
         ring = self._ring
         sizes = [ring[base] for base in bases.tolist()]

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from repro.workloads.datagen import LineDataModel, build_palette
-from repro.workloads.generators import PatternGenerator, PatternParams
 from repro.workloads.trace import Trace, TraceMeta
 from repro.workloads.tracecache import process_cache
+
+if TYPE_CHECKING:
+    from repro.workloads.generators import PatternParams
 
 #: Bumped whenever trace generation or the spec table changes, so cached
 #: simulation results are invalidated together with the workloads.
@@ -317,6 +320,8 @@ class TraceSuite:
         of the LLC), so hot accesses are LLC hits whose latency — and
         survival under partner-line victimization — matters.
         """
+        from repro.workloads.generators import PatternParams
+
         hot = max(32, self.reference_llc_lines // 2)
         footprint = int(spec.ws_factor * self.reference_llc_lines)
         if spec.hot_fraction > 0:
@@ -350,6 +355,8 @@ class TraceSuite:
         """
 
         def generate() -> Trace:
+            from repro.workloads.generators import PatternGenerator
+
             spec = self.spec(name)
             meta = TraceMeta(
                 name=spec.name,

@@ -17,8 +17,9 @@ import sys
 import time
 from pathlib import Path
 
+from repro.serve.protocol import SOCKET_ENV
 from repro.serve.scheduler import BATCH_DELAY_ENV
-from repro.serve.server import READY_PREFIX, SOCKET_ENV
+from repro.serve.server import READY_PREFIX
 from repro.sim.experiment import CACHE_DIR_ENV
 from repro.sim.resultcache import scan_cache_file
 

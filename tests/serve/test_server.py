@@ -16,15 +16,10 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.serve.protocol import MAX_FRAME_BYTES, encode_frame
+from repro.serve.protocol import MAX_FRAME_BYTES, ServeError, encode_frame, parse_tcp
 from repro.serve.scheduler import BATCH_DELAY_ENV
 from repro.sim.config import BASE_VICTIM_2MB
-from repro.serve.server import (
-    ExperimentServer,
-    ServeError,
-    parse_tcp,
-    reclaim_stale_socket,
-)
+from repro.serve.server import ExperimentServer, reclaim_stale_socket
 
 TIMEOUT = 120.0
 
