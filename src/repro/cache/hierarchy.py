@@ -22,8 +22,7 @@ from typing import Callable
 
 from repro.cache.config import CacheGeometry
 from repro.cache.prefetch import StreamPrefetcher
-from repro.cache.replacement.lru import LRUPolicy
-from repro.cache.setassoc import SetAssociativeCache
+from repro.cache.setassoc import LRUCache
 from repro.core.interfaces import AccessKind, LLCAccessResult, LLCArchitecture
 
 #: Levels at which an access can be served.
@@ -141,8 +140,8 @@ class CacheHierarchy:
         #: Current CPU cycle, set by the timing driver before each access;
         #: used as the DRAM arrival time.
         self.now = 0.0
-        self.l1 = SetAssociativeCache(self.config.l1_geometry, LRUPolicy(), name="l1d")
-        self.l2 = SetAssociativeCache(self.config.l2_geometry, LRUPolicy(), name="l2")
+        self.l1 = LRUCache(self.config.l1_geometry, name="l1d")
+        self.l2 = LRUCache(self.config.l2_geometry, name="l2")
         self.prefetcher = StreamPrefetcher(degree=self.config.prefetch_degree)
         self.stats = HierarchyStats()
 

@@ -4,10 +4,12 @@ Used in the paper's Section III/IV worked examples and as a Victim Cache
 policy variant in Section VI.B.4.  Per-set state is a monotonically
 increasing timestamp per way; the victim is the smallest timestamp.
 
-A :class:`~repro.cache.setassoc.SetAssociativeCache` on exactly this
-class (the private L1/L2) inlines LRU as lookup-dict order instead, as
-does the scalar kernel; this stamp path is the reference that inline
-path is tested against (``tests/cache/test_setassoc.py`` and
+The private L1/L2 do not use this class: each set of a
+:class:`~repro.cache.setassoc.LRUCache` keeps LRU order as its dict
+order, and the scalar kernel reads those dicts directly.  A
+:class:`~repro.cache.setassoc.SetAssociativeCache` on this policy is the
+stamp reference that dict order is tested against
+(``tests/cache/test_setassoc.py`` and
 ``tests/sim/test_batch_equivalence.py``).
 """
 

@@ -341,8 +341,8 @@ class BaseVictimLLC(LLCArchitecture):
         # Largest base size a candidate way may hold and still fit us.
         room = self.segments_per_line - size_segments
         candidates = []
-        for w, valid in enumerate(cset.base_valid):
-            bsize = cset.base_size[w] if valid else 0
+        # A demotion follows a replacement: the set is full, every base way valid.
+        for w, bsize in enumerate(cset.base_size):
             if bsize <= room:
                 candidates.append(
                     VictimCandidate(

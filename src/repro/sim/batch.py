@@ -80,21 +80,17 @@ def scalar_kernel(
     and the size lookups (by default the hierarchy's) take the trace
     address.
     """
+    # The private caches' sets: one dict ``line -> dirty`` each, least
+    # recently used first (see repro.cache.setassoc.LRUCache).
     l1 = hierarchy.l1
     l1_sets = l1._sets
     l1_mask = l1._set_mask
     ways = l1.ways
-    l1_tags = l1.tags
-    l1_valid = l1.valid
-    l1_dirty = l1.dirty
 
     l2 = hierarchy.l2
     l2_sets = l2._sets
     l2_mask = l2._set_mask
     l2_ways = l2.ways
-    l2_tags = l2.tags
-    l2_valid = l2.valid
-    l2_dirty = l2.dirty
 
     prefetcher = hierarchy.prefetcher
     pf_degree = prefetcher.degree
@@ -108,15 +104,13 @@ def scalar_kernel(
 
     # LLC flavor lanes.  The perf matrix runs exactly two LLC flavors,
     # and both spend the bench traces almost entirely in the miss path,
-    # so their hottest entry points are inlined over hoisted columns:
-    # ``unc`` selects the full inline of the uncompressed-NRU LLC
-    # (demand, writeback, prefetch and hint sites); ``bv`` selects the
-    # inlined contains/hint_downgrade of the NRU Base-Victim LLC, and
-    # ``bv_fast`` additionally its demand, writeback and prefetch fills
-    # when victims are clean and inserted by ECM.  Any other flavor
-    # takes ``llc_call``, the plain method call.  Both NRU lanes touch
-    # each set's ``policy_state.referenced`` bits inline on hits, hints
-    # and fills, and take a full set's victim from the policy's own
+    # so their demand, writeback, prefetch and hint sites are inlined
+    # over hoisted columns: ``unc`` selects the uncompressed-NRU LLC and
+    # ``bv`` the NRU Base-Victim LLC with clean victims inserted by ECM.
+    # Any other LLC takes ``llc_call``, ``llc_contains`` and
+    # ``llc_hint``, the plain method calls.  Both lanes touch each set's
+    # ``policy_state.referenced`` bits inline on hits, hints and fills,
+    # and take a full set's victim from the policy's own
     # ``choose_victim``, the one copy of NRU's hand scan.
     unc = None
     bv = None
@@ -129,20 +123,21 @@ def scalar_kernel(
         u_valid = unc.valid
         u_dirty = unc.dirty
         choose_victim = llc.policy.choose_victim
-    elif isinstance(llc, BaseVictimLLC) and type(llc.policy) is NRUPolicy:
+    elif (
+        isinstance(llc, BaseVictimLLC)
+        and type(llc.policy) is NRUPolicy
+        and type(llc.victim_policy) is ECMVictimPolicy
+        and llc.clean_victims
+    ):
+        # The inlined fills run ECM's slot choice.  With clean victims
+        # no victim line is ever dirty, so every victim drop is silent
+        # and every fill installs a clean line.
         bv = llc
         bv_sets = llc._sets
         bv_mask = llc._set_mask
         bv_spl = llc.segments_per_line
         bv_vp = llc.victim_policy
         choose_victim = llc.policy.choose_victim
-        # The inlined fills run ECM's slot choice.  With clean victims
-        # no victim line is ever dirty, so every victim drop is silent
-        # and every fill installs a clean line; other configs keep the
-        # method.
-        bv_fast = type(bv_vp) is ECMVictimPolicy and llc.clean_victims
-    else:
-        bv_fast = False
     extra_tag_cycles = llc.extra_tag_cycles
     decompression_cycles = _decompression_cycles(llc)
     l2_hints = hierarchy.config.l2_eviction_hints
@@ -206,29 +201,12 @@ def scalar_kernel(
         data goes to memory unless the LLC already wrote it back.
         """
         nonlocal back_invalidations_c, memory_writes_c
-        iset = l1_sets[line & l1_mask]
-        way = iset.lookup.pop(line, None)
-        if way is None:
-            present = dirty = False
-        else:
-            present = True
-            slot = iset.base + way
-            dirty = l1_dirty[slot]
-            l1_valid[slot] = False
-            l1_dirty[slot] = False
-            iset.valid_count -= 1
-        iset = l2_sets[line & l2_mask]
-        way = iset.lookup.pop(line, None)
-        if way is not None:
-            present = True
-            slot = iset.base + way
-            dirty = dirty or l2_dirty[slot]
-            l2_valid[slot] = False
-            l2_dirty[slot] = False
-            iset.valid_count -= 1
-        if present:
+        # Each pop returns the line's dirty bit, or None if it was absent.
+        dirty1 = l1_sets[line & l1_mask].pop(line, None)
+        dirty2 = l2_sets[line & l2_mask].pop(line, None)
+        if dirty1 is not None or dirty2 is not None:
             back_invalidations_c += 1
-        if dirty and not wrote_back:
+        if (dirty1 or dirty2) and not wrote_back:
             memory_writes_c += 1
             if memory is not None:
                 mem_write(line, now)
@@ -358,9 +336,8 @@ def scalar_kernel(
         way = free_way = -1
         occ_size = free_size = -1
         w = 0
-        for bvalid, bsize, vvalid in zip(base_valid, base_size, vict_valid):
-            if not bvalid:
-                bsize = 0
+        # A demotion follows a replacement: the set is full, every base way valid.
+        for bsize, vvalid in zip(base_size, vict_valid):
             if bsize <= room:
                 if vvalid:
                     if bsize > occ_size:
@@ -422,23 +399,19 @@ def scalar_kernel(
                 if is_write:
                     on_write(taddr)
                 addr = taddr + addr_offset
-                cset = l1_sets[addr & l1_mask]
-                lookup1 = cset.lookup
-                way = lookup1.pop(addr, None)
-                if way is not None:
-                    # Inlined l1.probe hit: the LRU touch reinserts the line
-                    # at the lookup dict's MRU end; plus the dirty bit.
-                    lookup1[addr] = way
-                    if is_write:
-                        l1_dirty[cset.base + way] = True
+                l1set = l1_sets[addr & l1_mask]
+                dirty = l1set.pop(addr, None)
+                if dirty is not None:
+                    # Inlined l1.probe hit: the LRU touch reinserts the
+                    # line at the set's MRU end, merging the store.
+                    l1set[addr] = dirty or is_write
                     l1_hits += 1
                 else:
                     # Inlined l2.probe (a demand read never dirties L2).
                     l2set = l2_sets[addr & l2_mask]
-                    lookup2 = l2set.lookup
-                    l2way = lookup2.pop(addr, None)
-                    if l2way is not None:
-                        lookup2[addr] = l2way
+                    dirty = l2set.pop(addr, None)
+                    if dirty is not None:
+                        l2set[addr] = dirty
                         l2_probe_hits_c += 1
                         l2_hits_c += 1
                         stall = l2_stall
@@ -505,7 +478,7 @@ def scalar_kernel(
                                     + extra_tag_cycles
                                     + read_latency
                                 ) / mlp_memory
-                        elif bv_fast:
+                        elif bv is not None:
                             # BaseVictimLLC.access(addr, READ, size) —
                             # _base_hit, _victim_hit or _miss — inlined.
                             size = memo_get(taddr)
@@ -591,41 +564,21 @@ def scalar_kernel(
                                 ) / mlp_memory
 
                         # Inlined hierarchy._fill_l2(addr) on the miss
-                        # path (the L2-hit path fills only the L1).  The
-                        # fill appends at the lookup dict's MRU end; a full
-                        # set evicts its first (least recently used) key.
-                        base2 = l2set.base
-                        if l2set.valid_count < l2_ways:
-                            slot2 = l2_valid.index(False, base2, base2 + l2_ways)
-                            l2set.valid_count += 1
-                            l2_tags[slot2] = addr
-                            l2_valid[slot2] = True
-                            l2_dirty[slot2] = False
-                            lookup2[addr] = slot2 - base2
-                        else:
-                            victim2 = next(iter(lookup2))
-                            way2 = lookup2.pop(victim2)
-                            slot2 = base2 + way2
-                            victim2_dirty = l2_dirty[slot2]
+                        # path (the L2-hit path fills only the L1): append
+                        # at the MRU end, and an overfull set evicts its
+                        # first (least recently used) key.
+                        l2set[addr] = False
+                        if len(l2set) > l2_ways:
+                            victim2 = next(iter(l2set))
+                            victim2_dirty = l2set.pop(victim2)
                             l2_evictions_c += 1
                             if victim2_dirty:
                                 l2_writebacks_c += 1
-                            l2_tags[slot2] = addr
-                            l2_dirty[slot2] = False
-                            lookup2[addr] = way2
 
                             # L1 must not outlive its L2 copy (inclusive
                             # pair): l1.invalidate, inlined.
-                            v1set = l1_sets[victim2 & l1_mask]
-                            v1way = v1set.lookup.pop(victim2, None)
-                            was_dirty = victim2_dirty
-                            if v1way is not None:
-                                v1slot = v1set.base + v1way
-                                was_dirty = was_dirty or l1_dirty[v1slot]
-                                l1_valid[v1slot] = False
-                                l1_dirty[v1slot] = False
-                                v1set.valid_count -= 1
-                            if was_dirty:
+                            dirty = l1_sets[victim2 & l1_mask].pop(victim2, None)
+                            if victim2_dirty or dirty:
                                 writebacks_to_llc_c += 1
                                 if unc is not None:
                                     # UncompressedLLC WRITEBACK, inlined:
@@ -646,7 +599,7 @@ def scalar_kernel(
                                         memory_writes_c += 1
                                         if memory is not None:
                                             mem_write(victim2, cycles)
-                                elif bv_fast:
+                                elif bv is not None:
                                     # BaseVictimLLC WRITEBACK: the two
                                     # dominant outcomes (in-place base
                                     # hit, non-resident bypass) inlined;
@@ -722,43 +675,26 @@ def scalar_kernel(
 
                     # Inlined hierarchy._fill_l1(addr, is_write) — both
                     # the L2-hit and the L2-miss paths converge here.  As
-                    # in the L2 fill, the LRU victim is the first key.
-                    base1 = cset.base
-                    victim1_dirty = False
-                    victim1 = 0
-                    if cset.valid_count == ways:
-                        victim1 = next(iter(lookup1))
-                        way = lookup1.pop(victim1)
-                        slot1 = base1 + way
-                        victim1_dirty = l1_dirty[slot1]
+                    # in the L2 fill, an overfull set evicts its first key.
+                    l1set[addr] = is_write
+                    if len(l1set) > ways:
+                        victim1 = next(iter(l1set))
                         l1_evictions_c += 1
-                        if victim1_dirty:
+                        if l1set.pop(victim1):
                             l1_writebacks_c += 1
-                    else:
-                        slot1 = l1_valid.index(False, base1, base1 + ways)
-                        way = slot1 - base1
-                        cset.valid_count += 1
-                    l1_tags[slot1] = addr
-                    l1_valid[slot1] = True
-                    l1_dirty[slot1] = is_write
-                    lookup1[addr] = way
-                    if victim1_dirty:
-                        # Dirty L1 victim merges into the (inclusive) L2:
-                        # l2.probe(victim1, is_write=True), inlined with its
-                        # LRU touch.
-                        m2set = l2_sets[victim1 & l2_mask]
-                        m2lookup = m2set.lookup
-                        m2way = m2lookup.pop(victim1, None)
-                        if m2way is not None:
-                            m2lookup[victim1] = m2way
-                            l2_dirty[m2set.base + m2way] = True
-                            l2_probe_hits_c += 1
-                        else:
-                            # Inclusion guarantees presence; refill
-                            # defensively if not (rare repair path).
-                            l2_probe_misses_c += 1
-                            hierarchy.now = cycles
-                            fill_l2(victim1, dirty=True)
+                            # Dirty L1 victim merges into the (inclusive)
+                            # L2: l2.probe(victim1, is_write=True),
+                            # inlined with its LRU touch.
+                            m2set = l2_sets[victim1 & l2_mask]
+                            if m2set.pop(victim1, None) is not None:
+                                m2set[victim1] = True
+                                l2_probe_hits_c += 1
+                            else:
+                                # Inclusion guarantees presence; refill
+                                # defensively if not (rare repair path).
+                                l2_probe_misses_c += 1
+                                hierarchy.now = cycles
+                                fill_l2(victim1, dirty=True)
 
                     # Hardware prefetches issued by this miss.  Like the
                     # reference, a prefetch lookup counts no LLC hit or
@@ -781,22 +717,21 @@ def scalar_kernel(
                                 or target in bcset.vict_lookup
                             ):
                                 continue
-                            if bv_fast:
-                                # PREFETCH to a non-resident line: _miss,
-                                # inlined (the residency check above
-                                # rules out both hit paths).
-                                size_p = memo_get(target - addr_offset)
-                                if size_p is None:
-                                    size_p = size_fn(target - addr_offset)
-                                llc_accesses_c += 1
-                                bv_misses_c += 1
-                                memory_reads_c += 1
-                                prefetch_fills_c += 1
-                                if memory is not None:
-                                    mem_read(target, cycles)
-                                bv_fill(bcset, target, size_p, cycles)
-                                continue
-                        elif llc_contains(target):
+                            # PREFETCH to a non-resident line: _miss,
+                            # inlined (the residency check above rules
+                            # out both hit paths).
+                            size_p = memo_get(target - addr_offset)
+                            if size_p is None:
+                                size_p = size_fn(target - addr_offset)
+                            llc_accesses_c += 1
+                            bv_misses_c += 1
+                            memory_reads_c += 1
+                            prefetch_fills_c += 1
+                            if memory is not None:
+                                mem_read(target, cycles)
+                            bv_fill(bcset, target, size_p, cycles)
+                            continue
+                        if llc_contains(target):
                             continue
                         if uses_sizes:
                             size_p = memo_get(target - addr_offset)
@@ -854,7 +789,7 @@ def scalar_kernel(
             unc.stat_evictions += unc_evictions_c
             unc.stat_writebacks += unc_writebacks_c
             llc.stat_writeback_misses += unc_wbmiss_c
-        elif bv_fast:
+        elif bv is not None:
             bv.stat_base_hits += bv_base_hits_c
             bv.stat_victim_hits += bv_victim_hits_c
             bv.stat_misses += bv_misses_c

@@ -18,8 +18,9 @@ LLC and DRAM state behind (see ``tests/sim/endstate.py``), and the
 batch side's LLC to pass its own invariant check.
 
 The same seeded traces also drive :class:`CacheHierarchy` with its
-private L1/L2 on the inline LRU (recency kept in each set's lookup-dict
-order) against the same caches on :class:`LRUPolicy`'s per-set stamps.
+private L1/L2 as :class:`LRUCache` (recency kept in each set's dict
+order) against :class:`SetAssociativeCache` on :class:`LRUPolicy`'s
+per-set stamps.
 
 Traces are generated from the case seed alone, so every failure
 reproduces from its parametrized test id.
@@ -250,8 +251,8 @@ def _arch_machines():
 
     The scalar kernel inlines only the NRU uncompressed LLC and the NRU
     Base-Victim LLC with ECM insertion and clean victims; every other
-    architecture takes its generic lane (plain ``llc.access`` calls),
-    and the other Base-Victim variants its method-call Base-Victim lane.
+    architecture, the other Base-Victim variants included, takes the
+    generic lane (plain ``llc.access`` calls).
     """
     for arch in ARCH_CHOICES:
         yield MachineConfig(arch=arch).validate()
@@ -374,15 +375,6 @@ def invalidation_trace(rounds: int = 24) -> tuple[Trace, tuple]:
     return Trace(meta, kinds, addrs, deltas), tuple(triggers)
 
 
-class _StampLRU(LRUPolicy):
-    """``LRUPolicy`` under another type.
-
-    The private caches inline LRU only for the exact type, so a cache
-    built on this one takes the generic per-set stamp path: the
-    reference the inline, lookup-order LRU must reproduce.
-    """
-
-
 def hierarchy_run(trace: Trace, machine: MachineConfig, stamp_lru: bool):
     """Drive ``trace`` through a fresh ``CacheHierarchy`` and LLC.
 
@@ -398,8 +390,8 @@ def hierarchy_run(trace: Trace, machine: MachineConfig, stamp_lru: bool):
     )
     if stamp_lru:
         l1, l2 = hierarchy.l1, hierarchy.l2
-        hierarchy.l1 = SetAssociativeCache(l1.geometry, _StampLRU(), name=l1.name)
-        hierarchy.l2 = SetAssociativeCache(l2.geometry, _StampLRU(), name=l2.name)
+        hierarchy.l1 = SetAssociativeCache(l1.geometry, LRUPolicy(), name=l1.name)
+        hierarchy.l2 = SetAssociativeCache(l2.geometry, LRUPolicy(), name=l2.name)
     outcomes = []
     for kind, addr, delta in zip(trace.kinds, trace.addrs, trace.deltas):
         hierarchy.now += delta
@@ -421,7 +413,7 @@ LRU_CASES += ARCH_CASES
 
 
 class TestInlineLRUReference:
-    """The inline L1/L2 LRU against ``LRUPolicy``'s stamp path."""
+    """The dict-order L1/L2 LRU against ``LRUPolicy``'s stamp path."""
 
     @pytest.mark.parametrize(
         "seed,machine,kind",

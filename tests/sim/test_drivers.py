@@ -1,8 +1,13 @@
 """Integration tests for the single-core / multi-core drivers and runner."""
 
+from array import array
+
 import pytest
 
+from repro.memory.dram import DRAMModel
+from repro.sim import single_core
 from repro.sim.config import (
+    ARCH_BASE_VICTIM,
     BASE_VICTIM_2MB,
     BASELINE_2MB,
     MachineConfig,
@@ -14,8 +19,10 @@ from repro.sim.config import (
 from repro.sim.experiment import ExperimentRunner
 from repro.sim.multi_core import simulate_mix
 from repro.sim.single_core import RunResult, simulate_trace
+from repro.workloads.datagen import LineDataModel, build_palette
 from repro.workloads.mixes import MixSpec
 from repro.workloads.suite import TraceSuite
+from repro.workloads.trace import LOAD, STORE, Trace, TraceMeta
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +105,60 @@ class TestSingleCore:
         trace = suite.trace("mcf.1")
         result = simulate_trace(trace, suite.data_model("mcf.1"), BASELINE_2MB, TEST)
         assert RunResult.from_dict(result.to_dict()) == result
+
+
+class TestDirtyVictimWriteback:
+    """A dirty LLC victim's writeback goes to the victim's DRAM address.
+
+    Every DRAM write of an LLC access result is issued at the requested
+    address (``CacheHierarchy._llc_access``, and the kernel's
+    ``llc_call``, ``unc_fill`` and ``bv_fill``), so a dirty victim's
+    writeback lands in the demand line's bank and row, right after
+    that row's read.  Fixing it moves most cells, so it needs its own
+    change with a regenerated cache; until then this test fails.
+
+    The trace stores to line 0 and then loads lines 64, 128, ...: one
+    set in L1, L2 and LLC, and one 4KB page each, so the stream
+    prefetcher never trains.
+    Line 0 leaves the L2 dirty and is written back into the LLC.  With
+    9 LLC ways, the next miss finds every NRU bit set and evicts it;
+    LRU evicts it a few misses later.  The three machines cover the
+    kernel's uncompressed-NRU, Base-Victim and generic lanes.
+    """
+
+    @pytest.mark.xfail(
+        strict=True, reason="LLC writebacks are issued at the requested address"
+    )
+    @pytest.mark.parametrize("engine", ["batch", "traced"])
+    @pytest.mark.parametrize(
+        "machine",
+        (
+            MachineConfig(llc_ways=9),
+            MachineConfig(arch=ARCH_BASE_VICTIM, llc_ways=9),
+            MachineConfig(llc_ways=9, policy="lru"),
+        ),
+        ids=lambda m: m.label,
+    )
+    def test_write_goes_to_the_victim_line(self, monkeypatch, machine, engine):
+        written = []
+
+        class RecordingDRAM(DRAMModel):
+            def write(self, line_addr, now):
+                written.append(line_addr)
+                super().write(line_addr, now)
+
+        monkeypatch.setattr(single_core, "DRAMModel", RecordingDRAM)
+        loads = 24
+        meta = TraceMeta("dirty-victim", "test", 0, loads + 1, "mixed", True)
+        trace = Trace(
+            meta,
+            array("b", [STORE] + [LOAD] * loads),
+            array("q", [64 * k for k in range(loads + 1)]),
+            array("i", [1] * (loads + 1)),
+        )
+        data = LineDataModel(build_palette("ispec", "mixed", 0), seed=0)
+        simulate_trace(trace, data, machine, TEST, engine=engine)
+        assert written == [0]
 
 
 class TestRunnerCaching:
