@@ -11,6 +11,11 @@ behind earlier requests, so heavier read traffic yields longer average
 latency — which is exactly the coupling that makes the paper's "DRAM Read
 Ratio" curves track the IPC curves in Figures 6-8 and 12.
 
+A request finds its bank in one flat table, indexed by the line address
+modulo the number of banks in the system, and each bank holds its
+channel's bus; ``DRAMModel._map`` documents the same mapping as
+(channel, bank, row).
+
 Writes are posted (they occupy banks and the bus but add no core stall).
 Energy counters (activations, reads, writes) feed the Micron-style energy
 model in :mod:`repro.memory.power`.
@@ -63,13 +68,25 @@ class DRAMConfig:
     controller_cycles: int = 30
 
 
-class _Bank:
-    __slots__ = ("open_row", "ready_time", "activate_time")
+class _Bus:
+    """One channel's data bus: the CPU cycle at which it is next free."""
+
+    __slots__ = ("free",)
 
     def __init__(self) -> None:
+        self.free = 0.0
+
+
+class _Bank:
+    """One bank's open row and timing, and its channel's bus."""
+
+    __slots__ = ("open_row", "ready_time", "activate_time", "bus")
+
+    def __init__(self, bus: _Bus) -> None:
         self.open_row: int | None = None
         self.ready_time = 0.0
         self.activate_time = -(10**9)
+        self.bus = bus
 
 
 class DRAMModel:
@@ -78,19 +95,21 @@ class DRAMModel:
     def __init__(self, config: DRAMConfig | None = None) -> None:
         self.config = config or DRAMConfig()
         cfg = self.config
+        # One flat bank table.  Bank ``b`` of channel ``c`` sits at index
+        # ``c + channels * b``: for a line that _map sends to (c, b, row),
+        # that index is ``line % (channels * banks)`` and the row is
+        # ``line // (channels * banks * lines_per_row)``.
+        buses = [_Bus() for _ in range(cfg.channels)]
+        self._bank_count = cfg.channels * cfg.banks_per_channel
         self._banks = [
-            [_Bank() for _ in range(cfg.banks_per_channel)]
-            for _ in range(cfg.channels)
+            _Bank(buses[index % cfg.channels]) for index in range(self._bank_count)
         ]
-        self._bus_free = [0.0] * cfg.channels
-        # Hot-path constants, precomputed so _request does no dataclass
-        # field or property lookups.  All integer products, so latencies
-        # are bit-identical to computing them per request.
+        self._system_row_lines = self._bank_count * cfg.lines_per_row
+        # Hot-path constants, precomputed so read and write do no
+        # dataclass field or property lookups.  All integer products, so
+        # latencies are bit-identical to computing them per request.
         timings = cfg.timings
         ratio = cfg.cpu_per_dram_cycle
-        self._channels = cfg.channels
-        self._banks_per_channel = cfg.banks_per_channel
-        self._lines_per_row = cfg.lines_per_row
         self._controller = cfg.controller_cycles
         self._row_hit_cpu = timings.row_hit_cycles * ratio
         self._row_empty_cpu = timings.row_empty_cycles * ratio
@@ -112,7 +131,9 @@ class DRAMModel:
         """line address -> (channel, bank, row).
 
         Channels interleave at line granularity and banks right above, so
-        streaming accesses spread across the whole system.
+        streaming accesses spread across the whole system.  ``read`` and
+        ``write`` compute the same mapping as one index into the flat
+        bank table and one row quotient (see ``__init__``).
         """
         cfg = self.config
         channel = line_addr % cfg.channels
@@ -128,15 +149,12 @@ class DRAMModel:
 
     def read(self, line_addr: int, now: float) -> float:
         """Issue a read at CPU-cycle ``now``; return its latency in CPU cycles."""
-        # The request body (inlined _map plus the precomputed CPU-cycle
+        # The request body (the mapping plus the precomputed CPU-cycle
         # constants) is duplicated across read/write: these are the two
-        # hottest calls of a miss-dominated run, and the shared-helper
-        # version pays one extra frame per DRAM request.
-        channel = line_addr % self._channels
-        rest = line_addr // self._channels
-        bank_index = rest % self._banks_per_channel
-        row = rest // self._banks_per_channel // self._lines_per_row
-        bank = self._banks[channel][bank_index]
+        # hottest calls of a miss-dominated run, and a shared helper
+        # would cost one extra frame per DRAM request.
+        bank = self._banks[line_addr % self._bank_count]
+        row = line_addr // self._system_row_lines
 
         controller = self._controller
         start = now + controller
@@ -163,11 +181,11 @@ class DRAMModel:
         bank.activate_time = start
 
         data_ready = start + access_cpu
-        bus_free = self._bus_free[channel]
-        if bus_free > data_ready:
-            data_ready = bus_free
+        bus = bank.bus
+        if bus.free > data_ready:
+            data_ready = bus.free
         completion = data_ready + self._burst_cpu
-        self._bus_free[channel] = completion
+        bus.free = completion
         bank.ready_time = completion
 
         latency = completion + controller - now
@@ -178,11 +196,8 @@ class DRAMModel:
     def write(self, line_addr: int, now: float) -> None:
         """Issue a posted write; occupies the bank/bus but stalls nothing."""
         # Same request body as read(); see the comment there.
-        channel = line_addr % self._channels
-        rest = line_addr // self._channels
-        bank_index = rest % self._banks_per_channel
-        row = rest // self._banks_per_channel // self._lines_per_row
-        bank = self._banks[channel][bank_index]
+        bank = self._banks[line_addr % self._bank_count]
+        row = line_addr // self._system_row_lines
 
         start = now + self._controller
         if bank.ready_time > start:
@@ -206,11 +221,11 @@ class DRAMModel:
         bank.activate_time = start
 
         data_ready = start + access_cpu
-        bus_free = self._bus_free[channel]
-        if bus_free > data_ready:
-            data_ready = bus_free
+        bus = bank.bus
+        if bus.free > data_ready:
+            data_ready = bus.free
         completion = data_ready + self._burst_cpu
-        self._bus_free[channel] = completion
+        bus.free = completion
         bank.ready_time = completion
 
         self.stat_writes += 1

@@ -13,14 +13,17 @@ order with the same values as the per-method reference — the
 hierarchy's and the LLC architectures' own methods, which the traced
 engine runs.  The replay loop is a generator, so one frame serves every
 span of a (hierarchy, trace) and a span costs one ``send``, not a call
-that rebuilds a frame over the closure's free variables.  Both of its
-callers drive it the same way, building it once per (hierarchy, trace),
-calling ``run`` and then ``flush``:
+that rebuilds a frame over the closure's free variables.  The kernel
+keeps its own trace position and wraps at the trace end unless its
+pass-end hook says the run is over, so a span is ``run(limit)`` and
+nothing more.  Both of its callers drive it the same way, building it
+once per (hierarchy, trace), calling ``run`` and then ``flush``:
 
 * the ``batch`` engine of :func:`repro.sim.single_core.simulate_trace`
-  runs the whole trace as one span;
+  replays the trace once as one span, ``run(inf)``;
 * the mix driver (:func:`repro.sim.multi_core.simulate_mix`) runs each
-  thread's run-ahead spans, often only one or two accesses long.
+  thread's run-ahead spans, often only one or two accesses long, and
+  its hook records each thread's first-pass measurement.
 
 Byte-identity against the traced reference loop — results, serialised
 observations and the machine state left behind — is enforced by the
@@ -45,6 +48,11 @@ _WRITEBACK = int(AccessKind.WRITEBACK)
 _PREFETCH = int(AccessKind.PREFETCH)
 
 
+def _one_pass() -> bool:
+    """The default pass-end hook: the run is over after one pass."""
+    return True
+
+
 def scalar_kernel(
     deltas,
     addrs,
@@ -58,28 +66,45 @@ def scalar_kernel(
     addr_offset: int = 0,
     size_memo: dict | None = None,
     size_fn=None,
+    on_pass_end=_one_pass,
+    countdown: list[int] | None = None,
 ):
     """The scalar access body for one (hierarchy, trace): ``(run, flush)``.
 
-    ``run((i, hi, next_sample, limit))`` replays one span: accesses from
-    trace index ``i`` up to ``hi`` while the core's clock is ``< limit``
-    (``inf`` runs to ``hi``).  It returns ``(next index, next_sample,
-    clock)`` and leaves ``core`` current.  After the access at
-    ``next_sample`` it appends ``victim_occupancy()`` to ``samples`` and
-    advances by ``sample_every`` (``-1`` never samples).
+    ``run(limit)`` replays one span: accesses, from where the last span
+    stopped, while the core's clock is ``< limit``.  It returns the
+    clock.  The kernel keeps its own trace index.  At the trace end it
+    writes the core back and calls ``on_pass_end()``, which returns
+    True when the run is over: from then on the kernel issues nothing.
+    Otherwise it wraps to the start of the trace and the span goes on
+    while the clock is below the limit.  The default hook ends the run
+    after one pass, so ``run(inf)`` replays the trace once.
+
+    With a ``victim_occupancy``, the kernel appends ``victim_occupancy()``
+    to ``samples`` once every ``sample_every`` accesses.  ``countdown``
+    is a one-element list: the accesses until the next sample, counted
+    over every kernel that shares it (a mix shares one; by default the
+    kernel gets its own, starting at ``sample_every``).  A sampling
+    kernel reads it when a span starts and writes it when the span
+    stops; a kernel that does not sample never touches it.
 
     ``run`` is the bound ``send`` of one generator, so every span
     resumes the same frame.  That frame reads the core's cycles,
     instructions and stall cycles once, at the first span, and owns
-    them from then on: it writes them back to ``core`` at the end of
-    every span, and nothing else may write ``core`` between spans.
+    them from then on: it writes them back to ``core`` at each trace
+    end and in ``flush()``, and nothing else may write ``core`` in
+    between.
 
-    ``flush()`` adds (``+=``) the batched counters back once, after the
-    last span, so kernels over one shared LLC sum correctly.
-    ``addr_offset`` is added on the hierarchy side only: ``on_write``
-    and the size lookups (by default the hierarchy's) take the trace
-    address.
+    ``flush()`` writes the core back and adds (``+=``) the batched
+    counters back once, after the last span, so kernels over one shared
+    LLC sum correctly.  ``addr_offset`` is added on the hierarchy side
+    only: ``on_write`` and the size lookups (by default the
+    hierarchy's) take the trace address.
     """
+    length = len(addrs)
+    sampling = victim_occupancy is not None
+    if countdown is None:
+        countdown = [sample_every]
     # The private caches' sets: one dict ``line -> dirty`` each, least
     # recently used first (see repro.cache.setassoc.LRUCache).
     l1 = hierarchy.l1
@@ -380,15 +405,16 @@ def scalar_kernel(
         nonlocal l2_probe_misses_c, l2_evictions_c, l2_writebacks_c
         nonlocal unc_hits_c, unc_misses_c, unc_wbmiss_c, bv_base_hits_c
         nonlocal bv_victim_hits_c, bv_misses_c, bv_promotions_c
-        i, hi, next_sample, limit = yield
+        limit = yield
         cycles = core.cycles
         instructions = core.instructions
         stall_cycles = core.stall_cycles
+        i = 0
+        next_sample = countdown[0] - 1 if sampling else -1
         while True:
-            start = i
             # Indexed reads, not zip over slices: a mix span is often one or
             # two accesses, and per-span slicing would cost more than that.
-            for i in range(start, hi):
+            for i in range(i, length):
                 if cycles >= limit:
                     break
                 delta = deltas[i]
@@ -749,14 +775,38 @@ def scalar_kernel(
                     samples.append(victim_occupancy())
                     next_sample += sample_every
             else:
-                i = hi
-            core.cycles = cycles
-            core.instructions = instructions
-            core.stall_cycles = stall_cycles
-            accesses_c += i - start
-            i, hi, next_sample, limit = yield i, next_sample, cycles
+                # The trace end: write the core back for the hook, then
+                # wrap unless the run is over.
+                core.cycles = cycles
+                core.instructions = instructions
+                core.stall_cycles = stall_cycles
+                accesses_c += length
+                i = 0
+                if sampling:
+                    next_sample -= length
+                if on_pass_end():
+                    while True:
+                        yield cycles
+                continue
+            if sampling:
+                countdown[0] = next_sample - i + 1
+            try:
+                limit = yield cycles
+            except GeneratorExit:
+                # flush() closes the generator: the core's last write-back.
+                core.cycles = cycles
+                core.instructions = instructions
+                core.stall_cycles = stall_cycles
+                accesses_c += i
+                return
+            if sampling:
+                next_sample = i + countdown[0] - 1
+
+    spans = replay()
+    next(spans)
 
     def flush() -> None:
+        spans.close()
         stats = hierarchy.stats
         stats.accesses += accesses_c
         stats.l1_hits += l1_hits
@@ -799,6 +849,4 @@ def scalar_kernel(
             bv_vp.stat_choices += bv_choices_c
             bv_vp.stat_replacements += bv_replacements_c
 
-    spans = replay()
-    next(spans)
     return spans.send, flush

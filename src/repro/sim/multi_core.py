@@ -22,13 +22,18 @@ The head is the thread the reference picks, and it keeps issuing while
 it would still be chosen: while its clock is below the runner-up's when
 the runner-up is an earlier thread, and at most the runner-up's when it
 is a later one.  That one bound is exactly the reference order, one
-kernel span per decision.
+kernel span per decision.  A kernel keeps its own trace position, so
+a span is one ``run(limit)`` call that returns the thread's clock.  At
+its trace end the kernel calls the driver's pass-end hook, which takes
+the thread's first-pass measurement and says whether every thread now
+has one; until then the kernel wraps and the span goes on.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import partial
 from math import inf, nextafter
 
 from repro.cache.hierarchy import L1, CacheHierarchy
@@ -131,17 +136,6 @@ class _Thread:
         self.measured_instr = 0
         self.measured_cycles = 0.0
 
-    def wrap(self) -> bool:
-        """Restart the trace (keep generating contention); True at the end
-        of the first pass, when the thread's measurement is taken."""
-        self.index = 0
-        if self.finished_once:
-            return False
-        self.finished_once = True
-        self.measured_instr = self.core.instructions
-        self.measured_cycles = self.core.cycles
-        return True
-
 
 def simulate_mix(
     mix: MixSpec,
@@ -166,6 +160,25 @@ def simulate_mix(
         1, len(mix.trace_names) * preset.trace_length // OCCUPANCY_SAMPLES
     )
     samples: list[int] = []
+    # Accesses, over every thread, until the next occupancy sample.
+    countdown = [sample_every]
+
+    unfinished = len(mix.trace_names)
+
+    def end_pass(thread: _Thread) -> bool:
+        """A pass over ``thread``'s trace ended; True once the run is over.
+
+        Threads that finish early keep wrapping their traces; the first
+        pass end takes the thread's measurement, and the run is over
+        when every thread has one.
+        """
+        nonlocal unfinished
+        if not thread.finished_once:
+            thread.finished_once = True
+            thread.measured_instr = thread.core.instructions
+            thread.measured_cycles = thread.core.cycles
+            unfinished -= 1
+        return not unfinished
 
     threads: list[_Thread] = []
     kernels = []
@@ -180,7 +193,8 @@ def simulate_mix(
 
         hierarchy = CacheHierarchy(llc, size_fn, hierarchy_config, memory=dram)
         core = CoreTimingModel(core_params_for(trace, machine))
-        threads.append(_Thread(trace_name, trace, data, hierarchy, core, offset))
+        thread = _Thread(trace_name, trace, data, hierarchy, core, offset)
+        threads.append(thread)
         if not traced:
             kernels.append(
                 scalar_kernel(
@@ -196,10 +210,11 @@ def simulate_mix(
                     addr_offset=offset,
                     size_memo=data.size_memo,
                     size_fn=data.size_of,
+                    on_pass_end=partial(end_pass, thread),
+                    countdown=countdown,
                 )
             )
 
-    unfinished = len(threads)
     if traced:
         steps = 0
         while unfinished > 0:
@@ -222,8 +237,9 @@ def simulate_mix(
                 occupancy.observe(victim_occupancy())
 
             thread.index += 1
-            if thread.index >= len(trace) and thread.wrap():
-                unfinished -= 1
+            if thread.index == len(trace):
+                thread.index = 0
+                end_pass(thread)
     else:
         # Run-ahead over a run queue sorted by (clock, thread): the head
         # is the reference's pick, smallest clock and first on ties.  It
@@ -231,32 +247,16 @@ def simulate_mix(
         # is an earlier thread (which wins the tie), and until it passes
         # that clock otherwise; for floats, ``cycles <= c`` is ``cycles
         # < nextafter(c, inf)``, so the kernel checks one strict bound.
-        # The occupancy countdown is mix-global, like the reference's
-        # step count.
+        # The kernels share the occupancy countdown, which counts every
+        # thread's accesses, like the reference's step count.
         runs = [run for run, _ in kernels]
-        lengths = [len(thread.trace) for thread in threads]
         queue = sorted((thread.core.cycles, k) for k, thread in enumerate(threads))
-        countdown = sample_every
-        while unfinished > 0:
+        while unfinished:
             _, k = queue.pop(0)
             limit, runner_up = queue[0]
             if runner_up > k:
                 limit = nextafter(limit, inf)
-            thread = threads[k]
-            start = thread.index
-            index, next_sample, clock = runs[k](
-                (
-                    start,
-                    lengths[k],
-                    start + countdown - 1 if victim_occupancy is not None else -1,
-                    limit,
-                )
-            )
-            insort(queue, (clock, k))
-            countdown = next_sample - index + 1
-            thread.index = index
-            if index == lengths[k] and thread.wrap():
-                unfinished -= 1
+            insort(queue, (runs[k](limit), k))
         for _, flush in kernels:
             flush()
         for value in samples:

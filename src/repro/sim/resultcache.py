@@ -137,8 +137,15 @@ def cache_file_name(preset_name: str) -> str:
 
 
 def _payload_crc(payload: str) -> str:
-    """CRC32 of a line's JSON payload, as 8 lowercase hex digits."""
-    return f"{zlib.crc32(payload.encode('utf-8')) & 0xFFFFFFFF:08x}"
+    """CRC32 of a line's JSON payload, as 8 lowercase hex digits.
+
+    Cache files are read as UTF-8 with ``surrogateescape``, so a byte
+    that is not UTF-8 (say, ASCII with its high bit flipped) arrives as
+    a lone surrogate and encodes back to itself here: it fails this
+    check like any other flipped bit instead of stopping the read.
+    """
+    crc = zlib.crc32(payload.encode("utf-8", "surrogateescape"))
+    return f"{crc & 0xFFFFFFFF:08x}"
 
 
 def frame_line(payload: str) -> str:
@@ -254,7 +261,7 @@ def _read_valid(path: Path, *, lazy: bool) -> Iterator[tuple[str, str | dict]]:
         return
     corrupt = 0
     crc_failed = 0
-    with path.open() as handle:
+    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
         for line in handle:
             line = line.strip()
             if not line:
@@ -424,7 +431,7 @@ def _write_lines(path: Path, lines: Iterable[str]) -> int:
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
     written = 0
     try:
-        with tmp.open("w") as handle:
+        with tmp.open("w", encoding="utf-8", errors="surrogateescape") as handle:
             for line in lines:
                 handle.write(line + "\n")
                 written += 1
@@ -484,7 +491,7 @@ def _read_for_rewrite(path: Path) -> tuple[dict[str, str | dict], bool]:
     dirty = False
     if not path.exists():
         return values, dirty
-    with path.open() as handle:
+    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
         for line in handle:
             line = line.strip()
             if not line:
@@ -636,7 +643,7 @@ def scan_cache_file(path: Path) -> CacheFileReport:
     """
     lines = entries = crc_failed = corrupt = duplicates = 0
     seen: set[str] = set()
-    with path.open() as handle:
+    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
         for line in handle:
             line = line.strip()
             if not line:

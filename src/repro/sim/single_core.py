@@ -112,8 +112,11 @@ def simulate_trace(
     ``phase/*`` timers, which never serialise into ``RunResult.obs``.
 
     ``engine`` picks the inner loop (see :mod:`repro.sim.engine`);
-    ``None`` means ``$REPRO_ENGINE`` or the default.  An active tracer
-    always forces the traced reference loop.  The engine choice never
+    ``None`` means ``$REPRO_ENGINE`` or the default.  The ``batch``
+    engine replays the trace as one scalar-kernel span, ``run(inf)``
+    (:func:`repro.sim.batch.scalar_kernel`), whose default pass-end
+    hook ends the run after one pass.  An active tracer always forces
+    the traced reference loop.  The engine choice never
     appears in the result: both engines are byte-identical, so a cached
     result is engine-independent.
     """
@@ -157,14 +160,13 @@ def simulate_trace(
     length = len(addrs)
     victim_occupancy = getattr(llc, "victim_occupancy", None)
     sample_every = max(1, length // OCCUPANCY_SAMPLES)
-    next_sample = sample_every - 1 if victim_occupancy is not None else -1
     occupancy = registry.histogram("llc/victim_occupancy")
 
     # Two equivalent inner loops (see repro.sim.engine).  The traced
     # loop is the reference: one hierarchy.access per demand access,
     # per-access counter updates, one tracer.record per access.  The
     # batch loop runs the scalar access kernel over the whole trace as
-    # one span, the way simulate_mix runs each thread's spans.
+    # one span.
     # tests/sim/test_engine_equivalence.py and
     # tests/sim/test_batch_equivalence.py prove both produce
     # byte-identical RunResults and observations.
@@ -184,11 +186,12 @@ def simulate_trace(
                 sample_every,
                 samples,
             )
-            run((0, length, next_sample, inf))
+            run(inf)
             flush()
             for value in samples:
                 occupancy.observe(value)
         else:
+            next_sample = sample_every - 1 if victim_occupancy is not None else -1
             for i in range(length):
                 advance(deltas[i])
                 hierarchy.now = core.cycles

@@ -91,3 +91,44 @@ class TestWrites:
 
     def test_average_latency_zero_without_reads(self):
         assert DRAMModel().average_read_latency == 0.0
+
+
+class TestFlatBankTable:
+    """``read`` and ``write`` reach the bank and row that ``_map`` names.
+
+    The request path indexes one flat bank table by
+    ``line % (channels * banks)``; bank ``b`` of channel ``c`` sits at
+    ``c + channels * b`` and holds channel ``c``'s bus.
+    """
+
+    @pytest.mark.parametrize(
+        "config",
+        [DRAMConfig(), DRAMConfig(channels=3, banks_per_channel=5, lines_per_row=7)],
+        ids=["default", "3x5x7"],
+    )
+    def test_every_request_lands_in_the_mapped_bank_and_row(self, config):
+        dram = DRAMModel(config)
+        channels = config.channels
+        system_row = channels * config.banks_per_channel * config.lines_per_row
+        # Three system rows, then the same small lines at each mix thread's
+        # address-space offset (repro.sim.multi_core).
+        lines = [*range(3 * system_row)]
+        lines += [(k << 44) + line for k in range(1, 5) for line in range(64)]
+        assert len({id(bank.bus) for bank in dram._banks}) == channels
+        for n, line in enumerate(lines):
+            channel, bank, row = dram._map(line)
+            before = [(b.open_row, b.ready_time) for b in dram._banks]
+            if n % 2:
+                dram.write(line, float(n))
+            else:
+                dram.read(line, float(n))
+            touched = [
+                index
+                for index, b in enumerate(dram._banks)
+                if (b.open_row, b.ready_time) != before[index]
+            ]
+            assert touched == [channel + channels * bank], line
+            target = dram._banks[touched[0]]
+            assert target.open_row == row, line
+            assert target.bus is dram._banks[channel].bus
+            assert target.bus.free == target.ready_time

@@ -4,9 +4,11 @@ The engine oracles compare results and serialised observations.  Two
 engines can agree on every counter and still leave different cache
 contents behind: a victim-recency clock that never ticks changes no
 counter until a policy reads it.  :func:`machine_state` turns the L1,
-L2, prefetcher, LLC and DRAM model that a run's hierarchies end with
-into plain nested values.  Dict order is kept, because the private
-caches' LRU order lives in it.
+L2, prefetcher, LLC and DRAM model that a run's hierarchies end with,
+and each thread's core clock, into plain nested values.  Dict order is
+kept, because the private caches' LRU order lives in it.  A mix records
+its measurement at each thread's first pass end, so only the cores show
+a kernel that leaves its final clock unwritten.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import reprlib
 from array import array
 
 from repro.cache.hierarchy import CacheHierarchy
+from repro.timing.core_model import CoreTimingModel
 
 
 def plain(value):
@@ -43,7 +46,12 @@ def plain(value):
 
 
 def record_hierarchies(monkeypatch, module) -> list[CacheHierarchy]:
-    """Make ``module.CacheHierarchy`` record every hierarchy it builds."""
+    """Make ``module`` record every hierarchy and core it builds.
+
+    Both drivers build each thread's hierarchy and then its core, so a
+    recorded core is kept as the last recorded hierarchy's
+    ``recorded_core``.
+    """
     built: list[CacheHierarchy] = []
 
     class Recorded(CacheHierarchy):
@@ -51,19 +59,36 @@ def record_hierarchies(monkeypatch, module) -> list[CacheHierarchy]:
             super().__init__(*args, **kwargs)
             built.append(self)
 
+    class RecordedCore(CoreTimingModel):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            assert not hasattr(built[-1], "recorded_core")
+            built[-1].recorded_core = self
+
     monkeypatch.setattr(module, "CacheHierarchy", Recorded)
+    monkeypatch.setattr(module, "CoreTimingModel", RecordedCore)
     return built
 
 
 def machine_state(hierarchies: list[CacheHierarchy]) -> dict:
-    """Each hierarchy's L1, L2 and prefetcher, then the LLC and DRAM they share."""
+    """Each thread's L1, L2, prefetcher and core, then the shared LLC and DRAM."""
     llc = hierarchies[0].llc
     memory = hierarchies[0].memory
     assert all(h.llc is llc and h.memory is memory for h in hierarchies)
+    cores = [h.recorded_core for h in hierarchies]
     return {
         "threads": [
-            {"l1": plain(h.l1), "l2": plain(h.l2), "prefetcher": plain(h.prefetcher)}
-            for h in hierarchies
+            {
+                "l1": plain(h.l1),
+                "l2": plain(h.l2),
+                "prefetcher": plain(h.prefetcher),
+                "core": {
+                    "cycles": core.cycles,
+                    "instructions": core.instructions,
+                    "stall_cycles": core.stall_cycles,
+                },
+            }
+            for h, core in zip(hierarchies, cores)
         ],
         "llc": plain(llc),
         "memory": plain(memory),
@@ -94,7 +119,7 @@ def differences(a, b, limit: int = 8) -> list[str]:
 
 
 def assert_same_state(actual: list[CacheHierarchy], expected: list[CacheHierarchy]):
-    """Both runs left the same L1, L2, prefetcher, LLC and DRAM state.
+    """Both runs left the same L1, L2, prefetcher, core, LLC and DRAM state.
 
     ``actual``'s LLC must also pass its own ``check_invariants`` (for
     Base-Victim, among others, that no victim line is dirty).

@@ -235,15 +235,15 @@ class TestSchedulerEdgeCases:
 
 
 class TestKernelWindow:
-    """``run`` stops exactly where the traced scheduler would switch."""
+    """``run(limit)`` stops exactly where the traced scheduler would switch."""
 
-    def _kernel(self):
+    def _kernel(self, **hook):
         trace = make_trace("window", 41, 200, 2 * _LLC_LINES)
         data = LineDataModel(build_palette("ispec", "mixed", 41), seed=41)
         llc = BV.build_llc(TEST)
         hierarchy = CacheHierarchy(llc, data.size_of, TEST.hierarchy_config())
         core = CoreTimingModel()
-        run, _ = scalar_kernel(
+        run, flush = scalar_kernel(
             trace.deltas,
             trace.addrs,
             trace.kinds,
@@ -253,28 +253,66 @@ class TestKernelWindow:
             None,
             1,
             [],
+            **hook,
         )
-        return run, core, len(trace)
+        return run, flush, hierarchy, core, len(trace)
 
-    def _span(self, limit: float) -> int:
-        run, _, length = self._kernel()
-        stop, _, _ = run((0, length, -1, limit))
-        return stop
+    def _clocks(self) -> list[float]:
+        """The clock after each access of one pass, one access per span."""
+        run, flush, hierarchy, _, length = self._kernel()
+        clocks = [0.0]
+        for _ in range(length):
+            # Just above the clock: the span issues one access and stops.
+            clocks.append(run(nextafter(clocks[-1], inf)))
+        flush()
+        assert hierarchy.stats.accesses == length
+        return clocks[1:]
 
     def test_limit_is_strict(self):
-        run, core, length = self._kernel()
-        clocks = []
-        for i in range(length):
-            _, _, clock = run((i, i + 1, -1, inf))
-            assert clock == core.cycles
-            clocks.append(clock)
-        mid = length // 2
+        clocks = self._clocks()
+        mid = len(clocks) // 2
         bound = clocks[mid]  # the clock once access ``mid`` is done
         # cycles < limit: access mid + 1 would start at exactly bound.
-        assert self._span(bound) == mid + 1
+        run, flush, hierarchy, core, _ = self._kernel()
+        assert run(bound) == bound
+        flush()
+        assert hierarchy.stats.accesses == mid + 1
+        assert core.cycles == bound
         # The next float up issues it, and the span stops after it.
-        assert self._span(nextafter(bound, inf)) == mid + 2
+        run, flush, hierarchy, _, _ = self._kernel()
+        assert run(nextafter(bound, inf)) == clocks[mid + 1]
+        flush()
+        assert hierarchy.stats.accesses == mid + 2
 
-    def test_stops_at_the_trace_end(self):
-        run, core, length = self._kernel()
-        assert run((length - 3, length, -1, inf)) == (length, -1, core.cycles)
+    def test_a_span_runs_through_a_wrap_below_the_limit(self):
+        clocks = self._clocks()
+        ends = []
+
+        def on_pass_end() -> bool:
+            ends.append(core.cycles)  # the kernel wrote the core back
+            return False
+
+        run, flush, hierarchy, core, length = self._kernel(on_pass_end=on_pass_end)
+        clock = run(nextafter(clocks[-1], inf))
+        assert ends == [clocks[-1]]
+        # The span wrapped and issued the next pass's first access.
+        assert clock > clocks[-1]
+        flush()
+        assert hierarchy.stats.accesses == length + 1
+        assert core.cycles == clock
+
+    def test_nothing_issues_after_the_hook_ends_the_run(self):
+        ends = []
+
+        def on_pass_end() -> bool:
+            ends.append(core.cycles)
+            return True
+
+        run, flush, hierarchy, core, length = self._kernel(on_pass_end=on_pass_end)
+        clock = run(inf)
+        assert ends == [clock]
+        assert run(inf) == clock
+        flush()
+        assert hierarchy.stats.accesses == length
+        assert core.cycles == clock
+        assert ends == [clock]

@@ -76,17 +76,42 @@ class TestLineFormat:
         for path in (merge_path, canonical_path):
             assert path.read_text() == good + "\n"  # scrubbed, not re-framed
 
-    def test_flipped_bit_is_detected_counted_and_skipped(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        _write_v5(path, [("a", {"ipc": 1.5}), ("b", {"ipc": 0.5})])
-        raw = bytearray(path.read_bytes())
-        raw[14] ^= 0x08  # flip one payload bit in the first line
-        path.write_bytes(bytes(raw))
+    @pytest.mark.parametrize("mask", [0x08, 0x80], ids=["bit3", "bit7"])
+    def test_flipped_bit_is_detected_counted_and_skipped(self, tmp_path, mask):
+        """One flipped payload bit is a counted CRC failure for every reader.
+
+        Bit 7 turns the ASCII byte into one that is not UTF-8 on its
+        own, so it must reach the CRC check rather than stop the read.
+        """
+        paths = {
+            name: tmp_path / f"{name}.jsonl"
+            for name in ("load", "scan", "merge", "canonical")
+        }
+        for path in paths.values():
+            _write_v5(path, [("a", {"ipc": 1.5}), ("b", {"ipc": 0.5})])
+            raw = bytearray(path.read_bytes())
+            raw[14] ^= mask  # flip one payload bit in the first line
+            path.write_bytes(bytes(raw))
+
+        path = paths["load"]
         before = crc_failure_count(path)
         with pytest.warns(CorruptCacheLineWarning, match="CRC"):
             entries = load_cache_entries(path)
         assert entries == {"b": {"ipc": 0.5}}  # survivor intact
         assert crc_failure_count(path) - before == 1
+
+        report = scan_cache_file(paths["scan"])
+        assert (report.lines, report.entries) == (2, 1)
+        assert (report.crc_failures, report.corrupt_lines) == (1, 0)
+
+        with pytest.warns(CorruptCacheLineWarning):
+            stats = merge_cache_entries(paths["merge"], [])
+        assert (stats.corrupt_lines, stats.crc_failures) == (1, 1)
+        with pytest.warns(CorruptCacheLineWarning):
+            assert canonicalize_cache_file(paths["canonical"]) == 1
+        survivor = encode_entry("b", {"ipc": 0.5}) + "\n"
+        for name in ("merge", "canonical"):
+            assert paths[name].read_text() == survivor  # scrubbed
 
     def test_flipped_bit_in_crc_suffix_is_detected(self, tmp_path):
         path = tmp_path / "cache.jsonl"

@@ -526,10 +526,13 @@ class TestCacheCommands:
         assert "results-v5-test.jsonl" in out
         assert "0 with rejected lines" in out
 
-    def test_verify_strict_fails_on_flipped_bit(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("mask", [0x04, 0x80], ids=["bit2", "bit7"])
+    def test_verify_strict_fails_on_flipped_bit(
+        self, capsys, tmp_path, monkeypatch, mask
+    ):
         cache_file = self._seed_cache(tmp_path, monkeypatch)
         raw = bytearray(cache_file.read_bytes())
-        raw[20] ^= 0x04
+        raw[20] ^= mask
         cache_file.write_bytes(bytes(raw))
         capsys.readouterr()
         assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
