@@ -28,6 +28,10 @@ from repro.core.interfaces import AccessKind, LLCAccessResult, LLCArchitecture
 #: Levels at which an access can be served.
 L1, L2, LLC, MEMORY = 1, 2, 3, 4
 
+#: Latency adder of an LLC hit on a compressed line: BDI decompresses in
+#: 2 cycles (Section V).
+DECOMPRESSION_CYCLES = 2
+
 #: AccessKind members as plain ints (see repro.core.basevictim).
 _READ = int(AccessKind.READ)
 _WRITEBACK = int(AccessKind.WRITEBACK)
@@ -174,7 +178,7 @@ class CacheHierarchy:
                 stats.llc_victim_hits += 1
             if result.compressed_hit:
                 stats.compressed_hits += 1
-                extra += _decompression_cycles(llc)
+                extra += DECOMPRESSION_CYCLES
             outcome = AccessOutcome(LLC, extra)
         else:
             stats.llc_misses += 1
@@ -300,8 +304,3 @@ class CacheHierarchy:
         for addr in self.l2.resident_lines():
             if not self.llc.contains(addr):
                 raise AssertionError(f"L2 line {addr:#x} missing from LLC")
-
-
-def _decompression_cycles(llc: LLCArchitecture) -> int:
-    """Decompression latency adder; BDI costs 2 cycles (Section V)."""
-    return 2

@@ -247,12 +247,6 @@ class SetAssociativeCache(_Cache):
         """True iff ``addr`` is currently cached."""
         return addr in self._sets[addr & self._set_mask].lookup
 
-    def is_dirty(self, addr: int) -> bool:
-        """True iff ``addr`` is cached and modified."""
-        cset = self._sets[addr & self._set_mask]
-        way = cset.lookup.get(addr)
-        return way is not None and self.dirty[cset.base + way]
-
     def resident_lines(self) -> Iterator[int]:
         """All currently cached line addresses."""
         for cset in self._sets:

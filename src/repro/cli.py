@@ -33,7 +33,6 @@ import sys
 from pathlib import Path
 
 from repro.power.area import paper_headline_area
-from repro.sim.engine import ENGINE_ENV, ENGINES, resolve_engine
 from repro.sim.config import (
     ARCH_BASE_VICTIM,
     ARCH_CHOICES,
@@ -360,12 +359,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for cell in recomputed:
             print(f"      recomputed {cell}")
     print(f"  failed: {len(failures)} cells")
-    print(
-        "  "
-        + sweep_health_summary(
-            runner.registry.as_dict(), engine=resolve_engine(None)
-        )
-    )
+    print("  " + sweep_health_summary(runner.registry.as_dict()))
     if failures:
         print()
         print(failed_cells_table(failures))
@@ -1244,16 +1238,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
     """Attach the sweep-execution flags (--jobs/--retries/--job-timeout)."""
     parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help=(
-            "simulation inner loop; exported as $"
-            f"{ENGINE_ENV} so sweep workers inherit it "
-            f"(default ${ENGINE_ENV} or batch; results are engine-independent)"
-        ),
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=None,
@@ -1298,11 +1282,6 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    # --engine is exported to the environment (not threaded through call
-    # signatures) so parallel sweep workers — fork or spawn — inherit it.
-    engine = getattr(args, "engine", None)
-    if engine is not None:
-        os.environ[ENGINE_ENV] = engine
     handlers = {
         "list-experiments": _cmd_list_experiments,
         "list-traces": _cmd_list_traces,
@@ -1321,15 +1300,11 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         _check_trace_names(args)
-        if hasattr(args, "engine"):
-            # Every subcommand that simulates takes --engine: a malformed
-            # $REPRO_ENGINE fails before any cache, socket or worker exists.
-            resolve_engine()
         return handlers[args.command](args)
     except LockTimeoutError as exc:  # another process wedged the cache lock
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # e.g. a malformed $REPRO_JOBS, engine, trace or machine
+    except ValueError as exc:  # e.g. a malformed $REPRO_JOBS, trace or machine
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SweepFailedError as exc:  # strict-mode sweep with failed cells

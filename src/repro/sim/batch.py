@@ -1,4 +1,4 @@
-"""Batch access engine: the scalar access kernel single-core runs and mixes share.
+"""The scalar access kernel: how single-core runs and mixes simulate.
 
 The scalar access kernel (:func:`scalar_kernel`) is the one inlined
 copy of the demand path — the L1 hit and the miss path of
@@ -10,17 +10,17 @@ closure over those columns and cells: the single-line back-invalidation,
 the generic ``llc.access`` call, the uncompressed-NRU fill, and
 Base-Victim's fill and victim drop.  Inlined updates land in the same
 order with the same values as the per-method reference — the
-hierarchy's and the LLC architectures' own methods, which the traced
-engine runs.  The replay loop is a generator, so one frame serves every
-span of a (hierarchy, trace) and a span costs one ``send``, not a call
-that rebuilds a frame over the closure's free variables.  The kernel
+hierarchy's and the LLC architectures' own methods, which the drivers'
+traced loops run.  The replay loop is a generator, so one frame serves
+every span of a (hierarchy, trace) and a span costs one ``send``, not a
+call that rebuilds a frame over the closure's free variables.  The kernel
 keeps its own trace position and wraps at the trace end unless its
 pass-end hook says the run is over, so a span is ``run(limit)`` and
 nothing more.  Both of its callers drive it the same way, building it
 once per (hierarchy, trace), calling ``run`` and then ``flush``:
 
-* the ``batch`` engine of :func:`repro.sim.single_core.simulate_trace`
-  replays the trace once as one span, ``run(inf)``;
+* :func:`repro.sim.single_core.simulate_trace` replays the trace once
+  as one span, ``run(inf)``;
 * the mix driver (:func:`repro.sim.multi_core.simulate_mix`) runs each
   thread's run-ahead spans, often only one or two accesses long, and
   its hook records each thread's first-pass measurement.
@@ -34,7 +34,7 @@ mixes).
 
 from __future__ import annotations
 
-from repro.cache.hierarchy import _decompression_cycles
+from repro.cache.hierarchy import DECOMPRESSION_CYCLES
 from repro.cache.prefetch import _PAGE_LINES, _PAGE_MASK, _PAGE_SHIFT
 from repro.cache.replacement.nru import NRUPolicy
 from repro.cache.replacement.victim import ECMVictimPolicy
@@ -164,7 +164,6 @@ def scalar_kernel(
         bv_vp = llc.victim_policy
         choose_victim = llc.policy.choose_victim
     extra_tag_cycles = llc.extra_tag_cycles
-    decompression_cycles = _decompression_cycles(llc)
     l2_hints = hierarchy.config.l2_eviction_hints
     uses_sizes = hierarchy._uses_sizes
     memo_get = (hierarchy.size_memo if size_memo is None else size_memo).get
@@ -524,7 +523,7 @@ def scalar_kernel(
                                 extra = extra_tag_cycles
                                 if 0 < bcset.base_size[base_way] < bv_spl:
                                     compressed_hits_c += 1
-                                    extra += decompression_cycles
+                                    extra += DECOMPRESSION_CYCLES
                                 stall = (llc_exposed + extra) / mlp_llc
                             else:
                                 vict_way = bcset.vict_lookup.get(addr)
@@ -541,7 +540,7 @@ def scalar_kernel(
                                     extra = extra_tag_cycles
                                     if 0 < size < bv_spl:
                                         compressed_hits_c += 1
-                                        extra += decompression_cycles
+                                        extra += DECOMPRESSION_CYCLES
                                     stall = (llc_exposed + extra) / mlp_llc
                                     del bcset.vict_lookup[addr]
                                     bv._victim_resident -= 1
@@ -581,7 +580,7 @@ def scalar_kernel(
                                     llc_victim_hits_c += 1
                                 if result.compressed_hit:
                                     compressed_hits_c += 1
-                                    extra += decompression_cycles
+                                    extra += DECOMPRESSION_CYCLES
                                 stall = (llc_exposed + extra) / mlp_llc
                             else:
                                 llc_misses_c += 1

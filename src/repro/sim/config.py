@@ -67,11 +67,7 @@ class Preset:
 
     def hierarchy_config(self, prefetch_degree: int = 2) -> HierarchyConfig:
         """Private L1/L2 configuration, scaled with the preset."""
-        return HierarchyConfig(
-            l1_geometry=CacheGeometry(32 * 1024, 8).scaled(self.scale),
-            l2_geometry=CacheGeometry(256 * 1024, 8).scaled(self.scale),
-            prefetch_degree=prefetch_degree,
-        )
+        return HierarchyConfig(prefetch_degree=prefetch_degree).scaled(self.scale)
 
 
 #: Paper-sized preset; traces are kept shorter than 200M instructions but

@@ -347,9 +347,3 @@ def dispatch_after_fold(fold_number: int) -> None:
             and _one_shot(fault)
         ):
             os._exit(COORDINATOR_CRASH_EXIT)
-
-
-def corrupt_file(path: Path, line: str = TORN_LINE) -> None:
-    """Append a torn line to ``path`` directly (test helper)."""
-    with path.open("a") as handle:
-        handle.write(line + "\n")

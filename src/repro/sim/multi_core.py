@@ -13,9 +13,9 @@ per unit time.  Each thread gets private L1/L2 caches and a private
 address-space offset (two instances of the same trace in one mix must
 not share lines).
 
-The ``traced`` engine (see :mod:`repro.sim.engine`) is the reference:
-one scheduling decision and one ``hierarchy.access`` per access.  The
-``batch`` engine gives each thread its own scalar access kernel
+The traced loop (``engine="traced"``) is the reference the mix oracle
+compares against: one scheduling decision and one ``hierarchy.access``
+per access.  A run gives each thread its own scalar access kernel
 (:func:`repro.sim.batch.scalar_kernel`) and schedules by *run-ahead*
 over a run queue of ``(clock, thread)`` pairs kept in sorted order.
 The head is the thread the reference picks, and it keeps issuing while
@@ -41,8 +41,7 @@ from repro.memory.dram import DRAMModel
 from repro.obs.registry import CounterRegistry
 from repro.sim.batch import scalar_kernel
 from repro.sim.config import MachineConfig, Preset
-from repro.sim.engine import resolve_engine
-from repro.sim.single_core import OCCUPANCY_SAMPLES, RunResult, core_params_for
+from repro.sim.single_core import ENGINES, OCCUPANCY_SAMPLES, RunResult, core_params_for
 from repro.timing.core_model import CoreTimingModel
 from repro.workloads.datagen import LineDataModel
 from repro.workloads.mixes import MixSpec
@@ -142,16 +141,20 @@ def simulate_mix(
     machine: MachineConfig,
     preset: Preset,
     suite: TraceSuite,
+    engine: str = "batch",
 ) -> MixRunResult:
     """Run one four-way mix on one machine configuration.
 
-    ``$REPRO_ENGINE`` picks the loop (see the module docstring); the
-    result is engine-independent.
+    ``engine="traced"`` runs the reference loop instead of the kernels
+    (see the module docstring); any other name but ``"batch"`` raises
+    ``ValueError``.
     """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected batch or traced")
     llc = machine.build_llc(preset)
     dram = DRAMModel()
     hierarchy_config = preset.hierarchy_config(machine.prefetch_degree)
-    traced = resolve_engine() == "traced"
+    traced = engine == "traced"
 
     registry = CounterRegistry()
     occupancy = registry.histogram("llc/victim_occupancy")

@@ -34,7 +34,6 @@ from typing import Sequence
 
 from repro.obs.registry import CounterRegistry
 from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, MachineConfig, Preset
-from repro.sim.engine import ENGINE_ENV, ENGINES, resolve_engine
 from repro.sim.single_core import simulate_trace
 from repro.workloads.suite import TraceSuite
 
@@ -53,7 +52,7 @@ PERF_MACHINES: dict[str, MachineConfig] = {
 DEFAULT_TRACES: tuple[str, ...] = ("3dmark.1", "lbm.1", "mcf.1", "sysmark.1")
 
 #: Two-trace slice used by the CI ``perf-smoke`` job (one hit-heavy, one
-#: miss-heavy trace, so both engine paths are exercised).
+#: miss-heavy trace, so the kernel's hit and miss paths are both exercised).
 CI_TRACES: tuple[str, ...] = ("mcf.1", "sjeng.1")
 
 #: CI regression gate: fail when throughput drops by more than this
@@ -78,22 +77,15 @@ def measure_matrix(
     trace_names: Sequence[str] = DEFAULT_TRACES,
     repeats: int = 3,
     progress=None,
-    engine: str | None = None,
 ) -> dict:
     """Measure accesses/sec for every (machine, trace) cell.
 
     Returns a plain-dict payload (see module docstring) ready for JSON
     serialisation.  ``progress``, if given, is called as
     ``progress(done, total, label)`` after each cell.
-
-    ``engine`` selects the inner loop (``None`` = ``$REPRO_ENGINE`` or
-    the default); the *requested* engine name is recorded in the payload
-    so :func:`check_regression` can refuse cross-engine comparisons — a
-    perf regression must never hide behind an engine switch.
     """
     if repeats <= 0:
         raise ValueError(f"repeats must be positive, got {repeats}")
-    engine_name = resolve_engine(engine)
     suite = TraceSuite(preset.reference_llc_lines, preset.trace_length)
     entries: list[dict] = []
     total = len(machines) * len(trace_names)
@@ -110,10 +102,7 @@ def measure_matrix(
                 data = suite.data_model(name)
                 registry = CounterRegistry()
                 started = time.perf_counter()
-                result = simulate_trace(
-                    trace, data, machine, preset, registry=registry,
-                    engine=engine_name,
-                )
+                result = simulate_trace(trace, data, machine, preset, registry=registry)
                 elapsed = time.perf_counter() - started
                 accesses = result.accesses
                 if elapsed < best_seconds:
@@ -144,7 +133,6 @@ def measure_matrix(
         "trace_length": preset.trace_length,
         "repeats": repeats,
         "jobs": 1,
-        "engine": engine_name,
         "host": host_meta(),
         "entries": entries,
         "aggregate": {
@@ -160,11 +148,6 @@ def aggregate_rate(payload: dict) -> float:
     return float(payload["aggregate"]["accesses_per_sec"])
 
 
-def payload_engine(payload: dict) -> str | None:
-    """Engine a measurement payload was taken with (None if unrecorded)."""
-    return payload.get("engine")
-
-
 def check_regression(
     current: dict,
     baseline: dict,
@@ -175,10 +158,6 @@ def check_regression(
     Returns a list of human-readable problems (empty = gate passes).
     Only the aggregate rate is gated — per-cell rates are far noisier —
     but cells slower than the allowance are reported as context.
-
-    Payloads measured with different engines are never compared: the
-    gate refuses outright, so a regression in one engine cannot hide
-    behind a faster engine's baseline (or vice versa).
     """
     problems: list[str] = []
     for label, payload in (("measurement", current), ("baseline", baseline)):
@@ -188,16 +167,6 @@ def check_regression(
                 f"timings are not comparable throughput"
             )
     if problems:
-        return problems
-    current_engine = payload_engine(current)
-    baseline_engine = payload_engine(baseline)
-    if current_engine != baseline_engine:
-        problems.append(
-            f"engine mismatch: measurement used {current_engine!r} but the "
-            f"baseline was taken with {baseline_engine!r}; re-baseline or "
-            f"re-measure with the same engine (cross-engine throughput "
-            f"comparisons are refused)"
-        )
         return problems
     floor = aggregate_rate(baseline) * (1.0 - max_regression)
     rate = aggregate_rate(current)
@@ -228,11 +197,6 @@ def _payload_problem(payload: object) -> str | None:
     """Why ``payload`` is not a measurement to gate on (None if it is)."""
     if not isinstance(payload, dict):
         return f"expected a measurement object, got {type(payload).__name__}"
-    if payload.get("engine") not in ENGINES:
-        return (
-            f"engine {payload.get('engine')!r} is not one of "
-            f"{', '.join(ENGINES)}"
-        )
     if not isinstance(payload.get("entries"), list):
         return "'entries' is not a list"
     aggregate = payload.get("aggregate")
@@ -247,11 +211,11 @@ def load_baseline(path: Path, section: str) -> dict:
 
     The committed file records ``{"matrices": {section: {"before": ...,
     "after": ...}}}``; the gate compares against the ``after`` payload
-    (the engine as shipped).  A bare measurement payload (no
+    (the code as shipped).  A bare measurement payload (no
     ``matrices`` wrapper) is accepted too, for ad-hoc comparisons.
-    Either way the payload must be a measurement — an engine from
-    ``ENGINES``, a list of entries and a positive aggregate rate — or
-    this raises ``ValueError``; an unknown section raises ``KeyError``.
+    Either way the payload must be a measurement — a list of entries
+    and a positive aggregate rate — or this raises ``ValueError``; an
+    unknown section raises ``KeyError``.
     """
     with path.open() as handle:
         data = json.load(handle)
@@ -277,8 +241,7 @@ def format_report(payload: dict) -> str:
     """Human-readable table of one measurement payload."""
     lines = [
         f"preset: {payload['preset']}   trace length: {payload['trace_length']}"
-        f"   repeats: {payload['repeats']}   jobs: {payload['jobs']}"
-        f"   engine: {payload_engine(payload)}",
+        f"   repeats: {payload['repeats']}   jobs: {payload['jobs']}",
         f"{'machine':40s} {'trace':12s} {'acc/sec':>12s} {'seconds':>9s}",
     ]
     for entry in payload["entries"]:
@@ -335,13 +298,6 @@ def add_arguments(parser) -> None:
         "--profile-dump",
         metavar="PATH",
         help="save the raw pstats file (snakeviz/pstats spelunking)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help=f"inner loop to measure (default: ${ENGINE_ENV} or batch); "
-        "recorded in the payload so the gate refuses cross-engine comparisons",
     )
     parser.add_argument(
         "--output", metavar="PATH", help="write the measurement payload as JSON"
@@ -416,7 +372,6 @@ def run(args) -> int:
         trace_names=traces,
         repeats=args.repeats,
         progress=progress,
-        engine=args.engine,
     )
     if profiler is not None:
         profiler.disable()

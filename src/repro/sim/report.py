@@ -177,18 +177,14 @@ def failed_cells_table(failures: Sequence[FailedCell]) -> str:
     )
 
 
-def sweep_health_summary(
-    counters: Mapping[str, Mapping], engine: str | None = None
-) -> str:
+def sweep_health_summary(counters: Mapping[str, Mapping]) -> str:
     """One line of sweep/cache health counters from a serialised registry.
 
     Accepts :meth:`~repro.obs.registry.CounterRegistry.as_dict` output;
     counters that never fired print as 0 so the line's shape is stable.
     Covers the fault-tolerance counters (``sweep/*``) and the
     persistence-layer ones (``cache/*``: lock contention and checksum
-    rejections).  ``engine``, if given, is the resolved simulation
-    engine name and leads the line, so sweep logs record which inner
-    loop produced them.
+    rejections).
     """
     names = (
         ("retries", "sweep/retries"),
@@ -201,8 +197,6 @@ def sweep_health_summary(
         ("CRC failures", "cache/crc_failures"),
     )
     values = []
-    if engine is not None:
-        values.append(f"engine: {engine}")
     for label, name in names:
         metric = counters.get(name)
         value = metric["value"] if metric and metric.get("kind") == "counter" else 0

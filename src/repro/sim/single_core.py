@@ -18,7 +18,6 @@ from repro.obs.registry import CounterRegistry
 from repro.obs.tracing import TraceRecorder
 from repro.sim.batch import scalar_kernel
 from repro.sim.config import MachineConfig, Preset
-from repro.sim.engine import resolve_engine
 from repro.timing.core_model import CoreParams, CoreTimingModel
 from repro.timing.latency import LatencyParams
 from repro.workloads.datagen import LineDataModel
@@ -26,6 +25,10 @@ from repro.workloads.trace import Trace
 
 #: Victim-cache occupancy is sampled this many times over a run.
 OCCUPANCY_SAMPLES = 64
+
+#: Inner-loop names the drivers take: the scalar kernel, and the traced
+#: reference loop the oracles compare it against.
+ENGINES = ("batch", "traced")
 
 
 @dataclass
@@ -101,7 +104,7 @@ def simulate_trace(
     preset: Preset,
     tracer: TraceRecorder | None = None,
     registry: CounterRegistry | None = None,
-    engine: str | None = None,
+    engine: str = "batch",
 ) -> RunResult:
     """Run one trace through one machine configuration.
 
@@ -111,15 +114,15 @@ def simulate_trace(
     :class:`CounterRegistry` afterwards — the perf bench reads the
     ``phase/*`` timers, which never serialise into ``RunResult.obs``.
 
-    ``engine`` picks the inner loop (see :mod:`repro.sim.engine`);
-    ``None`` means ``$REPRO_ENGINE`` or the default.  The ``batch``
-    engine replays the trace as one scalar-kernel span, ``run(inf)``
+    A run replays the trace as one scalar-kernel span, ``run(inf)``
     (:func:`repro.sim.batch.scalar_kernel`), whose default pass-end
-    hook ends the run after one pass.  An active tracer always forces
-    the traced reference loop.  The engine choice never
-    appears in the result: both engines are byte-identical, so a cached
-    result is engine-independent.
+    hook ends the run after one pass.  ``engine="traced"`` or an active
+    tracer runs the traced reference loop instead, the one the
+    byte-identity oracles compare the kernel against; any other name
+    raises ``ValueError``.
     """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected batch or traced")
     llc = machine.build_llc(preset)
     dram = DRAMModel()
     hierarchy = CacheHierarchy(
@@ -131,7 +134,7 @@ def simulate_trace(
     )
     if hierarchy._uses_sizes:
         # Precompute every trace address's current size in one vectorised
-        # pass (values identical to size_of, so the engines stay
+        # pass (values identical to size_of, so the two loops stay
         # byte-identical with or without priming).
         prime = getattr(data, "prime_size_memo", None)
         if prime is not None:
@@ -162,18 +165,15 @@ def simulate_trace(
     sample_every = max(1, length // OCCUPANCY_SAMPLES)
     occupancy = registry.histogram("llc/victim_occupancy")
 
-    # Two equivalent inner loops (see repro.sim.engine).  The traced
-    # loop is the reference: one hierarchy.access per demand access,
-    # per-access counter updates, one tracer.record per access.  The
-    # batch loop runs the scalar access kernel over the whole trace as
-    # one span.
+    # Two equivalent inner loops.  The traced loop is the reference:
+    # one hierarchy.access per demand access, per-access counter
+    # updates, one tracer.record per access.  The batch loop runs the
+    # scalar access kernel over the whole trace as one span.
     # tests/sim/test_engine_equivalence.py and
     # tests/sim/test_batch_equivalence.py prove both produce
     # byte-identical RunResults and observations.
-    engine_name = "traced" if tracer is not None else resolve_engine(engine)
-
     with registry.timer("phase/simulate"):
-        if engine_name == "batch":
+        if engine == "batch" and tracer is None:
             samples: list[int] = []
             run, flush = scalar_kernel(
                 deltas,

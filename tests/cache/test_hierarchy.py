@@ -1,10 +1,12 @@
 """Integration tests for the inclusive three-level hierarchy."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.config import CacheGeometry
 from repro.cache.hierarchy import (
+    DECOMPRESSION_CYCLES,
     CacheHierarchy,
     HierarchyConfig,
     L1,
@@ -190,6 +192,53 @@ class TestDRAMCoupling:
             h.access(rng.randrange(300), rng.random() < 0.3)
         assert dram.stat_reads == h.stats.memory_reads
         assert dram.stat_writes == h.stats.memory_writes
+
+
+class TestScaledConfig:
+    def test_scaled_shrinks_both_private_levels_and_keeps_the_knobs(self):
+        config = HierarchyConfig(prefetch_degree=3, l2_eviction_hints=False)
+        config = config.scaled(1 / 32)
+        assert config.l1_geometry == CacheGeometry(1024, 8)
+        assert config.l2_geometry == CacheGeometry(8 * 1024, 8)
+        assert config.prefetch_degree == 3
+        assert config.l2_eviction_hints is False
+
+
+class TestDecompressionLatency:
+    """An LLC hit on a compressed line pays ``DECOMPRESSION_CYCLES``."""
+
+    @staticmethod
+    def llc_hit(size):
+        llc = BaseVictimLLC(
+            CacheGeometry(8 * 8 * 64, 8),
+            NRUPolicy(),
+            make_victim_policy("ecm"),
+            SegmentGeometry(64),
+        )
+        h = CacheHierarchy(llc, size_fn=lambda addr: size, config=tiny_config())
+        # Lines 4..16 share line 0's L1 and L2 sets, so line 0 leaves both
+        # private levels but stays in the 8-way LLC.
+        for addr in (0, 4, 8, 12, 16):
+            h.access(addr, False)
+        return h, llc.extra_tag_cycles, h.access(0, False)
+
+    def test_bdi_costs_two_cycles(self):
+        assert DECOMPRESSION_CYCLES == 2
+
+    # Sizes are in 4-byte segments: 16 fill a 64-byte line.
+    @pytest.mark.parametrize("size", [1, 8, 15])
+    def test_compressed_hit_adds_decompression_cycles(self, size):
+        h, tag_cycles, outcome = self.llc_hit(size)
+        assert outcome.level == LLC
+        assert outcome.extra_llc_cycles == tag_cycles + DECOMPRESSION_CYCLES
+        assert h.stats.compressed_hits == 1
+
+    @pytest.mark.parametrize("size", [0, 16])
+    def test_zero_and_uncompressed_hits_skip_decompression(self, size):
+        h, tag_cycles, outcome = self.llc_hit(size)
+        assert outcome.level == LLC
+        assert outcome.extra_llc_cycles == tag_cycles
+        assert h.stats.compressed_hits == 0
 
 
 @given(

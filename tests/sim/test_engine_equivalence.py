@@ -1,15 +1,16 @@
-"""Differential tests: the default engine vs the traced reference loop.
+"""Differential tests: the scalar kernel vs the traced reference loop.
 
-``simulate_trace``'s traced engine (see ``repro.sim.engine``) runs one
+``simulate_trace`` runs the scalar access kernel of ``repro.sim.batch``
+over the whole trace, which inlines the demand path over hoisted
+columns, batches its counters and collects its occupancy samples for
+one histogram update at the end.  Its traced reference loop
+(``engine="traced"``, or any active tracer) runs one
 ``hierarchy.access`` per demand access through the per-method cache
-layers; the default batch engine runs the scalar access kernel of
-``repro.sim.batch`` over the whole trace, which inlines the demand path
-over hoisted columns, batches its counters and collects its occupancy
-samples for one histogram update at the end.  A tracer forces the
-reference loop, so running the same (trace, machine) pair with and
-without one is a direct differential test of the default engine: every
-``RunResult`` field and every serialised observation must be
-byte-identical.
+layers.  A tracer forces the reference loop, so running the same
+(trace, machine) pair with and without one is a direct differential
+test of the kernel: every ``RunResult`` field and every serialised
+observation must be byte-identical.  Both drivers reject any other
+engine name, so an oracle that asks for the reference loop gets it.
 """
 
 from __future__ import annotations
@@ -19,20 +20,23 @@ import json
 import pytest
 
 from repro.obs.tracing import TRACE_ENV, TRACE_FILE_ENV, TraceRecorder
-from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, TEST
+from repro.sim import multi_core, single_core
+from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, TEST, Preset
+from repro.sim.multi_core import simulate_mix
 from repro.sim.single_core import simulate_trace
+from repro.workloads.mixes import MixSpec
 from repro.workloads.suite import TraceSuite
 
 MACHINES = (BASELINE_2MB, BASE_VICTIM_2MB)
 TRACES = ("mcf.1", "sjeng.1")
 
 
-def run_once(machine, trace_name, tracer=None):
+def run_once(machine, trace_name, tracer=None, engine="batch"):
     """One deterministic run; a fresh suite/data model every time."""
     suite = TraceSuite(TEST.reference_llc_lines, TEST.trace_length)
     trace = suite.trace(trace_name)
     data = suite.data_model(trace_name)
-    return simulate_trace(trace, data, machine, TEST, tracer=tracer)
+    return simulate_trace(trace, data, machine, TEST, tracer=tracer, engine=engine)
 
 
 class TestTracedVsBatchLoop:
@@ -86,6 +90,41 @@ class TestReproTraceEnvEquivalence:
             "machine": BASE_VICTIM_2MB.label,
         }
         assert any("addr" in event for event in events)
+
+
+class TestEngineArgument:
+    """``engine=`` reaches the reference loop, and nothing else does."""
+
+    class Unbuildable:
+        """A machine whose LLC must never be built."""
+
+        def build_llc(self, preset):
+            pytest.fail("built an LLC before rejecting the engine")
+
+    def test_simulate_trace_rejects_unknown_engine(self):
+        with pytest.raises(ValueError, match="unknown engine 'trace'"):
+            simulate_trace(None, None, self.Unbuildable(), TEST, engine="trace")
+
+    def test_simulate_mix_rejects_unknown_engine(self):
+        with pytest.raises(ValueError, match="unknown engine 'trace'"):
+            simulate_mix(None, self.Unbuildable(), TEST, None, engine="trace")
+
+    @staticmethod
+    def no_kernel(*args, **kwargs):
+        pytest.fail("the traced loop built a scalar kernel")
+
+    def test_traced_trace_runs_without_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(single_core, "scalar_kernel", self.no_kernel)
+        result = run_once(BASE_VICTIM_2MB, "sjeng.1", engine="traced")
+        assert result.accesses == TEST.trace_length
+
+    def test_traced_mix_runs_without_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(multi_core, "scalar_kernel", self.no_kernel)
+        short = Preset("test-short", TEST.scale, 500)
+        suite = TraceSuite(short.reference_llc_lines, short.trace_length)
+        mix = MixSpec("four", ("mcf.1", "sjeng.1", "lbm.1", "astar.1"))
+        result = simulate_mix(mix, BASE_VICTIM_2MB, short, suite, engine="traced")
+        assert [thread["trace"] for thread in result.threads] == list(mix.trace_names)
 
 
 class TestVictimOccupancyCounter:

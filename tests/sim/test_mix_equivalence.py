@@ -3,9 +3,10 @@
 ``simulate_mix`` (``repro.sim.multi_core``) runs each thread of a
 shared-LLC mix through its own scalar access kernel and schedules them
 by run-ahead: the thread with the smallest clock keeps issuing for as
-long as it would still be chosen.  The ``traced`` engine is the
-reference — it re-picks the thread with the smallest clock (the first on
-ties) before every access and issues it through ``hierarchy.access``.
+long as it would still be chosen.  The traced loop (``engine="traced"``)
+is the reference — it re-picks the thread with the smallest clock (the
+first on ties) before every access and issues it through
+``hierarchy.access``.
 This module requires the two to produce **byte-identical**
 ``MixRunResult``s — every per-thread field and every serialised
 observation — and to leave the same machine state behind (every
@@ -34,7 +35,6 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.sim import multi_core
 from repro.sim.batch import scalar_kernel
 from repro.sim.config import TEST, MachineConfig, Preset
-from repro.sim.engine import ENGINE_ENV
 from repro.sim.multi_core import simulate_mix
 from repro.timing.core_model import CoreTimingModel
 from repro.workloads.datagen import LineDataModel, build_palette
@@ -71,18 +71,17 @@ MACHINES = list(_machines())
 assert len(MACHINES) == 24
 
 
-def run_mix(monkeypatch, mix, machine, preset, suite_factory, engine) -> str:
+def run_mix(mix, machine, preset, suite_factory, engine) -> str:
     """One mix run on a fresh suite; returns the canonical result JSON."""
-    monkeypatch.setenv(ENGINE_ENV, engine)
-    result = simulate_mix(mix, machine, preset, suite_factory())
+    result = simulate_mix(mix, machine, preset, suite_factory(), engine=engine)
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
 def assert_engines_agree(monkeypatch, mix, machine, preset, suite_factory) -> dict:
     """Kernel vs traced byte-identity and end state; returns the decoded result."""
     built = record_hierarchies(monkeypatch, multi_core)
-    kernel = run_mix(monkeypatch, mix, machine, preset, suite_factory, "batch")
-    traced = run_mix(monkeypatch, mix, machine, preset, suite_factory, "traced")
+    kernel = run_mix(mix, machine, preset, suite_factory, "batch")
+    traced = run_mix(mix, machine, preset, suite_factory, "traced")
     assert kernel == traced
     threads = len(mix.trace_names)
     assert_same_state(built[:threads], built[threads:])

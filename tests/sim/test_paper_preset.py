@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, PAPER, Preset
+from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, PAPER, PRESETS, Preset
 from repro.sim.single_core import simulate_trace
 from repro.workloads.suite import TraceSuite
 
@@ -27,6 +27,22 @@ class TestPaperGeometry:
     def test_multiprogram_llc_4mb(self):
         geometry = PAPER.llc_geometry(16, 2.0)
         assert geometry.size_bytes == 4 * 2**20
+
+
+class TestScaledPresets:
+    """Every preset shrinks the paper's private caches with its LLC."""
+
+    @pytest.mark.parametrize(
+        "preset", PRESETS.values(), ids=lambda preset: preset.name
+    )
+    def test_private_caches_scale_with_the_llc(self, preset):
+        config = preset.hierarchy_config(prefetch_degree=4)
+        llc_bytes = preset.llc_geometry(16, 1.0).size_bytes
+        assert config.l1_geometry.size_bytes * 64 == llc_bytes
+        assert config.l2_geometry.size_bytes * 8 == llc_bytes
+        assert config.l1_geometry.associativity == 8
+        assert config.l2_geometry.associativity == 8
+        assert config.prefetch_degree == 4
 
 
 class TestPaperScaleExecution:

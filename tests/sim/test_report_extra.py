@@ -1,6 +1,10 @@
 """Additional report-formatting tests."""
 
-from repro.sim.report import category_table, traffic_summary
+from repro.sim.report import (
+    category_table,
+    sweep_health_summary,
+    traffic_summary,
+)
 from repro.sim.single_core import RunResult
 
 
@@ -46,3 +50,24 @@ class TestTrafficSummary:
         bv = [run("a", reads=0, writes=0, llc=0)]
         text = traffic_summary(bv, base)
         assert "DRAM reads ratio" in text
+
+
+class TestSweepHealthSummary:
+    def test_every_counter_in_order_with_unfired_ones_as_zero(self):
+        line = sweep_health_summary(
+            {
+                "sweep/retries": {"kind": "counter", "value": 3},
+                "cache/crc_failures": {"kind": "counter", "value": 1},
+                "sweep/failures": {"kind": "gauge", "value": 9},
+            }
+        )
+        assert line.split("  ") == [
+            "retries: 3",
+            "failures: 0",
+            "recovered workers: 0",
+            "cells salvaged from shards: 0",
+            "corrupt cache lines skipped: 0",
+            "lock waits: 0",
+            "lock timeouts: 0",
+            "CRC failures: 1",
+        ]

@@ -1,10 +1,6 @@
 """Tests for the command-line interface."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -319,31 +315,6 @@ class TestCommands:
         assert "recovered from cache: 2 cells" in out
         assert "recomputed: 0 cells" in out
 
-    def test_sweep_health_line_records_engine(self, capsys, tmp_path, monkeypatch):
-        """--engine exports $REPRO_ENGINE (inherited by sweep workers) and
-        the health line records the resolved engine, so sweep logs can
-        never be silently compared across engines."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert main(
-            [
-                "sweep", "--preset", "test", "--trace", "sjeng.1",
-                "--jobs", "1", "--engine", "traced",
-            ]
-        ) == 0
-        assert "engine: traced" in capsys.readouterr().out
-        assert os.environ["REPRO_ENGINE"] == "traced"
-
-    def test_unknown_engine_exits_2(self, tmp_path, monkeypatch):
-        """An unknown engine name (here ``fast``) exits 2, whether it
-        comes from --engine or $REPRO_ENGINE."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--preset", "test", "--trace", "sjeng.1", "--engine", "fast"])
-        assert exc.value.code == 2
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        assert main(["run", "--preset", "test", "--trace", "sjeng.1"]) == 2
-
     def test_sweep_resume_reports_salvage(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(
@@ -453,52 +424,6 @@ class TestLockAndValidationFlags:
         assert capsys.readouterr().err.splitlines() == [
             "error: unknown trace 'nosuch' (see repro list-traces)"
         ]
-        assert not cache_dir.exists()
-
-    ENGINE_ERROR = (
-        "error: unknown engine 'fast' in $REPRO_ENGINE; "
-        "expected one of batch, traced"
-    )
-
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["sweep", "--preset", "test", "--trace", "mcf.1"],
-            ["dispatch", "--preset", "test", "--trace", "mcf.1", "--workers", "1"],
-        ],
-        ids=lambda command: command[0],
-    )
-    def test_malformed_engine_env_is_rejected_up_front(
-        self, command, capsys, tmp_path, monkeypatch
-    ):
-        """A malformed $REPRO_ENGINE exits 2 with one line naming it,
-        before any cache file, journal or worker exists."""
-        cache_dir = tmp_path / "cache"
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
-        monkeypatch.setenv("REPRO_ENGINE", "fast")
-        assert main(command) == 2
-        assert capsys.readouterr().err.splitlines() == [self.ENGINE_ERROR]
-        assert not cache_dir.exists()
-
-    def test_serve_with_malformed_engine_env_never_binds(self, tmp_path):
-        """``repro serve`` checks $REPRO_ENGINE before it binds its socket
-        (a subprocess with a timeout, so a server that binds and waits
-        fails the test instead of hanging it)."""
-        cache_dir = tmp_path / "cache"
-        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env["REPRO_CACHE_DIR"] = str(cache_dir)
-        env["REPRO_ENGINE"] = "fast"
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "serve", "--preset", "test"],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [self.ENGINE_ERROR]
         assert not cache_dir.exists()
 
     def test_unknown_victim_policy_is_rejected_eagerly(self, capsys, tmp_path, monkeypatch):
