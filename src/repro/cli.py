@@ -194,8 +194,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.trace_events:
         # Tracing needs real simulations, so bypass the result cache and
         # run serially; events flush per trace (stderr or $REPRO_TRACE_FILE).
-        tracer = TraceRecorder.from_env(force=True)
-        assert tracer is not None  # force=True always builds one
+        tracer = TraceRecorder.from_env()
         results = []
         with registry.timer("phase/simulate"):
             for name in names:
@@ -821,7 +820,8 @@ def _cmd_cache_canonicalize(args: argparse.Namespace) -> int:
     set, independent of write order — the normal form every dispatch
     fold ends in.  Run it on a serially-produced cache before comparing
     it byte-for-byte against a distributed one (the differential test
-    and the CI chaos-smoke job do exactly that), or to scrub the lines
+    and the CI sweep-smoke job's chaos dispatch do exactly that), or to
+    scrub the lines
     ``repro cache verify`` rejects.  Idempotent; already-canonical files
     are left byte-untouched, and a rewrite copies valid lines verbatim.
     Only current-version files are rewritten; stale ones are listed and
@@ -842,8 +842,8 @@ def _cmd_cache_canonicalize(args: argparse.Namespace) -> int:
         if version != CACHE_VERSION:
             print(f"{path.name}: stale v{version} file, left untouched")
             continue
-        entries = canonicalize_cache_file(path, lock_timeout=args.lock_timeout)
-        print(f"{path.name}: canonical ({entries} entries)")
+        stats = canonicalize_cache_file(path, lock_timeout=args.lock_timeout)
+        print(f"{path.name}: canonical ({stats.existing_entries} entries)")
     return 0
 
 

@@ -76,12 +76,11 @@ from repro.sim.config import MachineConfig, PRESETS
 from repro.sim.experiment import ExperimentRunner, default_cache_dir
 from repro.sim.locking import _pid_alive
 from repro.sim.resultcache import (
+    CacheFileReport,
     canonicalize_cache_file,
-    corrupt_line_count,
-    crc_failure_count,
     encode_entry,
-    iter_cache_entries,
     merge_cache_entries,
+    read_cache_entries,
 )
 from repro.sim.retry import RetryPolicy
 
@@ -332,10 +331,9 @@ class DispatchCoordinator:
         self._leases_since_fold = 0
         self._canonical_entries = 0
         # Per-shard torn-line watermarks: partial folds re-read shard
-        # files, and the cache's CRC/corruption counters are global
-        # accumulators — these dedupe so each torn line counts once.
-        self._shard_crc_seen: dict[Path, int] = {}
-        self._shard_corrupt_seen: dict[Path, int] = {}
+        # files, and each read reports every torn line again — the last
+        # report per shard dedupes so each torn line counts once.
+        self._shard_seen: dict[Path, CacheFileReport] = {}
 
     # ------------------------------------------------------------------
     # Crash recovery (constructor-time, before matrix resolution)
@@ -400,7 +398,7 @@ class DispatchCoordinator:
             return
         entries: dict[str, dict] = {}
         for shard in sorted(shard_dir.glob("worker-*.jsonl")):
-            entries.update(dict(iter_cache_entries(shard)))
+            entries.update(read_cache_entries(shard)[0])
         if not entries:
             return
         with self.registry.timer("phase/salvage"):
@@ -934,7 +932,7 @@ class DispatchCoordinator:
             with self.registry.timer("phase/canonicalize"):
                 self._canonical_entries = canonicalize_cache_file(
                     cache_path, lock_timeout=self.lock_timeout
-                )
+                ).existing_entries
         self._folded.update(job.key for job in pending)
         self._fold_serial += 1
         if not final:
@@ -954,26 +952,22 @@ class DispatchCoordinator:
     def _read_staged(self) -> dict[str, dict]:
         """Read every staged shard tolerantly; count *new* torn lines.
 
-        The cache module's CRC/corruption counters accumulate per read,
-        and windows re-read shards — the per-shard watermarks charge
-        each torn line to the counters exactly once.
+        Each read reports every line it rejected, and windows re-read
+        shards — the per-shard watermarks charge each torn line to the
+        counters exactly once.  ``dist/shard_corrupt_lines`` counts
+        every rejected line, CRC failures included.
         """
         staged: dict[str, dict] = {}
         if self._shard_dir is None or not self._shard_dir.exists():
             return staged
         crc_new = corrupt_new = 0
         for shard in sorted(self._shard_dir.glob("worker-*.jsonl")):
-            before_crc = crc_failure_count(shard)
-            before_corrupt = corrupt_line_count(shard)
-            staged.update(dict(iter_cache_entries(shard)))
-            read_crc = crc_failure_count(shard) - before_crc
-            read_corrupt = corrupt_line_count(shard) - before_corrupt
-            crc_new += max(0, read_crc - self._shard_crc_seen.get(shard, 0))
-            corrupt_new += max(
-                0, read_corrupt - self._shard_corrupt_seen.get(shard, 0)
-            )
-            self._shard_crc_seen[shard] = read_crc
-            self._shard_corrupt_seen[shard] = read_corrupt
+            values, report = read_cache_entries(shard)
+            staged.update(values)
+            seen = self._shard_seen.get(shard, CacheFileReport(path=shard))
+            crc_new += max(0, report.crc_failures - seen.crc_failures)
+            corrupt_new += max(0, report.skipped - seen.skipped)
+            self._shard_seen[shard] = report
         if crc_new:
             self.registry.inc("dist/shard_crc_rejected", crc_new)
         if corrupt_new:

@@ -10,8 +10,8 @@ owns the two ways a coordinator finds its fleet:
   (``tcp:HOST:PORT`` or a unix-socket path) for real multi-host runs.
 * :class:`LocalWorkerPool` — ``--workers N`` spawns N serve
   subprocesses on private sockets and cache directories under the
-  coordinator's cache dir; the differential tests, the CI chaos-smoke
-  job and single-box scale-out all use it.
+  coordinator's cache dir; the differential tests, the chaos dispatch
+  in CI's sweep-smoke job and single-box scale-out all use it.
 
 Spawned workers deliberately do *not* inherit ``$REPRO_FAULTS`` /
 ``$REPRO_FAULTS_DIR``: ``worker-lost`` and ``remote-torn-merge`` are

@@ -10,9 +10,9 @@ result cache, merges across parallel worker shards with per-kind
 semantics (:func:`~repro.obs.registry.merge_observations`), and surfaces
 through ``repro stats`` / ``repro stats --json``.
 
-Opt-in tracing (:mod:`repro.obs.tracing`, ``REPRO_TRACE=1``) records a
-bounded window of per-access events for diagnosing golden-figure
-mismatches without a debugger.
+Opt-in tracing (:mod:`repro.obs.tracing`, ``repro stats
+--trace-events``) records a bounded window of per-access events for
+diagnosing golden-figure mismatches without a debugger.
 """
 
 from repro.obs.registry import (
@@ -23,12 +23,7 @@ from repro.obs.registry import (
     Timer,
     merge_observations,
 )
-from repro.obs.tracing import (
-    TRACE_ENV,
-    TRACE_FILE_ENV,
-    TRACE_LIMIT_ENV,
-    TraceRecorder,
-)
+from repro.obs.tracing import TRACE_FILE_ENV, TRACE_LIMIT_ENV, TraceRecorder
 
 __all__ = [
     "Counter",
@@ -37,7 +32,6 @@ __all__ = [
     "MetricKindError",
     "Timer",
     "TraceRecorder",
-    "TRACE_ENV",
     "TRACE_FILE_ENV",
     "TRACE_LIMIT_ENV",
     "merge_observations",

@@ -6,18 +6,15 @@ miserable.  The tracer records the first ``limit`` accesses of a run as
 plain dicts (index, address, kind, serving level) and counts the rest,
 so two runs can be diffed event-by-event.
 
-Activation:
-
-* ``REPRO_TRACE=1`` in the environment (picked up by the single-core
-  driver), with ``REPRO_TRACE_LIMIT`` overriding the window size and
-  ``REPRO_TRACE_FILE`` redirecting output from stderr to a file, or
-* ``repro stats --trace-events`` on the CLI (the spelling avoids the
-  ``--trace`` flag, which already names the trace to simulate).
-
-Tracing is a *serial-only* diagnostic: the parallel engine strips
-``REPRO_TRACE`` from worker environments so a sweep never interleaves
-event streams from many processes.  Recording never alters simulation
-state, so traced and untraced runs produce identical results.
+Activation: ``repro stats --trace-events`` on the CLI (the spelling
+avoids the ``--trace`` flag, which already names the trace to
+simulate), with ``REPRO_TRACE_LIMIT`` overriding the window size and
+``REPRO_TRACE_FILE`` redirecting output from stderr to a file; or a
+recorder passed to :func:`~repro.sim.single_core.simulate_trace` as
+``tracer=``.  Either way the traced run happens in the calling
+process, outside any sweep, so event streams from many processes never
+interleave.  Recording never alters simulation state, so traced and
+untraced runs produce identical results.
 """
 
 from __future__ import annotations
@@ -26,9 +23,6 @@ import json
 import os
 import sys
 from typing import IO
-
-#: Environment switch: any value other than "", "0" enables tracing.
-TRACE_ENV = "REPRO_TRACE"
 
 #: Maximum number of events recorded per run (default 200).
 TRACE_LIMIT_ENV = "REPRO_TRACE_LIMIT"
@@ -65,16 +59,11 @@ class TraceRecorder:
             self.dropped += 1
 
     @classmethod
-    def from_env(cls, force: bool = False) -> "TraceRecorder | None":
-        """Build a recorder if ``$REPRO_TRACE`` (or ``force``) asks for one.
+    def from_env(cls) -> "TraceRecorder":
+        """The recorder ``$REPRO_TRACE_LIMIT`` and ``$REPRO_TRACE_FILE`` ask for.
 
-        ``force=True`` (used by ``repro stats --trace-events``) builds a
-        recorder regardless of ``$REPRO_TRACE`` while still honouring
-        the limit and output-file variables.
+        ``repro stats --trace-events`` builds its recorder here.
         """
-        flag = os.environ.get(TRACE_ENV, "").strip()
-        if not force and flag in ("", "0"):
-            return None
         limit = DEFAULT_LIMIT
         raw_limit = os.environ.get(TRACE_LIMIT_ENV, "").strip()
         if raw_limit:

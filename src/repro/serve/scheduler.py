@@ -387,10 +387,13 @@ class JobScheduler:
         return failures
 
     def canonicalize(self) -> None:
-        """Sort the on-disk cache by job key (locked, atomic, idempotent)."""
-        path = self.runner.cache_path
-        if path is not None:
-            canonicalize_cache_file(path, lock_timeout=self.runner.lock_timeout)
+        """Sort the on-disk cache by job key (locked, atomic, idempotent).
+
+        Its lock waits count in ``cache/lock_waits``, like the runner's
+        own writes.
+        """
+        if self.runner.cache_path is not None:
+            self.runner.cache_write(canonicalize_cache_file)
 
     def on_progress(self, done: int, total: int, key: str) -> None:
         """Forward one in-batch job completion as advisory progress events.

@@ -35,7 +35,11 @@ The persistence layer is multi-process safe: every disk write happens
 under the cache's advisory lock (:mod:`repro.sim.locking`), sweep
 merges fold into — never clobber — whatever concurrent writers already
 persisted, and lock/integrity health is published as ``cache/*``
-counters alongside the ``sweep/*`` ones.
+counters alongside the ``sweep/*`` ones.  Those counts come from what
+each cache read and write returns (a
+:class:`~repro.sim.resultcache.CacheFileReport` or
+:class:`~repro.sim.resultcache.MergeStats`), so a runner counts its
+own reads and writes and nothing else the process does.
 """
 
 from __future__ import annotations
@@ -43,11 +47,11 @@ from __future__ import annotations
 import os
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.obs.registry import CounterRegistry
-from repro.sim import locking
 from repro.sim.config import MachineConfig, Preset
+from repro.sim.locking import LockTimeoutError, _pid_alive
 from repro.sim.multi_core import MixRunResult, simulate_mix
 from repro.sim.parallel import (
     MIX,
@@ -61,14 +65,13 @@ from repro.sim.parallel import (
 )
 from repro.sim.resultcache import (
     CACHE_VERSION,
+    MergeStats,
     ResultStore,
     append_cache_entries,
     cache_file_name,
-    corrupt_line_count,
-    crc_failure_count,
-    iter_cache_entries,
     load_cache_entries,
     merge_cache_entries,
+    read_cache_entries,
 )
 from repro.sim.retry import FailedCell, RetryPolicy, SweepFailedError
 from repro.sim.single_core import RunResult, simulate_trace
@@ -102,7 +105,7 @@ def _owner_is_alive(shard_dir: Path) -> bool:
         pid = int(shard_dir.name.rsplit("-", 1)[-1])
     except ValueError:
         return False
-    return pid == os.getpid() or locking._pid_alive(pid)
+    return pid == os.getpid() or _pid_alive(pid)
 
 
 class ExperimentRunner:
@@ -127,7 +130,9 @@ class ExperimentRunner:
 
     ``lock_timeout`` bounds how long any cache write waits for the
     advisory cache lock (``None`` defers to ``$REPRO_LOCK_TIMEOUT``;
-    exhaustion raises :class:`~repro.sim.locking.LockTimeoutError`).
+    exhaustion raises :class:`~repro.sim.locking.LockTimeoutError`,
+    counted in ``cache/lock_timeouts``; the backoff sleeps of this
+    runner's writes are ``cache/lock_waits``).
     """
 
     def __init__(
@@ -162,8 +167,6 @@ class ExperimentRunner:
         #: never cached.
         self.registry = CounterRegistry()
         self._cache_path: Path | None = None
-        self._lock_waits_seen = locking.lock_wait_total()
-        self._lock_timeouts_seen = locking.lock_timeout_total()
         if use_disk_cache:
             directory = cache_dir or default_cache_dir()
             directory.mkdir(parents=True, exist_ok=True)
@@ -190,28 +193,38 @@ class ExperimentRunner:
             return
         # Tolerant load: lines torn by an interrupted worker are skipped
         # (with a CorruptCacheLineWarning) instead of poisoning the cache.
-        before = corrupt_line_count(self._cache_path)
-        before_crc = crc_failure_count(self._cache_path)
-        self._memory.absorb(load_cache_entries(self._cache_path))
-        skipped = corrupt_line_count(self._cache_path) - before
-        crc_failed = crc_failure_count(self._cache_path) - before_crc
-        if skipped:
-            self.registry.inc("sweep/corrupt_lines", skipped)
-        if crc_failed:
-            self.registry.inc("cache/crc_failures", crc_failed)
+        loaded = load_cache_entries(self._cache_path)
+        self._memory.absorb(loaded)
+        report = loaded.report
+        assert report is not None  # a load always carries its census
+        if report.skipped:
+            self.registry.inc("sweep/corrupt_lines", report.skipped)
+        if report.crc_failures:
+            self.registry.inc("cache/crc_failures", report.crc_failures)
 
-    def _sync_lock_stats(self) -> None:
-        """Fold new lock contention events into the ``cache/*`` counters."""
-        waits = locking.lock_wait_total()
-        timeouts = locking.lock_timeout_total()
-        if waits > self._lock_waits_seen:
-            self.registry.inc("cache/lock_waits", waits - self._lock_waits_seen)
-            self._lock_waits_seen = waits
-        if timeouts > self._lock_timeouts_seen:
-            self.registry.inc(
-                "cache/lock_timeouts", timeouts - self._lock_timeouts_seen
-            )
-            self._lock_timeouts_seen = timeouts
+    def cache_write(
+        self, write: Callable[..., MergeStats], *args: object
+    ) -> MergeStats:
+        """``write(cache_path, *args)`` under this runner's lock timeout.
+
+        Every locked write of the cache file goes through here, so its
+        lock waits and a :class:`~repro.sim.locking.LockTimeoutError`
+        land in ``cache/lock_waits`` and ``cache/lock_timeouts``.
+        """
+        try:
+            stats = write(self._cache_path, *args, lock_timeout=self.lock_timeout)
+        except LockTimeoutError as error:
+            self._note_timeout(error)
+            raise
+        if stats.lock_waits:
+            self.registry.inc("cache/lock_waits", stats.lock_waits)
+        return stats
+
+    def _note_timeout(self, error: LockTimeoutError) -> None:
+        """Count a write that gave up on the cache lock, and its waits."""
+        self.registry.inc("cache/lock_timeouts")
+        if error.waits:
+            self.registry.inc("cache/lock_waits", error.waits)
 
     def resume_orphan_shards(self) -> list[str]:
         """Salvage shard files a killed sweep left behind; returns their keys.
@@ -234,21 +247,16 @@ class ExperimentRunner:
                 continue  # an in-flight sweep owns it; not ours to touch
             orphans.append(shard_dir)
             for shard in sorted(shard_dir.glob("shard-*.jsonl")):
-                for key, result in iter_cache_entries(shard):
+                for key, result in read_cache_entries(shard)[0].items():
                     if key not in self._memory and key not in recovered:
                         recovered[key] = result
         if recovered:
             # Fold-in merge (not append): if a concurrent process resumed
             # the same orphans first, its entries win and nothing is
             # duplicated.
-            merge_cache_entries(
-                self._cache_path,
-                recovered.items(),
-                lock_timeout=self.lock_timeout,
-            )
+            self.cache_write(merge_cache_entries, recovered.items())
             self._memory.update(recovered)
             self.registry.inc("sweep/resumed_cells", len(recovered))
-            self._sync_lock_stats()
         for shard_dir in orphans:
             _remove_shards(shard_dir)
         return sorted(recovered)
@@ -258,10 +266,7 @@ class ExperimentRunner:
         if self._cache_path is not None:
             # Locked single-line append: serialises against concurrent
             # appenders and sweep merges sharing this cache directory.
-            append_cache_entries(
-                self._cache_path, [(key, result)], lock_timeout=self.lock_timeout
-            )
-            self._sync_lock_stats()
+            self.cache_write(append_cache_entries, [(key, result)])
 
     @staticmethod
     def _single_key(machine: MachineConfig, trace_name: str, length: int) -> str:
@@ -321,8 +326,8 @@ class ExperimentRunner:
         if not pending:
             return 0
         self.cache_misses += len(pending)
-        try:
-            if self.jobs > 1 and len(pending) > 1:
+        if self.jobs > 1 and len(pending) > 1:
+            try:
                 outcome = run_sweep(
                     self.preset,
                     pending,
@@ -332,27 +337,26 @@ class ExperimentRunner:
                     policy=self.fault_policy,
                     lock_timeout=self.lock_timeout,
                 )
-                for job, result in zip(pending, outcome.results):
-                    if result is not None:
-                        self._memory[job.key] = result
-            else:
-                # Serial path: same execution primitive (retries, watchdog,
-                # fault hooks) as the workers, one job at a time.
-                outcome = SweepOutcome(results=[None] * len(pending))
-                for index, job in enumerate(pending):
-                    job_outcome = execute_job(
-                        index, job, self.preset, self.suite, self.fault_policy
-                    )
-                    outcome.retries += job_outcome.retries
-                    if job_outcome.failure is not None:
-                        outcome.failures.append(job_outcome.failure)
-                    else:
-                        outcome.results[index] = job_outcome.result
-                        self._store(job.key, job_outcome.result)
-        finally:
-            # Even a lock timeout or sweep abort leaves the contention
-            # counters truthful for the health report.
-            self._sync_lock_stats()
+            except LockTimeoutError as error:
+                self._note_timeout(error)
+                raise
+            for job, result in zip(pending, outcome.results):
+                if result is not None:
+                    self._memory[job.key] = result
+        else:
+            # Serial path: same execution primitive (retries, watchdog,
+            # fault hooks) as the workers, one job at a time.
+            outcome = SweepOutcome(results=[None] * len(pending))
+            for index, job in enumerate(pending):
+                job_outcome = execute_job(
+                    index, job, self.preset, self.suite, self.fault_policy
+                )
+                outcome.retries += job_outcome.retries
+                if job_outcome.failure is not None:
+                    outcome.failures.append(job_outcome.failure)
+                else:
+                    outcome.results[index] = job_outcome.result
+                    self._store(job.key, job_outcome.result)
         self._note_outcome(outcome)
         if outcome.failures and self.strict:
             raise SweepFailedError(list(outcome.failures))
@@ -368,6 +372,7 @@ class ExperimentRunner:
             ("sweep/shard_recovered", outcome.shard_recovered),
             ("sweep/corrupt_lines", outcome.corrupt_lines),
             ("cache/crc_failures", outcome.crc_failures),
+            ("cache/lock_waits", outcome.lock_waits),
         ):
             if amount:
                 self.registry.inc(name, amount)

@@ -21,11 +21,12 @@ Design points:
   :data:`DEFAULT_LOCK_TIMEOUT` seconds).  Exhausting it raises
   :class:`LockTimeoutError` naming the current owner instead of
   deadlocking the sweep.
-* **Accounted contention** — waits, timeouts and stale takeovers are
-  tallied per process (:func:`lock_wait_total`,
-  :func:`lock_timeout_total`, :func:`stale_lock_total`) so the
-  experiment runner can surface ``cache/lock_waits`` and
-  ``cache/lock_timeouts`` through its registry.
+* **Accounted contention** — each :class:`FileLock` counts its own
+  waits, timeouts and stale takeovers.  The cache writes in
+  :mod:`repro.sim.resultcache` return their lock's waits, and a
+  :class:`LockTimeoutError` carries the waits spent before it, so the
+  experiment runner adds them to ``cache/lock_waits`` and
+  ``cache/lock_timeouts`` in its registry.
 
 On platforms without ``fcntl`` (Windows) the lock degrades to a no-op:
 single-process use stays correct, and the CRC-checked cache format
@@ -63,25 +64,8 @@ LOCK_SUFFIX = ".lock"
 class LockTimeoutError(RuntimeError):
     """The cache lock could not be acquired within the timeout."""
 
-
-#: Process-local contention tallies (mirrors the corrupt-line counters
-#: in :mod:`repro.sim.resultcache`).
-_totals = {"waits": 0, "timeouts": 0, "stale": 0}
-
-
-def lock_wait_total() -> int:
-    """Backoff sleeps performed while waiting for locks (this process)."""
-    return _totals["waits"]
-
-
-def lock_timeout_total() -> int:
-    """Lock acquisitions that timed out (this process)."""
-    return _totals["timeouts"]
-
-
-def stale_lock_total() -> int:
-    """Locks taken over from a dead owner's metadata (this process)."""
-    return _totals["stale"]
+    #: Backoff sleeps the acquisition spent before giving up.
+    waits = 0
 
 
 def resolve_lock_timeout(
@@ -119,8 +103,7 @@ class FileLock:
             ...read-modify-write the cache...
 
     ``waits`` / ``timeouts`` / ``stale_owners`` count this instance's
-    contention events; the module-level totals aggregate across all
-    locks in the process.
+    contention events.
     """
 
     def __init__(
@@ -212,14 +195,14 @@ class FileLock:
                     owner = self._describe_owner(self._read_owner(fd))
                     os.close(fd)
                     self.timeouts += 1
-                    _totals["timeouts"] += 1
-                    raise LockTimeoutError(
+                    error = LockTimeoutError(
                         f"{self.path}: lock held by {owner}; gave up after "
                         f"{self.timeout:g}s (raise --lock-timeout / "
                         f"${LOCK_TIMEOUT_ENV} if the sweep is just slow)"
-                    ) from None
+                    )
+                    error.waits = self.waits
+                    raise error from None
                 self.waits += 1
-                _totals["waits"] += 1
                 delay = self._policy.delay(str(self.path), attempt)
                 time.sleep(min(delay, remaining))
         previous = self._read_owner(fd)
@@ -231,7 +214,6 @@ class FileLock:
                 and not _pid_alive(pid)
             ):
                 self.stale_owners += 1
-                _totals["stale"] += 1
         self._fd = fd
         self._write_owner(fd)
         faultinject.on_lock_acquired(self.path)

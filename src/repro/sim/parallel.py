@@ -21,8 +21,11 @@ experiment cache depends on:
   directory cooperate instead of clobbering each other (existing keys
   always win, new keys land in submission order).
 * **Crash tolerance** — shards are flushed per job, so results survive a
-  killed sweep; the tolerant loader in :mod:`repro.sim.resultcache`
-  skips (and counts) any line torn by the interruption.
+  killed sweep; the tolerant reader in :mod:`repro.sim.resultcache`
+  skips any line torn by the interruption and reports it, and the
+  merge adds each shard's report and the merge's own
+  :class:`~repro.sim.resultcache.MergeStats` to the
+  :class:`SweepOutcome`.
 
 On top of the scheduling layer sits a fault-tolerance layer in the
 shape of a production job runner:
@@ -56,16 +59,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.obs.tracing import TRACE_ENV
 from repro.sim import faultinject
 from repro.sim.config import MachineConfig, Preset
 from repro.sim.multi_core import simulate_mix
 from repro.sim.resultcache import (
-    corrupt_line_total,
-    crc_failure_total,
     encode_entry,
-    iter_cache_entries,
     merge_cache_entries,
+    read_cache_entries,
 )
 from repro.sim.retry import FailedCell, JobOutcome, RetryPolicy, deadline
 from repro.sim.single_core import simulate_trace
@@ -218,9 +218,6 @@ _WORKER: dict = {}
 
 def _init_worker(preset: Preset, shard_dir: str | None, policy: RetryPolicy) -> None:
     """Pool initializer: build the per-process suite, shard path, policy."""
-    # Tracing is a serial-only diagnostic: a pool of workers all writing
-    # per-access events to stderr would interleave uselessly.
-    os.environ.pop(TRACE_ENV, None)
     _WORKER["preset"] = preset
     _WORKER["suite"] = TraceSuite(preset.reference_llc_lines, preset.trace_length)
     _WORKER["policy"] = policy
@@ -386,8 +383,7 @@ def _salvage_from_shards(
         return []
     persisted: dict[str, dict] = {}
     for shard in sorted(shard_dir.glob("shard-*.jsonl")):
-        for key, result in iter_cache_entries(shard):
-            persisted[key] = result
+        persisted.update(read_cache_entries(shard)[0])
     return [
         JobOutcome(
             index=index, key=job.key, result=persisted[job.key], from_shard=True
@@ -414,15 +410,15 @@ def _merge_shards(
     (:func:`~repro.sim.resultcache.merge_cache_entries`): entries
     already in the cache — e.g. written by an overlapping sweep — win,
     so concurrent same-matrix sweeps converge on a byte-identical file.
-    Corrupt/CRC/lock-wait tallies land on ``outcome``.
+    The lines the shard reads and the merge skipped, and the merge's
+    lock waits, land on ``outcome``.
     """
-    corrupt_before = corrupt_line_total()
-    crc_before = crc_failure_total()
     sharded: dict[str, dict] = {}
     for shard in sorted(shard_dir.glob("shard-*.jsonl")):
-        # One streaming pass per shard — no intermediate per-shard dict.
-        for key, result in iter_cache_entries(shard):
-            sharded[key] = result
+        values, report = read_cache_entries(shard)
+        sharded.update(values)
+        outcome.corrupt_lines += report.skipped
+        outcome.crc_failures += report.crc_failures
     stats = merge_cache_entries(
         cache_path,
         (
@@ -432,8 +428,8 @@ def _merge_shards(
         ),
         lock_timeout=lock_timeout,
     )
-    outcome.corrupt_lines += corrupt_line_total() - corrupt_before
-    outcome.crc_failures += crc_failure_total() - crc_before
+    outcome.corrupt_lines += stats.corrupt_lines
+    outcome.crc_failures += stats.crc_failures
     outcome.lock_waits += stats.lock_waits
 
 

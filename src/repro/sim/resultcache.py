@@ -19,26 +19,29 @@ them too.  Files of any other version are stale: no reader opens them.
 Loading is *tolerant*: a worker interrupted mid-write (Ctrl-C, OOM kill,
 crashed pool) leaves a truncated final line behind, and a cache that
 refuses to load because of one torn line would throw away hours of sweep
-results.  Corrupt lines are skipped and reported via
+results.  Corrupt lines are skipped, reported via
 :class:`CorruptCacheLineWarning` — once per file per process — and
-*accounted* (:func:`corrupt_line_count`, :func:`corrupt_line_total`,
-:func:`crc_failure_count`, :func:`crc_failure_total`) so the sweep
-engine and ``repro stats`` surface every skip to the operator: silent
-data loss is a lie a report must not tell.
+*counted in what each call returns*: every read returns a
+:class:`CacheFileReport` and every write a :class:`MergeStats`, so the
+sweep engine and ``repro stats`` surface every skip to the operator:
+silent data loss is a lie a report must not tell.
 
-Lines stay in their stored form until a reader needs them.
-:func:`load_cache_entries` checks each line's CRC and slices its key
-out of the canonical ``{"key": "…", "result": {…}}`` prefix without
-parsing JSON; the result is decoded the first time it is asked for
-(:class:`ResultStore`).  A line not in that shape, or whose key holds
-an escape, takes the full decode at load instead.  The one rejection
-this defers is a canonical-shaped line whose CRC matches but whose
-payload does not decode: it is counted when its key is first asked
-for, and reads as a miss.  Rewrites copy valid lines verbatim and
-re-encode only the fallback-decoded ones.  :func:`scan_cache_file`
-(``repro cache verify``) is the one full decode of every line.
+One scan reads a file (one ``open``, one line loop); every reader and
+rewriter below is that scan.  Lines stay in their stored form until a
+reader needs them: :func:`load_cache_entries` checks each line's CRC
+and slices its key out of the canonical ``{"key": "…", "result": {…}}``
+prefix without parsing JSON; the result is decoded the first time it is
+asked for (:class:`ResultStore`).  A line not in that shape, or whose
+key holds an escape, takes the full decode at load instead.  The one
+rejection this defers is a canonical-shaped line whose CRC matches but
+whose payload does not decode: it is reported to the store's
+``on_reject`` when its key is first asked for, and reads as a miss.
+Rewrites copy valid lines verbatim and re-encode only the
+fallback-decoded ones.  :func:`read_cache_entries` and
+:func:`scan_cache_file` (``repro cache verify``) decode every line.
 
-Write primitives and their concurrency contracts:
+Write primitives and their concurrency contracts (each returns a
+:class:`MergeStats`):
 
 * :func:`append_cache_entries` — append under the cache's advisory lock
   (:mod:`repro.sim.locking`); used for incremental single-run stores.
@@ -52,8 +55,6 @@ Write primitives and their concurrency contracts:
 * :func:`canonicalize_cache_file` — the same locked read-and-scrub,
   rewritten key-sorted; ``repro cache canonicalize`` is also the repair
   for a file ``repro cache verify --strict`` rejects.
-* :func:`write_cache_entries` — the atomic rewrite primitive (no lock;
-  callers hold it).
 
 :func:`encode_entry` is the only writer of new lines.
 """
@@ -97,38 +98,6 @@ class CorruptCacheLineWarning(RuntimeWarning):
 #: Files already reported as corrupt (resolved paths); a process warns at
 #: most once per file however many times the file is re-read.
 _warned_corrupt: set[str] = set()
-
-#: Cumulative skipped-line tally per resolved path, for this process
-#: (structural corruption and CRC failures combined).
-_corrupt_counts: dict[str, int] = {}
-
-#: Cumulative CRC-mismatch tally per resolved path (subset of the
-#: corrupt tally: lines the checksum — not the JSON parser — rejected).
-_crc_counts: dict[str, int] = {}
-
-
-def corrupt_line_count(path: Path) -> int:
-    """Corrupt lines skipped so far (this process) while reading ``path``."""
-    return _corrupt_counts.get(str(path.resolve()), 0)
-
-
-def corrupt_line_total() -> int:
-    """Corrupt lines skipped so far (this process) across every file.
-
-    Monotonic; callers that need a per-operation figure snapshot it
-    before and after (the shard merge in :mod:`repro.sim.parallel` does).
-    """
-    return sum(_corrupt_counts.values())
-
-
-def crc_failure_count(path: Path) -> int:
-    """CRC-rejected lines so far (this process) while reading ``path``."""
-    return _crc_counts.get(str(path.resolve()), 0)
-
-
-def crc_failure_total() -> int:
-    """CRC-rejected lines so far (this process) across every file."""
-    return sum(_crc_counts.values())
 
 
 def cache_file_name(preset_name: str) -> str:
@@ -250,69 +219,142 @@ def _framed(key: str, value: str | dict) -> str:
     return value if isinstance(value, str) else encode_entry(key, value)
 
 
-def _read_valid(path: Path, *, lazy: bool) -> Iterator[tuple[str, str | dict]]:
-    """``(key, value)`` for each valid line (see :func:`_decode_line`).
+@dataclass(frozen=True)
+class CacheFileReport:
+    """What one scan of a cache file saw (``repro cache verify`` prints it).
 
-    Blank lines are ignored; rejected lines are counted against ``path``
-    with one :class:`CorruptCacheLineWarning` per file per process once
-    the file is exhausted.  A missing file yields nothing.
+    ``lines`` counts the non-blank lines and ``entries`` the valid ones,
+    repeated keys included; ``crc_failures`` are lines whose checksum
+    did not match, ``corrupt_lines`` lines with no checksum or whose
+    checked payload is no entry, ``duplicate_keys`` valid lines whose
+    key an earlier line already held, and ``blank_lines`` empty ones.
     """
-    if not path.exists():
-        return
-    corrupt = 0
-    crc_failed = 0
-    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
+
+    path: Path
+    lines: int = 0
+    entries: int = 0
+    crc_failures: int = 0
+    corrupt_lines: int = 0
+    duplicate_keys: int = 0
+    blank_lines: int = 0
+
+    @property
+    def skipped(self) -> int:
+        """Lines every reader skips: CRC failures and corrupt lines."""
+        return self.crc_failures + self.corrupt_lines
+
+    @property
+    def clean(self) -> bool:
+        """True when nothing in the file was rejected."""
+        return not self.skipped
+
+    @property
+    def needs_scrub(self) -> bool:
+        """True when a rewrite drops lines: rejected, repeated or blank ones."""
+        return bool(self.skipped or self.duplicate_keys or self.blank_lines)
+
+
+def _scan(path: Path, *, lazy: bool) -> tuple[dict[str, str | dict], CacheFileReport]:
+    """Read ``path`` once: each key's last valid value, and the census.
+
+    Values sit at their key's first position, and a later line for a
+    key wins, matching append-only write semantics.  A value is the
+    decoded result — or, with ``lazy``, the raw line of one in canonical
+    shape (see :func:`_decode_line`).  A missing file reads as empty.
+    """
+    values: dict[str, str | dict] = {}
+    lines = crc_failed = corrupt = blank = 0
+    try:
+        handle = path.open(encoding="utf-8", errors="surrogateescape")
+    except FileNotFoundError:
+        return values, CacheFileReport(path=path)
+    with handle:
         for line in handle:
             line = line.strip()
             if not line:
+                blank += 1
                 continue
+            lines += 1
             status, key, value = _decode_line(line, lazy=lazy)
-            if status == "ok":
-                assert key is not None and value is not None
-                yield key, value
+            if key is not None and value is not None:
+                values[key] = value
             elif status == "crc":
                 crc_failed += 1
             else:
                 corrupt += 1
-    if corrupt or crc_failed:
-        detail = f" ({crc_failed} failed the CRC check)" if crc_failed else ""
-        _tally(
-            path,
-            corrupt + crc_failed,
-            crc_failed,
-            f"skipped {corrupt + crc_failed} corrupt cache line(s){detail}; "
-            "likely a simulation interrupted mid-write or at-rest corruption",
-        )
+    entries = lines - crc_failed - corrupt
+    return values, CacheFileReport(
+        path=path,
+        lines=lines,
+        entries=entries,
+        crc_failures=crc_failed,
+        corrupt_lines=corrupt,
+        duplicate_keys=entries - len(values),
+        blank_lines=blank,
+    )
 
 
-def iter_cache_entries(path: Path) -> Iterator[tuple[str, dict]]:
-    """Stream ``(key, result)`` pairs from a JSONL cache file, one pass.
+def _warn(path: Path, skipped: int, crc_failed: int, note: str) -> None:
+    """Report ``skipped`` lines of ``path``; warns once per file per process."""
+    if not skipped:
+        return
+    resolved = str(path.resolve())
+    if resolved in _warned_corrupt:
+        return
+    _warned_corrupt.add(resolved)
+    detail = f" ({crc_failed} failed the CRC check)" if crc_failed else ""
+    warnings.warn(
+        f"{path}: skipped {skipped} corrupt cache line(s){detail}; {note}",
+        CorruptCacheLineWarning,
+        stacklevel=3,
+    )
 
-    Every line is decoded as it is read.  Blank lines are ignored;
+
+_READ_NOTE = "likely a simulation interrupted mid-write or at-rest corruption"
+_REWRITE_NOTE = "the atomic rewrite scrubbed them"
+
+
+def read_cache_entries(path: Path) -> tuple[dict[str, dict], CacheFileReport]:
+    """``(key -> result, report)`` for a JSONL cache file, every line decoded.
+
+    Later entries for a repeated key win.  Blank lines are ignored;
     truncated, unchecksummed, structurally wrong or CRC-rejected lines
-    are skipped, counted, and reported with one
-    :class:`CorruptCacheLineWarning` per file per process.  A missing
-    file yields nothing.
+    are skipped, counted in the report, and warned about once per file
+    per process.  A missing file reads as empty.
     """
-    for key, result in _read_valid(path, lazy=False):
-        assert isinstance(result, dict)
-        yield key, result
+    values, report = _scan(path, lazy=False)
+    _warn(path, report.skipped, report.crc_failures, _READ_NOTE)
+    return values, report  # type: ignore[return-value]
+
+
+def scan_cache_file(path: Path) -> CacheFileReport:
+    """Full integrity scan of one cache file, without a warning.
+
+    The census ``repro cache verify`` reports: the same decode-every-line
+    read as :func:`read_cache_entries`.
+    """
+    return _scan(path, lazy=False)[1]
 
 
 class ResultStore(MutableMapping[str, dict]):
     """``key -> result`` over a cache file's lines, decoded on first use.
 
-    :func:`load_cache_entries` fills it with CRC-checked raw lines; the
-    first lookup of a key decodes its line and memoizes the result, and
-    results stored later are kept as given.  A raw line whose payload
-    then fails to decode is counted against ``path`` like a load-time
-    skip, reported to ``on_reject``, and dropped: its key reads as a
-    miss.  Iteration decodes every entry it yields; ``len`` counts the
-    entries not yet found corrupt.
+    :func:`load_cache_entries` fills it with CRC-checked raw lines and
+    the load's :class:`CacheFileReport` (``report``); the first lookup
+    of a key decodes its line and memoizes the result, and results
+    stored later are kept as given.  A raw line whose payload then
+    fails to decode is warned about like a load-time skip, reported to
+    ``on_reject``, and dropped: its key reads as a miss.  Iteration
+    decodes every entry it yields; ``len`` counts the entries not yet
+    found corrupt.
     """
 
-    def __init__(self, path: Path | None = None) -> None:
+    def __init__(
+        self, path: Path | None = None, report: CacheFileReport | None = None
+    ) -> None:
         self.path = path
+        #: The census of the load that filled this store, if one did.
+        self.report = report
         #: Called once for each raw line whose deferred decode fails.
         self.on_reject: Callable[[], None] | None = None
         self._values: dict[str, str | dict] = {}
@@ -327,12 +369,11 @@ class ResultStore(MutableMapping[str, dict]):
             del self._values[key]
             self._rejected.add(value)
             if self.path is not None:
-                _tally(
+                _warn(
                     self.path,
                     1,
                     0,
-                    "skipped a corrupt cache line whose result failed to "
-                    "decode on first use; it reads as a miss",
+                    "its result failed to decode on first use; it reads as a miss",
                 )
             if self.on_reject is not None:
                 self.on_reject()
@@ -373,16 +414,39 @@ class ResultStore(MutableMapping[str, dict]):
 def load_cache_entries(path: Path) -> ResultStore:
     """Read a JSONL cache file into a lazily decoding key -> result store.
 
-    One pass checks each line's CRC and keeps it raw; results are
-    decoded on first use (:class:`ResultStore`).  Later entries for a
-    repeated key win, matching append-only write semantics.  Every line
-    rejected at load is counted and warned about as in
-    :func:`iter_cache_entries`; a canonical-shaped line whose payload
-    does not decode is counted when its key is first asked for.
+    One scan checks each line's CRC and keeps it raw; results are
+    decoded on first use (:class:`ResultStore`), and the store carries
+    the scan's :class:`CacheFileReport`.  Every line rejected at load is
+    counted there and warned about as in :func:`read_cache_entries`; a
+    canonical-shaped line whose payload does not decode is reported
+    when its key is first asked for.
     """
-    store = ResultStore(path)
-    store._values.update(_read_valid(path, lazy=True))
+    values, report = _scan(path, lazy=True)
+    _warn(path, report.skipped, report.crc_failures, _READ_NOTE)
+    store = ResultStore(path, report)
+    store._values = values
     return store
+
+
+@dataclass(frozen=True)
+class MergeStats:
+    """What one locked write of a cache file did.
+
+    ``new_entries`` were written by this call; ``existing_entries`` were
+    already present (and won over any incoming duplicate) — every entry
+    a canonicalize kept; ``corrupt_lines`` counts lines the write's read
+    of the existing file skipped (and its rewrite scrubbed), CRC
+    failures included, and ``crc_failures`` that subset; ``lock_waits``
+    counts backoff sleeps while acquiring the cache lock.  An append
+    reads nothing, so only its new entries and lock waits can be
+    nonzero.
+    """
+
+    new_entries: int = 0
+    existing_entries: int = 0
+    corrupt_lines: int = 0
+    crc_failures: int = 0
+    lock_waits: int = 0
 
 
 def append_cache_entries(
@@ -390,58 +454,45 @@ def append_cache_entries(
     items: Iterable[tuple[str, dict]],
     *,
     lock_timeout: float | None = None,
-) -> int:
-    """Append ``(key, result)`` v5 lines to ``path``; returns lines written.
+) -> MergeStats:
+    """Append ``(key, result)`` v5 lines to ``path``.
 
     The append happens under ``path``'s advisory lock, so concurrent
     appenders and mergers serialise instead of interleaving bytes.  A
     crash mid-append can still tear the final line — which the CRC then
     detects on the next load.
     """
+    lock = FileLock.for_target(path, timeout=lock_timeout)
     written = 0
-    with FileLock.for_target(path, timeout=lock_timeout):
+    with lock:
         with path.open("a") as handle:
             for key, result in items:
                 handle.write(encode_entry(key, result) + "\n")
                 written += 1
             handle.flush()
             os.fsync(handle.fileno())
-    return written
+    return MergeStats(new_entries=written, lock_waits=lock.waits)
 
 
-def write_cache_entries(path: Path, items: Iterable[tuple[str, dict]]) -> int:
-    """Atomically replace ``path`` with the given entries; returns count.
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Atomically replace ``path`` with ``lines`` (caller holds the lock).
 
     Writes a temp file in the same directory, ``fsync``\\ s it, then
     ``os.replace``\\ s it over the target — readers observe either the
     old file or the new one, never a half-written hybrid, and a crash
-    at any point leaves the original intact.  Callers that race other
-    writers must hold the cache lock; this primitive itself does not
-    take it.
-    """
-    return _write_lines(path, (encode_entry(key, result) for key, result in items))
-
-
-def _write_lines(path: Path, lines: Iterable[str]) -> int:
-    """The atomic replace behind every rewrite; returns lines written.
-
-    Merge and canonicalize call it with the lock held, passing raw
-    lines through verbatim.
+    at any point leaves the original intact.
     """
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    written = 0
     try:
         with tmp.open("w", encoding="utf-8", errors="surrogateescape") as handle:
             for line in lines:
                 handle.write(line + "\n")
-                written += 1
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
     _fsync_dir(path.parent)
-    return written
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -456,57 +507,6 @@ def _fsync_dir(directory: Path) -> None:
         pass
     finally:
         os.close(fd)
-
-
-@dataclass(frozen=True)
-class MergeStats:
-    """What one locked fold-in merge did.
-
-    ``new_entries`` were appended by this merge; ``existing_entries``
-    were already present (and won over any incoming duplicate);
-    ``corrupt_lines`` / ``crc_failures`` count lines the tolerant read
-    of the *existing* file skipped (and the rewrite scrubbed);
-    ``lock_waits`` counts backoff sleeps while acquiring the cache lock.
-    """
-
-    new_entries: int
-    existing_entries: int
-    corrupt_lines: int
-    crc_failures: int
-    lock_waits: int
-
-
-def _read_for_rewrite(path: Path) -> tuple[dict[str, str | dict], bool]:
-    """Tolerantly read ``path`` for a locked rewrite (caller holds the lock).
-
-    Returns ``(values, dirty)``: each key's last-seen value in
-    first-seen key order, and whether a rewrite must scrub anything —
-    blank, corrupt or CRC-failed lines (each counted via
-    :func:`_account_skip`) or repeated keys.  A value is the raw line
-    for a line in canonical shape (written back verbatim) and the
-    decoded result for one that took the fallback decode (re-encoded).
-    A missing file reads as empty and clean.
-    """
-    values: dict[str, str | dict] = {}
-    dirty = False
-    if not path.exists():
-        return values, dirty
-    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                dirty = True
-                continue
-            status, key, value = _decode_line(line, lazy=True)
-            if status != "ok":
-                dirty = True
-                _account_skip(path, status)
-                continue
-            assert key is not None and value is not None
-            if key in values:
-                dirty = True
-            values[key] = value
-    return values, dirty
 
 
 def merge_cache_entries(
@@ -534,36 +534,36 @@ def merge_cache_entries(
     """
     lock = FileLock.for_target(path, timeout=lock_timeout)
     with lock:
-        before_corrupt = corrupt_line_total()
-        before_crc = crc_failure_total()
-        values, dirty = _read_for_rewrite(path)
+        values, report = _scan(path, lazy=True)
         existing = len(values)
-        new = 0
+        new = undecodable = 0
         for key, result in items:
             held = values.get(key)
             if isinstance(held, str) and _decode_raw(key, held) is None:
                 del values[key]
                 existing -= 1
-                _account_skip(path, "corrupt")
+                undecodable += 1
                 held = None
             if held is None:
                 values[key] = result
                 new += 1
-        if new or dirty:
+        if new or report.needs_scrub:
             _write_lines(path, (_framed(key, value) for key, value in values.items()))
-    return MergeStats(
+    stats = MergeStats(
         new_entries=new,
         existing_entries=existing,
-        corrupt_lines=corrupt_line_total() - before_corrupt,
-        crc_failures=crc_failure_total() - before_crc,
+        corrupt_lines=report.skipped + undecodable,
+        crc_failures=report.crc_failures,
         lock_waits=lock.waits,
     )
+    _warn(path, stats.corrupt_lines, stats.crc_failures, _REWRITE_NOTE)
+    return stats
 
 
 def canonicalize_cache_file(
     path: Path, *, lock_timeout: float | None = None
-) -> int:
-    """Rewrite ``path`` with entries sorted by key; returns the entry count.
+) -> MergeStats:
+    """Rewrite ``path`` with entries sorted by key.
 
     The experiment service's determinism primitive: a server interleaves
     batches from many clients, so its cache file would otherwise end up
@@ -576,98 +576,23 @@ def canonicalize_cache_file(
     Idempotent and conservative: an already-sorted, clean, duplicate-
     free file is left byte-untouched; duplicates resolve last-wins (the
     append-path semantics); corrupt or CRC-failed lines are scrubbed and
-    counted like every other tolerant read.  A missing file is a no-op.
+    counted like every other tolerant read.  The entry count is the
+    returned ``existing_entries``; a missing file is a no-op.
     """
-    with FileLock.for_target(path, timeout=lock_timeout):
-        values, dirty = _read_for_rewrite(path)
+    lock = FileLock.for_target(path, timeout=lock_timeout)
+    with lock:
+        values, report = _scan(path, lazy=True)
         ordered = sorted(values)
-        if dirty or list(values) != ordered:
+        if report.needs_scrub or list(values) != ordered:
             _write_lines(path, (_framed(key, values[key]) for key in ordered))
-    return len(values)
-
-
-def _account_skip(path: Path, status: str) -> None:
-    """Count one line a rewrite skipped against ``path``.
-
-    Feeds the same ``repro stats`` tallies as a plain load (the
-    once-per-file warning still fires at most once per process).
-    """
-    _tally(
-        path,
-        1,
-        int(status == "crc"),
-        "skipped corrupt cache line(s) during a rewrite; "
-        "the atomic rewrite scrubbed them",
+    stats = MergeStats(
+        existing_entries=len(values),
+        corrupt_lines=report.skipped,
+        crc_failures=report.crc_failures,
+        lock_waits=lock.waits,
     )
-
-
-def _tally(path: Path, skipped: int, crc_failed: int, message: str) -> None:
-    """Count skipped lines against ``path``; warn once per file per process."""
-    resolved = str(path.resolve())
-    _corrupt_counts[resolved] = _corrupt_counts.get(resolved, 0) + skipped
-    if crc_failed:
-        _crc_counts[resolved] = _crc_counts.get(resolved, 0) + crc_failed
-    if resolved not in _warned_corrupt:
-        _warned_corrupt.add(resolved)
-        warnings.warn(f"{path}: {message}", CorruptCacheLineWarning, stacklevel=4)
-
-
-# ----------------------------------------------------------------------
-# Offline integrity tooling: `repro cache verify`.
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CacheFileReport:
-    """Integrity census of one cache file (``repro cache verify``)."""
-
-    path: Path
-    lines: int = 0
-    entries: int = 0
-    crc_failures: int = 0
-    corrupt_lines: int = 0
-    duplicate_keys: int = 0
-
-    @property
-    def clean(self) -> bool:
-        """True when nothing in the file was rejected."""
-        return self.crc_failures == 0 and self.corrupt_lines == 0
-
-
-def scan_cache_file(path: Path) -> CacheFileReport:
-    """Full integrity scan of one cache file (no warnings, no tallies).
-
-    Counts total lines, valid entries, CRC rejections, structurally
-    corrupt (including unchecksummed) lines and duplicate keys — the
-    per-file census ``repro cache verify`` reports.
-    """
-    lines = entries = crc_failed = corrupt = duplicates = 0
-    seen: set[str] = set()
-    with path.open(encoding="utf-8", errors="surrogateescape") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            lines += 1
-            status, key, _ = _decode_line(line)
-            if status == "crc":
-                crc_failed += 1
-            elif status == "corrupt":
-                corrupt += 1
-            else:
-                assert key is not None
-                entries += 1
-                if key in seen:
-                    duplicates += 1
-                seen.add(key)
-    return CacheFileReport(
-        path=path,
-        lines=lines,
-        entries=entries,
-        crc_failures=crc_failed,
-        corrupt_lines=corrupt,
-        duplicate_keys=duplicates,
-    )
+    _warn(path, stats.corrupt_lines, stats.crc_failures, _REWRITE_NOTE)
+    return stats
 
 
 def cache_files(directory: Path) -> list[tuple[Path, int]]:

@@ -108,9 +108,9 @@ def simulate_trace(
 ) -> RunResult:
     """Run one trace through one machine configuration.
 
-    ``tracer`` (or ``$REPRO_TRACE``, see :mod:`repro.obs.tracing`)
-    records a bounded window of per-access events without affecting any
-    simulation state.  ``registry`` lets a caller keep the run's
+    ``tracer`` (see :mod:`repro.obs.tracing`) records a bounded window
+    of per-access events without affecting any simulation state; the
+    caller flushes it.  ``registry`` lets a caller keep the run's
     :class:`CounterRegistry` afterwards — the perf bench reads the
     ``phase/*`` timers, which never serialise into ``RunResult.obs``.
 
@@ -141,9 +141,6 @@ def simulate_trace(
             prime(trace.addrs)
     core = CoreTimingModel(core_params_for(trace, machine))
 
-    env_tracer = tracer is None
-    if env_tracer:
-        tracer = TraceRecorder.from_env()
     if tracer is not None:
         tracer.record(event="run", trace=trace.meta.name, machine=machine.label)
 
@@ -213,9 +210,6 @@ def simulate_trace(
         palette = getattr(data, "palette", None)
         if palette:
             publish_codec_histograms(registry, [entry.data for entry in palette])
-
-    if env_tracer and tracer is not None:
-        tracer.flush()
 
     stats = hierarchy.stats
     result = RunResult(

@@ -27,7 +27,7 @@ from repro.dist.journal import DispatchJournal, journal_path, replay_journal
 from repro.dist.worker import WorkerEndpoint, parse_worker_spec
 from repro.serve.client import Address, ServeClientError
 from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB
-from repro.sim.resultcache import encode_entry, iter_cache_entries
+from repro.sim.resultcache import encode_entry, read_cache_entries
 
 
 def _coordinator(tmp_path, traces=("sjeng.1",), **kwargs) -> DispatchCoordinator:
@@ -215,7 +215,7 @@ class TestPartialFold:
         # The result is in the cache *now*, mid-dispatch: a kill -9
         # from here on cannot lose it.
         cache = coordinator.runner.cache_path
-        assert dict(iter_cache_entries(cache)) == {job.key: {"ipc": 1.0}}
+        assert read_cache_entries(cache)[0] == {job.key: {"ipc": 1.0}}
         assert _counter(coordinator, "dist/folds_partial") == 1
         replay = replay_journal(coordinator._journal.path)
         assert replay.completed == {job.key}
@@ -256,7 +256,7 @@ class TestPartialFold:
         replay = replay_journal(coordinator._journal.path)
         assert replay.folds == 2
         assert replay.folded == {first.key, second.key}
-        cache = dict(iter_cache_entries(coordinator.runner.cache_path))
+        cache = read_cache_entries(coordinator.runner.cache_path)[0]
         assert cache == {first.key: {"a": 1}, second.key: {"b": 2}}
         assert _counter(coordinator, "dist/merged_new_entries") == 2
 
@@ -334,7 +334,7 @@ class TestJournalLifecycle:
         assert coordinator.cached_cells == 1
         assert _counter(coordinator, "dist/resumes") == 1
         assert _counter(coordinator, "dist/jobs_salvaged") == 1
-        assert dict(iter_cache_entries(cache_path))[key] == payload
+        assert read_cache_entries(cache_path)[0][key] == payload
         assert not journal.path.exists()
         # The dead coordinator's shard directory was reclaimed too.
         assert not shard_dir.exists()

@@ -318,6 +318,55 @@ def test_slow_worker_is_caught_by_heartbeat_deadline(tmp_path):
     assert scan_cache_file(dist_cache).clean
 
 
+def test_torn_staged_line_is_rejected_once_and_recovered_from_memory(tmp_path):
+    """A staged line torn in transit never reaches the cache.
+
+    The ``remote-torn-merge`` fault zeroes the CRC of the last line
+    worker-0's first pull staged.  Every fold re-reads the staged
+    shards, yet the torn line is counted once, and its entry comes from
+    the coordinator's in-memory copy of the result.
+    """
+    serial = _serial_reference(tmp_path / "serial")
+
+    dist_dir = tmp_path / "dist"
+    env = _env(
+        dist_dir,
+        **{
+            FAULTS_ENV: "remote-torn-merge:0:1",
+            FAULTS_DIR_ENV: str(tmp_path / "fault-stamps"),
+        },
+    )
+    dispatch = _repro(
+        (
+            "dispatch",
+            "--preset",
+            "test",
+            *_trace_flags(TRACES),
+            "--workers",
+            "2",
+            "--lease-size",
+            "1",
+            "--fold-every",
+            "1",
+            "--json",
+        ),
+        env,
+    )
+    assert dispatch.returncode == 0, dispatch.stderr
+    report = json.loads(dispatch.stdout)
+    assert report["completed"] == 2 * len(TRACES)
+    assert report["failures"] == []
+    assert report["recovered_from_memory"] == 1
+
+    [dist_cache] = dist_dir.glob("results-v*.jsonl")
+    assert dist_cache.read_bytes() == serial.read_bytes()
+
+    counters = json.loads((dist_dir / "dist-stats.json").read_text())["counters"]
+    assert counters["dist/folds_partial"]["value"] > 1  # shards re-read per fold
+    assert counters["dist/shard_crc_rejected"]["value"] == 1
+    assert counters["dist/shard_corrupt_lines"]["value"] == 1
+
+
 def test_dispatch_with_jobs_but_no_workers_exits_2(tmp_path):
     result = _repro(
         ("dispatch", "--preset", "test", "--trace", "sjeng.1"), _env(tmp_path)

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.obs.tracing import (
-    TRACE_ENV,
+    DEFAULT_LIMIT,
     TRACE_FILE_ENV,
     TRACE_LIMIT_ENV,
     TraceRecorder,
@@ -47,39 +48,27 @@ class TestRecorder:
 
 
 class TestFromEnv:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV, raising=False)
-        assert TraceRecorder.from_env() is None
-
-    def test_zero_disables(self, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV, "0")
-        assert TraceRecorder.from_env() is None
-
-    def test_enabled_with_limit_and_file(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(TRACE_ENV, "1")
+    def test_limit_and_file(self, monkeypatch, tmp_path):
         monkeypatch.setenv(TRACE_LIMIT_ENV, "17")
         monkeypatch.setenv(TRACE_FILE_ENV, str(tmp_path / "events.jsonl"))
         rec = TraceRecorder.from_env()
-        assert rec is not None
         assert rec.limit == 17
         assert rec.path == str(tmp_path / "events.jsonl")
 
-    def test_force_ignores_flag_but_honours_limit(self, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV, raising=False)
-        monkeypatch.setenv(TRACE_LIMIT_ENV, "5")
-        rec = TraceRecorder.from_env(force=True)
-        assert rec is not None and rec.limit == 5
+    def test_defaults_when_unset(self, monkeypatch):
+        monkeypatch.delenv(TRACE_LIMIT_ENV, raising=False)
+        monkeypatch.delenv(TRACE_FILE_ENV, raising=False)
+        rec = TraceRecorder.from_env()
+        assert (rec.limit, rec.path) == (DEFAULT_LIMIT, None)
 
     def test_garbage_limit_rejected(self, monkeypatch):
-        monkeypatch.setenv(TRACE_ENV, "1")
         monkeypatch.setenv(TRACE_LIMIT_ENV, "lots")
         with pytest.raises(ValueError, match=TRACE_LIMIT_ENV):
             TraceRecorder.from_env()
 
 
 class TestTracedSimulation:
-    def test_tracing_does_not_change_results(self, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV, raising=False)
+    def test_tracing_does_not_change_results(self):
         runner = ExperimentRunner(TEST, use_disk_cache=False)
         trace = runner.suite.trace("sjeng.1")
 
@@ -105,18 +94,23 @@ class TestTracedSimulation:
         assert all(e["level"] in (1, 2, 3, 4) for e in access_events)
         assert tracer.dropped == len(trace) - 49
 
-    def test_env_var_activates_tracing_to_file(self, monkeypatch, tmp_path):
+    def test_stats_trace_events_simulates_a_cached_cell_to_file(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """``repro stats --trace-events`` skips the cache and writes its window."""
         out = tmp_path / "events.jsonl"
-        monkeypatch.setenv(TRACE_ENV, "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        args = ["stats", "--trace", "sjeng.1", "--preset", "test"]
+        assert main(args) == 0  # caches the cell
+        assert not out.exists()
+
         monkeypatch.setenv(TRACE_LIMIT_ENV, "10")
         monkeypatch.setenv(TRACE_FILE_ENV, str(out))
-        runner = ExperimentRunner(TEST, use_disk_cache=False)
-        simulate_trace(
-            runner.suite.trace("sjeng.1"),
-            runner.suite.data_model("sjeng.1"),
-            BASE_VICTIM_2MB,
-            TEST,
-        )
+        assert main([*args, "--trace-events"]) == 0
+        capsys.readouterr()
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(lines) == 11  # 10-event window + truncation marker
+        assert lines[0]["event"] == "run" and lines[0]["trace"] == "sjeng.1"
+        assert [line["i"] for line in lines[1:-1]] == list(range(9))
         assert lines[-1]["truncated"] is True
+        assert lines[-1]["dropped_events"] == TEST.trace_length - 9

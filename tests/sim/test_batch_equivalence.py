@@ -42,7 +42,7 @@ from repro.cache.setassoc import SetAssociativeCache
 from repro.core.interfaces import AccessKind, LLCArchitecture
 from repro.memory.dram import DRAMModel
 from repro.obs.registry import CounterRegistry
-from repro.obs.tracing import TRACE_ENV, TRACE_FILE_ENV, TRACE_LIMIT_ENV
+from repro.obs.tracing import TraceRecorder
 from repro.sim import single_core
 from repro.sim.config import ARCH_BASE_VICTIM, ARCH_CHOICES, TEST, MachineConfig
 from repro.sim.single_core import simulate_trace
@@ -544,12 +544,12 @@ class TestChunkBoundaries:
 
 
 class TestTraceWindowAcrossChunks:
-    """A $REPRO_TRACE window that covers only part of the trace.
+    """A tracer window that covers only part of the trace.
 
     An active tracer forces the traced reference loop by design, so the
-    invariant under test is: an env-traced run whose recording window
-    ends partway through the trace is byte-identical to the batched run
-    of the same trace — tracing can never perturb state, and the batch
+    invariant under test is: a traced run whose recording window ends
+    partway through the trace is byte-identical to the batched run of
+    the same trace — tracing can never perturb state, and the batch
     engine can never disagree with what the tracer saw.
     """
 
@@ -557,19 +557,16 @@ class TestTraceWindowAcrossChunks:
     SEED = 99_002
     WINDOW = 175
 
-    def test_window_spans_chunk_boundaries(self, tmp_path, monkeypatch):
+    def test_window_spans_chunk_boundaries(self):
         trace = fuzz_trace(self.SEED)
         assert len(trace) > self.WINDOW
         batched = run_engine(trace, self.MACHINE, "batch")
 
-        out = tmp_path / "events.jsonl"
-        monkeypatch.setenv(TRACE_ENV, "1")
-        monkeypatch.setenv(TRACE_LIMIT_ENV, str(self.WINDOW))
-        monkeypatch.setenv(TRACE_FILE_ENV, str(out))
-        traced = run_engine(trace, self.MACHINE, "batch")
+        tracer = TraceRecorder(limit=self.WINDOW)
+        traced = run_engine(trace, self.MACHINE, "batch", tracer=tracer)
 
         assert batched == traced
-        events = [json.loads(line) for line in out.read_text().splitlines()]
-        recorded = [event["i"] for event in events if "i" in event]
+        assert tracer.dropped > 0
+        recorded = [event["i"] for event in tracer.events if "i" in event]
         assert recorded[0] == 0
         assert recorded[-1] < len(trace) - 1  # the window really ends early

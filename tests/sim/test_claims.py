@@ -26,7 +26,7 @@ from repro.sim.config import (
 )
 from repro.sim.metrics import dram_read_ratio, geomean, ipc_ratio, weighted_speedup
 from repro.sim.multi_core import MixRunResult
-from repro.sim.resultcache import cache_file_name, iter_cache_entries
+from repro.sim.resultcache import cache_file_name, read_cache_entries
 from repro.sim.single_core import RunResult
 
 CACHE_PATH = (
@@ -60,7 +60,7 @@ MIXES = 20
 def cache() -> tuple[Cells, MixCells]:
     singles: Cells = {}
     mixes: MixCells = {}
-    for key, result in iter_cache_entries(CACHE_PATH):
+    for key, result in read_cache_entries(CACHE_PATH)[0].items():
         kind, _, machine, name, _ = key.split("|")
         if kind == "single":
             singles[(machine, name)] = RunResult.from_dict(result)

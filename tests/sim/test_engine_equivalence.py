@@ -19,7 +19,7 @@ import json
 
 import pytest
 
-from repro.obs.tracing import TRACE_ENV, TRACE_FILE_ENV, TraceRecorder
+from repro.obs.tracing import TraceRecorder
 from repro.sim import multi_core, single_core
 from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, TEST, Preset
 from repro.sim.multi_core import simulate_mix
@@ -69,27 +69,6 @@ class TestTracedVsBatchLoop:
         key = "llc/victim_occupancy"
         assert batched.obs[key] == traced.obs[key]
         assert sum(batched.obs[key]["buckets"].values()) > 0
-
-
-class TestReproTraceEnvEquivalence:
-    def test_env_tracing_changes_no_simulation_state(self, tmp_path, monkeypatch):
-        baseline = run_once(BASE_VICTIM_2MB, "sjeng.1")
-
-        out = tmp_path / "events.jsonl"
-        monkeypatch.setenv(TRACE_ENV, "1")
-        monkeypatch.setenv(TRACE_FILE_ENV, str(out))
-        traced = run_once(BASE_VICTIM_2MB, "sjeng.1")
-
-        assert json.dumps(traced.to_dict(), sort_keys=True) == json.dumps(
-            baseline.to_dict(), sort_keys=True
-        )
-        events = [json.loads(line) for line in out.read_text().splitlines()]
-        assert events[0] == {
-            "event": "run",
-            "trace": "sjeng.1",
-            "machine": BASE_VICTIM_2MB.label,
-        }
-        assert any("addr" in event for event in events)
 
 
 class TestEngineArgument:

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import threading
 import warnings
 from pathlib import Path
 
@@ -12,11 +13,11 @@ from repro.cli import main
 from repro.sim import metrics
 from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, BENCH, TEST
 from repro.sim.experiment import CACHE_VERSION, ExperimentRunner
+from repro.sim.locking import FileLock, LockTimeoutError
 from repro.sim.resultcache import (
     CorruptCacheLineWarning,
     append_cache_entries,
     cache_file_name,
-    corrupt_line_count,
     encode_entry,
     frame_line,
     load_cache_entries,
@@ -133,18 +134,23 @@ class TestDeferredRejection:
         path.write_text(_undecodable_line(key) + "\n")
         return key, path
 
+    def test_load_report_defers_it(self, tmp_path):
+        _, path = self._poisoned_cache(tmp_path)
+        store = load_cache_entries(path)
+        assert (store.report.entries, store.report.skipped) == (1, 0)
+        with pytest.warns(CorruptCacheLineWarning, match="first use"):
+            assert dict(store) == {}
+
     def test_counted_on_first_use_and_resimulated(self, tmp_path):
-        key, path = self._poisoned_cache(tmp_path)
+        key, _ = self._poisoned_cache(tmp_path)
         reference = ExperimentRunner(TEST, use_disk_cache=False).run_single(*self.CELL)
         with warnings.catch_warnings():
             warnings.simplefilter("error", CorruptCacheLineWarning)
             runner = ExperimentRunner(TEST, cache_dir=tmp_path)
-        assert corrupt_line_count(path) == 0  # the load decoded nothing
-        assert _counter(runner, "sweep/corrupt_lines") == 0
+        assert _counter(runner, "sweep/corrupt_lines") == 0  # decoded nothing
 
         with pytest.warns(CorruptCacheLineWarning, match="first use"):
             assert not runner.has_cached(*self.CELL)
-        assert corrupt_line_count(path) == 1
         assert _counter(runner, "sweep/corrupt_lines") == 1
         assert runner.corrupt_lines_skipped == 1
 
@@ -205,7 +211,50 @@ class TestReload:
         assert runner.cached_payload("k-good") is decoded  # not decoded again
         assert runner.cached_payload("k-bad") is None
         assert runner.corrupt_lines_skipped == 1
-        assert corrupt_line_count(path) == 1
+
+
+class TestLockCounters:
+    """A runner counts the lock waits and timeouts of its own writes.
+
+    The cache lock is held while ``prewarm`` writes: by the serial
+    path's append of each cell, or the parallel path's shard merge.
+    """
+
+    CELLS = [(BASELINE_2MB, "sjeng.1"), (BASELINE_2MB, "mcf.1")]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_waits_for_a_held_lock_are_counted(self, tmp_path, monkeypatch, jobs):
+        runner = ExperimentRunner(TEST, cache_dir=tmp_path, jobs=jobs, lock_timeout=60)
+        holder = FileLock.for_target(runner.cache_path).acquire()
+        releases: list[threading.Timer] = []
+
+        class ReleasedSoonAfterAsking(FileLock):
+            """The first write to ask for the lock gets it 0.2 s later.
+
+            The release thread starts only once a write asks, after any
+            worker pool has exited, so no process forks beside it.
+            """
+
+            def acquire(self):
+                if holder.held and not releases:
+                    releases.append(threading.Timer(0.2, holder.release))
+                    releases[0].start()
+                return super().acquire()
+
+        monkeypatch.setattr(resultcache, "FileLock", ReleasedSoonAfterAsking)
+        assert runner.prewarm(self.CELLS) == 2
+        releases[0].join(timeout=10)
+        assert not releases[0].is_alive()
+        assert _counter(runner, "cache/lock_waits") > 0  # timing sets the count
+        assert _counter(runner, "cache/lock_timeouts") == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_write_that_gives_up_is_counted_once(self, tmp_path, jobs):
+        runner = ExperimentRunner(TEST, cache_dir=tmp_path, jobs=jobs, lock_timeout=0)
+        with FileLock.for_target(runner.cache_path):
+            with pytest.raises(LockTimeoutError):
+                runner.prewarm(self.CELLS)
+        assert _counter(runner, "cache/lock_timeouts") == 1
 
 
 class TestDecodeOnDemand:

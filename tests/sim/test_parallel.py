@@ -100,20 +100,6 @@ class TestObservationDeterminism:
         for codec in ("bdi", "fpc", "cpack", "sc2", "zero"):
             assert obs[f"codec/{codec}/size_bytes"]["kind"] == "histogram"
 
-    def test_parent_trace_env_does_not_perturb_sweeps(self, tmp_path, monkeypatch):
-        """$REPRO_TRACE in the parent forces the serial reference loop
-        (per-access counter updates) while workers strip it and take the
-        default batch engine; both must produce identical results and
-        counters, covering the counter-flush batching differentially."""
-        plain = ExperimentRunner(TEST, cache_dir=tmp_path / "plain", jobs=4)
-        plain_results = _sweep(plain)
-
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        monkeypatch.setenv("REPRO_TRACE_FILE", str(tmp_path / "events.jsonl"))
-        traced = ExperimentRunner(TEST, cache_dir=tmp_path / "traced", jobs=1)
-        assert _sweep(traced) == plain_results
-        assert plain._cache_path.read_bytes() == traced._cache_path.read_bytes()
-
     def test_no_timers_ever_serialise(self, tmp_path):
         runner = ExperimentRunner(TEST, cache_dir=tmp_path, jobs=1)
         obs = runner.run_single(BASE_VICTIM_2MB, "sjeng.1").obs

@@ -86,7 +86,7 @@ class TestCommittedBaseline:
         with pytest.raises(KeyError, match="known sections"):
             load_baseline(BASELINE_PATH, "nope")
 
-    def test_committed_baseline_engine_pairing(self):
+    def test_committed_baseline_was_not_profiled(self):
         """Neither side of a committed section was taken under cProfile,
         whose timings are not comparable throughput."""
         data = json.loads(BASELINE_PATH.read_text())
@@ -203,7 +203,7 @@ class TestPerfCommand:
             ),
             ({"matrices": [1]}, "'matrices' is not an object"),
         ],
-        ids=["list", "number", "no-engine", "wrapped", "entries", "rate", "matrices"],
+        ids=["list", "number", "no-aggregate", "wrapped", "entries", "rate", "matrices"],
     )
     def test_non_measurement_baseline_exits_2_before_measuring(
         self, tmp_path, monkeypatch, capsys, data, reason

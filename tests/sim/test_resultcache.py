@@ -2,8 +2,9 @@
 
 The persistence contract under test: every line must carry a CRC32 the
 loader verifies (bit rot or a torn-off suffix becomes a *detected*,
-counted skip), and merges fold into existing files under a lock via
-atomic replace (an interrupted merge leaves the original intact).
+counted skip, in the report or stats the call returns), and merges fold
+into existing files under a lock via atomic replace (an interrupted
+merge leaves the original intact).
 """
 
 from __future__ import annotations
@@ -16,18 +17,18 @@ import pytest
 from repro.sim.resultcache import (
     CACHE_VERSION,
     CorruptCacheLineWarning,
+    MergeStats,
+    append_cache_entries,
     cache_file_name,
     cache_files,
     canonicalize_cache_file,
-    corrupt_line_count,
-    crc_failure_count,
     encode_entry,
-    iter_cache_entries,
     load_cache_entries,
     merge_cache_entries,
+    read_cache_entries,
     scan_cache_file,
-    write_cache_entries,
 )
+from repro.sim.locking import FileLock
 
 
 def _write_v5(path, entries):
@@ -37,11 +38,13 @@ def _write_v5(path, entries):
 
 
 class TestLineFormat:
-    def test_encode_round_trips_through_iter(self, tmp_path):
+    def test_encode_round_trips_through_read(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         entries = [("a", {"ipc": 1.5}), ("b", {"ipc": 0.5, "obs": {"x": 1}})]
         _write_v5(path, entries)
-        assert list(iter_cache_entries(path)) == entries
+        values, report = read_cache_entries(path)
+        assert list(values.items()) == entries
+        assert (report.lines, report.entries) == (2, 2) and report.clean
 
     def test_line_without_crc_suffix_is_corrupt(self, tmp_path):
         """A torn-off suffix is corrupt, never an unchecked entry.
@@ -60,9 +63,9 @@ class TestLineFormat:
             path.write_text(text)
 
         with pytest.warns(CorruptCacheLineWarning):
-            assert load_cache_entries(load_path) == {"k1": {"x": 1}}
-        assert corrupt_line_count(load_path) == 1
-        assert crc_failure_count(load_path) == 0
+            loaded = load_cache_entries(load_path)
+        assert loaded == {"k1": {"x": 1}}
+        assert (loaded.report.corrupt_lines, loaded.report.crc_failures) == (1, 0)
 
         report = scan_cache_file(load_path)
         assert report.entries == 1 and not report.clean
@@ -72,7 +75,9 @@ class TestLineFormat:
             stats = merge_cache_entries(merge_path, [])
         assert (stats.corrupt_lines, stats.crc_failures) == (1, 0)
         with pytest.warns(CorruptCacheLineWarning):
-            assert canonicalize_cache_file(canonical_path) == 1
+            stats = canonicalize_cache_file(canonical_path)
+        assert stats.existing_entries == 1
+        assert (stats.corrupt_lines, stats.crc_failures) == (1, 0)
         for path in (merge_path, canonical_path):
             assert path.read_text() == good + "\n"  # scrubbed, not re-framed
 
@@ -93,12 +98,10 @@ class TestLineFormat:
             raw[14] ^= mask  # flip one payload bit in the first line
             path.write_bytes(bytes(raw))
 
-        path = paths["load"]
-        before = crc_failure_count(path)
         with pytest.warns(CorruptCacheLineWarning, match="CRC"):
-            entries = load_cache_entries(path)
+            entries = load_cache_entries(paths["load"])
         assert entries == {"b": {"ipc": 0.5}}  # survivor intact
-        assert crc_failure_count(path) - before == 1
+        assert (entries.report.crc_failures, entries.report.corrupt_lines) == (1, 0)
 
         report = scan_cache_file(paths["scan"])
         assert (report.lines, report.entries) == (2, 1)
@@ -108,7 +111,9 @@ class TestLineFormat:
             stats = merge_cache_entries(paths["merge"], [])
         assert (stats.corrupt_lines, stats.crc_failures) == (1, 1)
         with pytest.warns(CorruptCacheLineWarning):
-            assert canonicalize_cache_file(paths["canonical"]) == 1
+            stats = canonicalize_cache_file(paths["canonical"])
+        assert (stats.existing_entries, stats.corrupt_lines) == (1, 1)
+        assert stats.crc_failures == 1
         survivor = encode_entry("b", {"ipc": 0.5}) + "\n"
         for name in ("merge", "canonical"):
             assert paths[name].read_text() == survivor  # scrubbed
@@ -127,7 +132,7 @@ class TestMerge:
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         entries = [("k1", {"v": 1}), ("k2", {"v": 2})]
         stats = merge_cache_entries(a, entries)
-        write_cache_entries(b, entries)
+        _write_v5(b, entries)
         assert a.read_bytes() == b.read_bytes()
         assert stats.new_entries == 2 and stats.existing_entries == 0
 
@@ -145,7 +150,7 @@ class TestMerge:
         path = tmp_path / "cache.jsonl"
         merge_cache_entries(path, [("k1", {"v": 1})])
         merge_cache_entries(path, [("k3", {"v": 3}), ("k2", {"v": 2})])
-        assert [key for key, _ in iter_cache_entries(path)] == ["k1", "k3", "k2"]
+        assert list(read_cache_entries(path)[0]) == ["k1", "k3", "k2"]
 
     def test_merge_scrubs_corrupt_lines_and_counts_them(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -213,8 +218,8 @@ class TestCanonicalize:
     def test_sorts_entries_by_key(self, tmp_path):
         path = tmp_path / cache_file_name("test")
         _write_v5(path, [("k3", {"v": 3}), ("k1", {"v": 1}), ("k2", {"v": 2})])
-        assert canonicalize_cache_file(path) == 3
-        assert [key for key, _ in iter_cache_entries(path)] == ["k1", "k2", "k3"]
+        assert canonicalize_cache_file(path).existing_entries == 3
+        assert list(read_cache_entries(path)[0]) == ["k1", "k2", "k3"]
 
     def test_arrival_order_never_changes_final_bytes(self, tmp_path):
         """The invariant serve relies on: bytes are a function of the set."""
@@ -234,7 +239,7 @@ class TestCanonicalize:
         path = tmp_path / cache_file_name("test")
         _write_v5(path, [("k1", {"v": 1}), ("k2", {"v": 2})])
         stamp = path.stat().st_mtime_ns
-        assert canonicalize_cache_file(path) == 2
+        assert canonicalize_cache_file(path).existing_entries == 2
         assert path.stat().st_mtime_ns == stamp  # idempotent: no rewrite
 
     def test_scrubs_duplicates_and_legacy_lines(self, tmp_path):
@@ -243,7 +248,7 @@ class TestCanonicalize:
         with path.open("a") as handle:
             handle.write(json.dumps({"key": "k1", "result": {"v": 1}}) + "\n")
         with pytest.warns(CorruptCacheLineWarning):
-            assert canonicalize_cache_file(path) == 1
+            assert canonicalize_cache_file(path).existing_entries == 1
         report = scan_cache_file(path)
         assert report.clean and report.duplicate_keys == 0
         # Duplicates resolve last-wins, matching the append-path
@@ -252,4 +257,65 @@ class TestCanonicalize:
         assert load_cache_entries(path) == {"k2": {"v": "dupe"}}
 
     def test_missing_file_is_a_noop(self, tmp_path):
-        assert canonicalize_cache_file(tmp_path / "absent.jsonl") == 0
+        path = tmp_path / "absent.jsonl"
+        assert canonicalize_cache_file(path).existing_entries == 0
+        assert not path.exists()
+
+    def test_blank_lines_alone_are_scrubbed(self, tmp_path):
+        """A sorted, valid file with a blank line is rewritten without it."""
+        path = tmp_path / cache_file_name("test")
+        _write_v5(path, [("k1", {"v": 1}), ("k2", {"v": 2})])
+        clean = path.read_text()
+        path.write_text(clean.replace("\n", "\n\n", 1))
+        report = scan_cache_file(path)
+        assert (report.blank_lines, report.lines) == (1, 2)
+        assert report.clean and report.needs_scrub
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CorruptCacheLineWarning)
+            stats = canonicalize_cache_file(path)
+        assert (stats.existing_entries, stats.corrupt_lines) == (2, 0)
+        assert path.read_text() == clean
+
+
+class TestReturnedCounts:
+    """Every read returns its census and every write its stats."""
+
+    def test_missing_file_reads_as_empty(self, tmp_path):
+        path = tmp_path / "absent.jsonl"
+        assert read_cache_entries(path) == ({}, scan_cache_file(path))
+        assert scan_cache_file(path).lines == 0
+        assert load_cache_entries(path).report.lines == 0
+
+    def test_append_returns_lines_written_and_lock_waits(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        stats = append_cache_entries(path, [("k1", {"v": 1}), ("k2", {"v": 2})])
+        assert stats == MergeStats(new_entries=2)
+        assert list(read_cache_entries(path)[0]) == ["k1", "k2"]
+
+    def test_contended_write_returns_its_lock_waits(self, tmp_path):
+        import threading
+
+        path = tmp_path / "cache.jsonl"
+        holder = FileLock.for_target(path).acquire()
+        release = threading.Timer(0.3, holder.release)
+        release.start()
+        try:
+            stats = merge_cache_entries(path, [("k1", {"v": 1})], lock_timeout=30)
+        finally:
+            release.join(timeout=10)
+        assert not release.is_alive()
+        assert stats.new_entries == 1 and stats.lock_waits > 0
+
+    def test_each_read_counts_only_itself(self, tmp_path):
+        """Re-reading a torn file reports the same lines, not a running total."""
+        path = tmp_path / "cache.jsonl"
+        _write_v5(path, [("k1", {"v": 1})])
+        with path.open("a") as handle:
+            handle.write('{"torn": \n')
+        with pytest.warns(CorruptCacheLineWarning):
+            first = read_cache_entries(path)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CorruptCacheLineWarning)  # once per file
+            second = read_cache_entries(path)[1]
+        assert first == second
+        assert (first.corrupt_lines, first.skipped) == (1, 1)

@@ -8,8 +8,8 @@ re-encode every entry.  It lives only in this file.  On seeded inputs
 built from committed bench lines (shuffles, duplicates, blank lines,
 torn tails, flipped payload and CRC bits, suffix-less lines and
 valid-CRC lines not in canonical shape), both must leave the same
-bytes, report the same :class:`MergeStats` and add the same corrupt and
-CRC tallies.
+bytes and return the same :class:`MergeStats`, and a load must count
+the same corrupt and CRC lines in its report.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from repro.sim.resultcache import (
     MergeStats,
     cache_file_name,
     canonicalize_cache_file,
-    corrupt_line_count,
-    crc_failure_count,
     frame_line,
     load_cache_entries,
     merge_cache_entries,
@@ -37,7 +35,7 @@ COMMITTED = (
     Path(__file__).resolve().parents[2] / ".repro_cache" / cache_file_name("bench")
 )
 
-#: Each rewrite warns once per file; the tallies are what is compared.
+#: Each rewrite warns once per file; the returned counts are compared.
 pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.sim.resultcache.CorruptCacheLineWarning"
 )
@@ -128,12 +126,12 @@ class _Reference:
             self.write(path, ((key, values[key]) for key in order))
         return MergeStats(new, existing, self.corrupt, self.crc, 0)
 
-    def canonicalize(self, path: Path) -> int:
+    def canonicalize(self, path: Path) -> MergeStats:
         order, values, dirty = self.read(path)
         ordered = sorted(values)
         if dirty or order != ordered:
             self.write(path, ((key, values[key]) for key in ordered))
-        return len(values)
+        return MergeStats(0, len(values), self.corrupt, self.crc, 0)
 
 
 # ----------------------------------------------------------------------
@@ -252,20 +250,12 @@ def _pair(tmp_path: Path, text: str) -> tuple[Path, Path]:
     return ref, raw
 
 
-class _Tallies:
-    """The corrupt and CRC tallies one call adds against ``path``."""
+class _Inode:
+    """Whether one call replaced ``path`` (a rewrite lands a new inode)."""
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self.inode = path.stat().st_ino
-        self.corrupt = corrupt_line_count(path)
-        self.crc = crc_failure_count(path)
-
-    def added(self) -> tuple[int, int]:
-        return (
-            corrupt_line_count(self.path) - self.corrupt,
-            crc_failure_count(self.path) - self.crc,
-        )
 
     def rewrote(self) -> bool:
         return self.path.stat().st_ino != self.inode
@@ -273,13 +263,20 @@ class _Tallies:
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_load_matches_decode_all_reference(seed, committed, tmp_path):
+    """The load's report plus its first-use rejections count every bad line."""
     text, _ = _seeded_input(seed, committed)
     ref_path, raw_path = _pair(tmp_path, text)
     reference = _Reference()
     _, values, _ = reference.read(ref_path)
-    tallies = _Tallies(raw_path)
-    assert dict(load_cache_entries(raw_path)) == values
-    assert tallies.added() == (reference.corrupt, reference.crc)
+    store = load_cache_entries(raw_path)
+    rejected = []
+    store.on_reject = lambda: rejected.append(1)
+    assert dict(store) == values
+    report = store.report
+    assert (report.skipped + len(rejected), report.crc_failures) == (
+        reference.corrupt,
+        reference.crc,
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -288,12 +285,11 @@ def test_merge_matches_decode_all_reference(seed, committed, tmp_path):
     ref_path, raw_path = _pair(tmp_path, text)
     reference = _Reference()
     expected = reference.merge(ref_path, items)
-    tallies = _Tallies(raw_path)
+    inode = _Inode(raw_path)
     stats = merge_cache_entries(raw_path, items)
     assert raw_path.read_bytes() == ref_path.read_bytes()
     assert stats == expected
-    assert tallies.added() == (reference.corrupt, reference.crc)
-    assert tallies.rewrote() == reference.rewrote
+    assert inode.rewrote() == reference.rewrote
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -302,11 +298,10 @@ def test_canonicalize_matches_decode_all_reference(seed, committed, tmp_path):
     ref_path, raw_path = _pair(tmp_path, text)
     reference = _Reference()
     expected = reference.canonicalize(ref_path)
-    tallies = _Tallies(raw_path)
+    inode = _Inode(raw_path)
     assert canonicalize_cache_file(raw_path) == expected
     assert raw_path.read_bytes() == ref_path.read_bytes()
-    assert tallies.added() == (reference.corrupt, reference.crc)
-    assert tallies.rewrote() == reference.rewrote
+    assert inode.rewrote() == reference.rewrote
 
 
 def test_canonicalize_whole_committed_cache_matches_reference(tmp_path):
@@ -316,7 +311,8 @@ def test_canonicalize_whole_committed_cache_matches_reference(tmp_path):
     ref_path, raw_path = _pair(tmp_path, text)
     reference = _Reference()
     expected = reference.canonicalize(ref_path)
-    assert canonicalize_cache_file(raw_path) == expected == len(lines)
+    assert canonicalize_cache_file(raw_path) == expected
+    assert expected.existing_entries == len(lines)
     assert raw_path.read_bytes() == ref_path.read_bytes()
     assert reference.rewrote
 

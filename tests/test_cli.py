@@ -324,7 +324,7 @@ class TestCommands:
         assert "salvaged from orphan shards: 0 cells" in out
         assert "recomputed " in out
 
-    def test_stats_reports_corrupt_line_count(self, capsys, tmp_path, monkeypatch):
+    def test_stats_reports_corrupt_lines_skipped(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["stats", "--trace", "sjeng.1", "--preset", "test"]) == 0
         capsys.readouterr()
