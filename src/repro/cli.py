@@ -208,10 +208,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         with registry.timer("phase/simulate"):
             results = runner.run_many(machine, names)
 
-    # Per-cell fixed costs: trace generation / parsing and size-table
-    # precompute, accounted by the process-wide trace cache.  Process-
-    # local by design — with ``--jobs`` > 1 the loads happen in worker
-    # processes and this process's cache stays cold.
+    # Per-cell fixed cost: trace generation, timed by the process trace
+    # memo (``trace/load_seconds``; size tables are part of each
+    # simulation).  Process-local by design — with ``--jobs`` > 1 the
+    # traces are generated in worker processes and this process's memo
+    # stays cold.
     trace_cache = process_cache().snapshot()
     registry.timer("trace/load_seconds").seconds += trace_cache["load_seconds"]
 
@@ -243,9 +244,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                         and metric.get("kind") == "counter"
                     },
                 },
-                # Trace-load amortization: hits are cells that skipped
-                # regeneration because an earlier cell in this process
-                # already paid for the trace or its size tables.
+                # Trace reuse: hits are cells that skipped generation
+                # because an earlier cell of the same batch already
+                # generated the trace.  A batch empties the memo when it
+                # ends, so ``entries`` reads 0 after one.
                 "trace_cache": {
                     f"trace_cache/{key}": value
                     for key, value in trace_cache.items()

@@ -300,6 +300,11 @@ class ExperimentRunner:
         :class:`~repro.sim.retry.SweepFailedError` (after every
         successful cell is cached), otherwise they land on
         ``failed_cells`` and the corresponding runs stay uncached.
+
+        A call is one batch: it generates each trace it needs once,
+        through the process trace memo
+        (:func:`~repro.workloads.tracecache.process_cache`), and empties
+        that memo when it ends, raising or not.
         """
         length = self.preset.trace_length
         pending: list[SweepJob] = []
@@ -323,44 +328,49 @@ class ExperimentRunner:
             key = self._mix_key(machine, mix, length)
             consider(key, SweepJob(key=key, kind=MIX, machine=machine, mix=mix))
 
-        if not pending:
-            return 0
-        self.cache_misses += len(pending)
-        if self.jobs > 1 and len(pending) > 1:
-            try:
-                outcome = run_sweep(
-                    self.preset,
-                    pending,
-                    jobs=self.jobs,
-                    cache_path=self._cache_path,
-                    progress=self.progress,
-                    policy=self.fault_policy,
-                    lock_timeout=self.lock_timeout,
-                )
-            except LockTimeoutError as error:
-                self._note_timeout(error)
-                raise
-            for job, result in zip(pending, outcome.results):
-                if result is not None:
-                    self._memory[job.key] = result
-        else:
-            # Serial path: same execution primitive (retries, watchdog,
-            # fault hooks) as the workers, one job at a time.
-            outcome = SweepOutcome(results=[None] * len(pending))
-            for index, job in enumerate(pending):
-                job_outcome = execute_job(
-                    index, job, self.preset, self.suite, self.fault_policy
-                )
-                outcome.retries += job_outcome.retries
-                if job_outcome.failure is not None:
-                    outcome.failures.append(job_outcome.failure)
-                else:
-                    outcome.results[index] = job_outcome.result
-                    self._store(job.key, job_outcome.result)
-        self._note_outcome(outcome)
-        if outcome.failures and self.strict:
-            raise SweepFailedError(list(outcome.failures))
-        return len(pending) - len(outcome.failures)
+        try:
+            if not pending:
+                return 0
+            self.cache_misses += len(pending)
+            if self.jobs > 1 and len(pending) > 1:
+                try:
+                    outcome = run_sweep(
+                        self.preset,
+                        pending,
+                        jobs=self.jobs,
+                        cache_path=self._cache_path,
+                        progress=self.progress,
+                        policy=self.fault_policy,
+                        lock_timeout=self.lock_timeout,
+                    )
+                except LockTimeoutError as error:
+                    self._note_timeout(error)
+                    raise
+                for job, result in zip(pending, outcome.results):
+                    if result is not None:
+                        self._memory[job.key] = result
+            else:
+                # Serial path: same execution primitive (retries, watchdog,
+                # fault hooks) as the workers, one job at a time.
+                outcome = SweepOutcome(results=[None] * len(pending))
+                for index, job in enumerate(pending):
+                    job_outcome = execute_job(
+                        index, job, self.preset, self.suite, self.fault_policy
+                    )
+                    outcome.retries += job_outcome.retries
+                    if job_outcome.failure is not None:
+                        outcome.failures.append(job_outcome.failure)
+                    else:
+                        outcome.results[index] = job_outcome.result
+                        self._store(job.key, job_outcome.result)
+            self._note_outcome(outcome)
+            if outcome.failures and self.strict:
+                raise SweepFailedError(list(outcome.failures))
+            return len(pending) - len(outcome.failures)
+        finally:
+            # The batch generated each trace it needed once; nothing it
+            # built is read after it ends.
+            process_cache().clear()
 
     def _note_outcome(self, outcome: SweepOutcome) -> None:
         """Fold one sweep's health counters into the runner's registry."""

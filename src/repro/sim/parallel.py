@@ -23,8 +23,7 @@ experiment cache depends on:
 * **Crash tolerance** — shards are flushed per job, so results survive a
   killed sweep; the tolerant reader in :mod:`repro.sim.resultcache`
   skips any line torn by the interruption and reports it, and the
-  merge adds each shard's report and the merge's own
-  :class:`~repro.sim.resultcache.MergeStats` to the
+  merge adds each shard's report and the merge's lock waits to the
   :class:`SweepOutcome`.
 
 On top of the scheduling layer sits a fault-tolerance layer in the
@@ -43,7 +42,8 @@ shape of a production job runner:
 
 Worker processes build one :class:`~repro.workloads.suite.TraceSuite`
 each (in the pool initializer) so generated traces are reused across all
-jobs a worker executes.  All callables handed to the pool are picklable
+jobs a worker executes; a pool lives for one sweep, so its memo does
+too.  All callables handed to the pool are picklable
 top-level functions.
 """
 
@@ -129,7 +129,7 @@ class SweepOutcome:
     (re-attempts across all jobs), ``recovered_workers`` (pool rebuilds
     after worker crashes), ``shard_recovered`` (results salvaged from a
     dead pool's shards instead of recomputed), ``corrupt_lines`` (JSONL
-    lines skipped while merging this sweep's shards),
+    lines skipped while reading this sweep's shards),
     ``crc_failures`` (the subset of skipped lines whose CRC32 suffix
     did not match their payload — torn writes or at-rest bit rot), and
     ``lock_waits`` (backoff sleeps performed while waiting for the
@@ -410,8 +410,10 @@ def _merge_shards(
     (:func:`~repro.sim.resultcache.merge_cache_entries`): entries
     already in the cache — e.g. written by an overlapping sweep — win,
     so concurrent same-matrix sweeps converge on a byte-identical file.
-    The lines the shard reads and the merge skipped, and the merge's
-    lock waits, land on ``outcome``.
+    The lines the shard reads skipped, and the merge's lock waits, land
+    on ``outcome``.  Main-file lines the merge scrubs are not counted
+    again: the runner's load (or a result's first use) counted them,
+    as on the serial path.
     """
     sharded: dict[str, dict] = {}
     for shard in sorted(shard_dir.glob("shard-*.jsonl")):
@@ -428,8 +430,6 @@ def _merge_shards(
         ),
         lock_timeout=lock_timeout,
     )
-    outcome.corrupt_lines += stats.corrupt_lines
-    outcome.crc_failures += stats.crc_failures
     outcome.lock_waits += stats.lock_waits
 
 

@@ -188,7 +188,8 @@ class LineDataModel:
     address's *current* size in segments, kept exact by write
     invalidation (``on_write`` rewrites the entry when a rotation
     changes the size) and primeable in one vectorised pass over a
-    trace's address column (:meth:`prime_size_memo`).  The hierarchy
+    trace's address column (:meth:`prime_size_memo`).  A model and its
+    tables belong to one run and are never shared.  The hierarchy
     reads it directly and falls back to ``size_of`` on a miss, so the
     memo is purely an accelerator — values are identical either way.
     """
@@ -203,7 +204,6 @@ class LineDataModel:
         "_versions",
         "_write_counts",
         "_period",
-        "size_table_cache",
     )
 
     def __init__(
@@ -236,11 +236,6 @@ class LineDataModel:
         self._period = write_change_period
         #: addr -> current size in segments (see class docstring).
         self.size_memo: dict[int, int] = {}
-        #: Optional ``(cache, key)`` pair installed by
-        #: :meth:`TraceSuite.data_model`: :meth:`prime_size_memo` then
-        #: fetches its tables through the process-wide trace cache
-        #: instead of recomputing them per run (sweep-wide reuse).
-        self.size_table_cache: tuple | None = None
 
     def size_of(self, addr: int) -> int:
         """Current compressed size of line ``addr`` in segments."""
@@ -276,8 +271,8 @@ class LineDataModel:
     def precompute_size_tables(self, addrs) -> tuple[dict[int, int], dict[int, int]]:
         """(ring bases, version-0 sizes) for a trace's distinct addresses.
 
-        Pure function of (trace addresses, seed, palette): both dicts are
-        shareable across runs — :meth:`adopt_size_tables` installs them.
+        A pure function of (trace addresses, seed, palette), computed in
+        one vectorised pass.
         """
         from repro.compression import kernels
 
@@ -287,46 +282,23 @@ class LineDataModel:
         addr_list = unique.tolist()
         return dict(zip(addr_list, bases.tolist())), dict(zip(addr_list, sizes))
 
-    def adopt_size_tables(
-        self, tables: tuple[dict[int, int], dict[int, int]]
-    ) -> None:
-        """Install precomputed size tables (before any store is replayed).
-
-        The ring-base dict is shared by reference — entries are a pure
-        function of the address, so concurrent lazy inserts from other
-        runs write identical values.  The size dict is copied *into* the
-        existing memo: stores rotate entries, which must never leak
-        across runs, and the hierarchy holds a reference to this exact
-        dict (rebinding it would silently disconnect the fast lane).
-        """
-        ring_bases_table, size_table = tables
-        if not ring_bases_table and not size_table:
-            return
-        if self._versions or self._write_counts:
-            raise ValueError("size tables must be adopted before any on_write")
-        self._ring_base = ring_bases_table
-        self.size_memo.update(size_table)
-
     def prime_size_memo(self, addrs) -> None:
         """Vectorise the size memo for every distinct address in ``addrs``.
 
-        Call before replaying the trace (sizes are version-0).  Never
-        changes any ``size_of`` value — only how fast the hierarchy can
-        look it up.
+        Call before replaying the trace: the tables hold version-0 sizes,
+        so priming after a store raises ``ValueError``.  Never changes
+        any ``size_of`` value — only how fast the hierarchy can look it
+        up.  Each model builds its own tables, so a store replayed on one
+        run never reaches another run of the same trace.
         """
         if self.size_memo:
-            return  # already primed (e.g. adopted from the trace cache)
-        cached = self.size_table_cache
-        if cached is not None:
-            cache, key = cached
-            # The loader runs at most once per (suite version, preset,
-            # trace) per process; the tables are a pure function of the
-            # key, so later models for the same trace adopt identical
-            # values (byte-identity is preserved by construction).
-            tables = cache.get(key, lambda: self.precompute_size_tables(addrs))
-            self.adopt_size_tables(tables)
-            return
-        self.adopt_size_tables(self.precompute_size_tables(addrs))
+            return  # already primed
+        if self._versions or self._write_counts:
+            raise ValueError("size tables must be built before any on_write")
+        self._ring_base, sizes = self.precompute_size_tables(addrs)
+        # Filled in place: the hierarchy holds a reference to this exact
+        # dict, and rebinding it would silently disconnect the fast lane.
+        self.size_memo.update(sizes)
 
     def average_size_segments(self) -> float:
         """Unweighted palette average (the trace's nominal compressibility)."""

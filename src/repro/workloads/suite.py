@@ -339,19 +339,17 @@ class TraceSuite:
             instrs_per_access=spec.instrs_per_access,
         )
 
-    def _cache_key(self, kind: str, name: str) -> tuple:
-        """Process-cache key for one derived artifact of this preset."""
-        return (kind, SUITE_VERSION, self.reference_llc_lines, self.length, name)
-
     def trace(self, name: str) -> Trace:
-        """Generate (or fetch cached) the trace for ``name``.
+        """Generate (or fetch memoised) the trace for ``name``.
 
         The one memo is the process-wide
-        :func:`~repro.workloads.tracecache.process_cache`, which shares
-        generation across suite *instances* — the runner's, each parallel
-        worker's, and every perf-bench measurement in the same process —
-        under its ``$REPRO_TRACE_CACHE_ENTRIES`` bound.  A repeat call
-        returns the same ``Trace`` while its entry is resident.
+        :func:`~repro.workloads.tracecache.process_cache`, keyed by
+        (suite version, preset geometry, name), so every suite instance
+        in a process shares it under its ``$REPRO_TRACE_CACHE_ENTRIES``
+        bound.  A batch (:meth:`~repro.sim.experiment.ExperimentRunner
+        .prewarm`) empties it when it ends, so a trace is generated once
+        per batch and lives no longer.  A repeat call returns the same
+        ``Trace`` while its entry is resident.
         """
 
         def generate() -> Trace:
@@ -373,19 +371,16 @@ class TraceSuite:
             generator = PatternGenerator(self.pattern_params(spec), spec.seed)
             return generator.generate(meta, self.length)
 
-        return process_cache().get(self._cache_key("trace", name), generate)
+        key = (SUITE_VERSION, self.reference_llc_lines, self.length, name)
+        return process_cache().get(key, generate)
 
     def data_model(self, name: str) -> LineDataModel:
         """Fresh data model (palette + write evolution) for one run.
 
-        The model itself is never shared — stores evolve its state — but
-        its version-0 size tables are a pure function of (trace, seed,
-        palette), so the model is pointed at the process cache and
-        :meth:`~repro.workloads.datagen.LineDataModel.prime_size_memo`
-        adopts the cached tables instead of recomputing them per cell.
+        The model is never shared: stores evolve its state, and the run
+        that simulates it builds its own size tables
+        (:meth:`~repro.workloads.datagen.LineDataModel.prime_size_memo`).
         """
         spec = self.spec(name)
         palette = build_palette(spec.category, spec.comp_class, spec.seed)
-        model = LineDataModel(palette, seed=spec.seed)
-        model.size_table_cache = (process_cache(), self._cache_key("sizes", name))
-        return model
+        return LineDataModel(palette, seed=spec.seed)

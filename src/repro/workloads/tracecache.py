@@ -1,39 +1,33 @@
-"""Bounded per-process cache of generated traces and derived size tables.
+"""Bounded per-process memo of generated traces.
 
-Every cell of a sweep pays two fixed costs before its first simulated
-access: generating the trace, and precomputing the codec size tables
-the compressed-LLC fast path reads (see
-:mod:`repro.compression.kernels`).  Both are pure functions of their
-inputs — a synthetic trace of (suite version, preset, name), size
-tables of (trace addresses, seed, palette) — so a sweep that visits the
-same trace once per machine configuration recomputes identical values
-many times over.
+Every cell of a sweep pays a fixed cost before its first simulated
+access: generating its trace.  A synthetic trace is a pure function of
+(suite version, preset, name), so a batch that visits the same trace
+once per machine configuration would regenerate identical columns for
+every cell.
 
-:class:`TraceCache` memo-izes those loads process-wide behind an LRU
-bound.  One instance per process (:func:`process_cache`) is shared by
-every :class:`~repro.workloads.suite.TraceSuite` — the experiment
-runner's, each ``parallel.py`` worker's, the serve scheduler's, and the
-one ``perfbench`` builds per measurement — so reuse spans suite
-instances, not just calls on one suite.  Entries are keyed by
-namespaced tuples:
+:class:`TraceCache` memo-izes those loads behind an LRU bound.  One
+instance per process (:func:`process_cache`) is shared by every
+:class:`~repro.workloads.suite.TraceSuite`, keyed by
+``(SUITE_VERSION, reference_llc_lines, length, name)``; each value is
+a :class:`~repro.workloads.trace.Trace` that consumers treat as
+immutable.
 
-* ``("trace", SUITE_VERSION, reference_llc_lines, length, name)`` —
-  a generated :class:`~repro.workloads.trace.Trace`.
-* ``("sizes", SUITE_VERSION, reference_llc_lines, length, name)`` —
-  the ``(ring_bases, version-0 sizes)`` pair from
-  :meth:`~repro.workloads.datagen.LineDataModel.precompute_size_tables`.
+The memo lives for one batch.
+:meth:`~repro.sim.experiment.ExperimentRunner.prewarm` — the batch
+primitive behind ``repro sweep``, the runner's ``run_pair``,
+``run_many`` and ``run_mixes``, serve batches and dispatch leases —
+empties it when the batch ends, raising or not, so a batch generates
+each trace once and a long-lived process keeps none between batches.
+Size tables are not memoised: each run builds its own
+(:meth:`~repro.workloads.datagen.LineDataModel.prime_size_memo`).
 
-Cached values must be treated as immutable by consumers; the one
-sanctioned exception is the ring-base dict inside a ``"sizes"`` entry,
-whose lazy inserts are idempotent (each entry is a pure function of the
-address — see :meth:`LineDataModel.adopt_size_tables`).
-
-The cache is deliberately *not* shared across processes: worker
-processes each hold their own (the pool initializer builds one suite
-per worker, so per-worker reuse is exactly what parallel sweeps need),
-and nothing here requires locking.  ``repro stats`` surfaces the
-``trace_cache/hits|misses|evictions`` counters and the
-``trace/load_seconds`` timer from :meth:`TraceCache.snapshot`.
+The cache is deliberately *not* shared across processes: each
+``parallel.py`` worker holds its own for the pool's lifetime, which is
+one batch, and nothing here requires locking.  ``repro stats`` surfaces
+the ``trace_cache/hits|misses|evictions`` counters and the
+``trace/load_seconds`` timer (time spent generating traces) from
+:meth:`TraceCache.snapshot`.
 """
 
 from __future__ import annotations
@@ -45,18 +39,18 @@ from typing import Any, Callable
 
 #: Default LRU bound.  A paper-preset trace holds three 1.5M-element
 #: columns (about 19 MiB), so an unbounded cache could swallow the host's
-#: memory on a 100-trace sweep; 128 entries covers a full bench-preset
-#: matrix (trace + size-table entry per cell) with room to spare.
+#: memory on a 100-trace batch; 128 entries holds every trace of the
+#: 100-trace suite at one preset.
 DEFAULT_MAX_ENTRIES = 128
 
 #: Environment override for the bound.  This cache is the only memo of
-#: generated traces and size tables, so the bound limits everything a
-#: process keeps of them; ``0`` keeps nothing.
+#: generated traces, so the bound limits everything one batch keeps of
+#: them; ``0`` keeps nothing.
 MAX_ENTRIES_ENV = "REPRO_TRACE_CACHE_ENTRIES"
 
 
 class TraceCache:
-    """Process-local LRU memo for trace loads and size-table builds."""
+    """Process-local LRU memo for generated traces."""
 
     __slots__ = (
         "max_entries",
@@ -75,8 +69,8 @@ class TraceCache:
         self.stat_hits = 0
         self.stat_misses = 0
         self.stat_evictions = 0
-        #: Wall seconds spent inside loaders (i.e. the cost the cache
-        #: exists to amortize); feeds the ``trace/load_seconds`` timer.
+        #: Wall seconds spent inside loaders (trace generation, the cost
+        #: the cache exists to amortize); feeds ``trace/load_seconds``.
         self.stat_load_seconds = 0.0
 
     def __len__(self) -> int:

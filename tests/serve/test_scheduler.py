@@ -20,6 +20,7 @@ from repro.serve.protocol import (
 from repro.serve.scheduler import JobScheduler, SubmitRejected
 from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, PRESETS
 from repro.sim.experiment import ExperimentRunner
+from repro.workloads.tracecache import process_cache
 
 
 def _runner(tmp_path, **kwargs):
@@ -106,6 +107,19 @@ class TestDedupe:
         assert accepted["enqueued"] == 0
         assert _events_of(hot, "result") and _events_of(hot, "done")
         assert scheduler.registry.as_dict()["serve/jobs_cache_hit"]["value"] == 1
+
+    def test_served_batch_keeps_no_trace(self, tmp_path):
+        """A batch's traces are dropped when it ends, not kept by the server."""
+        scheduler = JobScheduler(_runner(tmp_path))
+        events: list[dict] = []
+
+        async def scenario():
+            scheduler.submit("c1", _request("r1", JOB_A, JOB_B), events.append)
+            await _run_to_drain(scheduler)
+
+        asyncio.run(scenario())
+        assert len(_events_of(events, "result")) == 2
+        assert len(process_cache()) == 0
 
     def test_no_wait_submission_gets_no_result_stream(self, tmp_path):
         scheduler = JobScheduler(_runner(tmp_path))

@@ -204,6 +204,32 @@ class TestCorruptShards:
         assert again.corrupt_lines_skipped == 1
         assert _counter(again, "sweep/corrupt_lines") == 1
 
+    def test_main_file_rejections_count_once_serial_or_parallel(self, tmp_path):
+        """A torn and a CRC-failed main-file line count once, at load,
+        whether the next batch runs serially or merges worker shards."""
+        donor = ExperimentRunner(TEST, cache_dir=tmp_path / "donor", jobs=1)
+        donor.run_single(BASELINE_2MB, "sjeng.1")
+        [line] = donor._cache_path.read_text().splitlines()
+        flipped = line.replace("sjeng.1", "sjeng.9", 1)  # CRC no longer matches
+        torn = '{"key": "torn-mid-wri'
+        counts = {}
+        for jobs in (1, 2):
+            directory = tmp_path / f"jobs-{jobs}"
+            directory.mkdir()
+            (directory / donor._cache_path.name).write_text(
+                "\n".join((line, torn, flipped)) + "\n"
+            )
+            with pytest.warns(RuntimeWarning):
+                runner = ExperimentRunner(TEST, cache_dir=directory, jobs=jobs)
+            assert runner.prewarm(
+                [(BASELINE_2MB, "mcf.1"), (BASE_VICTIM_2MB, "mcf.1")]
+            ) == 2
+            counts[jobs] = (
+                runner.corrupt_lines_skipped,
+                _counter(runner, "cache/crc_failures"),
+            )
+        assert counts[1] == counts[2] == (2, 1)
+
 
 class TestResume:
     def _orphan_shards(self, runner: ExperimentRunner, donor, keys) -> None:

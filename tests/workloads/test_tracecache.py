@@ -1,4 +1,4 @@
-"""Tests for the bounded per-process trace cache (sweep-wide reuse)."""
+"""Tests for the bounded per-process trace memo (batch-wide reuse)."""
 
 import gc
 import weakref
@@ -6,6 +6,10 @@ import weakref
 import pytest
 
 from repro.cli import main
+from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, TEST
+from repro.sim.experiment import ExperimentRunner
+from repro.sim.faultinject import FAULTS_DIR_ENV, FAULTS_ENV
+from repro.sim.retry import SweepFailedError
 from repro.workloads import tracecache
 from repro.workloads.datagen import build_palette, LineDataModel
 from repro.workloads.suite import TraceSuite
@@ -153,12 +157,12 @@ class TestSuiteIntegration:
         # mcf.1, nothing keeps it alive.
         assert first() is None
 
-    def test_adopted_size_tables_match_uncached_model(self):
+    def test_primed_size_memo_matches_unprimed_model(self):
         suite = TraceSuite(reference_llc_lines=512, length=400)
         trace = suite.trace("mcf.1")
 
-        cached = suite.data_model("mcf.1")
-        cached.prime_size_memo(trace.addrs)
+        primed = suite.data_model("mcf.1")
+        primed.prime_size_memo(trace.addrs)
 
         spec = suite.spec("mcf.1")
         fresh = LineDataModel(
@@ -166,22 +170,50 @@ class TestSuiteIntegration:
             seed=spec.seed,
         )
         for addr in set(trace.addrs):
-            assert cached.size_of(addr) == fresh.size_of(addr)
+            assert primed.size_of(addr) == fresh.size_of(addr)
 
-    def test_size_tables_computed_once_across_models(self):
+    def test_models_of_one_trace_prime_equal_independent_memos(self):
         suite = TraceSuite(reference_llc_lines=512, length=400)
         trace = suite.trace("mcf.1")
         first = suite.data_model("mcf.1")
         first.prime_size_memo(trace.addrs)
-        misses_after_first = process_cache().stat_misses
         second = suite.data_model("mcf.1")
         second.prime_size_memo(trace.addrs)
-        assert process_cache().stat_misses == misses_after_first
         assert second.size_memo == first.size_memo
-        # Rotations on one model never leak into the other's memo (the
-        # cached size table is copied in, not shared).
+        # Size tables are not memoised: the trace is the only entry.
+        assert len(process_cache()) == 1
         addr = trace.addrs[0]
         version0 = second.size_memo[addr]
         for _ in range(64):
             first.on_write(addr)
+        assert first.size_memo[addr] != version0  # the stores rotated it
+        assert second.size_memo[addr] == version0
         assert second.size_of(addr) == version0
+
+    def test_priming_after_a_store_is_refused(self):
+        suite = TraceSuite(reference_llc_lines=512, length=400)
+        trace = suite.trace("mcf.1")
+        model = suite.data_model("mcf.1")
+        model.on_write(trace.addrs[0])
+        with pytest.raises(ValueError, match="before any on_write"):
+            model.prime_size_memo(trace.addrs)
+
+
+class TestBatchScope:
+    """A batch generates each trace once and leaves nothing in the memo."""
+
+    def test_run_pair_generates_the_trace_once_and_keeps_nothing(self, tmp_path):
+        runner = ExperimentRunner(TEST, cache_dir=tmp_path, jobs=1)
+        runner.run_pair(BASELINE_2MB, BASE_VICTIM_2MB, ["mcf.1"])
+        snap = process_cache().snapshot()
+        assert (snap["misses"], snap["hits"]) == (1, 1)
+        assert len(process_cache()) == 0
+
+    def test_failed_strict_batch_keeps_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(FAULTS_ENV, "fail:0:99")
+        monkeypatch.setenv(FAULTS_DIR_ENV, str(tmp_path / "stamps"))
+        runner = ExperimentRunner(TEST, cache_dir=tmp_path, jobs=1, retries=0)
+        with pytest.raises(SweepFailedError):
+            runner.prewarm([(BASELINE_2MB, "sjeng.1"), (BASELINE_2MB, "mcf.1")])
+        assert process_cache().stat_misses == 1  # the surviving cell's trace
+        assert len(process_cache()) == 0
