@@ -12,8 +12,10 @@ replay the file after a ``kill -9`` and re-lease only the remainder.
 Format: one record per line, ``<canonical JSON>#<crc32 hex8>`` — framed
 by the result cache's own :func:`~repro.sim.resultcache.frame_line`, so
 a torn tail (the page cache flushing half a record at crash time) is
-detected by its checksum, never half-parsed.  Replay is tolerant: bad
-lines are counted and skipped, and everything before them is recovered.
+detected by its checksum, never half-parsed.  Replay reads the file the
+way the result cache does (:func:`~repro.sim.resultcache.iter_lines`,
+:func:`~repro.sim.resultcache.unframe_line`).  It is tolerant: bad lines
+are counted and skipped, and everything before them is recovered.
 
 Record kinds (the ``t`` field):
 
@@ -27,10 +29,12 @@ Record kinds (the ``t`` field):
 
 Durability discipline: appends happen under the cache's
 :class:`~repro.sim.locking.FileLock` (a sibling ``.lock`` file) and are
-fsync'd, mirroring the result store's crash-safety contract.  A journal
-whose ``begin`` pid is still alive belongs to a running coordinator and
-is never touched; one whose owner is dead is either replayed
-(``--resume``) or reclaimed, exactly like a stale serve socket.
+fsync'd, mirroring the result store's crash-safety contract; they share
+its :func:`~repro.sim.resultcache.append_lines`, so a record appended
+after a torn tail starts a line of its own.  A journal whose ``begin``
+pid is still alive belongs to a running coordinator and is never
+touched; one whose owner is dead is either replayed (``--resume``) or
+reclaimed, exactly like a stale serve socket.
 """
 
 from __future__ import annotations
@@ -42,7 +46,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.sim.locking import FileLock
-from repro.sim.resultcache import frame_line, unframe_line
+from repro.sim.resultcache import (
+    append_lines,
+    frame_line,
+    iter_lines,
+    unframe_line,
+)
 
 #: Journal file name next to the result cache it guards (one per preset).
 JOURNAL_FILE_NAME_TEMPLATE = "dispatch-journal-{preset}.ndjson"
@@ -58,7 +67,7 @@ def encode_record(record: dict) -> str:
     return frame_line(json.dumps(record, sort_keys=True))
 
 
-def decode_record(line: str) -> dict | None:
+def decode_record(line: bytes) -> dict | None:
     """Decode one stripped journal line; ``None`` for anything torn.
 
     A record is accepted only when its CRC suffix verifies and the
@@ -69,7 +78,7 @@ def decode_record(line: str) -> dict | None:
     if payload is None:
         return None
     try:
-        record = json.loads(payload)
+        record = json.loads(payload.decode("utf-8", "surrogateescape"))
     except json.JSONDecodeError:
         return None
     if not isinstance(record, dict) or not isinstance(record.get("t"), str):
@@ -126,39 +135,40 @@ def replay_journal(path: Path) -> JournalReplay:
     """
     replay = JournalReplay(path=path)
     try:
-        text = path.read_text(encoding="utf-8", errors="replace")
+        handle = path.open("rb")
     except OSError:
         return replay
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        record = decode_record(line)
-        if record is None:
-            replay.torn_lines += 1
-            continue
-        kind = record["t"]
-        if kind == "begin":
-            replay.begin = record
-        elif kind == "lease":
-            replay.leases += 1
-        elif kind == "result":
-            key = record.get("key")
-            if isinstance(key, str):
-                replay.completed.add(key)
-        elif kind == "failed":
-            key = record.get("key")
-            if isinstance(key, str):
-                replay.failed[key] = str(record.get("error"))
-        elif kind == "fold":
-            replay.folds += 1
-            keys = record.get("keys")
-            if isinstance(keys, list):
-                replay.folded.update(k for k in keys if isinstance(k, str))
-        elif kind == "end":
-            replay.ended = True
-        # Unknown kinds are skipped: a newer coordinator's journal must
-        # still replay on an older one (same tolerance as the cache).
+    with handle:
+        for line in iter_lines(handle):
+            if not line:
+                continue
+            record = decode_record(line)
+            if record is None:
+                replay.torn_lines += 1
+                continue
+            kind = record["t"]
+            if kind == "begin":
+                replay.begin = record
+            elif kind == "lease":
+                replay.leases += 1
+            elif kind == "result":
+                key = record.get("key")
+                if isinstance(key, str):
+                    replay.completed.add(key)
+            elif kind == "failed":
+                key = record.get("key")
+                if isinstance(key, str):
+                    replay.failed[key] = str(record.get("error"))
+            elif kind == "fold":
+                replay.folds += 1
+                keys = record.get("keys")
+                if isinstance(keys, list):
+                    replay.folded.update(k for k in keys if isinstance(k, str))
+            elif kind == "end":
+                replay.ended = True
+            # Unknown kinds are skipped: a newer coordinator's journal
+            # must still replay on an older one (same tolerance as the
+            # cache).
     return replay
 
 
@@ -177,14 +187,11 @@ class DispatchJournal:
 
     def _append(self, record: dict) -> None:
         """Durably append one record (lock, write, fsync)."""
-        line = encode_record(record) + "\n"
+        line = encode_record(record)
         with self._mutex:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with FileLock.for_target(self.path, timeout=self.lock_timeout):
-                with self.path.open("a", encoding="utf-8") as handle:
-                    handle.write(line)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                append_lines(self.path, [line])
 
     def begin(
         self,

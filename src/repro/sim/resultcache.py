@@ -11,10 +11,12 @@ two processes can tear each other's writes.
 **Format v5** (the only version read): ``<canonical JSON>#<crc32
 hex8>``.  The checksum turns silent corruption — a bit flipped at rest,
 a line torn mid-write whose remnant still parses, a suffix torn off —
-into a *detected*, counted, skipped line.  :func:`frame_line` and
-:func:`unframe_line` are the one copy of that framing rule; the
-dispatch journal (:mod:`repro.dist.journal`) frames its records with
-them too.  Files of any other version are stale: no reader opens them.
+into a *detected*, counted, skipped line.  :func:`frame_line`,
+:func:`unframe_line`, :func:`iter_lines` and :func:`append_lines` are
+the one copy of that framing rule; the dispatch journal
+(:mod:`repro.dist.journal`) frames, appends and replays its records
+with them too.  Files of any other version are stale: no reader opens
+them.
 
 Loading is *tolerant*: a worker interrupted mid-write (Ctrl-C, OOM kill,
 crashed pool) leaves a truncated final line behind, and a cache that
@@ -26,26 +28,36 @@ results.  Corrupt lines are skipped, reported via
 sweep engine and ``repro stats`` surface every skip to the operator:
 silent data loss is a lie a report must not tell.
 
-One scan reads a file (one ``open``, one line loop); every reader and
-rewriter below is that scan.  Lines stay in their stored form until a
-reader needs them: :func:`load_cache_entries` checks each line's CRC
-and slices its key out of the canonical ``{"key": "…", "result": {…}}``
-prefix without parsing JSON; the result is decoded the first time it is
-asked for (:class:`ResultStore`).  A line not in that shape, or whose
-key holds an escape, takes the full decode at load instead.  The one
-rejection this defers is a canonical-shaped line whose CRC matches but
-whose payload does not decode: it is reported to the store's
-``on_reject`` when its key is first asked for, and reads as a miss.
-Rewrites copy valid lines verbatim and re-encode only the
-fallback-decoded ones.  :func:`read_cache_entries` and
-:func:`scan_cache_file` (``repro cache verify``) decode every line.
+One scan reads a file in binary, one line at a time; every reader and
+rewriter below is that scan.  Lines stay bytes until a reader needs
+them: :func:`load_cache_entries` checks each line's CRC over its raw
+payload bytes and slices its key out of the canonical ``{"key": "…",
+"result": {…}}`` prefix without parsing JSON; the result is decoded the
+first time it is asked for (:class:`ResultStore`).  A line not in that
+shape, or whose key holds an escape, takes the full decode at load
+instead.  The one rejection this defers is a canonical-shaped line
+whose CRC matches but whose payload does not decode: it is reported to
+the store's ``on_reject`` when its key is first asked for, and reads as
+a miss.  Rewrites write valid lines back verbatim, in binary, and
+re-encode only the fallback-decoded ones.  :func:`read_cache_entries`
+and :func:`scan_cache_file` (``repro cache verify``) decode every line.
+
+Every line gets the verdict a UTF-8 text read (``surrogateescape``,
+universal newlines, ``str.strip``) would give it: :func:`iter_lines`
+ends lines at ``\\n``, ``\\r\\n`` or a lone ``\\r``, and strips ASCII
+whitespace in bytes.  Text remains only where bytes and text could
+disagree: a line whose first or last byte is non-ASCII or
+``\\x1c``-``\\x1f`` may hold whitespace only ``str.strip`` knows, so it
+is stripped as text and encoded back to the same bytes.
 
 Write primitives and their concurrency contracts (each returns a
 :class:`MergeStats`):
 
 * :func:`append_cache_entries` — append under the cache's advisory lock
   (:mod:`repro.sim.locking`); used for incremental single-run stores.
-  A crash mid-append leaves a torn tail the CRC detects.
+  A crash mid-append leaves a torn tail the CRC detects, and the next
+  append (:func:`append_lines`) ends it with a newline first, so the
+  tear costs only its own line.
 * :func:`merge_cache_entries` — the sweep merge: under the lock, fold
   new entries into whatever the file holds *now* (existing keys win —
   a second writer folds in, never clobbers), then rewrite atomically
@@ -69,7 +81,7 @@ import zlib
 from collections.abc import MutableMapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from repro.sim.locking import FileLock
 
@@ -79,13 +91,27 @@ CACHE_VERSION = 5
 
 #: A framed line ends with ``#`` + 8 lowercase hex digits (the CRC32 of
 #: the JSON payload before it).
-_CRC_SUFFIX_RE = re.compile(r"#([0-9a-f]{8})$")
+_CRC_SUFFIX_RE = re.compile(rb"#[0-9a-f]{8}")
 _CRC_SUFFIX_LEN = len("#00000000")
 
 #: How every :func:`encode_entry` payload opens and where its key ends
 #: (sorted keys put ``key`` before ``result``); it closes with ``}}``.
-_KEY_OPEN = '{"key": "'
-_RESULT_OPEN = '", "result": {'
+_KEY_OPEN = b'{"key": "'
+_RESULT_OPEN = b'", "result": {'
+
+#: Edge bytes of a line that ``str.strip`` may strip and ``bytes.strip``
+#: does not: ``\x1c``-``\x1f`` and every non-ASCII byte (the first or
+#: last byte of U+0085, U+00A0 or another Unicode space).
+_TEXT_EDGES = frozenset(range(0x1C, 0x20)) | frozenset(range(0x80, 0x100))
+
+#: Single bytes the scan looks for, as ints: ``int in bytes`` is a plain
+#: ``memchr``, several times faster than a one-byte ``bytes`` needle.
+_CR, _BACKSLASH = ord("\r"), ord("\\")
+
+#: Read buffer of the scan.  Bench lines run to about 3 KB, and with
+#: the default 8 KB buffer a binary read stitched about two in five of
+#: them across two refills, which made it slower than a text read.
+_SCAN_BUFFER = 1 << 16
 
 #: Cache file naming scheme shared by the runner and the cache tools.
 _CACHE_FILE_RE = re.compile(r"^results-v(\d+)-.+\.jsonl$")
@@ -105,37 +131,84 @@ def cache_file_name(preset_name: str) -> str:
     return f"results-v{CACHE_VERSION}-{preset_name}.jsonl"
 
 
-def _payload_crc(payload: str) -> str:
-    """CRC32 of a line's JSON payload, as 8 lowercase hex digits.
+def _payload_crc(payload: bytes) -> bytes:
+    """CRC32 of a line's raw payload bytes, as 8 lowercase hex digits.
 
-    Cache files are read as UTF-8 with ``surrogateescape``, so a byte
-    that is not UTF-8 (say, ASCII with its high bit flipped) arrives as
-    a lone surrogate and encodes back to itself here: it fails this
-    check like any other flipped bit instead of stopping the read.
+    The check runs on the bytes as read, so a byte that is not UTF-8
+    (say, ASCII with its high bit flipped) fails it like any other
+    flipped bit instead of stopping the read.  The one text round trip
+    left, :func:`iter_lines`' strip of a line with non-ASCII edges,
+    decodes with ``surrogateescape`` and so gives back the same bytes.
     """
-    crc = zlib.crc32(payload.encode("utf-8", "surrogateescape"))
-    return f"{crc & 0xFFFFFFFF:08x}"
+    return b"%08x" % zlib.crc32(payload)
 
 
 def frame_line(payload: str) -> str:
     """``payload`` with its ``#<crc32 hex8>`` suffix (no trailing newline)."""
-    return f"{payload}#{_payload_crc(payload)}"
+    crc = _payload_crc(payload.encode("utf-8", "surrogateescape"))
+    return f"{payload}#{crc.decode()}"
 
 
-def unframe_line(line: str) -> tuple[str, str | None]:
+def unframe_line(line: bytes) -> tuple[str, bytes | None]:
     """Check one stripped framed line; returns ``(status, payload)``.
 
     ``status`` is ``"ok"`` (the payload follows), ``"crc"`` (a suffix is
     present but does not match) or ``"corrupt"`` (no suffix at all); the
     payload is ``None`` unless the status is ``"ok"``.
     """
-    match = _CRC_SUFFIX_RE.search(line)
-    if match is None:
+    start = len(line) - _CRC_SUFFIX_LEN
+    if start < 0 or _CRC_SUFFIX_RE.fullmatch(line, start) is None:
         return "corrupt", None
-    payload = line[: match.start()]
-    if _payload_crc(payload) != match.group(1):
+    payload = line[:start]
+    if _payload_crc(payload) != line[start + 1 :]:
         return "crc", None
     return "ok", payload
+
+
+def _text(raw: bytes) -> str:
+    """Raw bytes as the text a ``surrogateescape`` UTF-8 read gives."""
+    return raw.decode("utf-8", "surrogateescape")
+
+
+def iter_lines(handle: BinaryIO) -> Iterator[bytes]:
+    """Each line of a binary file, cut and stripped as a text read would.
+
+    Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r`` (universal
+    newlines), and each is stripped of whitespace; a blank line yields
+    ``b""``.  A line whose first or last byte is in
+    :data:`_TEXT_EDGES` is stripped as text, decoded with
+    ``surrogateescape`` so that it encodes back to the bytes it came
+    from; every other line never leaves bytes.
+    """
+    for chunk in handle:
+        for line in chunk.splitlines() if _CR in chunk else (chunk,):
+            line = line.strip()
+            if line and (line[0] in _TEXT_EDGES or line[-1] in _TEXT_EDGES):
+                line = _text(line).strip().encode("utf-8", "surrogateescape")
+            yield line
+
+
+def append_lines(path: Path, lines: Iterable[str]) -> int:
+    """Append ``lines`` to ``path``, one per line, and ``fsync``.
+
+    The caller holds ``path``'s lock.  A file that does not end in a
+    newline (a write torn by a crash) gets one first, so its remnant
+    stays a line of its own, rejected and counted once, and the first
+    new line is not glued onto it.  Returns how many lines were written.
+    """
+    written = 0
+    with path.open("a+b") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end:
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                handle.write(b"\n")
+        for line in lines:
+            handle.write(line.encode("utf-8", "surrogateescape") + b"\n")
+            written += 1
+        handle.flush()
+        os.fsync(handle.fileno())
+    return written
 
 
 def encode_entry(key: str, result: dict) -> str:
@@ -166,8 +239,8 @@ def _decode_payload(payload: str) -> tuple[str, dict] | None:
 
 
 def _decode_line(
-    line: str, *, lazy: bool = False
-) -> tuple[str, str | None, str | dict | None]:
+    line: bytes, *, lazy: bool = False
+) -> tuple[str, str | None, bytes | dict | None]:
     """Classify one stripped, non-empty line.
 
     Returns ``(status, key, value)`` where status is ``"ok"`` (a valid
@@ -184,39 +257,39 @@ def _decode_line(
         key = _canonical_key(payload)
         if key is not None:
             return "ok", key, line
-    entry = _decode_payload(payload)
+    entry = _decode_payload(_text(payload))
     if entry is None:
         return "corrupt", None, None
     key, result = entry
     return "ok", key, result
 
 
-def _canonical_key(payload: str) -> str | None:
+def _canonical_key(payload: bytes) -> str | None:
     """The key of a payload in :func:`encode_entry`'s shape, unparsed.
 
     ``None`` unless the payload opens ``{"key": "<key>", "result": {``
     and closes ``}}`` with no escape in the key.
     """
-    if not (payload.startswith(_KEY_OPEN) and payload.endswith("}}")):
+    if not (payload.startswith(_KEY_OPEN) and payload.endswith(b"}}")):
         return None
-    end = payload.find('"', len(_KEY_OPEN))
+    end = payload.find(b'"', len(_KEY_OPEN))
     if end < 0 or not payload.startswith(_RESULT_OPEN, end):
         return None
     key = payload[len(_KEY_OPEN) : end]
-    return None if "\\" in key else key
+    return None if _BACKSLASH in key else _text(key)
 
 
-def _decode_raw(key: str, line: str) -> dict | None:
+def _decode_raw(key: str, line: bytes) -> dict | None:
     """The result a raw canonical ``line`` holds for ``key``, or ``None``."""
-    entry = _decode_payload(line[:-_CRC_SUFFIX_LEN])
+    entry = _decode_payload(_text(line[:-_CRC_SUFFIX_LEN]))
     if entry is None or entry[0] != key:
         return None
     return entry[1]
 
 
-def _framed(key: str, value: str | dict) -> str:
+def _framed(key: str, value: bytes | dict) -> bytes:
     """The line to write for a scanned value: raw lines go out verbatim."""
-    return value if isinstance(value, str) else encode_entry(key, value)
+    return value if isinstance(value, bytes) else encode_entry(key, value).encode()
 
 
 @dataclass(frozen=True)
@@ -254,23 +327,24 @@ class CacheFileReport:
         return bool(self.skipped or self.duplicate_keys or self.blank_lines)
 
 
-def _scan(path: Path, *, lazy: bool) -> tuple[dict[str, str | dict], CacheFileReport]:
+def _scan(
+    path: Path, *, lazy: bool
+) -> tuple[dict[str, bytes | dict], CacheFileReport]:
     """Read ``path`` once: each key's last valid value, and the census.
 
-    Values sit at their key's first position, and a later line for a
+    The file is read in binary, one line at a time.  Values sit at their key's first position, and a later line for a
     key wins, matching append-only write semantics.  A value is the
     decoded result — or, with ``lazy``, the raw line of one in canonical
     shape (see :func:`_decode_line`).  A missing file reads as empty.
     """
-    values: dict[str, str | dict] = {}
+    values: dict[str, bytes | dict] = {}
     lines = crc_failed = corrupt = blank = 0
     try:
-        handle = path.open(encoding="utf-8", errors="surrogateescape")
+        handle = path.open("rb", buffering=_SCAN_BUFFER)
     except FileNotFoundError:
         return values, CacheFileReport(path=path)
     with handle:
-        for line in handle:
-            line = line.strip()
+        for line in iter_lines(handle):
             if not line:
                 blank += 1
                 continue
@@ -339,14 +413,14 @@ def scan_cache_file(path: Path) -> CacheFileReport:
 class ResultStore(MutableMapping[str, dict]):
     """``key -> result`` over a cache file's lines, decoded on first use.
 
-    :func:`load_cache_entries` fills it with CRC-checked raw lines and
-    the load's :class:`CacheFileReport` (``report``); the first lookup
-    of a key decodes its line and memoizes the result, and results
-    stored later are kept as given.  A raw line whose payload then
-    fails to decode is warned about like a load-time skip, reported to
-    ``on_reject``, and dropped: its key reads as a miss.  Iteration
-    decodes every entry it yields; ``len`` counts the entries not yet
-    found corrupt.
+    :func:`load_cache_entries` fills it with CRC-checked raw lines, as
+    bytes, and the load's :class:`CacheFileReport` (``report``); the
+    first lookup of a key decodes its line and memoizes the result, and
+    results stored later are kept as given.  A raw line whose payload
+    then fails to decode is warned about like a load-time skip,
+    reported to ``on_reject``, and dropped: its key reads as a miss.
+    Iteration decodes every entry it yields; ``len`` counts the entries
+    not yet found corrupt.
     """
 
     def __init__(
@@ -357,8 +431,8 @@ class ResultStore(MutableMapping[str, dict]):
         self.report = report
         #: Called once for each raw line whose deferred decode fails.
         self.on_reject: Callable[[], None] | None = None
-        self._values: dict[str, str | dict] = {}
-        self._rejected: set[str] = set()
+        self._values: dict[str, bytes | dict] = {}
+        self._rejected: set[bytes] = set()
 
     def __getitem__(self, key: str) -> dict:
         value = self._values[key]
@@ -398,15 +472,21 @@ class ResultStore(MutableMapping[str, dict]):
     def absorb(self, other: ResultStore) -> None:
         """Take ``other``'s entries, keeping every result decoded here.
 
-        A key still raw here takes ``other``'s value (the file's latest
-        line on a reload); a raw line this store already rejected is not
-        taken again, so it is never counted twice.
+        A store that holds nothing and has rejected nothing (a runner's
+        first load) adopts ``other``'s entries without copying them, so
+        ``other`` must not be used afterwards.  Otherwise a key still
+        raw here takes ``other``'s value (the file's latest line on a
+        reload); a raw line this store already rejected is not taken
+        again, so it is never counted twice.
         """
+        if not self._values and not self._rejected:
+            self._values, self._rejected = other._values, other._rejected
+            return
         self._rejected |= other._rejected
         for key, value in other._values.items():
             if isinstance(self._values.get(key), dict):
                 continue
-            if isinstance(value, str) and value in self._rejected:
+            if isinstance(value, bytes) and value in self._rejected:
                 continue
             self._values[key] = value
 
@@ -414,8 +494,8 @@ class ResultStore(MutableMapping[str, dict]):
 def load_cache_entries(path: Path) -> ResultStore:
     """Read a JSONL cache file into a lazily decoding key -> result store.
 
-    One scan checks each line's CRC and keeps it raw; results are
-    decoded on first use (:class:`ResultStore`), and the store carries
+    One scan checks each line's CRC and keeps it raw, as bytes; results
+    are decoded on first use (:class:`ResultStore`), and the store carries
     the scan's :class:`CacheFileReport`.  Every line rejected at load is
     counted there and warned about as in :func:`read_cache_entries`; a
     canonical-shaped line whose payload does not decode is reported
@@ -460,21 +540,18 @@ def append_cache_entries(
     The append happens under ``path``'s advisory lock, so concurrent
     appenders and mergers serialise instead of interleaving bytes.  A
     crash mid-append can still tear the final line — which the CRC then
-    detects on the next load.
+    detects on the next load; the next append starts on a line of its
+    own (:func:`append_lines`).
     """
     lock = FileLock.for_target(path, timeout=lock_timeout)
-    written = 0
     with lock:
-        with path.open("a") as handle:
-            for key, result in items:
-                handle.write(encode_entry(key, result) + "\n")
-                written += 1
-            handle.flush()
-            os.fsync(handle.fileno())
+        written = append_lines(
+            path, (encode_entry(key, result) for key, result in items)
+        )
     return MergeStats(new_entries=written, lock_waits=lock.waits)
 
 
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
+def _write_lines(path: Path, lines: Iterable[bytes]) -> None:
     """Atomically replace ``path`` with ``lines`` (caller holds the lock).
 
     Writes a temp file in the same directory, ``fsync``\\ s it, then
@@ -484,9 +561,9 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
     """
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
     try:
-        with tmp.open("w", encoding="utf-8", errors="surrogateescape") as handle:
+        with tmp.open("wb") as handle:
             for line in lines:
-                handle.write(line + "\n")
+                handle.write(line + b"\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -539,7 +616,7 @@ def merge_cache_entries(
         new = undecodable = 0
         for key, result in items:
             held = values.get(key)
-            if isinstance(held, str) and _decode_raw(key, held) is None:
+            if isinstance(held, bytes) and _decode_raw(key, held) is None:
                 del values[key]
                 existing -= 1
                 undecodable += 1

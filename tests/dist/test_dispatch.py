@@ -320,7 +320,7 @@ class TestJournalLifecycle:
 
         lines = []
         for line in text.splitlines():
-            record = decode_record(line)
+            record = decode_record(line.encode())
             if record and record["t"] == "begin":
                 record["pid"] = _dead_pid()
             lines.append(encode_record(record))

@@ -46,25 +46,25 @@ def _populated(tmp_path, *, end: bool = False) -> DispatchJournal:
 class TestRecordCodec:
     def test_roundtrip(self):
         record = {"t": "lease", "id": "lease-1", "keys": ["a", "b"]}
-        assert decode_record(encode_record(record)) == record
+        assert decode_record(encode_record(record).encode()) == record
 
     @pytest.mark.parametrize(
         "line",
         [
-            "",
-            "not a record",
-            '{"t": "lease"}',  # no checksum
-            '{"t": "lease"}#zzzzzzzz',  # malformed checksum
-            '{"t": "lease"}#00000000',  # wrong checksum
-            '[1, 2]#' + "0" * 8,  # not an object (checksum also wrong)
-            encode_record({"no_kind": 1}),  # missing t
+            b"",
+            b"not a record",
+            b'{"t": "lease"}',  # no checksum
+            b'{"t": "lease"}#zzzzzzzz',  # malformed checksum
+            b'{"t": "lease"}#00000000',  # wrong checksum
+            b"[1, 2]#" + b"0" * 8,  # not an object (checksum also wrong)
+            encode_record({"no_kind": 1}).encode(),  # missing t
         ],
     )
     def test_torn_or_foreign_lines_decode_to_none(self, line):
         assert decode_record(line) is None
 
     def test_kind_must_be_string(self):
-        assert decode_record(encode_record({"t": 42})) is None
+        assert decode_record(encode_record({"t": 42}).encode()) is None
 
 
 class TestReplay:
@@ -104,6 +104,18 @@ class TestReplay:
         replay = replay_journal(path)
         assert replay.completed == {"k9"}
         assert replay.torn_lines == 0
+
+    def test_record_after_a_torn_tail_replays(self, tmp_path):
+        """A record appended after a torn tail replays; the tear counts once."""
+        journal = DispatchJournal(journal_path(tmp_path, "test"))
+        journal.result("k1", "worker-0")
+        torn = encode_record({"t": "result", "key": "k2", "worker": "worker-0"})
+        with journal.path.open("a") as handle:
+            handle.write(torn[: len(torn) // 2])
+        journal.fold(1, ["k1"], partial=False)
+        replay = replay_journal(journal.path)
+        assert (replay.folds, replay.torn_lines) == (1, 1)
+        assert replay.completed == replay.folded == {"k1"}
 
     def test_remove_unlinks_journal_and_lock(self, tmp_path):
         journal = _populated(tmp_path, end=True)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.sim.experiment as experiment
 import repro.sim.resultcache as resultcache
 from repro.cli import main
 from repro.sim import metrics
@@ -21,6 +22,7 @@ from repro.sim.resultcache import (
     encode_entry,
     frame_line,
     load_cache_entries,
+    read_cache_entries,
     scan_cache_file,
 )
 from repro.workloads.suite import SUITE_VERSION, sensitive_specs
@@ -211,6 +213,31 @@ class TestReload:
         assert runner.cached_payload("k-good") is decoded  # not decoded again
         assert runner.cached_payload("k-bad") is None
         assert runner.corrupt_lines_skipped == 1
+
+
+class TestAdoption:
+    def test_a_fresh_runner_adopts_its_load_without_a_copy(
+        self, tmp_path, monkeypatch
+    ):
+        shutil.copyfile(COMMITTED_BENCH, tmp_path / COMMITTED_BENCH.name)
+        loads = []
+
+        def recording_load(path):
+            loads.append(load_cache_entries(path))
+            return loads[-1]
+
+        monkeypatch.setattr(experiment, "load_cache_entries", recording_load)
+        runner = ExperimentRunner(BENCH, cache_dir=tmp_path, jobs=1)
+        (loaded,) = loads
+        assert runner._memory._values is loaded._values
+        assert len(runner._memory) == loaded.report.entries == 1560
+
+    def test_a_loaded_store_counts_and_yields_decoded_items(self):
+        """``len`` and ``items`` as the end-to-end benchmark's probe uses them."""
+        loaded = load_cache_entries(COMMITTED_BENCH)
+        values, _ = read_cache_entries(COMMITTED_BENCH)
+        assert len(loaded) == len(values) == 1560
+        assert list(loaded.items())[:20] == list(values.items())[:20]
 
 
 class TestLockCounters:

@@ -292,6 +292,19 @@ class TestReturnedCounts:
         assert stats == MergeStats(new_entries=2)
         assert list(read_cache_entries(path)[0]) == ["k1", "k2"]
 
+    def test_append_after_a_torn_tail_starts_a_new_line(self, tmp_path):
+        """A torn tail costs only its own line, not the next append's."""
+        path = tmp_path / "cache.jsonl"
+        torn = encode_entry("k2", {"v": 2})
+        path.write_text(encode_entry("k1", {"v": 1}) + "\n" + torn[: len(torn) // 2])
+        assert append_cache_entries(path, [("k3", {"v": 3})]) == MergeStats(
+            new_entries=1
+        )
+        with pytest.warns(CorruptCacheLineWarning):
+            store = load_cache_entries(path)
+        assert dict(store) == {"k1": {"v": 1}, "k3": {"v": 3}}
+        assert (store.report.corrupt_lines, store.report.crc_failures) == (1, 0)
+
     def test_contended_write_returns_its_lock_waits(self, tmp_path):
         import threading
 

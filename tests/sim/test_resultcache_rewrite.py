@@ -10,6 +10,12 @@ torn tails, flipped payload and CRC bits, suffix-less lines and
 valid-CRC lines not in canonical shape), both must leave the same
 bytes and return the same :class:`MergeStats`, and a load must count
 the same corrupt and CRC lines in its report.
+
+The reference reads text (UTF-8 with ``surrogateescape``, universal
+newlines, ``str.strip``); the scan under test reads bytes.  A second
+set of inputs pins the lines where the two could disagree: lone
+``\r`` and CRLF line ends, non-ASCII and ``\x1c``-``\x1f`` whitespace
+at a line's edges, bytes that are not UTF-8, and keys with escapes.
 """
 
 from __future__ import annotations
@@ -18,17 +24,20 @@ import json
 import random
 import re
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.sim.resultcache import (
+    CacheFileReport,
     MergeStats,
     cache_file_name,
     canonicalize_cache_file,
     frame_line,
     load_cache_entries,
     merge_cache_entries,
+    scan_cache_file,
 )
 
 COMMITTED = (
@@ -50,7 +59,8 @@ _CRC_SUFFIX_RE = re.compile(r"#([0-9a-f]{8})$")
 
 
 def _crc(payload: str) -> str:
-    return f"{zlib.crc32(payload.encode('utf-8')) & 0xFFFFFFFF:08x}"
+    raw = payload.encode("utf-8", "surrogateescape")
+    return f"{zlib.crc32(raw) & 0xFFFFFFFF:08x}"
 
 
 def _ref_encode(key: str, result: dict) -> str:
@@ -85,28 +95,44 @@ class _Reference:
         self.corrupt = 0
         self.crc = 0
         self.rewrote = False
+        self.report: CacheFileReport | None = None
 
     def read(self, path: Path) -> tuple[list[str], dict[str, dict], bool]:
         order: list[str] = []
         values: dict[str, dict] = {}
         dirty = False
-        with path.open() as handle:
+        lines = blank = corrupt = crc = 0
+        with path.open(encoding="utf-8", errors="surrogateescape") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
                     dirty = True
+                    blank += 1
                     continue
+                lines += 1
                 status, key, result = _ref_decode(line)
                 if status != "ok":
                     dirty = True
-                    self.corrupt += 1
-                    self.crc += status == "crc"
+                    corrupt += 1
+                    crc += status == "crc"
                     continue
                 if key in values:
                     dirty = True
                 else:
                     order.append(key)
                 values[key] = result
+        self.corrupt += corrupt
+        self.crc += crc
+        entries = lines - corrupt
+        self.report = CacheFileReport(
+            path=path,
+            lines=lines,
+            entries=entries,
+            crc_failures=crc,
+            corrupt_lines=corrupt - crc,
+            duplicate_keys=entries - len(values),
+            blank_lines=blank,
+        )
         return order, values, dirty
 
     def write(self, path: Path, entries) -> None:
@@ -243,10 +269,11 @@ def committed() -> list[str]:
     return COMMITTED.read_text().splitlines()
 
 
-def _pair(tmp_path: Path, text: str) -> tuple[Path, Path]:
+def _pair(tmp_path: Path, text: str | bytes) -> tuple[Path, Path]:
+    data = text.encode() if isinstance(text, str) else text
     ref, raw = tmp_path / "ref.jsonl", tmp_path / "raw.jsonl"
-    ref.write_text(text)
-    raw.write_text(text)
+    ref.write_bytes(data)
+    raw.write_bytes(data)
     return ref, raw
 
 
@@ -316,3 +343,147 @@ def test_canonicalize_whole_committed_cache_matches_reference(tmp_path):
     assert raw_path.read_bytes() == ref_path.read_bytes()
     assert reference.rewrote
 
+
+# ----------------------------------------------------------------------
+# Bytes where a binary scan and the text reference could disagree.
+# ----------------------------------------------------------------------
+
+
+def _frame_bytes(payload: bytes) -> bytes:
+    """A framed line over raw payload bytes, which need not be UTF-8."""
+    return payload + b"#%08x" % zlib.crc32(payload)
+
+
+def _edge_file(case: str, committed: list[str]) -> bytes:
+    """Three committed lines around one of the scan's edge cases."""
+    a, b, c = (line.encode() for line in committed[:3])
+    entry = json.loads(committed[3][: -len("#00000000")])
+    key, result = entry["key"], entry["result"]
+    body = json.dumps(result, sort_keys=True).encode()
+    cut = len(a) // 2
+    flipped = bytearray(a)
+    flipped[cut] ^= 0x80
+    if case == "lone-cr-in-payload":
+        return a[:cut] + b"\r" + a[cut:] + b"\n" + b + b"\n"
+    if case == "lone-cr-ends-lines":
+        return a + b"\r" + b + b"\r\r" + c + b"\r"
+    if case == "crlf":
+        return a + b"\r\n" + b + b"\r\n\r\n" + c + b"\r\n"
+    if case == "trailing-x1c":
+        return a + b"\x1c\n" + b + b"\x1f \n" + c + b"\n"
+    if case == "trailing-nel":
+        return a + "\u0085".encode() + b"\n" + b + b"\n"
+    if case == "trailing-nbsp":
+        return a + "\u00a0".encode() + b"\n" + b + "\u3000\n".encode()
+    if case == "leading-edges":
+        return b"\x1e" + a + b"\n" + "\u00a0\u2028".encode() + b + b"\n"
+    if case == "trailing-lone-x85":  # not UTF-8: a surrogate, not whitespace
+        return a + b"\x85\n" + b + b"\n"
+    if case == "high-bit-flip":
+        return bytes(flipped) + b"\n" + b + b"\n"
+    if case == "non-utf8-valid-crc":
+        odd = b'{"result": ' + body + b', "key": "' + key.encode() + b'\xff"}'
+        return a + b"\n" + _frame_bytes(odd) + b"\n" + b + b"\n"
+    if case == "non-utf8-off-json":
+        odd = b'{"key": "' + key.encode() + b'", "result": ' + body + b"\xff}"
+        return a + b"\n" + _frame_bytes(odd) + b"\n" + b + b"\n"
+    for name, odd_key in (
+        ("escaped-quote-key", key + '"'),
+        ("escaped-unicode-key", key + "\u00e9"),
+        ("escaped-backslash-key", key + "\\"),
+        ("escaped-result-open-key", key + '", "result": {'),
+    ):
+        if case == name:
+            odd = json.dumps({"key": odd_key, "result": result}, sort_keys=True)
+            return a + b"\n" + _frame_bytes(odd.encode()) + b"\n" + b + b"\n"
+    raise ValueError(case)
+
+
+EDGE_CASES = [
+    "lone-cr-in-payload",
+    "lone-cr-ends-lines",
+    "crlf",
+    "trailing-x1c",
+    "trailing-nel",
+    "trailing-nbsp",
+    "leading-edges",
+    "trailing-lone-x85",
+    "high-bit-flip",
+    "non-utf8-valid-crc",
+    "non-utf8-off-json",
+    "escaped-quote-key",
+    "escaped-unicode-key",
+    "escaped-backslash-key",
+    "escaped-result-open-key",
+]
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_edge_bytes_match_decode_all_reference(case, committed, tmp_path):
+    """Load, verify, merge and canonicalize each see what the text read sees."""
+    data = _edge_file(case, committed)
+    ref_path, raw_path = _pair(tmp_path, data)
+    reference = _Reference()
+    _, values, _ = reference.read(ref_path)
+    report = replace(reference.report, path=raw_path)
+    store = load_cache_entries(raw_path)
+    assert dict(store) == values
+    assert store.report == report
+    assert scan_cache_file(raw_path) == report
+
+    # Every valid key collides with an incoming entry, and two are new.
+    spare = [json.loads(line[: -len("#00000000")]) for line in committed[4:6]]
+    items = [(key, {"incoming": 1}) for key in values]
+    items += [(entry["key"], entry["result"]) for entry in spare]
+    for write in ("merge", "canonicalize"):
+        ref_path, raw_path = _pair(tmp_path, data)
+        reference = _Reference()
+        inode = _Inode(raw_path)
+        if write == "merge":
+            expected = reference.merge(ref_path, items)
+            assert merge_cache_entries(raw_path, items) == expected
+        else:
+            expected = reference.canonicalize(ref_path)
+            assert canonicalize_cache_file(raw_path) == expected
+        assert raw_path.read_bytes() == ref_path.read_bytes()
+        assert inode.rewrote() == reference.rewrote
+
+
+#: What the fuzzed files are cut from besides committed lines: line
+#: ends, whitespace only ``str.strip`` knows, bytes that are not UTF-8,
+#: and a stray suffix mark.
+_FUZZ_TOKENS = [
+    b"\n",
+    b"\r",
+    b"\r\n",
+    b" ",
+    b"\t",
+    b"\x0b",
+    b"\x1c",
+    b"\x1f",
+    "\u0085".encode(),
+    "\u00a0".encode(),
+    "\u2028".encode(),
+    b"\xc2",
+    b"\xff",
+    b"#",
+]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fuzzed_bytes_load_as_the_text_read_does(seed, committed, tmp_path):
+    rng = random.Random(seed)
+    data = b"".join(
+        rng.choice(committed).encode()
+        if rng.random() < 0.3
+        else rng.choice(_FUZZ_TOKENS)
+        for _ in range(40)
+    )
+    ref_path, raw_path = _pair(tmp_path, data)
+    reference = _Reference()
+    _, values, _ = reference.read(ref_path)
+    report = replace(reference.report, path=raw_path)
+    store = load_cache_entries(raw_path)
+    assert dict(store) == values
+    assert store.report == report
+    assert scan_cache_file(raw_path) == report
