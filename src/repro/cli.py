@@ -823,11 +823,12 @@ def _cmd_cache_canonicalize(args: argparse.Namespace) -> int:
     fold ends in.  Run it on a serially-produced cache before comparing
     it byte-for-byte against a distributed one (the differential test
     and the CI sweep-smoke job's chaos dispatch do exactly that), or to
-    scrub the lines
-    ``repro cache verify`` rejects.  Idempotent; already-canonical files
-    are left byte-untouched, and a rewrite copies valid lines verbatim.
-    Only current-version files are rewritten; stale ones are listed and
-    left byte-untouched.
+    scrub the lines ``repro cache verify`` rejects: every line kept is
+    decoded, as verify decodes it, and one that fails is scrubbed and
+    counted.  Idempotent; already-canonical files are left
+    byte-untouched, and a rewrite copies valid lines verbatim.  Only
+    current-version files are rewritten; stale ones are listed and left
+    byte-untouched.
     """
     from repro.sim.resultcache import (
         CACHE_VERSION,
@@ -844,8 +845,15 @@ def _cmd_cache_canonicalize(args: argparse.Namespace) -> int:
         if version != CACHE_VERSION:
             print(f"{path.name}: stale v{version} file, left untouched")
             continue
-        stats = canonicalize_cache_file(path, lock_timeout=args.lock_timeout)
-        print(f"{path.name}: canonical ({stats.existing_entries} entries)")
+        stats = canonicalize_cache_file(
+            path, lock_timeout=args.lock_timeout, decode=True
+        )
+        scrubbed = (
+            f", {stats.corrupt_lines} rejected line(s) scrubbed"
+            if stats.corrupt_lines
+            else ""
+        )
+        print(f"{path.name}: canonical ({stats.existing_entries} entries{scrubbed})")
     return 0
 
 

@@ -77,6 +77,7 @@ from repro.sim.experiment import ExperimentRunner, default_cache_dir
 from repro.sim.locking import _pid_alive
 from repro.sim.resultcache import (
     CacheFileReport,
+    append_lines,
     canonicalize_cache_file,
     encode_entry,
     merge_cache_entries,
@@ -808,8 +809,7 @@ class DispatchCoordinator:
         if self._shard_dir is None:
             return
         shard = self._shard_dir / f"worker-{health.endpoint.index}.jsonl"
-        with shard.open("a") as handle:
-            handle.write(encode_entry(key, payload) + "\n")
+        append_lines(shard, [encode_entry(key, payload)])
         faultinject.after_remote_pull(health.endpoint.index, shard)
 
     def _on_worker_lost(

@@ -171,8 +171,9 @@ class ExperimentRunner:
             directory = cache_dir or default_cache_dir()
             directory.mkdir(parents=True, exist_ok=True)
             self._cache_path = directory / cache_file_name(preset.name)
-        #: Every lookup goes through the store: disk results are decoded
-        #: on first use, and a line that fails to decode reads as a miss.
+        #: Every lookup goes through the store: disk results are read back
+        #: and decoded on first use, and a line that fails its re-check or
+        #: its decode reads as a miss.
         self._memory = ResultStore(self._cache_path)
         self._memory.on_reject = partial(self.registry.inc, "sweep/corrupt_lines")
         self.reload_disk_cache()

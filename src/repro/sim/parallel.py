@@ -20,11 +20,13 @@ experiment cache depends on:
   merge — so any number of overlapping sweeps sharing one cache
   directory cooperate instead of clobbering each other (existing keys
   always win, new keys land in submission order).
-* **Crash tolerance** — shards are flushed per job, so results survive a
-  killed sweep; the tolerant reader in :mod:`repro.sim.resultcache`
-  skips any line torn by the interruption and reports it, and the
-  merge adds each shard's report and the merge's lock waits to the
-  :class:`SweepOutcome`.
+* **Crash tolerance** — each result reaches its shard through
+  :func:`~repro.sim.resultcache.append_lines`, written and synced per
+  job, so results survive a killed sweep and a line torn by a crash is
+  never glued onto the next one; the tolerant reader in
+  :mod:`repro.sim.resultcache` skips any line torn by the interruption
+  and reports it, and the merge adds each shard's report and the
+  merge's lock waits to the :class:`SweepOutcome`.
 
 On top of the scheduling layer sits a fault-tolerance layer in the
 shape of a production job runner:
@@ -63,6 +65,7 @@ from repro.sim import faultinject
 from repro.sim.config import MachineConfig, Preset
 from repro.sim.multi_core import simulate_mix
 from repro.sim.resultcache import (
+    append_lines,
     encode_entry,
     merge_cache_entries,
     read_cache_entries,
@@ -237,8 +240,7 @@ def _run_chunk(chunk: Sequence[tuple[int, SweepJob]]) -> list[JobOutcome]:
         # Flush per job so a later crash loses at most the line being
         # written — this is what makes shard salvage and resume work.
         if outcome.result is not None and shard_path is not None:
-            with shard_path.open("a") as handle:
-                handle.write(encode_entry(job.key, outcome.result) + "\n")
+            append_lines(shard_path, [encode_entry(job.key, outcome.result)])
             faultinject.after_shard_write(index, shard_path)
         outcomes.append(outcome)
     return outcomes

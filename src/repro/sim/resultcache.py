@@ -29,17 +29,27 @@ sweep engine and ``repro stats`` surface every skip to the operator:
 silent data loss is a lie a report must not tell.
 
 One scan reads a file in binary, one line at a time; every reader and
-rewriter below is that scan.  Lines stay bytes until a reader needs
-them: :func:`load_cache_entries` checks each line's CRC over its raw
+rewriter below is that scan.  Lines stay on disk until a reader needs
+them.  :func:`load_cache_entries` checks each line's CRC over its raw
 payload bytes and slices its key out of the canonical ``{"key": "…",
-"result": {…}}`` prefix without parsing JSON; the result is decoded the
-first time it is asked for (:class:`ResultStore`).  A line not in that
-shape, or whose key holds an escape, takes the full decode at load
-instead.  The one rejection this defers is a canonical-shaped line
-whose CRC matches but whose payload does not decode: it is reported to
-the store's ``on_reject`` when its key is first asked for, and reads as
-a miss.  Rewrites write valid lines back verbatim, in binary, and
-re-encode only the fallback-decoded ones.  :func:`read_cache_entries`
+"result": {…}}`` prefix without parsing JSON.  It then keeps only
+where the line lies: an offset and a length in the file version it
+scanned.  That version stays open, one descriptor per scan, until no
+recorded line refers to it.  A descriptor pins the inode it opened, so
+another writer's atomic replace or append never changes what is read
+back.  :class:`ResultStore` reads a line back the first time its key is
+asked for (one ``os.pread``), re-checks its CRC and key, and only then
+decodes it.  A line not in canonical shape, or whose key holds an
+escape, takes the full decode at load instead.  A line cut at a lone
+``\\r``, or stripped as text (below), keeps its bytes; such lines are
+rare.  Two rejections are deferred to a key's first use: a
+canonical-shaped line whose payload does not decode, and a recorded
+line that no longer passes its re-check because its version was
+changed in place.  Either is reported to the store's ``on_reject`` and
+reads as a miss.  Rewrites copy each valid line from the version they
+scanned, one ``os.pread`` and a CRC compare per line, and re-encode
+only the fallback-decoded ones.  So no load and no rewrite holds every
+line at once.  :func:`read_cache_entries`
 and :func:`scan_cache_file` (``repro cache verify``) decode every line.
 
 Every line gets the verdict a UTF-8 text read (``surrogateescape``,
@@ -65,8 +75,9 @@ Write primitives and their concurrency contracts (each returns a
   over the same matrix produce a cache byte-identical to a clean
   serial run.
 * :func:`canonicalize_cache_file` — the same locked read-and-scrub,
-  rewritten key-sorted; ``repro cache canonicalize`` is also the repair
-  for a file ``repro cache verify --strict`` rejects.
+  rewritten key-sorted.  ``repro cache canonicalize`` also decodes
+  every line it keeps, as ``repro cache verify`` does, so it is the
+  repair for a file ``repro cache verify --strict`` rejects.
 
 :func:`encode_entry` is the only writer of new lines.
 """
@@ -77,6 +88,7 @@ import json
 import os
 import re
 import warnings
+import weakref
 import zlib
 from collections.abc import MutableMapping
 from dataclasses import dataclass
@@ -106,11 +118,12 @@ _TEXT_EDGES = frozenset(range(0x1C, 0x20)) | frozenset(range(0x80, 0x100))
 
 #: Single bytes the scan looks for, as ints: ``int in bytes`` is a plain
 #: ``memchr``, several times faster than a one-byte ``bytes`` needle.
-_CR, _BACKSLASH = ord("\r"), ord("\\")
+_CR, _BACKSLASH, _HASH = ord("\r"), ord("\\"), ord("#")
 
-#: Read buffer of the scan.  Bench lines run to about 3 KB, and with
-#: the default 8 KB buffer a binary read stitched about two in five of
-#: them across two refills, which made it slower than a text read.
+#: Read buffer of the scan, and write buffer of a rewrite.  Bench lines
+#: run to about 3 KB, and with the default 8 KB buffer a binary read
+#: stitched about two in five of them across two refills, which made it
+#: slower than a text read.
 _SCAN_BUFFER = 1 << 16
 
 #: Cache file naming scheme shared by the runner and the cache tools.
@@ -180,21 +193,41 @@ def iter_lines(handle: BinaryIO) -> Iterator[bytes]:
     ``surrogateescape`` so that it encodes back to the bytes it came
     from; every other line never leaves bytes.
     """
+    for _, line in _located_lines(handle):
+        yield line
+
+
+def _located_lines(handle: BinaryIO) -> Iterator[tuple[int | None, bytes]]:
+    """:func:`iter_lines`' lines, each with the file offset it starts at.
+
+    A line is the ``len(line)`` bytes at its offset.  The offset is
+    ``None`` for a line cut at a ``\\r`` or stripped as text: only such
+    a line's bytes say what it is.
+    """
+    end = 0
     for chunk in handle:
-        for line in chunk.splitlines() if _CR in chunk else (chunk,):
-            line = line.strip()
-            if line and (line[0] in _TEXT_EDGES or line[-1] in _TEXT_EDGES):
-                line = _text(line).strip().encode("utf-8", "surrogateescape")
-            yield line
+        end += len(chunk)
+        cut = _CR in chunk
+        for line in chunk.splitlines() if cut else (chunk,):
+            stripped = line.strip()
+            if stripped and (
+                stripped[0] in _TEXT_EDGES or stripped[-1] in _TEXT_EDGES
+            ):
+                yield None, _text(stripped).strip().encode("utf-8", "surrogateescape")
+            elif cut:
+                yield None, stripped
+            else:  # ``lstrip`` returns the chunk itself when it strips nothing
+                yield end - len(chunk.lstrip()), stripped
 
 
 def append_lines(path: Path, lines: Iterable[str]) -> int:
     """Append ``lines`` to ``path``, one per line, and ``fsync``.
 
-    The caller holds ``path``'s lock.  A file that does not end in a
-    newline (a write torn by a crash) gets one first, so its remnant
-    stays a line of its own, rejected and counted once, and the first
-    new line is not glued onto it.  Returns how many lines were written.
+    The caller holds ``path``'s lock or is its only writer (a worker's
+    shard).  A file that does not end in a newline (a write torn by a
+    crash) gets one first, so its remnant stays a line of its own,
+    rejected and counted once, and the first new line is not glued onto
+    it.  Returns how many lines were written.
     """
     written = 0
     with path.open("a+b") as handle:
@@ -279,17 +312,77 @@ def _canonical_key(payload: bytes) -> str | None:
     return None if _BACKSLASH in key else _text(key)
 
 
+class _FileVersion:
+    """A file version one scan read, open while a recorded line needs it.
+
+    Its descriptor pins the inode the scan opened: another writer's
+    atomic replace or append leaves the bytes at every recorded offset
+    as the scan checked them.  The file is closed once no record refers
+    to the version any more, or by :attr:`close`; one garbage-collected
+    unclosed would raise a ``ResourceWarning``.
+    """
+
+    __slots__ = ("fd", "close", "__weakref__")
+
+    def __init__(self, file: BinaryIO) -> None:
+        self.fd = file.fileno()
+        #: Closes the file: at most once, and at the latest when the
+        #: last reference to the version goes.
+        self.close = weakref.finalize(self, file.close)
+
+
+#: Where a scanned line lies: its file version, offset and length.
+_Recorded = tuple[_FileVersion, int, int]
+
+#: A scanned value: a decoded result, a recorded line, or the bytes of
+#: a line with no offset (see :func:`_located_lines`).
+_Value = dict | bytes | _Recorded
+
+
+def _read_back(value: bytes | _Recorded) -> bytes:
+    """A raw line's bytes: a recorded line is read back from its version."""
+    if isinstance(value, bytes):
+        return value
+    version, offset, length = value
+    return os.pread(version.fd, length, offset)
+
+
+def _intact(line: bytes) -> bool:
+    """Whether a line read back still ends in ``#`` and its payload's CRC.
+
+    The re-check of a line that passed :func:`unframe_line` at its scan:
+    no pattern match, one CRC compare.
+    """
+    end = len(line) - _CRC_SUFFIX_LEN
+    return (
+        end >= 0
+        and line[end] == _HASH
+        and _payload_crc(line[:end]) == line[end + 1 :]
+    )
+
+
 def _decode_raw(key: str, line: bytes) -> dict | None:
-    """The result a raw canonical ``line`` holds for ``key``, or ``None``."""
+    """The result a raw canonical ``line`` holds for ``key``, or ``None``.
+
+    The line's CRC and key are re-checked before it is decoded: a
+    recorded line is read back from its file version, which a writer
+    that skips the lock may have changed in place since the scan.
+    """
+    opening = _KEY_OPEN + key.encode("utf-8", "surrogateescape") + _RESULT_OPEN
+    if not (_intact(line) and line.startswith(opening)):
+        return None
     entry = _decode_payload(_text(line[:-_CRC_SUFFIX_LEN]))
     if entry is None or entry[0] != key:
         return None
     return entry[1]
 
 
-def _framed(key: str, value: bytes | dict) -> bytes:
-    """The line to write for a scanned value: raw lines go out verbatim."""
-    return value if isinstance(value, bytes) else encode_entry(key, value).encode()
+def _decodes(key: str, value: _Value) -> bool:
+    """Whether a scanned value holds a result for ``key``.
+
+    A raw line is read back, re-checked and decoded to find out.
+    """
+    return isinstance(value, dict) or _decode_raw(key, _read_back(value)) is not None
 
 
 @dataclass(frozen=True)
@@ -327,35 +420,42 @@ class CacheFileReport:
         return bool(self.skipped or self.duplicate_keys or self.blank_lines)
 
 
-def _scan(
-    path: Path, *, lazy: bool
-) -> tuple[dict[str, bytes | dict], CacheFileReport]:
+def _scan(path: Path, *, lazy: bool) -> tuple[dict[str, _Value], CacheFileReport]:
     """Read ``path`` once: each key's last valid value, and the census.
 
-    The file is read in binary, one line at a time.  Values sit at their key's first position, and a later line for a
-    key wins, matching append-only write semantics.  A value is the
-    decoded result — or, with ``lazy``, the raw line of one in canonical
-    shape (see :func:`_decode_line`).  A missing file reads as empty.
+    The file is read in binary, one line at a time.  Values sit at their
+    key's first position, and a later line for a key wins, matching
+    append-only write semantics.  A value is the decoded result; with
+    ``lazy``, a line in canonical shape (see :func:`_decode_line`) is
+    recorded instead, by where it lies in the version scanned, or kept
+    as bytes if it has no offset.  A missing file reads as empty.
     """
-    values: dict[str, bytes | dict] = {}
+    values: dict[str, _Value] = {}
     lines = crc_failed = corrupt = blank = 0
     try:
-        handle = path.open("rb", buffering=_SCAN_BUFFER)
+        version = _FileVersion(path.open("rb", buffering=0))
     except FileNotFoundError:
         return values, CacheFileReport(path=path)
-    with handle:
-        for line in iter_lines(handle):
-            if not line:
-                blank += 1
-                continue
-            lines += 1
-            status, key, value = _decode_line(line, lazy=lazy)
-            if key is not None and value is not None:
-                values[key] = value
-            elif status == "crc":
-                crc_failed += 1
-            else:
-                corrupt += 1
+    try:
+        with open(version.fd, "rb", buffering=_SCAN_BUFFER, closefd=False) as handle:
+            for offset, line in _located_lines(handle):
+                if not line:
+                    blank += 1
+                    continue
+                lines += 1
+                status, key, value = _decode_line(line, lazy=lazy)
+                if key is None or value is None:
+                    if status == "crc":
+                        crc_failed += 1
+                    else:
+                        corrupt += 1
+                elif offset is not None and isinstance(value, bytes):
+                    values[key] = (version, offset, len(line))
+                else:
+                    values[key] = value
+    except BaseException:
+        version.close()
+        raise
     entries = lines - crc_failed - corrupt
     return values, CacheFileReport(
         path=path,
@@ -411,16 +511,19 @@ def scan_cache_file(path: Path) -> CacheFileReport:
 
 
 class ResultStore(MutableMapping[str, dict]):
-    """``key -> result`` over a cache file's lines, decoded on first use.
+    """``key -> result`` over a cache file's lines, read back on first use.
 
-    :func:`load_cache_entries` fills it with CRC-checked raw lines, as
-    bytes, and the load's :class:`CacheFileReport` (``report``); the
-    first lookup of a key decodes its line and memoizes the result, and
-    results stored later are kept as given.  A raw line whose payload
-    then fails to decode is warned about like a load-time skip,
-    reported to ``on_reject``, and dropped: its key reads as a miss.
-    Iteration decodes every entry it yields; ``len`` counts the entries
-    not yet found corrupt.
+    :func:`load_cache_entries` fills it with where each CRC-checked line
+    lies in the file version the load scanned (a rare line keeps its
+    bytes), and with the load's :class:`CacheFileReport` (``report``).
+    The first lookup of a key reads its line back, re-checks its CRC and
+    key, decodes it and memoizes the result; results stored later are
+    kept as given.  A line that then fails its re-check or its decode
+    is warned about like a load-time skip, reported to ``on_reject``,
+    and dropped: its key reads as a miss.  The version stays open until
+    every line recorded from it is read or dropped.  Iteration decodes
+    every entry it yields; ``len`` counts the entries not yet found
+    corrupt.
     """
 
     def __init__(
@@ -429,25 +532,29 @@ class ResultStore(MutableMapping[str, dict]):
         self.path = path
         #: The census of the load that filled this store, if one did.
         self.report = report
-        #: Called once for each raw line whose deferred decode fails.
+        #: Called once for each line rejected at its first use.
         self.on_reject: Callable[[], None] | None = None
-        self._values: dict[str, bytes | dict] = {}
-        self._rejected: set[bytes] = set()
+        self._values: dict[str, _Value] = {}
+        #: The bytes of each key's rejected line, so that a reload does
+        #: not take (and count) the same line again.
+        self._rejected: dict[str, bytes] = {}
 
     def __getitem__(self, key: str) -> dict:
         value = self._values[key]
         if isinstance(value, dict):
             return value
-        result = _decode_raw(key, value)
+        line = _read_back(value)
+        result = _decode_raw(key, line)
         if result is None:
             del self._values[key]
-            self._rejected.add(value)
+            self._rejected[key] = line
             if self.path is not None:
                 _warn(
                     self.path,
                     1,
                     0,
-                    "its result failed to decode on first use; it reads as a miss",
+                    "it failed its re-check or decode on first use; "
+                    "it reads as a miss",
                 )
             if self.on_reject is not None:
                 self.on_reject()
@@ -476,17 +583,23 @@ class ResultStore(MutableMapping[str, dict]):
         first load) adopts ``other``'s entries without copying them, so
         ``other`` must not be used afterwards.  Otherwise a key still
         raw here takes ``other``'s value (the file's latest line on a
-        reload); a raw line this store already rejected is not taken
-        again, so it is never counted twice.
+        reload), and the version its old line was recorded in closes
+        once no line refers to it; a line this store already rejected
+        is not taken again, so it is never counted twice.
         """
         if not self._values and not self._rejected:
             self._values, self._rejected = other._values, other._rejected
             return
-        self._rejected |= other._rejected
+        self._rejected.update(other._rejected)
         for key, value in other._values.items():
             if isinstance(self._values.get(key), dict):
                 continue
-            if isinstance(value, bytes) and value in self._rejected:
+            rejected = self._rejected.get(key)
+            if (
+                rejected is not None
+                and not isinstance(value, dict)
+                and _read_back(value) == rejected
+            ):
                 continue
             self._values[key] = value
 
@@ -494,12 +607,12 @@ class ResultStore(MutableMapping[str, dict]):
 def load_cache_entries(path: Path) -> ResultStore:
     """Read a JSONL cache file into a lazily decoding key -> result store.
 
-    One scan checks each line's CRC and keeps it raw, as bytes; results
-    are decoded on first use (:class:`ResultStore`), and the store carries
-    the scan's :class:`CacheFileReport`.  Every line rejected at load is
-    counted there and warned about as in :func:`read_cache_entries`; a
-    canonical-shaped line whose payload does not decode is reported
-    when its key is first asked for.
+    One scan checks each line's CRC and records where it lies; results
+    are read back, re-checked and decoded on first use
+    (:class:`ResultStore`), and the store carries the scan's
+    :class:`CacheFileReport`.  Every line rejected at load is counted
+    there and warned about as in :func:`read_cache_entries`; a line
+    rejected at its first use is reported then.
     """
     values, report = _scan(path, lazy=True)
     _warn(path, report.skipped, report.crc_failures, _READ_NOTE)
@@ -551,8 +664,13 @@ def append_cache_entries(
     return MergeStats(new_entries=written, lock_waits=lock.waits)
 
 
-def _write_lines(path: Path, lines: Iterable[bytes]) -> None:
-    """Atomically replace ``path`` with ``lines`` (caller holds the lock).
+def _write_lines(path: Path, entries: Iterable[tuple[str, _Value]]) -> int:
+    """Atomically replace ``path`` with a line per entry; returns lines left out.
+
+    The caller holds the lock and the scan ``entries`` come from.  A
+    decoded value is framed anew.  A raw line is copied from the version
+    its scan read, one ``os.pread`` each, and must pass :func:`_intact`
+    again: one that no longer does is left out and counted.
 
     Writes a temp file in the same directory, ``fsync``\\ s it, then
     ``os.replace``\\ s it over the target — readers observe either the
@@ -560,16 +678,26 @@ def _write_lines(path: Path, lines: Iterable[bytes]) -> None:
     at any point leaves the original intact.
     """
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+    left_out = 0
     try:
-        with tmp.open("wb") as handle:
-            for line in lines:
-                handle.write(line + b"\n")
+        with tmp.open("wb", buffering=_SCAN_BUFFER) as handle:
+            for key, value in entries:
+                if isinstance(value, dict):
+                    line = encode_entry(key, value).encode()
+                else:
+                    line = _read_back(value)
+                    if not _intact(line):
+                        left_out += 1
+                        continue
+                handle.write(line)
+                handle.write(b"\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
     _fsync_dir(path.parent)
+    return left_out
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -613,10 +741,10 @@ def merge_cache_entries(
     with lock:
         values, report = _scan(path, lazy=True)
         existing = len(values)
-        new = undecodable = 0
+        new = undecodable = left_out = 0
         for key, result in items:
             held = values.get(key)
-            if isinstance(held, bytes) and _decode_raw(key, held) is None:
+            if held is not None and not _decodes(key, held):
                 del values[key]
                 existing -= 1
                 undecodable += 1
@@ -625,11 +753,11 @@ def merge_cache_entries(
                 values[key] = result
                 new += 1
         if new or report.needs_scrub:
-            _write_lines(path, (_framed(key, value) for key, value in values.items()))
+            left_out = _write_lines(path, values.items())
     stats = MergeStats(
         new_entries=new,
-        existing_entries=existing,
-        corrupt_lines=report.skipped + undecodable,
+        existing_entries=existing - left_out,
+        corrupt_lines=report.skipped + undecodable + left_out,
         crc_failures=report.crc_failures,
         lock_waits=lock.waits,
     )
@@ -638,7 +766,7 @@ def merge_cache_entries(
 
 
 def canonicalize_cache_file(
-    path: Path, *, lock_timeout: float | None = None
+    path: Path, *, lock_timeout: float | None = None, decode: bool = False
 ) -> MergeStats:
     """Rewrite ``path`` with entries sorted by key.
 
@@ -653,18 +781,29 @@ def canonicalize_cache_file(
     Idempotent and conservative: an already-sorted, clean, duplicate-
     free file is left byte-untouched; duplicates resolve last-wins (the
     append-path semantics); corrupt or CRC-failed lines are scrubbed and
-    counted like every other tolerant read.  The entry count is the
-    returned ``existing_entries``; a missing file is a no-op.
+    counted like every other tolerant read.  With ``decode``, every
+    line kept is also decoded, as ``repro cache verify`` decodes every
+    line, and one that fails is scrubbed and counted too: the repair
+    ``repro cache canonicalize`` runs.  The entry count is the returned
+    ``existing_entries``; a missing file is a no-op.
     """
     lock = FileLock.for_target(path, timeout=lock_timeout)
     with lock:
         values, report = _scan(path, lazy=True)
+        undecodable = (
+            [key for key, value in values.items() if not _decodes(key, value)]
+            if decode
+            else []
+        )
+        for key in undecodable:
+            del values[key]
         ordered = sorted(values)
-        if report.needs_scrub or list(values) != ordered:
-            _write_lines(path, (_framed(key, values[key]) for key in ordered))
+        left_out = 0
+        if report.needs_scrub or undecodable or list(values) != ordered:
+            left_out = _write_lines(path, ((key, values[key]) for key in ordered))
     stats = MergeStats(
-        existing_entries=len(values),
-        corrupt_lines=report.skipped,
+        existing_entries=len(values) - left_out,
+        corrupt_lines=report.skipped + len(undecodable) + left_out,
         crc_failures=report.crc_failures,
         lock_waits=lock.waits,
     )

@@ -71,9 +71,11 @@ class _Server:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self.proc is not None and self.proc.poll() is None:
+        if self.proc is None:
+            return
+        if self.proc.poll() is None:
             self.proc.send_signal(signal.SIGTERM)
-            self.proc.wait(timeout=TIMEOUT)
+        self.proc.communicate(timeout=TIMEOUT)  # reaps it and closes its pipes
 
     def stop(self) -> int:
         """SIGTERM drain; returns the exit code."""

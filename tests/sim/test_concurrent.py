@@ -57,7 +57,8 @@ class TestConcurrentSweeps:
         shared_dir = tmp_path / "shared"
 
         reference = _repro(SWEEP + ("--jobs", "1"), _env(serial_dir))
-        assert reference.wait(timeout=300) == 0, reference.stderr.read()
+        _, reference_err = reference.communicate(timeout=300)
+        assert reference.returncode == 0, reference_err
 
         first = _repro(SWEEP + ("--jobs", "2"), _env(shared_dir))
         second = _repro(SWEEP + ("--jobs", "2"), _env(shared_dir))
@@ -76,7 +77,8 @@ class TestConcurrentSweeps:
         shared_dir = tmp_path / "shared"
 
         reference = _repro(SWEEP + ("--jobs", "1"), _env(serial_dir))
-        assert reference.wait(timeout=300) == 0
+        reference.communicate(timeout=300)
+        assert reference.returncode == 0
 
         first = _repro(SWEEP + ("--jobs", "1"), _env(shared_dir))
         second = _repro(SWEEP + ("--jobs", "2"), _env(shared_dir))

@@ -1,8 +1,10 @@
 """Tests for experiment-runner caching semantics."""
 
 import json
+import os
 import shutil
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from repro.sim.resultcache import (
     CorruptCacheLineWarning,
     append_cache_entries,
     cache_file_name,
+    canonicalize_cache_file,
     encode_entry,
     frame_line,
     load_cache_entries,
@@ -190,6 +193,27 @@ class TestDeferredRejection:
         assert main(["cache", "verify", "--cache-dir", str(tmp_path), "--strict"]) == 1
         assert "verification failed" in capsys.readouterr().err
 
+    def test_cache_canonicalize_repairs_what_verify_strict_rejects(
+        self, tmp_path, capsys
+    ):
+        """The CLI decodes every line it keeps; a batch canonicalize copies."""
+        path = tmp_path / cache_file_name(TEST.name)
+        good = encode_entry("k-good", {"ipc": 1.0})
+        path.write_text(_undecodable_line("k-bad") + "\n" + good + "\n")  # sorted
+        poisoned = path.read_bytes()
+        verify = ["cache", "verify", "--cache-dir", str(tmp_path), "--strict"]
+        assert main(verify) == 1
+
+        assert canonicalize_cache_file(path).corrupt_lines == 0
+        assert path.read_bytes() == poisoned  # copied, not decoded
+        capsys.readouterr()
+        with pytest.warns(CorruptCacheLineWarning, match="scrubbed"):
+            assert main(["cache", "canonicalize", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "canonical (1 entries, 1 rejected line(s) scrubbed)" in out
+        assert path.read_text() == good + "\n"
+        assert main(verify) == 0
+
 
 class TestReload:
     def test_reload_keeps_decoded_results_and_counts_a_bad_line_once(
@@ -238,6 +262,123 @@ class TestAdoption:
         values, _ = read_cache_entries(COMMITTED_BENCH)
         assert len(loaded) == len(values) == 1560
         assert list(loaded.items())[:20] == list(values.items())[:20]
+
+
+def _descriptors(path: Path) -> int:
+    """How many descriptors this process holds on ``path``, replaced or not."""
+    names = {str(path), f"{path} (deleted)"}
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}") in names
+        except OSError:  # the listing's own descriptor, closed by now
+            pass
+    return count
+
+
+class TestLinesStayOnDisk:
+    """A load records where each line lies and reads it back on first use."""
+
+    def _two_line_cache(self, tmp_path):
+        path = tmp_path / cache_file_name(TEST.name)
+        lines = [
+            encode_entry("k-flip", {"ipc": 2.0}),
+            encode_entry("k-good", {"ipc": 1.0}),
+        ]
+        path.write_text("".join(line + "\n" for line in lines))
+        return path
+
+    def test_a_load_holds_no_line_bytes(self):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            store = load_cache_entries(COMMITTED_BENCH)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(store) == 1560
+        assert not any(isinstance(value, bytes) for value in store._values.values())
+        assert held < COMMITTED_BENCH.stat().st_size / 5
+
+    def test_a_replace_and_appends_do_not_change_what_is_read(self, tmp_path):
+        path = tmp_path / COMMITTED_BENCH.name
+        lines = COMMITTED_BENCH.read_text().splitlines(keepends=True)
+        path.write_text("".join(reversed(lines)))  # canonicalize moves every line
+        expected, _ = read_cache_entries(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CorruptCacheLineWarning)
+            store = load_cache_entries(path)
+            append_cache_entries(path, [("late-1", {"ipc": 1.0})])  # the same inode
+            canonicalize_cache_file(path)  # an atomic replace
+            append_cache_entries(path, [("late-2", {"ipc": 2.0})])
+            assert dict(store) == expected
+
+    def test_a_line_changed_in_place_is_rejected_at_first_use(self, tmp_path):
+        path = self._two_line_cache(tmp_path)
+        store = load_cache_entries(path)
+        rejected = []
+        store.on_reject = lambda: rejected.append(1)
+        with path.open("r+b") as handle:  # in place: the inode the load holds
+            handle.seek(path.read_bytes().index(b"2.0"))
+            handle.write(b"3")
+        with pytest.warns(CorruptCacheLineWarning, match="first use") as caught:
+            assert store.get("k-flip") is None
+            assert store.get("k-flip") is None
+        assert (len(caught), len(rejected)) == (1, 1)
+        assert store["k-good"] == {"ipc": 1.0}
+
+    def test_a_runner_counts_a_line_changed_in_place_once(self, tmp_path):
+        path = self._two_line_cache(tmp_path)
+        runner = ExperimentRunner(TEST, cache_dir=tmp_path)
+        with path.open("r+b") as handle:
+            handle.seek(path.read_bytes().index(b"2.0"))
+            handle.write(b"3")
+        with pytest.warns(CorruptCacheLineWarning, match="first use"):
+            assert runner.cached_payload("k-flip") is None
+        assert runner.cached_payload("k-flip") is None
+        assert _counter(runner, "sweep/corrupt_lines") == 1
+        assert runner.cached_payload("k-good") == {"ipc": 1.0}
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_one_descriptor_per_load_while_its_lines_are_unread(self, tmp_path):
+        path = self._two_line_cache(tmp_path)
+        store = load_cache_entries(path)
+        other = load_cache_entries(path)
+        assert _descriptors(path) == 2
+        del other
+        assert _descriptors(path) == 1
+        assert store["k-flip"] == {"ipc": 2.0}
+        assert _descriptors(path) == 1  # one line still unread
+        assert store["k-good"] == {"ipc": 1.0}
+        assert _descriptors(path) == 0
+        assert read_cache_entries(path)[0] and _descriptors(path) == 0
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_reloads_do_not_pile_up_descriptors(self, tmp_path):
+        path = self._two_line_cache(tmp_path)
+        runner = ExperimentRunner(TEST, cache_dir=tmp_path)
+        assert _descriptors(path) == 1
+        for _ in range(3):
+            runner.reload_disk_cache()
+        append_cache_entries(path, [("a-late", {"ipc": 3.0})])
+        runner.reload_disk_cache()
+        canonicalize_cache_file(path)
+        runner.reload_disk_cache()
+        assert _descriptors(path) == 1
+        for key in ("a-late", "k-flip", "k-good"):
+            assert runner.cached_payload(key) is not None
+        assert _descriptors(path) == 0
+        runner.reload_disk_cache()  # nothing left to record
+        assert _descriptors(path) == 0
+        append_cache_entries(path, [("b-late", {"ipc": 4.0})])
+        runner.reload_disk_cache()
+        assert _descriptors(path) == 1
+        del runner
+        assert _descriptors(path) == 0
 
 
 class TestLockCounters:

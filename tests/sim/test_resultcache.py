@@ -276,6 +276,30 @@ class TestCanonicalize:
         assert (stats.existing_entries, stats.corrupt_lines) == (2, 0)
         assert path.read_text() == clean
 
+    def test_a_line_changed_after_the_scan_is_left_out_and_counted(
+        self, tmp_path, monkeypatch
+    ):
+        """The rewrite re-checks each line it copies from the scanned file."""
+        import repro.sim.resultcache as rc
+
+        path = tmp_path / cache_file_name("test")
+        _write_v5(path, [("k2", {"v": 2}), ("k1", {"v": 1})])  # unsorted
+        scan = rc._scan
+
+        def scan_then_change_in_place(target, *, lazy):
+            scanned = scan(target, lazy=lazy)
+            with target.open("r+b") as handle:
+                handle.seek(target.read_bytes().index(b'"v": 2') + len(b'"v": '))
+                handle.write(b"3")
+            return scanned
+
+        monkeypatch.setattr(rc, "_scan", scan_then_change_in_place)
+        with pytest.warns(CorruptCacheLineWarning, match="1 corrupt"):
+            stats = canonicalize_cache_file(path)
+        monkeypatch.undo()
+        assert stats == MergeStats(existing_entries=1, corrupt_lines=1)
+        assert read_cache_entries(path)[0] == {"k1": {"v": 1}}
+
 
 class TestReturnedCounts:
     """Every read returns its census and every write its stats."""
