@@ -546,13 +546,13 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
     final cache file is byte-identical to a canonicalized serial
     ``repro sweep`` of the same matrix — worker losses, reassignments
     and duplicate completions included.  ``--resume`` salvages the
-    staged results of a coordinator that was killed mid-dispatch (the
-    write-ahead journal says which cells those are) and re-leases only
-    the remainder; ``--redispatch N`` re-runs resolution up to N extra
-    rounds until the matrix saturates.  Exit codes: 0 dispatched (and,
-    without ``--strict``, even with failed jobs — they are reported
-    structurally, like a sweep), 1 failed jobs under ``--strict``,
-    2 configuration or worker-startup errors.
+    results a coordinator killed mid-dispatch left in its staged shard
+    directory and re-leases only the remainder; without it, that
+    directory is discarded.  ``--redispatch N`` re-runs resolution up
+    to N extra rounds until the matrix saturates.  Exit codes: 0
+    dispatched (and, without ``--strict``, even with failed jobs — they
+    are reported structurally, like a sweep), 1 failed jobs under
+    ``--strict``, 2 configuration or worker-startup errors.
     """
     import time as timelib
 
@@ -599,9 +599,7 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
                 fold_every=args.fold_every,
                 heartbeat_interval=args.heartbeat,
                 heartbeat_deadline=args.heartbeat_deadline,
-                # Every redispatch round after the first is a resume of
-                # this command's own journal.
-                resume=args.resume or round_index > 0,
+                resume=args.resume,
                 carry_counters=carry,
             )
         except DispatchError as exc:
@@ -1212,8 +1210,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         action="store_true",
         help=(
-            "salvage the staged results of a crashed coordinator (from "
-            "its write-ahead journal) before re-leasing the remainder"
+            "salvage the results a crashed coordinator staged in its "
+            "shard directory before re-leasing the remainder"
         ),
     )
     p_dispatch.add_argument(

@@ -29,15 +29,16 @@ Fault model, in the order the machinery engages:
   staged bytes tolerantly: a CRC-failed line (the ``remote-torn-merge``
   fault) is rejected and the entry recovered from the in-memory copy,
   so corruption in transit cannot reach the cache.
-* **Coordinator death** — every decision is journaled write-ahead
-  (:mod:`repro.dist.journal`) and staged shards fold into the cache
-  every ``fold_every`` completed leases, so a ``kill -9`` (the
-  ``coordinator-crash`` fault) loses at most one fold window of work.
-  ``repro dispatch --resume`` replays the journal, salvages
-  staged-but-unfolded results from the dead coordinator's shards, and
-  re-leases only the remainder; stale shard directories and orphaned
-  journals from dead coordinators are reclaimed on startup (live ones
-  are never touched — the stale-socket discipline).
+* **Coordinator death** — a dispatch with work stages into
+  ``<cache>.dist-<pid>`` and removes that directory when it finishes,
+  so a directory named for a dead pid is the record of a crash.  Staged
+  shards fold into the cache every ``fold_every`` completed leases, so
+  a ``kill -9`` (the ``coordinator-crash`` fault) loses at most one
+  fold window of work.  ``repro dispatch --resume`` salvages every
+  result the dead coordinator's shards hold before the matrix resolves
+  and re-leases only the remainder; without ``--resume`` the directory
+  is discarded.  A directory named for another live pid refuses the
+  dispatch (the stale-socket discipline).
 
 Byte-determinism: the fold is the existing locked, atomic
 :func:`~repro.sim.resultcache.merge_cache_entries` (existing keys win)
@@ -62,12 +63,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from repro.dist.journal import (
-    DispatchJournal,
-    JournalReplay,
-    journal_path,
-    replay_journal,
-)
 from repro.dist.worker import LocalWorkerPool, WorkerEndpoint
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeClientError, ServeTimeout
@@ -271,21 +266,9 @@ class DispatchCoordinator:
         for name, value in (carry_counters or {}).items():
             self.registry.inc(name, value)
 
-        cache_path_early = self.runner.cache_path
-        self._journal_path: Path | None = (
-            journal_path(cache_path_early.parent, preset_name)
-            if cache_path_early is not None
-            else None
-        )
-        self._journal: DispatchJournal | None = (
-            DispatchJournal(self._journal_path, lock_timeout=lock_timeout)
-            if self._journal_path is not None
-            else None
-        )
         # Crash recovery happens *before* matrix resolution so salvaged
         # cells resolve as cached and never re-lease.
         self._recover_previous()
-        self._reclaim_stale_shards()
 
         self.jobs: list[DispatchJob] = []
         seen: set[str] = set()
@@ -341,110 +324,74 @@ class DispatchCoordinator:
     # ------------------------------------------------------------------
 
     def _recover_previous(self) -> None:
-        """Replay (and clear) a journal left behind by an earlier dispatch.
+        """Salvage or reclaim the shard directories of earlier dispatches.
 
-        Three cases, in the stale-socket discipline:
+        Each dispatch stages into ``<cache>.dist-<pid>`` and removes it
+        when it finishes, so a directory named for another pid is, in
+        the stale-socket discipline:
 
-        * ended journal — a finished dispatch kept it for post-mortem;
-          silently removed.
-        * un-ended journal, owner pid alive — a live dispatch owns this
-          preset's cache; refuse to race it.
-        * un-ended journal, owner dead — a crashed coordinator.  With
-          ``resume``, staged-but-unfolded results are salvaged from its
-          shard files *before* the matrix resolves (so they count as
-          cached and never re-lease); without, the journal is discarded
-          and every unfolded cell recomputes.
+        * owner alive — a live dispatch owns this preset's cache; refuse
+          to race it.
+        * owner dead — a crashed coordinator.  With ``resume``, every
+          readable shard line is merged into the cache, then the cache
+          is canonicalized, so salvage order can never perturb the
+          final bytes; torn lines fail their CRC and those cells simply
+          recompute.  Salvaged or not, the directory is then reclaimed.
+
+        A suffix that is not a pid is left alone.
         """
         self._resumed = False
-        path = self._journal_path
-        if path is None or not path.exists():
-            return
-        replay = replay_journal(path)
-        if not replay.ended:
-            pid = replay.pid
-            if pid is not None and pid != os.getpid() and _pid_alive(pid):
-                raise DispatchError(
-                    f"another dispatch (pid {pid}) is live on this cache — "
-                    f"journal {path.name} is still open"
-                )
-            if self.resume:
-                self._salvage(replay)
-                self._resumed = True
-                self.registry.inc("dist/resumes")
-                self._log(
-                    f"resuming after coordinator crash (pid {pid}): "
-                    f"{len(replay.staged)} staged, {len(replay.folded)} "
-                    f"folded, {replay.torn_lines} torn journal line(s)"
-                )
-            else:
-                self._log(
-                    f"discarding crashed dispatch journal {path.name} "
-                    f"(pid {pid}); pass --resume to salvage staged results"
-                )
-        assert self._journal is not None
-        self._journal.remove()
-
-    def _salvage(self, replay: JournalReplay) -> None:
-        """Fold a dead coordinator's staged shards into the cache.
-
-        Everything readable in the shard files is merged — including
-        results staged just before the crash whose journal record never
-        landed — then the cache is canonicalized, so salvage order can
-        never perturb the final bytes.  Torn shard lines fail their CRC
-        and are skipped; those cells simply recompute.
-        """
-        cache_path = self.runner.cache_path
-        shard_dir = replay.shard_dir
-        if cache_path is None or shard_dir is None or not shard_dir.exists():
-            return
-        entries: dict[str, dict] = {}
-        for shard in sorted(shard_dir.glob("worker-*.jsonl")):
-            entries.update(read_cache_entries(shard)[0])
-        if not entries:
-            return
-        with self.registry.timer("phase/salvage"):
-            stats = merge_cache_entries(
-                cache_path, sorted(entries.items()),
-                lock_timeout=self.lock_timeout,
-            )
-            canonicalize_cache_file(cache_path, lock_timeout=self.lock_timeout)
-        self.registry.inc("dist/jobs_salvaged", stats.new_entries)
-        # The runner snapshotted the disk cache before salvage existed;
-        # reload so resolution sees the salvaged cells as cached.
-        self.runner.reload_disk_cache()
-        self._log(
-            f"salvaged {stats.new_entries} staged result(s) from "
-            f"{shard_dir.name}"
-        )
-
-    def _reclaim_stale_shards(self) -> None:
-        """Remove shard directories abandoned by dead coordinators.
-
-        Mirrors the serve server's stale-socket reclaim: a directory
-        named for a live pid is left alone (that dispatch may still
-        fold it); one named for a dead pid can never be folded by its
-        owner again, and salvage (when asked for) has already read it.
-        """
         cache_path = self.runner.cache_path
         if cache_path is None:
             return
-        reclaimed = 0
-        for stale in sorted(cache_path.parent.glob(f"{cache_path.name}.dist-*")):
-            if not stale.is_dir():
-                continue
-            suffix = stale.name.rsplit(".dist-", 1)[-1]
-            if not suffix.isdigit():
+        dead: list[tuple[int, Path]] = []
+        pattern = f"{cache_path.name}.dist-*"
+        for directory in sorted(cache_path.parent.glob(pattern)):
+            suffix = directory.name.rsplit(".dist-", 1)[-1]
+            if not directory.is_dir() or not suffix.isdigit():
                 continue
             pid = int(suffix)
-            if pid == os.getpid() or _pid_alive(pid):
+            if pid == os.getpid():
                 continue
-            shutil.rmtree(stale, ignore_errors=True)
-            reclaimed += 1
-            self._log(
-                f"reclaimed stale shard directory {stale.name} (pid {pid})"
-            )
-        if reclaimed:
-            self.registry.inc("dist/stale_shards_reclaimed", reclaimed)
+            if _pid_alive(pid):
+                raise DispatchError(
+                    f"another dispatch (pid {pid}) is live on this cache — "
+                    f"its shard directory {directory.name} is still open"
+                )
+            dead.append((pid, directory))
+        entries: dict[str, dict] = {}
+        for pid, directory in dead:
+            if self.resume:
+                self._log(
+                    f"resuming after coordinator crash (pid {pid}): "
+                    f"salvaging {directory.name}"
+                )
+                for shard in sorted(directory.glob("worker-*.jsonl")):
+                    entries.update(read_cache_entries(shard)[0])
+            else:
+                self._log(
+                    f"discarding crashed dispatch {directory.name} (pid {pid}); "
+                    "pass --resume to salvage staged results"
+                )
+        if entries:
+            with self.registry.timer("phase/salvage"):
+                stats = merge_cache_entries(
+                    cache_path, sorted(entries.items()),
+                    lock_timeout=self.lock_timeout,
+                )
+                canonicalize_cache_file(cache_path, lock_timeout=self.lock_timeout)
+            self.registry.inc("dist/jobs_salvaged", stats.new_entries)
+            # The runner loaded the cache before salvage wrote it; reload
+            # so resolution sees the salvaged cells as cached.
+            self.runner.reload_disk_cache()
+            self._log(f"salvaged {stats.new_entries} staged result(s)")
+        for _, directory in dead:
+            shutil.rmtree(directory, ignore_errors=True)
+        if dead:
+            self.registry.inc("dist/stale_shards_reclaimed", len(dead))
+            if self.resume:
+                self._resumed = True
+                self.registry.inc("dist/resumes")
 
     # ------------------------------------------------------------------
     # Public surface
@@ -475,18 +422,9 @@ class DispatchCoordinator:
             if not self._workers:
                 raise DispatchError("dispatch needs at least one worker")
             if self._shard_dir is not None:
+                # Made only when there is work: an empty or fully cached
+                # matrix must leave the cache directory untouched.
                 self._shard_dir.mkdir(parents=True, exist_ok=True)
-            if self._journal is not None:
-                # Written only when there is work: an empty or fully
-                # cached matrix must leave the cache directory untouched.
-                self._journal.begin(
-                    preset=self.preset_name,
-                    total=self.total_cells,
-                    cached=self.cached_cells,
-                    keys=[job.key for job in self.jobs],
-                    shard_dir=self._shard_dir,
-                    resumed=self._resumed,
-                )
             with self.registry.timer("phase/dispatch"):
                 threads = [
                     threading.Thread(
@@ -513,14 +451,6 @@ class DispatchCoordinator:
                     }
                     self.registry.inc("dist/jobs_unrunnable")
         report = self._fold()
-        if self._journal is not None and self.jobs:
-            self._journal.end(
-                completed=len(self._results), failed=len(self._failures)
-            )
-            if not self._failures:
-                # Clean dispatch: nothing left to post-mortem.  Kept on
-                # failures; the next startup removes an ended journal.
-                self._journal.remove()
         self._write_stats(report, final=True)
         return report
 
@@ -621,12 +551,15 @@ class DispatchCoordinator:
         with ServeClient(
             health.endpoint.address, timeout=connect_timeout
         ) as client:
-            client.handshake()
-            heartbeat = self.heartbeat_interval is not None
-            if self._journal is not None:
-                self._journal.lease(
-                    lease_id, health.endpoint.name, [job.key for job in batch]
+            preset = client.handshake().get("preset")
+            if preset != self.preset_name:
+                # Its results would carry its own preset's keys, which
+                # resolve no job here: a lost worker, not a clean lease.
+                raise ServeClientError(
+                    f"{health.endpoint.name} serves preset {preset!r}, "
+                    f"not {self.preset_name!r}"
                 )
+            heartbeat = self.heartbeat_interval is not None
             client.request(
                 {
                     "op": "lease",
@@ -768,11 +701,6 @@ class DispatchCoordinator:
             resolved = len(self._results) + len(self._failures)
             self._cond.notify_all()
         self._stage(health, key, payload)
-        if self._journal is not None:
-            # WAL order: the staged shard line is durable first, then
-            # the journal claims it — a crash between the two leaves a
-            # stageable-but-unclaimed result that salvage still reads.
-            self._journal.result(key, health.endpoint.name)
         if self.progress is not None:
             self.progress(resolved, len(self.jobs), key)
         return "stored"
@@ -782,7 +710,6 @@ class DispatchCoordinator:
         key = event.get("key")
         if not isinstance(key, str):
             return
-        recorded = False
         with self._cond:
             if key not in self._failures and key not in self._results:
                 self._failures[key] = {
@@ -794,10 +721,7 @@ class DispatchCoordinator:
                 self._inflight.pop(key, None)
                 health.failed += 1
                 self.registry.inc("dist/jobs_failed")
-                recorded = True
             self._cond.notify_all()
-        if recorded and self._journal is not None:
-            self._journal.failed(key, str(event.get("error")))
 
     def _stage(self, health: WorkerHealth, key: str, payload: dict) -> None:
         """Append one pulled result to the worker's staged shard file.
@@ -890,9 +814,8 @@ class DispatchCoordinator:
         Caller holds ``_fold_lock``.  The fold is merge (existing keys
         win) + canonicalize, so any sequence of windows — in any order,
         interleaved with crashes and salvages — converges on the same
-        bytes as one big final fold.  Each window is journaled after
-        the cache write, then offered to the ``coordinator-crash``
-        fault hook.
+        bytes as one big final fold.  Each window is offered to the
+        ``coordinator-crash`` fault hook after the cache write.
         """
         cache_path = self.runner.cache_path
         if cache_path is None or not self.jobs:
@@ -937,12 +860,6 @@ class DispatchCoordinator:
         self._fold_serial += 1
         if not final:
             self.registry.inc("dist/folds_partial")
-        if self._journal is not None:
-            self._journal.fold(
-                self._fold_serial,
-                [job.key for job in pending],
-                partial=not final,
-            )
         faultinject.dispatch_after_fold(self._fold_serial)
         if not final:
             # Keep the on-disk snapshot current between windows so a
@@ -978,16 +895,12 @@ class DispatchCoordinator:
         """Final fold: everything unfolded, then the end-of-run report."""
         with self._fold_lock:
             self._fold_window(final=True)
-        report = self._build_report()
-        if (
-            self._shard_dir is not None
-            and self._shard_dir.exists()
-            and not self._failures
-        ):
-            # Shards are only diagnostic once folded; keep them around
-            # when something failed, for the post-mortem.
+        if self._shard_dir is not None:
+            # Everything staged is folded now, and failures live in the
+            # report: the directory gone is what marks this dispatch
+            # finished, so a later --resume finds nothing to salvage.
             shutil.rmtree(self._shard_dir, ignore_errors=True)
-        return report
+        return self._build_report()
 
     def _build_report(self) -> DispatchReport:
         """Assemble the report from coordinator state and the counters."""

@@ -45,6 +45,7 @@ own reads and writes and nothing else the process does.
 from __future__ import annotations
 
 import os
+import threading
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -52,7 +53,8 @@ from typing import Callable, Iterable, Sequence
 from repro.obs.registry import CounterRegistry
 from repro.sim.config import MachineConfig, Preset
 from repro.sim.locking import LockTimeoutError, _pid_alive
-from repro.sim.multi_core import MixRunResult, simulate_mix
+# Bound for benchmarks/e2e/spans.py, which wraps simulate_mix/_trace here.
+from repro.sim.multi_core import MixRunResult, simulate_mix  # noqa: F401
 from repro.sim.parallel import (
     MIX,
     SINGLE,
@@ -74,7 +76,7 @@ from repro.sim.resultcache import (
     read_cache_entries,
 )
 from repro.sim.retry import FailedCell, RetryPolicy, SweepFailedError
-from repro.sim.single_core import RunResult, simulate_trace
+from repro.sim.single_core import RunResult, simulate_trace  # noqa: F401
 from repro.workloads.mixes import MixSpec
 from repro.workloads.suite import SUITE_VERSION, TraceSuite
 from repro.workloads.tracecache import process_cache
@@ -292,9 +294,12 @@ class ExperimentRunner:
         Cached (or duplicate) requests count as cache hits; the unique
         uncached remainder is simulated — across ``self.jobs`` worker
         processes when more than one job is pending, serially otherwise.
-        Pending jobs enter the cache (memory and disk) in request order
-        either way, so serial and parallel sweeps produce byte-identical
-        cache files.
+        Off the main thread, a runner with a job timeout sends even one
+        job to a worker process: the watchdog
+        (:func:`~repro.sim.retry.deadline`) can only be armed on a
+        process's main thread.  Pending jobs enter the cache (memory and
+        disk) in request order either way, so serial and parallel
+        sweeps produce byte-identical cache files.
 
         Jobs that exhaust their retry budget are excluded from the
         returned count; in strict mode they raise
@@ -333,7 +338,11 @@ class ExperimentRunner:
             if not pending:
                 return 0
             self.cache_misses += len(pending)
-            if self.jobs > 1 and len(pending) > 1:
+            unwatched = (
+                self.fault_policy.timeout is not None
+                and threading.current_thread() is not threading.main_thread()
+            )
+            if unwatched or (self.jobs > 1 and len(pending) > 1):
                 try:
                     outcome = run_sweep(
                         self.preset,
@@ -419,7 +428,21 @@ class ExperimentRunner:
     def _single_result(self, machine: MachineConfig, trace_name: str) -> RunResult:
         """Fetch a prewarmed single run from memory (no accounting)."""
         key = self._single_key(machine, trace_name, self.preset.trace_length)
-        return RunResult.from_dict(self._memory[key])
+        return RunResult.from_dict(self._prewarmed(key))
+
+    def _prewarmed(self, key: str) -> dict:
+        """The result a prewarm cached for ``key``.
+
+        A cell that failed in a non-strict runner has none: its
+        :class:`~repro.sim.retry.FailedCell` is raised as a
+        :class:`~repro.sim.retry.SweepFailedError`, never a bare
+        ``KeyError``.
+        """
+        try:
+            return self._memory[key]
+        except KeyError:
+            failures = [f for f in self.failed_cells if f.key == key]
+            raise SweepFailedError(failures) from None
 
     def has_cached(self, machine: MachineConfig, trace_name: str) -> bool:
         """Whether a (machine, trace) run is already cached (no accounting)."""
@@ -431,18 +454,15 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
 
     def run_single(self, machine: MachineConfig, trace_name: str) -> RunResult:
-        """One (machine, trace) run, cached."""
+        """One (machine, trace) run, cached; a miss is a one-cell prewarm."""
         key = self._single_key(machine, trace_name, self.preset.trace_length)
         cached = self._memory.get(key)
-        if cached is not None:
+        if cached is None:
+            self.prewarm([(machine, trace_name)])
+            cached = self._prewarmed(key)
+        else:
             self.cache_hits += 1
-            return RunResult.from_dict(cached)
-        self.cache_misses += 1
-        trace = self.suite.trace(trace_name)
-        data = self.suite.data_model(trace_name)
-        result = simulate_trace(trace, data, machine, self.preset)
-        self._store(key, result.to_dict())
-        return result
+        return RunResult.from_dict(cached)
 
     def run_many(
         self, machine: MachineConfig, trace_names: Iterable[str]
@@ -453,16 +473,15 @@ class ExperimentRunner:
         return [self._single_result(machine, name) for name in names]
 
     def run_mix(self, machine: MachineConfig, mix: MixSpec) -> MixRunResult:
-        """One multi-program mix run, cached."""
+        """One multi-program mix run, cached; a miss is a one-cell prewarm."""
         key = self._mix_key(machine, mix, self.preset.trace_length)
         cached = self._memory.get(key)
-        if cached is not None:
+        if cached is None:
+            self.prewarm(mixes=[(machine, mix)])
+            cached = self._prewarmed(key)
+        else:
             self.cache_hits += 1
-            return MixRunResult.from_dict(cached)
-        self.cache_misses += 1
-        result = simulate_mix(mix, machine, self.preset, self.suite)
-        self._store(key, result.to_dict())
-        return result
+        return MixRunResult.from_dict(cached)
 
     def run_mixes(
         self, machine: MachineConfig, mixes: Sequence[MixSpec]
@@ -471,7 +490,7 @@ class ExperimentRunner:
         self.prewarm(mixes=((machine, mix) for mix in mixes))
         length = self.preset.trace_length
         return [
-            MixRunResult.from_dict(self._memory[self._mix_key(machine, mix, length)])
+            MixRunResult.from_dict(self._prewarmed(self._mix_key(machine, mix, length)))
             for mix in mixes
         ]
 

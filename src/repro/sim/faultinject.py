@@ -51,9 +51,9 @@ Spec grammar — comma-separated ``kind:job_index:times`` triples::
   (exercises proactive heartbeat-deadline detection of a hung or
   partitioned worker, as opposed to loss-on-transport-error).
 * ``coordinator-crash`` — hard-exit the coordinator (``os._exit``)
-  right after its ``index``-th fold-in, journal already written
-  (exercises the write-ahead dispatch journal and
-  ``repro dispatch --resume``: only un-folded cells may recompute).
+  right after its ``index``-th fold-in, leaving its staged shard
+  directory behind (exercises ``repro dispatch --resume``'s salvage of
+  that directory: only un-folded cells may recompute).
 
 ``fail`` and ``hang`` count attempts within the executing process, which
 is deterministic because retries happen inside one worker.  ``crash``,
@@ -335,10 +335,10 @@ def dispatch_after_fold(fold_number: int) -> None:
 
     An armed ``coordinator-crash`` fault hard-kills the coordinator
     once ``fold_number`` reaches the spec's index slot (the N in "crash
-    after N fold-ins") — after the fold and its journal record are
-    durable, which is the worst surviving state ``--resume`` must
-    reconstruct from.  One-shot across processes, so the resumed
-    coordinator does not re-crash.
+    after N fold-ins") — after the fold is durable, with the staged
+    shard directory left behind, which is the worst surviving state
+    ``--resume`` must reconstruct from.  One-shot across processes, so
+    the resumed coordinator does not re-crash.
     """
     for fault in active_faults():
         if (

@@ -12,10 +12,8 @@ two processes can tear each other's writes.
 hex8>``.  The checksum turns silent corruption — a bit flipped at rest,
 a line torn mid-write whose remnant still parses, a suffix torn off —
 into a *detected*, counted, skipped line.  :func:`frame_line`,
-:func:`unframe_line`, :func:`iter_lines` and :func:`append_lines` are
-the one copy of that framing rule; the dispatch journal
-(:mod:`repro.dist.journal`) frames, appends and replays its records
-with them too.  Files of any other version are stale: no reader opens
+:func:`unframe_line` and :func:`append_lines` are the one copy of that
+framing rule.  Files of any other version are stale: no reader opens
 them.
 
 Loading is *tolerant*: a worker interrupted mid-write (Ctrl-C, OOM kill,
@@ -53,7 +51,7 @@ line at once.  :func:`read_cache_entries`
 and :func:`scan_cache_file` (``repro cache verify``) decode every line.
 
 Every line gets the verdict a UTF-8 text read (``surrogateescape``,
-universal newlines, ``str.strip``) would give it: :func:`iter_lines`
+universal newlines, ``str.strip``) would give it: the scan
 ends lines at ``\\n``, ``\\r\\n`` or a lone ``\\r``, and strips ASCII
 whitespace in bytes.  Text remains only where bytes and text could
 disagree: a line whose first or last byte is non-ASCII or
@@ -150,7 +148,7 @@ def _payload_crc(payload: bytes) -> bytes:
     The check runs on the bytes as read, so a byte that is not UTF-8
     (say, ASCII with its high bit flipped) fails it like any other
     flipped bit instead of stopping the read.  The one text round trip
-    left, :func:`iter_lines`' strip of a line with non-ASCII edges,
+    left, :func:`_located_lines`' strip of a line with non-ASCII edges,
     decodes with ``surrogateescape`` and so gives back the same bytes.
     """
     return b"%08x" % zlib.crc32(payload)
@@ -183,22 +181,15 @@ def _text(raw: bytes) -> str:
     return raw.decode("utf-8", "surrogateescape")
 
 
-def iter_lines(handle: BinaryIO) -> Iterator[bytes]:
-    """Each line of a binary file, cut and stripped as a text read would.
-
-    Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r`` (universal
-    newlines), and each is stripped of whitespace; a blank line yields
-    ``b""``.  A line whose first or last byte is in
-    :data:`_TEXT_EDGES` is stripped as text, decoded with
-    ``surrogateescape`` so that it encodes back to the bytes it came
-    from; every other line never leaves bytes.
-    """
-    for _, line in _located_lines(handle):
-        yield line
-
-
 def _located_lines(handle: BinaryIO) -> Iterator[tuple[int | None, bytes]]:
-    """:func:`iter_lines`' lines, each with the file offset it starts at.
+    """Each line of a binary file, with the file offset it starts at.
+
+    Lines are cut and stripped as a text read would: they end at
+    ``\\n``, ``\\r\\n`` or a lone ``\\r`` (universal newlines), and each
+    is stripped of whitespace; a blank line yields ``b""``.  A line
+    whose first or last byte is in :data:`_TEXT_EDGES` is stripped as
+    text, decoded with ``surrogateescape`` so that it encodes back to
+    the bytes it came from; every other line never leaves bytes.
 
     A line is the ``len(line)`` bytes at its offset.  The offset is
     ``None`` for a line cut at a ``\\r`` or stripped as text: only such

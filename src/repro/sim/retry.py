@@ -200,8 +200,10 @@ def deadline(seconds: float | None) -> Iterator[None]:
     a hung ``time.sleep`` or a tight pure-Python loop.  Degrades to a
     no-op when ``seconds`` is falsy, the platform has no ``SIGALRM``
     (Windows), or the caller is not the main thread (signals can only be
-    installed there) — pool workers run jobs on their main thread, so
-    the watchdog is always armed where it matters.
+    installed there).  Pool workers run jobs on their main thread, and
+    :meth:`~repro.sim.experiment.ExperimentRunner.prewarm` called off
+    the main thread with a timeout hands even one job to a pool worker;
+    a job run on any other thread is not watched.
     """
     if (
         not seconds

@@ -5,8 +5,9 @@ sight: a worker dying mid-batch (requeue, reassign, retire), a
 partitioned worker completing a job the coordinator already reassigned
 (first result wins, duplicate is a counted no-op), the degenerate
 empty matrix (never touch a worker or the cache file), and the
-crash-safety machinery — streaming partial folds, journal lifecycle,
-stale-shard reclaim and crashed-coordinator salvage.  The
+crash-safety machinery — streaming partial folds, the staged-shard
+directory's lifecycle, stale-shard reclaim and crashed-coordinator
+salvage.  The
 wire-in-the-middle versions of the same invariants live in
 ``test_dispatch_integration.py``.
 """
@@ -23,7 +24,6 @@ from repro.dist.coordinator import (
     WorkerHealth,
     sweep_cells,
 )
-from repro.dist.journal import DispatchJournal, journal_path, replay_journal
 from repro.dist.worker import WorkerEndpoint, parse_worker_spec
 from repro.serve.client import Address, ServeClientError
 from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB
@@ -217,10 +217,7 @@ class TestPartialFold:
         cache = coordinator.runner.cache_path
         assert read_cache_entries(cache)[0] == {job.key: {"ipc": 1.0}}
         assert _counter(coordinator, "dist/folds_partial") == 1
-        replay = replay_journal(coordinator._journal.path)
-        assert replay.completed == {job.key}
-        assert replay.folded == {job.key}
-        assert replay.staged == set()
+        assert coordinator._folded == {job.key}
 
     def test_empty_window_is_skipped(self, tmp_path):
         coordinator = _coordinator(tmp_path, fold_every=1)
@@ -253,42 +250,46 @@ class TestPartialFold:
             health, {"event": "result", "key": second.key, "result": {"b": 2}}
         )
         coordinator._maybe_fold()
-        replay = replay_journal(coordinator._journal.path)
-        assert replay.folds == 2
-        assert replay.folded == {first.key, second.key}
+        assert _counter(coordinator, "dist/folds_partial") == 2
+        assert coordinator._folded == {first.key, second.key}
         cache = read_cache_entries(coordinator.runner.cache_path)[0]
         assert cache == {first.key: {"a": 1}, second.key: {"b": 2}}
         assert _counter(coordinator, "dist/merged_new_entries") == 2
 
 
-class TestJournalLifecycle:
-    def test_live_foreign_journal_refuses_to_race(self, tmp_path):
+def _shard_dir_of(coordinator: DispatchCoordinator, suffix: object):
+    """``<cache>.dist-<suffix>`` next to ``coordinator``'s cache file."""
+    cache_path = coordinator.runner.cache_path
+    return cache_path.parent / f"{cache_path.name}.dist-{suffix}"
+
+
+class TestShardDirectoryLifecycle:
+    def test_live_foreign_shard_directory_refuses_to_race(self, tmp_path):
         # pid 1 is always alive (and never us): the coordinator must
-        # refuse to dispatch over another live dispatch's journal.
-        probe = _coordinator(tmp_path)
-        journal = DispatchJournal(journal_path(tmp_path, "test"))
-        journal._append(
-            {"t": "begin", "pid": 1, "preset": "test", "shard_dir": ""}
-        )
-        del probe
+        # refuse to dispatch over another live dispatch's shards.
+        live = _shard_dir_of(_coordinator(tmp_path), 1)
+        live.mkdir()
         with pytest.raises(DispatchError, match="another dispatch \\(pid 1\\)"):
-            _coordinator(tmp_path)
+            _coordinator(tmp_path, resume=True)
+        assert live.exists()  # never touched
 
-    def test_ended_journal_is_silently_removed(self, tmp_path):
-        journal = DispatchJournal(journal_path(tmp_path, "test"))
-        journal._append({"t": "begin", "pid": 1, "shard_dir": ""})
-        journal._append({"t": "end", "completed": 2, "failed": 0})
-        coordinator = _coordinator(tmp_path)
-        assert not journal.path.exists()
-        assert _counter(coordinator, "dist/resumes") == 0
+    def test_dead_directory_without_resume_is_discarded(self, tmp_path):
+        probe = _coordinator(tmp_path)
+        key = probe.jobs[0].key
+        dead = _shard_dir_of(probe, _dead_pid())
+        dead.mkdir()
+        (dead / "worker-0.jsonl").write_text(encode_entry(key, {"ipc": 1.25}) + "\n")
 
-    def test_dead_journal_without_resume_is_discarded(self, tmp_path):
-        journal = DispatchJournal(journal_path(tmp_path, "test"))
-        journal._append({"t": "begin", "pid": _dead_pid(), "shard_dir": ""})
         coordinator = _coordinator(tmp_path)
-        assert not journal.path.exists()
+
+        assert not dead.exists()
+        # Nothing was salvaged: the staged cell recomputes.
+        assert coordinator.pending_jobs == 2
+        assert key in [job.key for job in coordinator.jobs]
+        assert not coordinator.runner.cache_path.exists()
         assert _counter(coordinator, "dist/resumes") == 0
         assert _counter(coordinator, "dist/jobs_salvaged") == 0
+        assert _counter(coordinator, "dist/stale_shards_reclaimed") == 1
 
     def test_resume_salvages_staged_results_before_resolution(self, tmp_path):
         # Learn the real cache key the matrix will resolve, then fake a
@@ -297,34 +298,11 @@ class TestJournalLifecycle:
         assert probe.pending_jobs == 2
         key = probe.jobs[0].key
         payload = {"ipc": 1.25}
-        cache_path = probe.runner.cache_path
-        shard_dir = cache_path.parent / f"{cache_path.name}.dist-{_dead_pid()}"
-        shard_dir.mkdir(parents=True)
+        shard_dir = _shard_dir_of(probe, _dead_pid())
+        shard_dir.mkdir()
         (shard_dir / "worker-0.jsonl").write_text(
             encode_entry(key, payload) + "\n"
         )
-        journal = DispatchJournal(journal_path(tmp_path, "test"))
-        journal.begin(
-            preset="test",
-            total=2,
-            cached=0,
-            keys=[job.key for job in probe.jobs],
-            shard_dir=shard_dir,
-            resumed=False,
-        )
-        journal.result(key, "worker-0")
-        # Overwrite the pid with a dead one (begin() records ours).
-        text = journal.path.read_text()
-        journal.remove()
-        from repro.dist.journal import decode_record, encode_record
-
-        lines = []
-        for line in text.splitlines():
-            record = decode_record(line.encode())
-            if record and record["t"] == "begin":
-                record["pid"] = _dead_pid()
-            lines.append(encode_record(record))
-        journal.path.write_text("\n".join(lines) + "\n")
 
         coordinator = _coordinator(tmp_path, resume=True)
 
@@ -334,29 +312,48 @@ class TestJournalLifecycle:
         assert coordinator.cached_cells == 1
         assert _counter(coordinator, "dist/resumes") == 1
         assert _counter(coordinator, "dist/jobs_salvaged") == 1
-        assert read_cache_entries(cache_path)[0][key] == payload
-        assert not journal.path.exists()
+        assert read_cache_entries(coordinator.runner.cache_path)[0][key] == payload
         # The dead coordinator's shard directory was reclaimed too.
         assert not shard_dir.exists()
         assert _counter(coordinator, "dist/stale_shards_reclaimed") == 1
 
+    def test_a_dispatch_with_a_failed_cell_leaves_nothing_to_resume(
+        self, tmp_path
+    ):
+        coordinator = _coordinator(tmp_path)
+        coordinator._shard_dir.mkdir()
+        health = _health(0, tmp_path)
+        done, failed = coordinator.jobs
+        coordinator._record_result(
+            health, {"event": "result", "key": done.key, "result": {"ipc": 1.0}}
+        )
+        coordinator._record_failure(
+            health,
+            {"event": "failed", "key": failed.key, "error": "E", "message": "m"},
+        )
+
+        report = coordinator._fold()
+
+        assert [f["key"] for f in report.failures] == [failed.key]
+        assert list(tmp_path.glob("*.dist-*")) == []
+        later = _coordinator(tmp_path, resume=True)
+        assert _counter(later, "dist/resumes") == 0
+        assert later.pending_jobs == 1  # only the failed cell re-runs
+
 
 class TestStaleShardReclaim:
-    def test_dead_pid_shards_reclaimed_live_and_own_kept(self, tmp_path):
+    def test_dead_pid_shards_reclaimed_own_and_odd_kept(self, tmp_path):
         probe = _coordinator(tmp_path)
-        cache_path = probe.runner.cache_path
-        dead = cache_path.parent / f"{cache_path.name}.dist-{_dead_pid()}"
-        live = cache_path.parent / f"{cache_path.name}.dist-1"
-        own = cache_path.parent / f"{cache_path.name}.dist-{os.getpid()}"
-        for path in (dead, live, own):
+        dead = _shard_dir_of(probe, _dead_pid())
+        own = _shard_dir_of(probe, os.getpid())
+        for path in (dead, own):
             path.mkdir(parents=True)
-        odd = cache_path.parent / f"{cache_path.name}.dist-notapid"
+        odd = _shard_dir_of(probe, "notapid")
         odd.mkdir()
 
         coordinator = _coordinator(tmp_path)
 
         assert not dead.exists()
-        assert live.exists()  # pid 1 is alive: never touched
         assert own.exists()
         assert odd.exists()  # unparseable suffix: left alone
         assert _counter(coordinator, "dist/stale_shards_reclaimed") == 1

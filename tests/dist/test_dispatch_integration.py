@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
+from repro.serve.server import READY_PREFIX
 from repro.sim.experiment import CACHE_DIR_ENV
 from repro.sim.faultinject import FAULTS_DIR_ENV, FAULTS_ENV
 from repro.sim.resultcache import scan_cache_file
@@ -35,13 +37,15 @@ def _env(cache_dir: Path, **extra: str) -> dict[str, str]:
     return env
 
 
-def _repro(args: tuple[str, ...], env: dict[str, str]) -> subprocess.CompletedProcess:
+def _repro(
+    args: tuple[str, ...], env: dict[str, str], timeout: float = TIMEOUT
+) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
         env=env,
         capture_output=True,
         text=True,
-        timeout=TIMEOUT,
+        timeout=timeout,
     )
 
 
@@ -163,7 +167,7 @@ def test_coordinator_crash_then_resume_is_byte_identical(tmp_path):
 
     The injected ``coordinator-crash`` fault hard-exits the coordinator
     (``os._exit(88)``) right after its first partial fold, leaving the
-    journal, the staged-shard dir and the orphaned workers behind —
+    staged-shard dir and the orphaned workers behind —
     exactly the wreckage a real SIGKILL leaves.  The resumed dispatch
     must salvage, adopt or reclaim all of it and still produce the
     golden bytes.
@@ -192,8 +196,8 @@ def test_coordinator_crash_then_resume_is_byte_identical(tmp_path):
         crash_env,
     )
     assert crashed.returncode == 88, crashed.stderr
-    [journal] = dist_dir.glob("dispatch-journal-*.ndjson")
-    assert journal.exists()
+    [staged] = dist_dir.glob("*.dist-*")
+    assert staged.is_dir()
 
     # Resume with the fault disarmed (its one-shot stamp also remains).
     resume_env = _env(dist_dir)
@@ -224,7 +228,6 @@ def test_coordinator_crash_then_resume_is_byte_identical(tmp_path):
     [dist_cache] = dist_dir.glob("results-v*.jsonl")
     assert dist_cache.read_bytes() == serial.read_bytes()
     assert scan_cache_file(dist_cache).clean
-    assert list(dist_dir.glob("dispatch-journal-*")) == []
     assert list(dist_dir.glob("*.dist-*")) == []
 
     stats = _repro(
@@ -365,6 +368,45 @@ def test_torn_staged_line_is_rejected_once_and_recovered_from_memory(tmp_path):
     assert counters["dist/folds_partial"]["value"] > 1  # shards re-read per fold
     assert counters["dist/shard_crc_rejected"]["value"] == 1
     assert counters["dist/shard_corrupt_lines"]["value"] == 1
+
+
+def test_a_worker_serving_another_preset_is_lost_not_leased_forever(tmp_path):
+    """A worker whose ``hello`` names another preset never gets a lease.
+
+    Its results would carry its own preset's keys, which resolve no job
+    of this dispatch, so every lease would end in a requeue.  It is lost
+    instead, retires after ``--worker-retries``, and its jobs end as
+    ``NoWorkersLeft`` failures.
+    """
+    socket_path = tmp_path / "bench-worker" / "serve.sock"
+    worker = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--worker", "--preset", "bench",
+         "--socket", str(socket_path)],
+        env=_env(tmp_path / "bench-worker"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    try:
+        assert worker.stdout.readline().startswith(READY_PREFIX)
+        dispatch = _repro(
+            ("dispatch", "--preset", "test", "--trace", "sjeng.1",
+             "--worker", str(socket_path), "--worker-retries", "1", "--json"),
+            _env(tmp_path / "dist"),
+            timeout=60,
+        )
+    finally:
+        worker.send_signal(signal.SIGTERM)
+        worker.communicate(timeout=TIMEOUT)
+    assert dispatch.returncode == 0, dispatch.stderr
+    report = json.loads(dispatch.stdout)
+    assert report["completed"] == 0
+    assert [f["error"] for f in report["failures"]] == ["NoWorkersLeft"] * 2
+    [health] = report["workers"]
+    assert health["retired"] and health["losses"] == 2
+    assert "serves preset 'bench', not 'test'" in dispatch.stderr
+    # Failed cells or not, a finished dispatch leaves no staged shards.
+    assert list((tmp_path / "dist").glob("*.dist-*")) == []
 
 
 def test_dispatch_with_jobs_but_no_workers_exits_2(tmp_path):

@@ -14,10 +14,13 @@ fault-tolerance layer:
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.cli import main
 from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, TEST
-from repro.sim.experiment import ExperimentRunner
+from repro.sim.experiment import CACHE_DIR_ENV, ExperimentRunner
 from repro.sim.faultinject import (
     FAULTS_DIR_ENV,
     FAULTS_ENV,
@@ -143,17 +146,37 @@ class TestGracefulDegradation:
         assert runner.has_cached(BASELINE_2MB, "mcf.1")
         assert not runner.has_cached(BASELINE_2MB, "sjeng.1")
 
-    def test_timeout_exhaustion_is_reported_as_timeout(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "jobs, cells, on_thread",
+        [
+            (2, [(BASELINE_2MB, "sjeng.1"), (BASELINE_2MB, "mcf.1")], False),
+            # A serve batch runs prewarm on its executor thread, where a
+            # signal cannot arm the watchdog in-process.
+            (1, [(BASELINE_2MB, "sjeng.1")], True),
+        ],
+        ids=["pool", "thread"],
+    )
+    def test_timeout_exhaustion_is_reported_as_timeout(
+        self, tmp_path, monkeypatch, jobs, cells, on_thread
+    ):
         _arm(monkeypatch, tmp_path, "hang:0:99")
         runner = ExperimentRunner(
             TEST,
             cache_dir=tmp_path,
-            jobs=2,
+            jobs=jobs,
             retries=0,
             job_timeout=0.5,
             strict=False,
         )
-        runner.prewarm([(BASELINE_2MB, "sjeng.1"), (BASELINE_2MB, "mcf.1")])
+        if on_thread:
+            thread = threading.Thread(
+                target=runner.prewarm, args=(cells,), daemon=True
+            )
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "the hung job was never timed out"
+        else:
+            runner.prewarm(cells)
         [failure] = runner.failed_cells
         assert failure.error == "JobTimeoutError"
         assert failure.attempts == 1
@@ -165,6 +188,29 @@ class TestGracefulDegradation:
             runner.prewarm([(BASELINE_2MB, "sjeng.1"), (BASELINE_2MB, "mcf.1")])
         assert len(excinfo.value.failures) == 1
         assert runner.has_cached(BASELINE_2MB, "mcf.1")  # survivor cached
+
+
+class TestSingleRun:
+    """A ``repro run`` miss runs under the sweep's retry primitive."""
+
+    def test_run_honours_retries(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+        _arm(monkeypatch, tmp_path, "fail:0:1")
+        command = ["run", "--preset", "test", "--trace", "mcf.1"]
+        assert main(command) == 1
+        assert "1 sweep job(s) failed after retries" in capsys.readouterr().err
+        assert main(command + ["--retries", "1"]) == 0
+        assert "IPC:" in capsys.readouterr().out
+
+    def test_a_failed_cell_of_a_lenient_runner_raises_sweep_failed(
+        self, tmp_path, monkeypatch
+    ):
+        _arm(monkeypatch, tmp_path, "fail:0:99")
+        runner = ExperimentRunner(TEST, cache_dir=tmp_path, jobs=1, strict=False)
+        with pytest.raises(SweepFailedError) as excinfo:
+            runner.run_single(BASELINE_2MB, "sjeng.1")
+        [failure] = excinfo.value.failures
+        assert failure.error == "InjectedFault"
 
 
 class TestCorruptShards:

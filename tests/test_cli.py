@@ -417,7 +417,7 @@ class TestLockAndValidationFlags:
         self, command, capsys, tmp_path, monkeypatch
     ):
         """An unknown --trace exits 2 with one line naming it, before any
-        runner, cache file, journal or worker exists."""
+        runner, cache file, shard directory or worker exists."""
         cache_dir = tmp_path / "cache"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
         assert main(command + ["--trace", "nosuch"]) == 2

@@ -12,6 +12,7 @@ from repro.sim.faultinject import FAULTS_DIR_ENV, FAULTS_ENV
 from repro.sim.retry import SweepFailedError
 from repro.workloads import tracecache
 from repro.workloads.datagen import build_palette, LineDataModel
+from repro.workloads.mixes import build_mixes
 from repro.workloads.suite import TraceSuite
 from repro.workloads.tracecache import (
     TraceCache,
@@ -207,6 +208,13 @@ class TestBatchScope:
         runner.run_pair(BASELINE_2MB, BASE_VICTIM_2MB, ["mcf.1"])
         snap = process_cache().snapshot()
         assert (snap["misses"], snap["hits"]) == (1, 1)
+        assert len(process_cache()) == 0
+
+    def test_run_single_and_run_mix_misses_keep_nothing(self, tmp_path):
+        runner = ExperimentRunner(TEST, cache_dir=tmp_path, jobs=1)
+        runner.run_single(BASELINE_2MB, "mcf.1")
+        assert len(process_cache()) == 0
+        runner.run_mix(BASELINE_2MB, build_mixes()[0])
         assert len(process_cache()) == 0
 
     def test_failed_strict_batch_keeps_nothing(self, tmp_path, monkeypatch):
