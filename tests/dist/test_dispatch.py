@@ -7,14 +7,16 @@ partitioned worker completing a job the coordinator already reassigned
 empty matrix (never touch a worker or the cache file), and the
 crash-safety machinery — streaming partial folds, the staged-shard
 directory's lifecycle, stale-shard reclaim and crashed-coordinator
-salvage.  The
-wire-in-the-middle versions of the same invariants live in
-``test_dispatch_integration.py``.
+salvage, fuzzed at every byte of a torn shard.  The wire-in-the-middle
+versions of the same invariants live in ``test_dispatch_integration.py``.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import os
+import warnings
 
 import pytest
 
@@ -27,7 +29,12 @@ from repro.dist.coordinator import (
 from repro.dist.worker import WorkerEndpoint, parse_worker_spec
 from repro.serve.client import Address, ServeClientError
 from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB
-from repro.sim.resultcache import encode_entry, read_cache_entries
+from repro.sim.resultcache import (
+    CorruptCacheLineWarning,
+    encode_entry,
+    frame_line,
+    read_cache_entries,
+)
 
 
 def _coordinator(tmp_path, traces=("sjeng.1",), **kwargs) -> DispatchCoordinator:
@@ -357,3 +364,278 @@ class TestStaleShardReclaim:
         assert own.exists()
         assert odd.exists()  # unparseable suffix: left alone
         assert _counter(coordinator, "dist/stale_shards_reclaimed") == 1
+
+
+def _stage_dead(probe: DispatchCoordinator, shards: dict[str, bytes], pid=None):
+    """A crashed coordinator's shard directory holding ``shards`` by name."""
+    directory = _shard_dir_of(probe, _dead_pid() if pid is None else pid)
+    directory.mkdir()
+    for name, data in shards.items():
+        (directory / name).write_bytes(data)
+    return directory
+
+
+def _lines(*lines: str) -> bytes:
+    return "".join(line + "\n" for line in lines).encode()
+
+
+class TestStartupPass:
+    """The one pass over ``.dist-*`` directories a coordinator makes at birth."""
+
+    def test_a_refused_dispatch_salvages_and_reclaims_nothing(self, tmp_path):
+        probe = _coordinator(tmp_path)
+        key = probe.jobs[0].key
+        dead = _stage_dead(probe, {"worker-0.jsonl": _lines(encode_entry(key, {}))})
+        _shard_dir_of(probe, 1).mkdir()  # pid 1: alive, and never us
+
+        with pytest.raises(DispatchError, match="another dispatch"):
+            _coordinator(tmp_path, resume=True)
+
+        # The live dispatch may still be folding into this cache: the
+        # refusal leaves every directory and the cache file as they were.
+        assert (dead / "worker-0.jsonl").exists()
+        assert not probe.runner.cache_path.exists()
+
+    def test_every_dead_directory_is_salvaged_in_one_pass(self, tmp_path):
+        probe = _coordinator(tmp_path)
+        first, second = (job.key for job in probe.jobs)
+        dead = [
+            _stage_dead(probe, {"worker-0.jsonl": _lines(encode_entry(key, {}))})
+            for key in (first, second)
+        ]
+
+        coordinator = _coordinator(tmp_path, resume=True)
+
+        assert coordinator.pending_jobs == 0
+        assert not any(directory.exists() for directory in dead)
+        assert _counter(coordinator, "dist/jobs_salvaged") == 2
+        assert _counter(coordinator, "dist/stale_shards_reclaimed") == 2
+        assert _counter(coordinator, "dist/resumes") == 1  # one per dispatch
+
+    def test_an_empty_dead_directory_resumes_with_nothing_salvaged(
+        self, tmp_path
+    ):
+        # A coordinator killed before its first result staged anything.
+        dead = _stage_dead(_coordinator(tmp_path), {})
+
+        coordinator = _coordinator(tmp_path, resume=True)
+
+        assert not dead.exists()
+        assert coordinator.pending_jobs == 2
+        assert not coordinator.runner.cache_path.exists()
+        assert _counter(coordinator, "dist/resumes") == 1
+        assert _counter(coordinator, "dist/jobs_salvaged") == 0
+        assert _counter(coordinator, "dist/stale_shards_reclaimed") == 1
+
+    def test_only_worker_shards_are_salvaged(self, tmp_path):
+        probe = _coordinator(tmp_path)
+        shard, stray = (job.key for job in probe.jobs)
+        dead = _stage_dead(
+            probe,
+            {
+                "worker-0.jsonl": _lines(encode_entry(shard, {"ipc": 1.0})),
+                "notes.jsonl": _lines(encode_entry(stray, {"ipc": 2.0})),
+            },
+        )
+
+        coordinator = _coordinator(tmp_path, resume=True)
+
+        assert [job.key for job in coordinator.jobs] == [stray]
+        assert read_cache_entries(coordinator.runner.cache_path)[0] == {
+            shard: {"ipc": 1.0}
+        }
+        assert not dead.exists()  # reclaimed whole, stray file included
+
+    def test_a_file_named_like_a_shard_directory_is_left_alone(self, tmp_path):
+        probe = _coordinator(tmp_path)
+        imposter = _shard_dir_of(probe, _dead_pid())
+        imposter.write_bytes(_lines(encode_entry(probe.jobs[0].key, {})))
+
+        coordinator = _coordinator(tmp_path, resume=True)
+
+        assert imposter.is_file()
+        assert coordinator.pending_jobs == 2
+        assert _counter(coordinator, "dist/resumes") == 0
+        assert _counter(coordinator, "dist/stale_shards_reclaimed") == 0
+
+    def test_salvage_never_overwrites_a_result_already_in_the_cache(
+        self, tmp_path
+    ):
+        # A partial fold landed the cell before the crash; the shard's
+        # copy of it must not replace the folded bytes.
+        probe = _coordinator(tmp_path)
+        key = probe.jobs[0].key
+        probe.runner.cache_path.write_bytes(_lines(encode_entry(key, {"ipc": 1.0})))
+        _stage_dead(probe, {"worker-0.jsonl": _lines(encode_entry(key, {"ipc": 9.9}))})
+
+        coordinator = _coordinator(tmp_path, resume=True)
+
+        assert read_cache_entries(coordinator.runner.cache_path)[0] == {
+            key: {"ipc": 1.0}
+        }
+        assert coordinator.cached_cells == 1
+        assert _counter(coordinator, "dist/jobs_salvaged") == 0
+        assert _counter(coordinator, "dist/resumes") == 1
+
+    def test_salvage_order_cannot_perturb_the_cache_bytes(self, tmp_path):
+        caches = []
+        for layout in ("one-shard", "two-shards-swapped"):
+            root = tmp_path / layout
+            probe = _coordinator(root)
+            first, second = (
+                encode_entry(job.key, {"ipc": float(job.index)}) for job in probe.jobs
+            )
+            if layout == "one-shard":
+                shards = {"worker-0.jsonl": _lines(first, second)}
+            else:
+                shards = {
+                    "worker-0.jsonl": _lines(second),
+                    "worker-1.jsonl": _lines(first),
+                }
+            _stage_dead(probe, shards)
+            coordinator = _coordinator(root, resume=True)
+            assert coordinator.pending_jobs == 0
+            caches.append(coordinator.runner.cache_path.read_bytes())
+        assert caches[0] == caches[1]
+
+    def test_a_fully_salvaged_resume_dispatches_nothing_and_says_so(
+        self, tmp_path
+    ):
+        probe = _coordinator(tmp_path)
+        _stage_dead(
+            probe,
+            {
+                "worker-0.jsonl": _lines(
+                    *(encode_entry(job.key, {"ipc": 1.0}) for job in probe.jobs)
+                )
+            },
+        )
+
+        coordinator = _coordinator(tmp_path, resume=True)
+        report = coordinator.run(())  # nothing left to lease: no worker needed
+
+        assert (report.cached, report.dispatched) == (2, 0)
+        assert (report.resumes, report.salvaged) == (1, 2)
+        assert report.stale_shards_reclaimed == 1
+        stats = json.loads((tmp_path / "dist-stats.json").read_text())
+        assert stats["resumed"] is True
+        assert stats["report"]["salvaged"] == 2
+        assert stats["counters"]["dist/resumes"]["value"] == 1
+        assert list(tmp_path.glob("*.dist-*")) == []
+
+
+def _unchecksummed(key: str) -> str:
+    return json.dumps({"key": key, "result": {"ipc": 2.0}}, sort_keys=True)
+
+
+# Lines a crash, bit rot or a foreign writer can leave in a shard, each
+# built for the cell that must therefore *not* be salvaged.
+_BAD_SHARD_LINES = {
+    "garbage": lambda key: "not a cache line",
+    "torn-tail": lambda key: encode_entry(key, {"ipc": 2.0})[:40],
+    "no-checksum": _unchecksummed,
+    "malformed-checksum": lambda key: _unchecksummed(key) + "#zzzzzzzz",
+    "wrong-checksum": lambda key: _unchecksummed(key) + "#00000000",
+    "not-an-object": lambda key: frame_line(json.dumps([key, {"ipc": 2.0}])),
+    "no-result": lambda key: frame_line(json.dumps({"key": key})),
+    "result-not-an-object": lambda key: frame_line(
+        json.dumps({"key": key, "result": 2.0})
+    ),
+}
+
+
+class TestSalvageTolerance:
+    """``--resume`` reads a dead coordinator's shards without trusting them.
+
+    After a ``kill -9`` salvage is the only reader of those bytes: it
+    must never raise, must fold in every whole line, and must never fold
+    in a torn, altered or foreign one.  The fuzz cases cut and bit-flip
+    a two-entry shard at every offset.
+    """
+
+    @pytest.mark.parametrize("kind", list(_BAD_SHARD_LINES))
+    def test_a_torn_or_foreign_line_is_not_salvaged(self, tmp_path, kind):
+        probe = _coordinator(tmp_path)
+        good, bad = (job.key for job in probe.jobs)
+        _stage_dead(
+            probe,
+            {
+                "worker-0.jsonl": _lines(
+                    encode_entry(good, {"ipc": 1.0}), _BAD_SHARD_LINES[kind](bad)
+                )
+            },
+        )
+
+        with pytest.warns(CorruptCacheLineWarning, match="skipped 1 corrupt"):
+            coordinator = _coordinator(tmp_path, resume=True)
+
+        assert [job.key for job in coordinator.jobs] == [bad]
+        assert read_cache_entries(coordinator.runner.cache_path)[0] == {
+            good: {"ipc": 1.0}
+        }
+        assert _counter(coordinator, "dist/jobs_salvaged") == 1
+
+    @staticmethod
+    def _shard(tmp_path):
+        """The two entries the matrix resolves and their shard's bytes."""
+        probe = _coordinator(tmp_path / "probe")
+        entries = {job.key: {"ipc": float(job.index + 1)} for job in probe.jobs}
+        lines = [encode_entry(key, value) for key, value in entries.items()]
+        # The offset just past each line's newline.
+        ends = list(itertools.accumulate(len(line) + 1 for line in lines))
+        return entries, _lines(*lines), ends
+
+    @staticmethod
+    def _salvage(root, data: bytes, pid: int):
+        """``(coordinator, cache entries)`` of a resume over ``data``."""
+        root.mkdir()
+        staged = _stage_dead(_coordinator(root), {"worker-0.jsonl": data}, pid=pid)
+        coordinator = _coordinator(root, resume=True)  # must never raise
+        assert not staged.exists()
+        return coordinator, read_cache_entries(coordinator.runner.cache_path)[0]
+
+    def test_truncation_at_every_offset_salvages_exactly_the_whole_lines(
+        self, tmp_path
+    ):
+        entries, data, ends = self._shard(tmp_path)
+        pid = _dead_pid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CorruptCacheLineWarning)
+            for offset in range(len(data) + 1):
+                coordinator, salvaged = self._salvage(
+                    tmp_path / f"cut-{offset}", data[:offset], pid
+                )
+                # A line survives iff the cut spares all its bytes; only
+                # its newline may be gone.
+                whole = {
+                    key: value
+                    for (key, value), end in zip(entries.items(), ends)
+                    if end - 1 <= offset
+                }
+                assert salvaged == whole, offset
+                assert coordinator.pending_jobs == 2 - len(whole), offset
+
+    def test_a_flipped_bit_anywhere_loses_only_the_lines_it_touches(
+        self, tmp_path
+    ):
+        entries, data, ends = self._shard(tmp_path)
+        keys = list(entries)
+        pid = _dead_pid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CorruptCacheLineWarning)
+            for offset in range(len(data)):
+                corrupted = bytearray(data)
+                corrupted[offset] ^= 0x10
+                coordinator, salvaged = self._salvage(
+                    tmp_path / f"flip-{offset}", bytes(corrupted), pid
+                )
+                # CRC-32 catches every single-bit error, so the line
+                # holding the flip is lost, never folded in altered.  A
+                # flipped newline also glues the next line onto it.
+                index = sum(end <= offset for end in ends)
+                glued = 2 if offset == ends[index] - 1 else 1
+                lost = keys[index : index + glued]
+                assert salvaged == {
+                    key: value for key, value in entries.items() if key not in lost
+                }, offset
+                assert coordinator.pending_jobs == len(lost), offset
