@@ -9,7 +9,7 @@ Exposes the paper's experiments and some exploration helpers::
     repro stats --trace mcf.1 --trace lbm.1 [--json] [--trace-events]
     repro area
     repro export --csv fig8.csv
-    repro sweep [--resume] [--strict] [--retries 2] [--job-timeout 60]
+    repro sweep [--strict] [--retries 2] [--job-timeout 60]
     repro serve [--preset test] [--socket PATH | --tcp HOST:PORT] [--jobs 4]
     repro submit --trace mcf.1 [--sweep] [--wait] [--json]
     repro serve-status [--json]
@@ -318,14 +318,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     graceful-degradation mode: transient worker failures retry, crashed
     workers are recovered, and cells that exhaust their retries are
     reported as a failed-cell table instead of aborting the sweep.
-    ``--resume`` additionally salvages shard files left by a killed
-    sweep and reports exactly which cells were recovered vs recomputed;
-    ``--strict`` turns any failed cell into a nonzero exit.
+    Every finished cell is cached the moment it is computed, so a rerun
+    of a killed sweep recovers its cells from the cache and recomputes
+    only the rest; ``--strict`` turns any failed cell into a nonzero
+    exit.
     """
     from repro.sim.report import failed_cells_table, sweep_health_summary
 
     runner = _runner_from_args(args, strict=False)
-    salvaged = runner.resume_orphan_shards() if args.resume else []
     if args.traces:
         names = args.traces
     else:
@@ -333,16 +333,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         names = [spec.name for spec in specs]
     machines = [BASELINE_2MB, BASE_VICTIM_2MB]
     cells = [(machine, name) for machine in machines for name in names]
-    cached = [
-        f"{machine.label}|{name}"
-        for machine, name in cells
-        if runner.has_cached(machine, name)
-    ]
-    recomputed = [
-        f"{machine.label}|{name}"
-        for machine, name in cells
-        if not runner.has_cached(machine, name)
-    ]
+    cached = sum(runner.has_cached(machine, name) for machine, name in cells)
     simulated = runner.prewarm(cells)
     failures = runner.failed_cells
 
@@ -350,15 +341,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"sweep: {len(cells)} cells ({len(names)} traces x "
         f"{len(machines)} machines), preset={args.preset}, jobs={runner.jobs}"
     )
-    print(f"  recovered from cache: {len(cached)} cells")
-    if args.resume:
-        print(f"    salvaged from orphan shards: {len(salvaged)} cells")
-        for key in salvaged:
-            print(f"      salvaged   {key}")
+    print(f"  recovered from cache: {cached} cells")
     print(f"  recomputed: {simulated} cells")
-    if args.resume:
-        for cell in recomputed:
-            print(f"      recomputed {cell}")
     print(f"  failed: {len(failures)} cells")
     print("  " + sweep_health_summary(runner.registry.as_dict()))
     if failures:
@@ -949,12 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace subset (repeatable; default: the cache-sensitive suite)",
     )
     p_sweep.add_argument("--all-traces", action="store_true")
-    p_sweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="salvage shards left by a killed sweep; report recovered vs "
-        "recomputed cells",
-    )
     p_sweep.add_argument(
         "--strict",
         action="store_true",

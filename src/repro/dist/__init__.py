@@ -8,7 +8,7 @@ uncached (machine, trace) matrix into batch *leases* over the serve
 wire protocol (see ``PROTOCOL.md``), workers simulate into their
 own locked caches, and the coordinator pulls the results back, stages
 them in checksummed local shards, and folds them into its cache with
-the same atomic merge + canonicalisation every other writer uses.
+the same locked, atomic, key-sorted rewrite every sweep batch ends with.
 
 Modules:
 

@@ -40,11 +40,11 @@ Fault model, in the order the machinery engages:
   is discarded.  A directory named for another live pid refuses the
   dispatch (the stale-socket discipline).
 
-Byte-determinism: the fold is the existing locked, atomic
-:func:`~repro.sim.resultcache.merge_cache_entries` (existing keys win)
-followed by :func:`~repro.sim.resultcache.canonicalize_cache_file`, so
-the final cache is a pure function of the set of jobs — identical to a
-canonicalized serial ``repro sweep`` of the same matrix, no matter how
+Byte-determinism: the fold is the locked, atomic, key-sorted rewrite
+every sweep batch ends with
+(:func:`~repro.sim.resultcache.canonicalize_cache_file`, existing keys
+win), so the final cache is a pure function of the set of jobs —
+identical to a serial ``repro sweep`` of the same matrix, no matter how
 many workers ran, died, or answered twice.
 
 Every decision lands in ``dist/*`` counters on the runner's registry,
@@ -75,7 +75,6 @@ from repro.sim.resultcache import (
     append_lines,
     canonicalize_cache_file,
     encode_entry,
-    merge_cache_entries,
     read_cache_entries,
 )
 from repro.sim.retry import RetryPolicy
@@ -333,10 +332,10 @@ class DispatchCoordinator:
         * owner alive — a live dispatch owns this preset's cache; refuse
           to race it.
         * owner dead — a crashed coordinator.  With ``resume``, every
-          readable shard line is merged into the cache, then the cache
-          is canonicalized, so salvage order can never perturb the
-          final bytes; torn lines fail their CRC and those cells simply
-          recompute.  Salvaged or not, the directory is then reclaimed.
+          readable shard line is folded into the cache by its sorted
+          rewrite, so salvage order can never perturb the final bytes;
+          torn lines fail their CRC and those cells simply recompute.
+          Salvaged or not, the directory is then reclaimed.
 
         A suffix that is not a pid is left alone.
         """
@@ -375,11 +374,9 @@ class DispatchCoordinator:
                 )
         if entries:
             with self.registry.timer("phase/salvage"):
-                stats = merge_cache_entries(
-                    cache_path, sorted(entries.items()),
-                    lock_timeout=self.lock_timeout,
+                stats = canonicalize_cache_file(
+                    cache_path, entries.items(), lock_timeout=self.lock_timeout
                 )
-                canonicalize_cache_file(cache_path, lock_timeout=self.lock_timeout)
             self.registry.inc("dist/jobs_salvaged", stats.new_entries)
             # The runner loaded the cache before salvage wrote it; reload
             # so resolution sees the salvaged cells as cached.
@@ -538,9 +535,6 @@ class DispatchCoordinator:
         with self._cond:
             self._lease_serial += 1
             lease_id = f"lease-{os.getpid()}-{self._lease_serial}"
-        health.leases += 1
-        self.registry.inc("dist/leases")
-        self.registry.observe("dist/lease_jobs", len(batch))
         # The handshake happens before heartbeats are armed, so a hung
         # worker (say, one the slow-worker fault just stalled) must not
         # be able to block it forever: the heartbeat deadline bounds the
@@ -567,6 +561,11 @@ class DispatchCoordinator:
                     "jobs": [job.spec.to_wire() for job in batch],
                 }
             )
+            # A lease counts once it is sent: a worker lost at connect,
+            # at the handshake or on a preset mismatch never had one.
+            health.leases += 1
+            self.registry.inc("dist/leases")
+            self.registry.observe("dist/lease_jobs", len(batch))
             if faultinject.dispatch_slow_worker(index):
                 # Stall the worker mid-lease and keep listening:
                 # detection must come from the heartbeat deadline
@@ -811,8 +810,8 @@ class DispatchCoordinator:
     def _fold_window(self, *, final: bool) -> None:
         """Fold every staged-but-unfolded result into the cache.
 
-        Caller holds ``_fold_lock``.  The fold is merge (existing keys
-        win) + canonicalize, so any sequence of windows — in any order,
+        Caller holds ``_fold_lock``.  The fold is the sorted rewrite
+        (existing keys win), so any sequence of windows — in any order,
         interleaved with crashes and salvages — converges on the same
         bytes as one big final fold.  Each window is offered to the
         ``coordinator-crash`` fault hook after the cache write.
@@ -824,7 +823,7 @@ class DispatchCoordinator:
             snapshot = dict(self._results)
         pending = [
             job
-            for job in self.jobs  # matrix submission order, like a sweep merge
+            for job in self.jobs
             if job.key in snapshot and job.key not in self._folded
         ]
         if not pending and not final:
@@ -842,20 +841,17 @@ class DispatchCoordinator:
             items.append((job.key, payload))
         if recovered:
             self.registry.inc("dist/recovered_from_memory", recovered)
-        if items:
+        if items or final:
             with self.registry.timer("phase/fold"):
-                stats = merge_cache_entries(
+                stats = canonicalize_cache_file(
                     cache_path, items, lock_timeout=self.lock_timeout
                 )
-            self.registry.inc("dist/merged_new_entries", stats.new_entries)
-            self.registry.inc(
-                "dist/merged_existing_entries", stats.existing_entries
-            )
-        if items or final:
-            with self.registry.timer("phase/canonicalize"):
-                self._canonical_entries = canonicalize_cache_file(
-                    cache_path, lock_timeout=self.lock_timeout
-                ).existing_entries
+            self._canonical_entries = stats.existing_entries + stats.new_entries
+            if items:
+                self.registry.inc("dist/merged_new_entries", stats.new_entries)
+                self.registry.inc(
+                    "dist/merged_existing_entries", stats.existing_entries
+                )
         self._folded.update(job.key for job in pending)
         self._fold_serial += 1
         if not final:

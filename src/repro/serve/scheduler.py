@@ -23,9 +23,9 @@ queue (``max_queue`` unique pending+running jobs) and a per-client
 quota (``client_quota`` unresolved jobs per connection) turn overload
 into a structured ``rejected`` event instead of unbounded memory.
 
-Byte-determinism: after every batch (and once more at drain) the cache
-file is canonicalised — rewritten under its advisory lock with entries
-sorted by job key (:func:`~repro.sim.resultcache
+Byte-determinism: every batch that produced a result ends, inside
+``prewarm``, with the cache file rewritten under its advisory lock with
+entries sorted by job key (:func:`~repro.sim.resultcache
 .canonicalize_cache_file`).  The final cache is therefore a pure
 function of the *set* of jobs served, never of client arrival order:
 any mix of concurrent clients leaves the cache byte-identical to a
@@ -56,7 +56,8 @@ from typing import Callable
 from repro.serve import protocol
 from repro.serve.protocol import DEFAULT_CLIENT_QUOTA, DEFAULT_MAX_QUEUE, JobSpec
 from repro.sim.experiment import ExperimentRunner
-from repro.sim.resultcache import canonicalize_cache_file
+# Bound for benchmarks/e2e/spans.py, which wraps canonicalize_cache_file here.
+from repro.sim.resultcache import canonicalize_cache_file  # noqa: F401
 from repro.sim.retry import FailedCell, _env_float
 
 #: Testing hook: seconds to sleep before executing each batch.
@@ -322,8 +323,7 @@ class JobScheduler:
         The scheduling loop of the service: collect everything queued,
         hand it to the runner on the private executor thread (the event
         loop stays responsive for new submissions, which dedupe against
-        the running batch), deliver per-waiter events, canonicalise the
-        cache, repeat.
+        the running batch), deliver per-waiter events, repeat.
         """
         loop = asyncio.get_running_loop()
         try:
@@ -370,30 +370,18 @@ class JobScheduler:
         """Run one batch on the executor thread; returns failures by key.
 
         Delegates to ``runner.prewarm`` — the exact code path one-shot
-        sweeps take — then canonicalises the cache file so on-disk
-        bytes stay arrival-order independent even mid-service.
+        sweeps take, whose batch end leaves the cache file sorted by key,
+        so on-disk bytes stay arrival-order independent even mid-service.
         """
         failed_before = len(self.runner.failed_cells)
         with self.registry.timer("phase/simulate"):
             self.runner.prewarm(
                 (entry.spec.machine, entry.spec.trace) for entry in batch
             )
-        failures = {
+        return {
             cell.key: cell
             for cell in self.runner.failed_cells[failed_before:]
         }
-        with self.registry.timer("phase/canonicalize"):
-            self.canonicalize()
-        return failures
-
-    def canonicalize(self) -> None:
-        """Sort the on-disk cache by job key (locked, atomic, idempotent).
-
-        Its lock waits count in ``cache/lock_waits``, like the runner's
-        own writes.
-        """
-        if self.runner.cache_path is not None:
-            self.runner.cache_write(canonicalize_cache_file)
 
     def on_progress(self, done: int, total: int, key: str) -> None:
         """Forward one in-batch job completion as advisory progress events.

@@ -8,10 +8,12 @@ suite shares work across files and across invocations.
 
 Sweeps fan out across worker processes when ``jobs > 1`` (see
 :mod:`repro.sim.parallel`): :meth:`ExperimentRunner.prewarm` collects the
-uncached jobs of a sweep, shards them over a process pool, and merges the
-per-worker result shards back into the main cache file.  ``jobs=1``
-preserves the strictly serial path, and both paths produce bit-identical
-results and cache files (enforced by ``tests/sim/test_parallel.py``).
+uncached jobs of a sweep and shards them over a process pool.  Serial or
+parallel, the process that computes a cell appends it to the cache file
+under the cache lock, so the cache is a sweep's only crash record, and
+every batch that produced a result ends with one locked rewrite that
+leaves the file sorted by key.  Both paths produce bit-identical results
+and cache files (enforced by ``tests/sim/test_parallel.py``).
 
 Sweeps are *fault tolerant*: per-job retries/timeouts come from a
 :class:`~repro.sim.retry.RetryPolicy` (``retries=``/``job_timeout=``
@@ -32,14 +34,15 @@ behaviour (or the on-disk format) changes; the runner reads only the
 current version's file.
 
 The persistence layer is multi-process safe: every disk write happens
-under the cache's advisory lock (:mod:`repro.sim.locking`), sweep
-merges fold into — never clobber — whatever concurrent writers already
-persisted, and lock/integrity health is published as ``cache/*``
+under the cache's advisory lock (:mod:`repro.sim.locking`), a batch's
+rewrite folds into — never clobbers — whatever concurrent writers
+already persisted, and lock/integrity health is published as ``cache/*``
 counters alongside the ``sweep/*`` ones.  Those counts come from what
 each cache read and write returns (a
 :class:`~repro.sim.resultcache.CacheFileReport` or
 :class:`~repro.sim.resultcache.MergeStats`), so a runner counts its
-own reads and writes and nothing else the process does.
+own reads and writes and nothing else the process does; a rejected
+line counts once per runner.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.obs.registry import CounterRegistry
+from repro.sim import resultcache
 from repro.sim.config import MachineConfig, Preset
-from repro.sim.locking import LockTimeoutError, _pid_alive
+from repro.sim.locking import LockTimeoutError
 # Bound for benchmarks/e2e/spans.py, which wraps simulate_mix/_trace here.
 from repro.sim.multi_core import MixRunResult, simulate_mix  # noqa: F401
 from repro.sim.parallel import (
@@ -60,7 +64,6 @@ from repro.sim.parallel import (
     SINGLE,
     SweepJob,
     SweepOutcome,
-    _remove_shards,
     execute_job,
     resolve_jobs,
     run_sweep,
@@ -69,12 +72,10 @@ from repro.sim.resultcache import (
     CACHE_VERSION,
     MergeStats,
     ResultStore,
-    append_cache_entries,
     cache_file_name,
-    load_cache_entries,
-    merge_cache_entries,
-    read_cache_entries,
 )
+# Called by these names, which benchmarks/e2e/spans.py wraps in this module.
+from repro.sim.resultcache import append_cache_entries, load_cache_entries
 from repro.sim.retry import FailedCell, RetryPolicy, SweepFailedError
 from repro.sim.single_core import RunResult, simulate_trace  # noqa: F401
 from repro.workloads.mixes import MixSpec
@@ -93,21 +94,6 @@ def default_cache_dir() -> Path:
     if override:
         return Path(override)
     return Path.cwd() / ".repro_cache"
-
-
-def _owner_is_alive(shard_dir: Path) -> bool:
-    """Whether the process that owns ``<stem>.shards-<pid>`` still runs.
-
-    Shard directories encode their sweep's parent pid; one from a live
-    process (including ours) belongs to an in-flight sweep and must not
-    be salvaged.  An unparseable suffix is treated as dead — better to
-    salvage a stray directory than to leak results forever.
-    """
-    try:
-        pid = int(shard_dir.name.rsplit("-", 1)[-1])
-    except ValueError:
-        return False
-    return pid == os.getpid() or _pid_alive(pid)
 
 
 class ExperimentRunner:
@@ -131,10 +117,12 @@ class ExperimentRunner:
     sweep completes — the CLI's graceful-degradation mode.
 
     ``lock_timeout`` bounds how long any cache write waits for the
-    advisory cache lock (``None`` defers to ``$REPRO_LOCK_TIMEOUT``;
-    exhaustion raises :class:`~repro.sim.locking.LockTimeoutError`,
-    counted in ``cache/lock_timeouts``; the backoff sleeps of this
-    runner's writes are ``cache/lock_waits``).
+    advisory cache lock (``None`` defers to ``$REPRO_LOCK_TIMEOUT``).
+    Exhaustion counts in ``cache/lock_timeouts``; it raises
+    :class:`~repro.sim.locking.LockTimeoutError`, except in a pool
+    worker's append, whose result the batch end then writes.  The
+    backoff sleeps of this runner's writes, its workers' appends
+    included, are ``cache/lock_waits``.
     """
 
     def __init__(
@@ -178,6 +166,10 @@ class ExperimentRunner:
         #: its decode reads as a miss.
         self._memory = ResultStore(self._cache_path)
         self._memory.on_reject = partial(self.registry.inc, "sweep/corrupt_lines")
+        #: Rejected lines (all, CRC failures) this runner counted that the
+        #: cache file still holds: a later read or scrub of the same lines
+        #: counts only what exceeds them.
+        self._unscrubbed = (0, 0)
         self.reload_disk_cache()
 
     # ------------------------------------------------------------------
@@ -200,10 +192,27 @@ class ExperimentRunner:
         self._memory.absorb(loaded)
         report = loaded.report
         assert report is not None  # a load always carries its census
-        if report.skipped:
-            self.registry.inc("sweep/corrupt_lines", report.skipped)
-        if report.crc_failures:
-            self.registry.inc("cache/crc_failures", report.crc_failures)
+        counted = (report.skipped, report.crc_failures)
+        self._count_rejected(*counted, unscrubbed=counted)
+
+    def _count_rejected(
+        self, skipped: int, crc_failures: int, *, unscrubbed: tuple[int, int]
+    ) -> None:
+        """Count the rejected lines one read or rewrite of the cache saw.
+
+        ``skipped`` lines were rejected, ``crc_failures`` of them on
+        their CRC, and only what exceeds the lines this runner already
+        counted and the file still held goes to ``sweep/corrupt_lines``
+        and ``cache/crc_failures``.  Lines are known by count, not by
+        identity.  ``unscrubbed`` is what the file holds afterwards:
+        every rejected line after a load, none after a rewrite.
+        """
+        counted, counted_crc = self._unscrubbed
+        if skipped > counted:
+            self.registry.inc("sweep/corrupt_lines", skipped - counted)
+        if crc_failures > counted_crc:
+            self.registry.inc("cache/crc_failures", crc_failures - counted_crc)
+        self._unscrubbed = unscrubbed
 
     def cache_write(
         self, write: Callable[..., MergeStats], *args: object
@@ -217,58 +226,19 @@ class ExperimentRunner:
         try:
             stats = write(self._cache_path, *args, lock_timeout=self.lock_timeout)
         except LockTimeoutError as error:
-            self._note_timeout(error)
+            self.registry.inc("cache/lock_timeouts")
+            if error.waits:
+                self.registry.inc("cache/lock_waits", error.waits)
             raise
         if stats.lock_waits:
             self.registry.inc("cache/lock_waits", stats.lock_waits)
         return stats
 
-    def _note_timeout(self, error: LockTimeoutError) -> None:
-        """Count a write that gave up on the cache lock, and its waits."""
-        self.registry.inc("cache/lock_timeouts")
-        if error.waits:
-            self.registry.inc("cache/lock_waits", error.waits)
-
-    def resume_orphan_shards(self) -> list[str]:
-        """Salvage shard files a killed sweep left behind; returns their keys.
-
-        A parent SIGKILLed mid-sweep never reaches the shard merge, so
-        completed cells survive only in ``<cache>.shards-<pid>/`` files.
-        This folds every entry from shard directories whose owning
-        process is dead into the cache (memory and disk), deletes the
-        directories, and reports the recovered keys — the
-        ``repro sweep --resume`` path.  Entries already cached are not
-        duplicated.
-        """
-        if self._cache_path is None:
-            return []
-        recovered: dict[str, dict] = {}
-        orphans: list[Path] = []
-        pattern = f"{self._cache_path.stem}.shards-*"
-        for shard_dir in sorted(self._cache_path.parent.glob(pattern)):
-            if _owner_is_alive(shard_dir):
-                continue  # an in-flight sweep owns it; not ours to touch
-            orphans.append(shard_dir)
-            for shard in sorted(shard_dir.glob("shard-*.jsonl")):
-                for key, result in read_cache_entries(shard)[0].items():
-                    if key not in self._memory and key not in recovered:
-                        recovered[key] = result
-        if recovered:
-            # Fold-in merge (not append): if a concurrent process resumed
-            # the same orphans first, its entries win and nothing is
-            # duplicated.
-            self.cache_write(merge_cache_entries, recovered.items())
-            self._memory.update(recovered)
-            self.registry.inc("sweep/resumed_cells", len(recovered))
-        for shard_dir in orphans:
-            _remove_shards(shard_dir)
-        return sorted(recovered)
-
     def _store(self, key: str, result: dict) -> None:
         self._memory[key] = result
         if self._cache_path is not None:
             # Locked single-line append: serialises against concurrent
-            # appenders and sweep merges sharing this cache directory.
+            # appenders and batch-end rewrites sharing this cache directory.
             self.cache_write(append_cache_entries, [(key, result)])
 
     @staticmethod
@@ -297,9 +267,12 @@ class ExperimentRunner:
         Off the main thread, a runner with a job timeout sends even one
         job to a worker process: the watchdog
         (:func:`~repro.sim.retry.deadline`) can only be armed on a
-        process's main thread.  Pending jobs enter the cache (memory and
-        disk) in request order either way, so serial and parallel
-        sweeps produce byte-identical cache files.
+        process's main thread.  Either way the process that computes a
+        cell appends it to the cache file at once, and a batch that
+        produced a result ends with one locked rewrite that folds in
+        its results and sorts the file by key
+        (:func:`~repro.sim.resultcache.canonicalize_cache_file`), so
+        serial and parallel sweeps produce byte-identical cache files.
 
         Jobs that exhaust their retry budget are excluded from the
         returned count; in strict mode they raise
@@ -343,19 +316,15 @@ class ExperimentRunner:
                 and threading.current_thread() is not threading.main_thread()
             )
             if unwatched or (self.jobs > 1 and len(pending) > 1):
-                try:
-                    outcome = run_sweep(
-                        self.preset,
-                        pending,
-                        jobs=self.jobs,
-                        cache_path=self._cache_path,
-                        progress=self.progress,
-                        policy=self.fault_policy,
-                        lock_timeout=self.lock_timeout,
-                    )
-                except LockTimeoutError as error:
-                    self._note_timeout(error)
-                    raise
+                outcome = run_sweep(
+                    self.preset,
+                    pending,
+                    jobs=self.jobs,
+                    cache_path=self._cache_path,
+                    progress=self.progress,
+                    policy=self.fault_policy,
+                    lock_timeout=self.lock_timeout,
+                )
                 for job, result in zip(pending, outcome.results):
                     if result is not None:
                         self._memory[job.key] = result
@@ -373,6 +342,7 @@ class ExperimentRunner:
                     else:
                         outcome.results[index] = job_outcome.result
                         self._store(job.key, job_outcome.result)
+            self._end_batch(pending, outcome.results)
             self._note_outcome(outcome)
             if outcome.failures and self.strict:
                 raise SweepFailedError(list(outcome.failures))
@@ -382,6 +352,29 @@ class ExperimentRunner:
             # built is read after it ends.
             process_cache().clear()
 
+    def _end_batch(
+        self, pending: Sequence[SweepJob], results: Sequence[dict | None]
+    ) -> None:
+        """End a batch that produced a result with one sorted rewrite.
+
+        The batch's own results ride along, so one whose appended line
+        a tear lost, or whose append gave up on the lock, is written
+        back; the rewrite scrubs what it rejects, and counts the lines
+        this runner had not counted yet.  It is called through the
+        module, where ``benchmarks/e2e/spans.py`` times it.
+        """
+        batch = [
+            (job.key, result)
+            for job, result in zip(pending, results)
+            if result is not None
+        ]
+        if self._cache_path is None or not batch:
+            return
+        stats = self.cache_write(resultcache.canonicalize_cache_file, batch)
+        self._count_rejected(
+            stats.corrupt_lines, stats.crc_failures, unscrubbed=(0, 0)
+        )
+
     def _note_outcome(self, outcome: SweepOutcome) -> None:
         """Fold one sweep's health counters into the runner's registry."""
         self.failed_cells.extend(outcome.failures)
@@ -389,10 +382,9 @@ class ExperimentRunner:
             ("sweep/retries", outcome.retries),
             ("sweep/failures", len(outcome.failures)),
             ("sweep/recovered_workers", outcome.recovered_workers),
-            ("sweep/shard_recovered", outcome.shard_recovered),
-            ("sweep/corrupt_lines", outcome.corrupt_lines),
-            ("cache/crc_failures", outcome.crc_failures),
+            ("sweep/cache_recovered", outcome.cache_recovered),
             ("cache/lock_waits", outcome.lock_waits),
+            ("cache/lock_timeouts", outcome.lock_timeouts),
         ):
             if amount:
                 self.registry.inc(name, amount)
@@ -406,8 +398,8 @@ class ExperimentRunner:
     def corrupt_lines_skipped(self) -> int:
         """Corrupt cache lines skipped so far: the ``sweep/corrupt_lines`` count.
 
-        Lines rejected at load, at a result's first use, or by a sweep
-        merge.
+        Lines rejected at load, at a result's first use, or by a batch
+        end's rewrite.
         """
         metric = self.registry.as_dict().get("sweep/corrupt_lines")
         return metric["value"] if metric else 0

@@ -5,7 +5,7 @@ defends against, on demand and reproducibly, in both pool workers and
 the serial path.  This module is that switchboard: a compact spec in
 ``$REPRO_FAULTS`` arms faults against specific sweep job indices, and
 the sweep engine calls the two hooks (:func:`before_attempt`,
-:func:`after_shard_write`) at the right points.
+:func:`after_cache_append`) at the right points.
 
 Spec grammar — comma-separated ``kind:job_index:times`` triples::
 
@@ -17,14 +17,17 @@ Spec grammar — comma-separated ``kind:job_index:times`` triples::
   (exercises the per-job timeout watchdog; without a timeout the sweep
   hangs, exactly like a real wedged job).
 * ``crash``   — hard-kill the worker process (``os._exit``) before the
-  job runs (exercises pool rebuild + shard salvage).
-* ``corrupt`` — append a torn JSONL line to the worker's shard right
-  after the job's result line (exercises tolerant loading and the
+  job runs (exercises pool rebuild, with the cells the dead pool had
+  appended taken from the cache).
+* ``corrupt`` — append a torn JSONL line to the cache right after a
+  pool worker appends the job's result line, inside the same lock
+  (exercises tolerant loading, the batch end's scrub and the
   corrupt-line accounting).
-* ``torn-write`` — append a CRC-suffixed line whose checksum does not
-  match its payload, simulating a write torn mid-line by a crash or a
-  bit flipped at rest (exercises the v5 checksum detection path, which
-  must catch it *before* JSON parsing is even attempted).
+* ``torn-write`` — like ``corrupt``, but the line is CRC-suffixed and
+  its checksum does not match its payload, simulating a write torn
+  mid-line by a crash or a bit flipped at rest (exercises the v5
+  checksum detection path, which must catch it *before* JSON parsing
+  is even attempted).
 * ``lock-holder-dies`` — hard-kill the process (``os._exit``) right
   after it acquires a cache lock, while still holding it (exercises
   kernel ``flock`` auto-release plus stale owner-metadata detection in
@@ -198,7 +201,7 @@ def before_attempt(index: int, attempt: int) -> None:
         if fault.index != index:
             continue
         if fault.kind == "crash" and _one_shot(fault):
-            # A real worker crash: no cleanup, no exception, no shard
+            # A real worker crash: no cleanup, no exception, no cache
             # line — the parent sees a broken pool.
             os._exit(86)
         if fault.kind == "hang" and attempt <= fault.times:
@@ -209,23 +212,24 @@ def before_attempt(index: int, attempt: int) -> None:
             )
 
 
-def after_shard_write(index: int, shard_path: Path) -> None:
-    """Hook: called after job ``index``'s result line reaches its shard.
+def after_cache_append(index: int, cache_path: Path) -> None:
+    """Hook: called after a pool worker appends job ``index``'s result line.
 
-    An armed ``corrupt`` fault appends a torn JSONL line, simulating a
-    worker killed mid-write with the platform's page-cache flushing half
-    a record.  An armed ``torn-write`` fault appends a CRC-suffixed line
-    whose checksum is wrong, simulating a torn v5 write or at-rest bit
-    rot that only the checksum can catch.
+    The worker still holds the cache lock, so an injected line never
+    splices another writer's.  An armed ``corrupt`` fault appends a torn
+    JSONL line, simulating a worker killed mid-write with the platform's
+    page-cache flushing half a record.  An armed ``torn-write`` fault
+    appends a CRC-suffixed line whose checksum is wrong, simulating a
+    torn v5 write or at-rest bit rot that only the checksum can catch.
     """
     for fault in active_faults():
         if fault.index != index:
             continue
         if fault.kind == "corrupt" and _one_shot(fault):
-            with shard_path.open("a") as handle:
+            with cache_path.open("a") as handle:
                 handle.write(TORN_LINE + "\n")
         if fault.kind == "torn-write" and _one_shot(fault):
-            with shard_path.open("a") as handle:
+            with cache_path.open("a") as handle:
                 handle.write(TORN_V5_LINE + "\n")
 
 

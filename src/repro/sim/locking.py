@@ -4,7 +4,7 @@ Any number of ``repro`` processes (overlapping sweeps, ``repro stats``,
 prewarms, CI jobs) may share one ``.repro_cache/`` directory.  Every
 read-modify-write of a cache file therefore happens under an advisory
 ``fcntl.flock`` on a ``<cache>.lock`` sibling, so two writers can never
-interleave appends or race an atomic merge.
+interleave appends or race an atomic rewrite.
 
 Design points:
 

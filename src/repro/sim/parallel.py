@@ -9,24 +9,24 @@ experiment cache depends on:
 * **Determinism** — results are returned in submission order, and each
   simulation is a pure function of (preset, machine, trace/mix), so a
   parallel sweep is bit-identical to a serial one (locked down by
-  ``tests/sim/test_parallel.py``), *even when jobs are retried, workers
-  crash or shards are salvaged* (``tests/sim/test_faults.py``).
-* **Cooperating writers** — each worker process appends finished results
-  to its own JSONL *shard* (``<cache>.shards-<pid>/shard-<worker pid>
-  .jsonl``); no two processes ever write one file.  On completion the
-  parent folds the shards into the main ``results-v*.jsonl`` cache in
-  canonical job order via :func:`~repro.sim.resultcache
-  .merge_cache_entries` — an advisory-locked, re-read-then-atomic-replace
-  merge — so any number of overlapping sweeps sharing one cache
-  directory cooperate instead of clobbering each other (existing keys
-  always win, new keys land in submission order).
-* **Crash tolerance** — each result reaches its shard through
-  :func:`~repro.sim.resultcache.append_lines`, written and synced per
-  job, so results survive a killed sweep and a line torn by a crash is
-  never glued onto the next one; the tolerant reader in
-  :mod:`repro.sim.resultcache` skips any line torn by the interruption
-  and reports it, and the merge adds each shard's report and the
-  merge's lock waits to the :class:`SweepOutcome`.
+  ``tests/sim/test_parallel.py``), *even when jobs are retried or
+  workers crash* (``tests/sim/test_faults.py``).
+* **Cooperating writers** — each worker appends every result it
+  finishes straight to the main ``results-v*.jsonl`` cache, under the
+  cache's advisory lock, as the serial path does.  The batch then ends
+  in :meth:`~repro.sim.experiment.ExperimentRunner.prewarm` with one
+  locked, atomic rewrite sorted by key
+  (:func:`~repro.sim.resultcache.canonicalize_cache_file`), so any
+  number of overlapping sweeps sharing one cache directory cooperate
+  instead of clobbering each other, and converge on the serial bytes.
+* **Crash tolerance** — each append (:func:`~repro.sim.resultcache
+  .append_cache_entries`) is written and synced per job, so the cache
+  is the sweep's only crash record: a killed sweep's finished cells are
+  cached for its rerun, and a line torn by a crash is never glued onto
+  the next one.  The tolerant reader in :mod:`repro.sim.resultcache` skips
+  any torn line and the batch end scrubs and counts it.  A worker whose
+  append gives up on the lock still returns its result, and the batch
+  end writes it.
 
 On top of the scheduling layer sits a fault-tolerance layer in the
 shape of a production job runner:
@@ -36,8 +36,9 @@ shape of a production job runner:
   (:func:`~repro.sim.retry.deadline`), so transient errors and hangs
   become retries instead of sweep aborts;
 * a worker crash breaks the pool, which the parent *rebuilds* — jobs
-  already persisted to shards are salvaged, the rest are re-sharded
-  across the fresh pool (bounded by :data:`MAX_WORKER_RECOVERIES`);
+  the dead pool already appended are looked up in the cache, the rest
+  are re-sharded across the fresh pool (bounded by
+  :data:`MAX_WORKER_RECOVERIES`);
 * jobs that exhaust their retry budget degrade gracefully into
   structured :class:`~repro.sim.retry.FailedCell` records inside the
   returned :class:`SweepOutcome` — the sweep itself completes.
@@ -58,18 +59,15 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.sim import faultinject
 from repro.sim.config import MachineConfig, Preset
+from repro.sim.locking import LockTimeoutError
 from repro.sim.multi_core import simulate_mix
-from repro.sim.resultcache import (
-    append_lines,
-    encode_entry,
-    merge_cache_entries,
-    read_cache_entries,
-)
+from repro.sim.resultcache import append_cache_entries, load_cache_entries
 from repro.sim.retry import FailedCell, JobOutcome, RetryPolicy, deadline
 from repro.sim.single_core import simulate_trace
 from repro.workloads.mixes import MixSpec
@@ -130,23 +128,19 @@ class SweepOutcome:
     when the matching job appears in ``failures``.  The counters feed
     the ``sweep/*`` and ``cache/*`` observability metrics: ``retries``
     (re-attempts across all jobs), ``recovered_workers`` (pool rebuilds
-    after worker crashes), ``shard_recovered`` (results salvaged from a
-    dead pool's shards instead of recomputed), ``corrupt_lines`` (JSONL
-    lines skipped while reading this sweep's shards),
-    ``crc_failures`` (the subset of skipped lines whose CRC32 suffix
-    did not match their payload — torn writes or at-rest bit rot), and
-    ``lock_waits`` (backoff sleeps performed while waiting for the
-    cache lock during the merge).
+    after worker crashes), ``cache_recovered`` (results a dead pool had
+    appended, taken from the cache instead of recomputed), and
+    ``lock_waits`` and ``lock_timeouts`` (backoff sleeps on the cache
+    lock, and appends that gave up on it, in the workers' appends).
     """
 
     results: list[dict | None] = field(default_factory=list)
     failures: list[FailedCell] = field(default_factory=list)
     retries: int = 0
     recovered_workers: int = 0
-    shard_recovered: int = 0
-    corrupt_lines: int = 0
-    crc_failures: int = 0
+    cache_recovered: int = 0
     lock_waits: int = 0
+    lock_timeouts: int = 0
 
     @property
     def ok(self) -> bool:
@@ -219,29 +213,41 @@ def execute_job(
 _WORKER: dict = {}
 
 
-def _init_worker(preset: Preset, shard_dir: str | None, policy: RetryPolicy) -> None:
-    """Pool initializer: build the per-process suite, shard path, policy."""
+def _init_worker(
+    preset: Preset,
+    cache_path: Path | None,
+    lock_timeout: float | None,
+    policy: RetryPolicy,
+) -> None:
+    """Pool initializer: build the per-process suite, cache target, policy."""
     _WORKER["preset"] = preset
     _WORKER["suite"] = TraceSuite(preset.reference_llc_lines, preset.trace_length)
     _WORKER["policy"] = policy
-    _WORKER["shard_path"] = (
-        Path(shard_dir) / f"shard-{os.getpid()}.jsonl" if shard_dir else None
-    )
+    _WORKER["cache_path"] = cache_path
+    _WORKER["lock_timeout"] = lock_timeout
 
 
 def _run_chunk(chunk: Sequence[tuple[int, SweepJob]]) -> list[JobOutcome]:
-    """Execute a chunk of jobs in a worker; append successes to its shard."""
+    """Execute a chunk of jobs in a worker; append successes to the cache."""
     outcomes: list[JobOutcome] = []
-    shard_path: Path | None = _WORKER["shard_path"]
+    cache_path: Path | None = _WORKER["cache_path"]
     for index, job in chunk:
         outcome = execute_job(
             index, job, _WORKER["preset"], _WORKER["suite"], _WORKER["policy"]
         )
-        # Flush per job so a later crash loses at most the line being
-        # written — this is what makes shard salvage and resume work.
-        if outcome.result is not None and shard_path is not None:
-            append_lines(shard_path, [encode_entry(job.key, outcome.result)])
-            faultinject.after_shard_write(index, shard_path)
+        # Append per job, as the serial path does, so a later crash
+        # loses at most the line being written.
+        if outcome.result is not None and cache_path is not None:
+            try:
+                outcome.lock_waits = append_cache_entries(
+                    cache_path,
+                    [(job.key, outcome.result)],
+                    lock_timeout=_WORKER["lock_timeout"],
+                    after=partial(faultinject.after_cache_append, index, cache_path),
+                ).lock_waits
+            except LockTimeoutError as error:
+                outcome.lock_waits = error.waits
+                outcome.lock_timed_out = True
         outcomes.append(outcome)
     return outcomes
 
@@ -279,15 +285,15 @@ def run_sweep(
 ) -> SweepOutcome:
     """Simulate ``jobs_list`` across ``jobs`` workers; results in job order.
 
-    When ``cache_path`` is given, the workers' shard files are folded
-    into it (in ``jobs_list`` order, deduplicated by key, under the
-    cache's advisory lock with ``lock_timeout`` bounding the wait) after
-    the pool drains, then deleted.  Keys in ``jobs_list`` must be unique.
+    When ``cache_path`` is given, each worker appends every result it
+    finishes to it, under the cache's advisory lock with
+    ``lock_timeout`` bounding the wait; the caller ends the batch with
+    the sorted rewrite.  Keys in ``jobs_list`` must be unique.
 
     The sweep survives worker faults: per-job retries/timeouts are
     governed by ``policy`` (default: no retries, no timeout), a crashed
-    pool is rebuilt with completed jobs salvaged from shards, and jobs
-    that exhaust their retries surface as
+    pool is rebuilt with the jobs it had appended taken from the cache,
+    and jobs that exhaust their retries surface as
     :attr:`SweepOutcome.failures` rather than exceptions.  Only a
     systematic crash (more than :data:`MAX_WORKER_RECOVERIES` pool
     rebuilds) propagates as :class:`BrokenProcessPool`.
@@ -298,12 +304,6 @@ def run_sweep(
     if total == 0:
         return outcome
     workers = max(1, min(jobs, total))
-
-    shard_dir: Path | None = None
-    if cache_path is not None:
-        shard_dir = cache_path.parent / f"{cache_path.stem}.shards-{os.getpid()}"
-        shard_dir.mkdir(parents=True, exist_ok=True)
-
     finished: set[int] = set()
 
     def record(job_outcome: JobOutcome) -> None:
@@ -312,137 +312,51 @@ def run_sweep(
             return
         finished.add(job_outcome.index)
         outcome.retries += job_outcome.retries
+        outcome.lock_waits += job_outcome.lock_waits
+        outcome.lock_timeouts += job_outcome.lock_timed_out
         if job_outcome.failure is not None:
             outcome.failures.append(job_outcome.failure)
         else:
             outcome.results[job_outcome.index] = job_outcome.result
-            if job_outcome.from_shard:
-                outcome.shard_recovered += 1
+            if job_outcome.from_cache:
+                outcome.cache_recovered += 1
         if progress is not None:
             progress(len(finished), total, job_outcome.key)
 
-    try:
-        remaining = list(range(total))
-        recoveries_left = MAX_WORKER_RECOVERIES
-        while remaining:
-            pending = [(index, jobs_list[index]) for index in remaining]
-            chunk = chunksize or max(1, math.ceil(len(pending) / (workers * 4)))
-            chunks = [
-                pending[start : start + chunk]
-                for start in range(0, len(pending), chunk)
-            ]
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=_pool_context(),
-                    initializer=_init_worker,
-                    initargs=(preset, str(shard_dir) if shard_dir else None, policy),
-                ) as pool:
-                    for future in as_completed(
-                        [pool.submit(_run_chunk, part) for part in chunks]
-                    ):
-                        for job_outcome in future.result():
-                            record(job_outcome)
-            except BrokenProcessPool:
-                # A worker died hard (OOM kill, segfault, os._exit).
-                # Salvage whatever the dead pool already persisted, then
-                # rebuild and re-shard the rest.
-                if recoveries_left == 0:
-                    raise
-                recoveries_left -= 1
-                outcome.recovered_workers += 1
-                for job_outcome in _salvage_from_shards(
-                    shard_dir, jobs_list, finished
-                ):
-                    record(job_outcome)
-            remaining = [index for index in range(total) if index not in finished]
-
-        if shard_dir is not None:
-            assert cache_path is not None  # shard_dir implies a cache file
-            _merge_shards(
-                cache_path, shard_dir, jobs_list, outcome, lock_timeout
-            )
-    finally:
-        if shard_dir is not None:
-            _remove_shards(shard_dir)
-    assert len(finished) == total  # every job has a result or a FailedCell
-    return outcome
-
-
-def _salvage_from_shards(
-    shard_dir: Path | None,
-    jobs_list: Sequence[SweepJob],
-    finished: set[int],
-) -> list[JobOutcome]:
-    """Recover completed-but-unreported jobs from a dead pool's shards.
-
-    A crashed worker takes its in-flight chunk's *futures* down with it,
-    but every job it finished before dying is already on disk.  Reading
-    the shards back turns those into ordinary outcomes so the rebuild
-    only recomputes what was truly lost.
-    """
-    if shard_dir is None:
-        return []
-    persisted: dict[str, dict] = {}
-    for shard in sorted(shard_dir.glob("shard-*.jsonl")):
-        persisted.update(read_cache_entries(shard)[0])
-    return [
-        JobOutcome(
-            index=index, key=job.key, result=persisted[job.key], from_shard=True
-        )
-        for index, job in enumerate(jobs_list)
-        if index not in finished and job.key in persisted
-    ]
-
-
-def _merge_shards(
-    cache_path: Path,
-    shard_dir: Path,
-    jobs_list: Sequence[SweepJob],
-    outcome: SweepOutcome,
-    lock_timeout: float | None,
-) -> None:
-    """Fold worker shards into the main cache file in job order.
-
-    The shards are authoritative (they are what survived on disk); any
-    job whose shard line was lost falls back to the in-memory result.
-    Failed jobs (result ``None`` and no shard line) are skipped — a
-    failure must never fabricate a cache entry.  The fold itself runs
-    under the cache's advisory lock and lands via atomic replace
-    (:func:`~repro.sim.resultcache.merge_cache_entries`): entries
-    already in the cache — e.g. written by an overlapping sweep — win,
-    so concurrent same-matrix sweeps converge on a byte-identical file.
-    The lines the shard reads skipped, and the merge's lock waits, land
-    on ``outcome``.  Main-file lines the merge scrubs are not counted
-    again: the runner's load (or a result's first use) counted them,
-    as on the serial path.
-    """
-    sharded: dict[str, dict] = {}
-    for shard in sorted(shard_dir.glob("shard-*.jsonl")):
-        values, report = read_cache_entries(shard)
-        sharded.update(values)
-        outcome.corrupt_lines += report.skipped
-        outcome.crc_failures += report.crc_failures
-    stats = merge_cache_entries(
-        cache_path,
-        (
-            (job.key, merged)
-            for index, job in enumerate(jobs_list)
-            if (merged := sharded.get(job.key, outcome.results[index])) is not None
-        ),
-        lock_timeout=lock_timeout,
-    )
-    outcome.lock_waits += stats.lock_waits
-
-
-def _remove_shards(shard_dir: Path) -> None:
-    """Delete a sweep's shard files and directory, ignoring races."""
-    for shard in shard_dir.glob("shard-*.jsonl"):
+    remaining = list(range(total))
+    recoveries_left = MAX_WORKER_RECOVERIES
+    while remaining:
+        pending = [(index, jobs_list[index]) for index in remaining]
+        chunk = chunksize or max(1, math.ceil(len(pending) / (workers * 4)))
+        chunks = [
+            pending[start : start + chunk] for start in range(0, len(pending), chunk)
+        ]
         try:
-            shard.unlink()
-        except OSError:
-            pass
-    try:
-        shard_dir.rmdir()
-    except OSError:
-        pass
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=_pool_context(),
+                initializer=_init_worker,
+                initargs=(preset, cache_path, lock_timeout, policy),
+            ) as pool:
+                for future in as_completed(
+                    [pool.submit(_run_chunk, part) for part in chunks]
+                ):
+                    for job_outcome in future.result():
+                        record(job_outcome)
+        except BrokenProcessPool:
+            # A worker died hard (OOM kill, segfault, os._exit).  What
+            # the dead pool finished is already in the cache: take it
+            # from there, then rebuild and re-shard the rest.
+            if recoveries_left == 0:
+                raise
+            recoveries_left -= 1
+            outcome.recovered_workers += 1
+            if cache_path is not None:
+                cached = load_cache_entries(cache_path)
+                for index in remaining:
+                    key = jobs_list[index].key
+                    if index not in finished and key in cached:
+                        recovered = JobOutcome(index, key, cached[key], from_cache=True)
+                        record(recovered)
+        remaining = [index for index in range(total) if index not in finished]
+    return outcome

@@ -190,7 +190,7 @@ def sweep_health_summary(counters: Mapping[str, Mapping]) -> str:
         ("retries", "sweep/retries"),
         ("failures", "sweep/failures"),
         ("recovered workers", "sweep/recovered_workers"),
-        ("cells salvaged from shards", "sweep/shard_recovered"),
+        ("cells recovered from crashed pools", "sweep/cache_recovered"),
         ("corrupt cache lines skipped", "sweep/corrupt_lines"),
         ("lock waits", "cache/lock_waits"),
         ("lock timeouts", "cache/lock_timeouts"),

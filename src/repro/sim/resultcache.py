@@ -1,12 +1,12 @@
 """Result-cache JSONL file helpers (format v5: checksummed, lock-merged).
 
-The experiment runner and the parallel sweep engine share one on-disk
-format: JSON-lines files where every line is ``{"key": ..., "result":
-...}`` followed by a CRC32 suffix (``#xxxxxxxx`` over the JSON payload).
-This module owns encoding, tolerant loading, the locked append used for
-single-run stores and the atomic fold-in merge used by sweeps, so the
-main cache file and the worker shards can never drift apart — and no
-two processes can tear each other's writes.
+The experiment runner, the parallel sweep engine and the dispatch
+coordinator share one on-disk format: JSON-lines files where every line
+is ``{"key": ..., "result": ...}`` followed by a CRC32 suffix
+(``#xxxxxxxx`` over the JSON payload).  This module owns encoding,
+tolerant loading, the locked append each finished cell takes and the
+locked, atomic, key-sorted rewrite that ends every batch, so no two
+processes can tear each other's writes.
 
 **Format v5** (the only version read): ``<canonical JSON>#<crc32
 hex8>``.  The checksum turns silent corruption — a bit flipped at rest,
@@ -62,20 +62,20 @@ Write primitives and their concurrency contracts (each returns a
 :class:`MergeStats`):
 
 * :func:`append_cache_entries` — append under the cache's advisory lock
-  (:mod:`repro.sim.locking`); used for incremental single-run stores.
+  (:mod:`repro.sim.locking`); every cell a sweep finishes, serial or
+  in a pool worker, is appended this way the moment it is computed.
   A crash mid-append leaves a torn tail the CRC detects, and the next
   append (:func:`append_lines`) ends it with a newline first, so the
   tear costs only its own line.
-* :func:`merge_cache_entries` — the sweep merge: under the lock, fold
-  new entries into whatever the file holds *now* (existing keys win —
-  a second writer folds in, never clobbers), then rewrite atomically
-  via temp file + ``fsync`` + ``os.replace``.  Two overlapping sweeps
-  over the same matrix produce a cache byte-identical to a clean
-  serial run.
-* :func:`canonicalize_cache_file` — the same locked read-and-scrub,
-  rewritten key-sorted.  ``repro cache canonicalize`` also decodes
-  every line it keeps, as ``repro cache verify`` does, so it is the
-  repair for a file ``repro cache verify --strict`` rejects.
+* :func:`canonicalize_cache_file` — the one rewriter: under the lock,
+  fold incoming entries into whatever the file holds *now* (existing
+  keys win — a second writer folds in, never clobbers), scrub rejected,
+  repeated and blank lines, and rewrite the file sorted by key via temp
+  file + ``fsync`` + ``os.replace``.  Every sweep batch ends with it,
+  so serial, parallel, faulted and overlapping sweeps over the same
+  matrix leave byte-identical caches.  ``repro cache canonicalize``
+  also decodes every line it keeps, as ``repro cache verify`` does, so
+  it is the repair for a file ``repro cache verify --strict`` rejects.
 
 :func:`encode_entry` is the only writer of new lines.
 """
@@ -214,9 +214,9 @@ def _located_lines(handle: BinaryIO) -> Iterator[tuple[int | None, bytes]]:
 def append_lines(path: Path, lines: Iterable[str]) -> int:
     """Append ``lines`` to ``path``, one per line, and ``fsync``.
 
-    The caller holds ``path``'s lock or is its only writer (a worker's
-    shard).  A file that does not end in a newline (a write torn by a
-    crash) gets one first, so its remnant stays a line of its own,
+    The caller holds ``path``'s lock or is its only writer (a dispatch's
+    staged shard).  A file that does not end in a newline (a write torn
+    by a crash) gets one first, so its remnant stays a line of its own,
     rejected and counted once, and the first new line is not glued onto
     it.  Returns how many lines were written.
     """
@@ -617,8 +617,8 @@ class MergeStats:
     """What one locked write of a cache file did.
 
     ``new_entries`` were written by this call; ``existing_entries`` were
-    already present (and won over any incoming duplicate) — every entry
-    a canonicalize kept; ``corrupt_lines`` counts lines the write's read
+    already present (and won over any incoming duplicate) and were kept
+    by the rewrite; ``corrupt_lines`` counts lines the write's read
     of the existing file skipped (and its rewrite scrubbed), CRC
     failures included, and ``crc_failures`` that subset; ``lock_waits``
     counts backoff sleeps while acquiring the cache lock.  An append
@@ -638,20 +638,25 @@ def append_cache_entries(
     items: Iterable[tuple[str, dict]],
     *,
     lock_timeout: float | None = None,
+    after: Callable[[], None] | None = None,
 ) -> MergeStats:
     """Append ``(key, result)`` v5 lines to ``path``.
 
     The append happens under ``path``'s advisory lock, so concurrent
-    appenders and mergers serialise instead of interleaving bytes.  A
+    appenders and rewriters serialise instead of interleaving bytes.  A
     crash mid-append can still tear the final line — which the CRC then
     detects on the next load; the next append starts on a line of its
-    own (:func:`append_lines`).
+    own (:func:`append_lines`).  ``after`` runs once the lines are
+    synced, with the lock still held: where a pool worker fires the
+    fault hooks that tear the cache.
     """
     lock = FileLock.for_target(path, timeout=lock_timeout)
     with lock:
         written = append_lines(
             path, (encode_entry(key, result) for key, result in items)
         )
+        if after is not None:
+            after()
     return MergeStats(new_entries=written, lock_waits=lock.waits)
 
 
@@ -705,95 +710,54 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-def merge_cache_entries(
+def canonicalize_cache_file(
     path: Path,
-    items: Iterable[tuple[str, dict]],
+    entries: Iterable[tuple[str, dict]] = (),
     *,
     lock_timeout: float | None = None,
+    decode: bool = False,
 ) -> MergeStats:
-    """Fold ``items`` into ``path`` under its lock, atomically.
+    """Fold ``entries`` into ``path`` and rewrite it sorted by key.
 
-    The cooperative multi-writer merge: whatever the file holds *at
-    merge time* is re-read under the exclusive lock and kept — existing
-    keys win over incoming ones, so a second sweep folds its results in
-    without ever clobbering the first's.  New keys append in ``items``
-    order, which keeps a fresh cache byte-identical to a serial run.
-    The rewrite is atomic (temp file + ``fsync`` + ``os.replace``),
-    copies existing lines verbatim, and scrubs any corrupt or
-    checksum-failed lines it skipped (they are counted in the returned
-    :class:`MergeStats`).  An existing line is decoded only when an
-    incoming key collides with it; one that fails to decode is scrubbed
-    and counted the same way, and the incoming entry takes its place.
+    The one locked rewrite of a cache file.  Under the cache's advisory
+    lock the file is re-read as it is *now*: every valid key it holds is
+    kept and wins over an incoming one, so a writer folds in and never
+    clobbers, and each entry the file lacks is added.  Corrupt or
+    CRC-failed lines are scrubbed and counted like every other tolerant
+    read, repeated keys resolve last-wins (the append-path semantics),
+    and blank lines go.  The file is then rewritten sorted by key (temp
+    file + ``fsync`` + ``os.replace``, copying valid lines verbatim), so
+    its bytes are a pure function of the entry set: any mix of
+    concurrent writers converges on the cache a clean serial run of the
+    union of their work would leave.  A sorted, clean file that already
+    holds every entry is left byte-untouched; a missing file with no
+    entries stays missing.
 
-    When the file is already clean, duplicate-free and contains every
-    incoming key, its bytes are left untouched.
+    An existing line is decoded only when an incoming key collides with
+    it; one that fails is scrubbed and counted, and the incoming entry
+    takes its place.  With ``decode``, every line kept is decoded, as
+    ``repro cache verify`` decodes every line: the repair ``repro cache
+    canonicalize`` runs.  ``existing_entries`` counts the entries kept
+    and ``new_entries`` those added.
     """
+    incoming = dict(entries)
     lock = FileLock.for_target(path, timeout=lock_timeout)
     with lock:
         values, report = _scan(path, lazy=True)
-        existing = len(values)
-        new = undecodable = left_out = 0
-        for key, result in items:
-            held = values.get(key)
-            if held is not None and not _decodes(key, held):
-                del values[key]
-                existing -= 1
-                undecodable += 1
-                held = None
-            if held is None:
-                values[key] = result
-                new += 1
-        if new or report.needs_scrub:
-            left_out = _write_lines(path, values.items())
-    stats = MergeStats(
-        new_entries=new,
-        existing_entries=existing - left_out,
-        corrupt_lines=report.skipped + undecodable + left_out,
-        crc_failures=report.crc_failures,
-        lock_waits=lock.waits,
-    )
-    _warn(path, stats.corrupt_lines, stats.crc_failures, _REWRITE_NOTE)
-    return stats
-
-
-def canonicalize_cache_file(
-    path: Path, *, lock_timeout: float | None = None, decode: bool = False
-) -> MergeStats:
-    """Rewrite ``path`` with entries sorted by key.
-
-    The experiment service's determinism primitive: a server interleaves
-    batches from many clients, so its cache file would otherwise end up
-    ordered by *arrival*, which is not reproducible.  Sorting by key
-    (under the cache's advisory lock, via an atomic temp-file rewrite
-    that copies valid lines verbatim) makes the bytes a pure function
-    of the entry set — any mix of concurrent clients converges on the
-    cache a clean serial run of the union of their jobs would leave.
-
-    Idempotent and conservative: an already-sorted, clean, duplicate-
-    free file is left byte-untouched; duplicates resolve last-wins (the
-    append-path semantics); corrupt or CRC-failed lines are scrubbed and
-    counted like every other tolerant read.  With ``decode``, every
-    line kept is also decoded, as ``repro cache verify`` decodes every
-    line, and one that fails is scrubbed and counted too: the repair
-    ``repro cache canonicalize`` runs.  The entry count is the returned
-    ``existing_entries``; a missing file is a no-op.
-    """
-    lock = FileLock.for_target(path, timeout=lock_timeout)
-    with lock:
-        values, report = _scan(path, lazy=True)
-        undecodable = (
-            [key for key, value in values.items() if not _decodes(key, value)]
-            if decode
-            else []
-        )
+        suspects = list(values) if decode else [k for k in incoming if k in values]
+        undecodable = [key for key in suspects if not _decodes(key, values[key])]
         for key in undecodable:
             del values[key]
+        existing = len(values)
+        new = {key: result for key, result in incoming.items() if key not in values}
+        values.update(new)
         ordered = sorted(values)
         left_out = 0
-        if report.needs_scrub or undecodable or list(values) != ordered:
+        if new or undecodable or report.needs_scrub or list(values) != ordered:
             left_out = _write_lines(path, ((key, values[key]) for key in ordered))
     stats = MergeStats(
-        existing_entries=len(values) - left_out,
+        new_entries=len(new),
+        existing_entries=existing - left_out,
         corrupt_lines=report.skipped + len(undecodable) + left_out,
         crc_failures=report.crc_failures,
         lock_waits=lock.waits,

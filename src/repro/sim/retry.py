@@ -178,7 +178,8 @@ class JobOutcome:
     Exactly one of ``result`` / ``failure`` is set.  ``retries`` counts
     re-attempts actually performed (0 for a first-try success), so the
     parent can aggregate a ``sweep/retries`` counter without trusting
-    wall time.
+    wall time.  A pool worker's cache append of the result reports its
+    ``lock_waits`` and whether it gave up on the lock (``lock_timed_out``).
     """
 
     index: int
@@ -186,10 +187,12 @@ class JobOutcome:
     result: dict | None = None
     failure: FailedCell | None = None
     retries: int = 0
+    lock_waits: int = 0
+    lock_timed_out: bool = False
 
-    # Results recovered from a crashed worker's shard file are flagged so
-    # reports can distinguish "recomputed" from "salvaged".
-    from_shard: bool = field(default=False, compare=False)
+    # Results a crashed pool had appended, read back from the cache, are
+    # flagged so reports can distinguish "recomputed" from "recovered".
+    from_cache: bool = field(default=False, compare=False)
 
 
 @contextmanager

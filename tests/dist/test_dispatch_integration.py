@@ -3,7 +3,7 @@
 The tentpole invariant with workers dying under it: a dispatch sharded
 across a fleet of ``repro serve --worker`` processes — including one
 the ``worker-lost`` fault kills mid-dispatch — leaves a cache
-byte-identical to a canonicalized serial ``repro sweep`` of the same
+byte-identical to a serial ``repro sweep`` of the same
 matrix, and the loss is visible in ``repro stats``.  CI's tier-1 job
 runs it on every supported Python.
 """
@@ -57,14 +57,12 @@ def _trace_flags(traces: tuple[str, ...]) -> list[str]:
 
 
 def _serial_reference(cache_dir: Path) -> Path:
-    """A canonicalized serial sweep of the matrix: the golden bytes."""
-    env = _env(cache_dir)
+    """A serial sweep of the matrix, which leaves it sorted: the golden bytes."""
     sweep = _repro(
-        ("sweep", "--preset", "test", *_trace_flags(TRACES), "--jobs", "1"), env
+        ("sweep", "--preset", "test", *_trace_flags(TRACES), "--jobs", "1"),
+        _env(cache_dir),
     )
     assert sweep.returncode == 0, sweep.stderr
-    canon = _repro(("cache", "canonicalize", "--cache-dir", str(cache_dir)), env)
-    assert canon.returncode == 0, canon.stderr
     [path] = cache_dir.glob("results-v*.jsonl")
     return path
 
@@ -404,6 +402,8 @@ def test_a_worker_serving_another_preset_is_lost_not_leased_forever(tmp_path):
     assert [f["error"] for f in report["failures"]] == ["NoWorkersLeft"] * 2
     [health] = report["workers"]
     assert health["retired"] and health["losses"] == 2
+    # Lost at the handshake both times: no lease frame was ever sent.
+    assert health["leases"] == report["leases"] == 0
     assert "serves preset 'bench', not 'test'" in dispatch.stderr
     # Failed cells or not, a finished dispatch leaves no staged shards.
     assert list((tmp_path / "dist").glob("*.dist-*")) == []

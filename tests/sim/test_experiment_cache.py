@@ -384,8 +384,8 @@ class TestLinesStayOnDisk:
 class TestLockCounters:
     """A runner counts the lock waits and timeouts of its own writes.
 
-    The cache lock is held while ``prewarm`` writes: by the serial
-    path's append of each cell, or the parallel path's shard merge.
+    The cache lock is held while ``prewarm`` writes: by each cell's
+    append, serial or in a pool worker, and by the batch end's rewrite.
     """
 
     CELLS = [(BASELINE_2MB, "sjeng.1"), (BASELINE_2MB, "mcf.1")]
@@ -399,8 +399,9 @@ class TestLockCounters:
         class ReleasedSoonAfterAsking(FileLock):
             """The first write to ask for the lock gets it 0.2 s later.
 
-            The release thread starts only once a write asks, after any
-            worker pool has exited, so no process forks beside it.
+            The release thread starts only once a write asks: in a pool
+            worker, which forks nothing, or in the parent after its pool
+            has exited, so no process forks beside it.
             """
 
             def acquire(self):

@@ -5,8 +5,9 @@ Every test arms :mod:`repro.sim.faultinject` through the environment
 fault-tolerance layer:
 
 * a sweep that survives its faults is *byte-identical* to a clean
-  ``jobs=1`` run — retries, pool rebuilds and shard salvage are pure
-  scheduling noise;
+  ``jobs=1`` run — retries, pool rebuilds and torn appends are pure
+  scheduling noise, and a killed sweep's rerun recomputes only what it
+  had not finished;
 * a sweep that cannot survive degrades gracefully — structured
   :class:`~repro.sim.retry.FailedCell` records and ``sweep/*`` counters,
   never a missing cell without provenance.
@@ -14,10 +15,17 @@ fault-tolerance layer:
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import repro.sim.experiment as experiment
 from repro.cli import main
 from repro.sim.config import BASE_VICTIM_2MB, BASELINE_2MB, TEST
 from repro.sim.experiment import CACHE_DIR_ENV, ExperimentRunner
@@ -28,7 +36,9 @@ from repro.sim.faultinject import (
     InjectedFault,
     parse_faults,
 )
-from repro.sim.resultcache import encode_entry
+from repro.sim.locking import FileLock
+from repro.sim.parallel import SINGLE, SweepJob, run_sweep
+from repro.sim.resultcache import scan_cache_file
 from repro.sim.retry import RetryPolicy, SweepFailedError
 
 TRACES = ["sjeng.1", "mcf.1", "lbm.1", "octane.1"]
@@ -86,6 +96,33 @@ class TestTransientFaults:
         # No shard litter after recovery either.
         leftovers = [p for p in (tmp_path / "crashy").rglob("*") if "shard" in p.name]
         assert leftovers == []
+
+    def test_a_broken_pool_takes_what_it_appended_from_the_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """One worker runs all three jobs and dies before the last: the
+        two it appended are read back from the cache, not recomputed."""
+        reference = ExperimentRunner(TEST, use_disk_cache=False)
+        expected = [
+            reference.run_single(BASELINE_2MB, trace).to_dict()
+            for trace in TRACES[:3]
+        ]
+        runner = ExperimentRunner(TEST, cache_dir=tmp_path / "crashy")
+        jobs = [
+            SweepJob(
+                key=runner.job_key(BASELINE_2MB, trace),
+                kind=SINGLE,
+                machine=BASELINE_2MB,
+                trace_name=trace,
+            )
+            for trace in TRACES[:3]
+        ]
+        _arm(monkeypatch, tmp_path, "crash:2:1")
+        outcome = run_sweep(
+            TEST, jobs, jobs=1, chunksize=3, cache_path=runner.cache_path
+        )
+        assert (outcome.recovered_workers, outcome.cache_recovered) == (1, 2)
+        assert outcome.results == expected
 
     def test_crash_plus_transient_failure_in_one_sweep(
         self, tmp_path, monkeypatch, clean_reference
@@ -213,14 +250,17 @@ class TestSingleRun:
         assert failure.error == "InjectedFault"
 
 
-class TestCorruptShards:
+class TestTornAppends:
+    """A line torn beside a pool worker's append is scrubbed by the batch end."""
+
     def test_corrupt_shard_line_is_counted_and_harmless(
         self, tmp_path, monkeypatch, clean_reference
     ):
         results, cache_bytes = clean_reference
         _arm(monkeypatch, tmp_path, "corrupt:0:1")
         runner = ExperimentRunner(TEST, cache_dir=tmp_path / "torn", jobs=2)
-        with pytest.warns(RuntimeWarning, match="corrupt cache line"):
+        scrubbed = rf"{runner._cache_path.name}: skipped 1 corrupt .*scrubbed"
+        with pytest.warns(RuntimeWarning, match=scrubbed):
             assert _sweep(runner) == results
         assert runner._cache_path.read_bytes() == cache_bytes
         assert _counter(runner, "sweep/corrupt_lines") == 1
@@ -229,11 +269,12 @@ class TestCorruptShards:
     def test_torn_write_is_caught_by_crc_and_harmless(
         self, tmp_path, monkeypatch, clean_reference
     ):
-        """A checksum-failed shard line is detected, counted, skipped."""
+        """A checksum-failed cache line is detected, counted, scrubbed."""
         results, cache_bytes = clean_reference
         _arm(monkeypatch, tmp_path, "torn-write:0:1")
         runner = ExperimentRunner(TEST, cache_dir=tmp_path / "torn-v5", jobs=2)
-        with pytest.warns(RuntimeWarning, match="CRC"):
+        scrubbed = rf"{runner._cache_path.name}: skipped 1 .*CRC.*scrubbed"
+        with pytest.warns(RuntimeWarning, match=scrubbed):
             assert _sweep(runner) == results
         assert runner._cache_path.read_bytes() == cache_bytes
         assert _counter(runner, "cache/crc_failures") == 1
@@ -277,66 +318,98 @@ class TestCorruptShards:
         assert counts[1] == counts[2] == (2, 1)
 
 
-class TestResume:
-    def _orphan_shards(self, runner: ExperimentRunner, donor, keys) -> None:
-        """Fabricate what a SIGKILLed sweep leaves behind: shard files
-        from a dead pid, never merged into the main cache."""
-        shard_dir = runner._cache_path.parent / (
-            runner._cache_path.stem + ".shards-999999999"
+class TestLockTimeout:
+    def test_a_worker_append_that_gives_up_still_delivers_its_cell(
+        self, tmp_path, monkeypatch
+    ):
+        """The batch end writes what a worker could not append."""
+        cells = [(BASELINE_2MB, "sjeng.1"), (BASELINE_2MB, "mcf.1")]
+        reference = ExperimentRunner(TEST, cache_dir=tmp_path / "serial", jobs=1)
+        reference.prewarm(cells)
+        runner = ExperimentRunner(
+            TEST, cache_dir=tmp_path / "locked", jobs=2, lock_timeout=0
         )
-        shard_dir.mkdir()
-        with (shard_dir / "shard-1.jsonl").open("w") as handle:
-            for key in keys:
-                handle.write(encode_entry(key, donor._memory[key]) + "\n")
+        holder = FileLock.for_target(runner.cache_path).acquire()
+        sweep = experiment.run_sweep
 
-    def test_resume_recovers_exactly_the_completed_cells(self, tmp_path):
-        donor = ExperimentRunner(TEST, cache_dir=tmp_path / "donor", jobs=1)
-        donor.run_pair(BASELINE_2MB, BASE_VICTIM_2MB, TRACES)
+        def sweep_then_release(*args, **kwargs):
+            try:
+                return sweep(*args, **kwargs)
+            finally:
+                holder.release()
 
-        interrupted = ExperimentRunner(TEST, cache_dir=tmp_path / "killed", jobs=1)
-        completed = sorted(donor._memory)[:3]
-        self._orphan_shards(interrupted, donor, completed)
+        monkeypatch.setattr(experiment, "run_sweep", sweep_then_release)
+        assert runner.prewarm(cells) == 2
+        assert not holder.held
+        assert all(runner.has_cached(*cell) for cell in cells)
+        assert _counter(runner, "cache/lock_timeouts") == 2
+        assert runner.cache_path.read_bytes() == reference.cache_path.read_bytes()
 
-        resumed = ExperimentRunner(TEST, cache_dir=tmp_path / "killed", jobs=1)
-        salvaged = resumed.resume_orphan_shards()
-        assert salvaged == sorted(completed)
-        assert _counter(resumed, "sweep/resumed_cells") == 3
-        # The orphan directory is gone; entries are on disk now.
-        assert not list((tmp_path / "killed").glob("*.shards-*"))
 
-        # The resumed sweep recomputes only the missing cells.
-        assert _sweep(resumed) == _sweep(donor)
-        assert resumed.cache_misses == len(TRACES) * 2 - 3
-        assert resumed.cache_hits == 3
+#: The killed sweep: 3 traces x 2 machines, its last job (index 5) hung.
+KILLED_TRACES = ["sjeng.1", "mcf.1", "astar.1"]
+KILLED_CELLS = [
+    (machine, trace)
+    for machine in (BASELINE_2MB, BASE_VICTIM_2MB)
+    for trace in KILLED_TRACES
+]
 
-    def test_resume_is_idempotent_and_skips_cached_keys(self, tmp_path):
-        donor = ExperimentRunner(TEST, cache_dir=tmp_path / "donor", jobs=1)
-        donor.run_pair(BASELINE_2MB, BASE_VICTIM_2MB, TRACES[:2])
 
-        runner = ExperimentRunner(TEST, cache_dir=tmp_path / "r", jobs=1)
-        keys = sorted(donor._memory)[:2]
-        self._orphan_shards(runner, donor, keys)
-        fresh = ExperimentRunner(TEST, cache_dir=tmp_path / "r", jobs=1)
-        assert fresh.resume_orphan_shards() == keys
-        assert fresh.resume_orphan_shards() == []  # nothing left to salvage
+def _cells_on_disk(directory: Path) -> int:
+    """Valid entries in every cache or shard file under ``directory``."""
+    return sum(
+        scan_cache_file(path).entries
+        for path in directory.rglob("*.jsonl")
+        if path.is_file()
+    )
 
-        # A shard whose keys are already cached contributes nothing.
-        self._orphan_shards(fresh, donor, keys)
-        assert fresh.resume_orphan_shards() == []
 
-    def test_live_shard_directories_are_left_alone(self, tmp_path):
-        import os
+class TestKilledSweep:
+    def test_a_rerun_recomputes_only_what_the_killed_sweep_left(
+        self, tmp_path, monkeypatch
+    ):
+        """SIGKILL a parallel sweep whose last job hangs, then rerun it.
 
-        runner = ExperimentRunner(TEST, cache_dir=tmp_path, jobs=1)
-        live_dir = runner._cache_path.parent / (
-            runner._cache_path.stem + f".shards-{os.getpid()}"
+        The five cells it finished are in the cache, so the rerun takes
+        them as hits and simulates only the hung one.
+        """
+        cache_dir = tmp_path / "killed"
+        env = os.environ.copy()
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env[CACHE_DIR_ENV] = str(cache_dir)
+        env[FAULTS_ENV] = f"hang:{len(KILLED_CELLS) - 1}:1"
+        env.pop(FAULTS_DIR_ENV, None)
+        trace_args = [arg for trace in KILLED_TRACES for arg in ("--trace", trace)]
+        sweep = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep", "--preset", "test",
+             "--jobs", "2", *trace_args],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
-        live_dir.mkdir()
         try:
-            assert runner.resume_orphan_shards() == []
-            assert live_dir.exists()
+            deadline = time.monotonic() + 300
+            while _cells_on_disk(cache_dir) < len(KILLED_CELLS) - 1:
+                assert sweep.poll() is None, "the sweep exited before it hung"
+                assert time.monotonic() < deadline, "five cells never landed"
+                time.sleep(0.2)
         finally:
-            live_dir.rmdir()
+            os.killpg(sweep.pid, signal.SIGKILL)
+            sweep.wait(timeout=60)
+
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        rerun = ExperimentRunner(TEST, cache_dir=cache_dir, jobs=1)
+        cached = [cell for cell in KILLED_CELLS if rerun.has_cached(*cell)]
+        assert cached == KILLED_CELLS[:-1]
+        assert rerun.prewarm(KILLED_CELLS) == 1
+        assert (rerun.cache_hits, rerun.cache_misses) == (5, 1)
+        assert list(cache_dir.glob("*.shards-*")) == []
+
+        reference = ExperimentRunner(TEST, cache_dir=tmp_path / "serial", jobs=1)
+        reference.prewarm(KILLED_CELLS)
+        assert rerun.cache_path.read_bytes() == reference.cache_path.read_bytes()
 
 
 class TestRetryPolicyUnit:

@@ -3,8 +3,8 @@
 The parallel engine (``repro.sim.parallel``) may only ever be a
 *scheduling* change: the same sweep run with ``jobs=1`` and ``jobs=4``
 must produce identical result dicts, identical cache-hit accounting and
-byte-identical merged cache files, on the first pass and on a second
-(fully cached) pass.
+byte-identical cache files, sorted by key, on the first pass and on a
+second (fully cached) pass.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ class TestDifferentialSingles:
         parallel_bytes = parallel._cache_path.read_bytes()
         assert serial_bytes  # something was actually written
         assert serial_bytes == parallel_bytes
+        lines = serial_bytes.splitlines()
+        assert lines == sorted(lines)  # each batch ends sorted by key
 
         # Identical accounting: nothing cached, 8 unique jobs simulated.
         assert (serial.cache_hits, serial.cache_misses) == (0, len(TRACES) * 2)

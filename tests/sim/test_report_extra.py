@@ -65,7 +65,7 @@ class TestSweepHealthSummary:
             "retries: 3",
             "failures: 0",
             "recovered workers: 0",
-            "cells salvaged from shards: 0",
+            "cells recovered from crashed pools: 0",
             "corrupt cache lines skipped: 0",
             "lock waits: 0",
             "lock timeouts: 0",

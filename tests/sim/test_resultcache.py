@@ -2,9 +2,9 @@
 
 The persistence contract under test: every line must carry a CRC32 the
 loader verifies (bit rot or a torn-off suffix becomes a *detected*,
-counted skip, in the report or stats the call returns), and merges fold
-into existing files under a lock via atomic replace (an interrupted
-merge leaves the original intact).
+counted skip, in the report or stats the call returns), and the one
+rewriter folds entries into existing files under a lock via atomic
+replace (an interrupted rewrite leaves the original intact).
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from repro.sim.resultcache import (
     cache_files,
     canonicalize_cache_file,
     encode_entry,
+    frame_line,
     load_cache_entries,
-    merge_cache_entries,
     read_cache_entries,
     scan_cache_file,
 )
@@ -72,7 +72,8 @@ class TestLineFormat:
         assert (report.corrupt_lines, report.crc_failures) == (1, 0)
 
         with pytest.warns(CorruptCacheLineWarning):
-            stats = merge_cache_entries(merge_path, [])
+            stats = canonicalize_cache_file(merge_path, [("k1", {"x": 9})])
+        assert (stats.new_entries, stats.existing_entries) == (0, 1)
         assert (stats.corrupt_lines, stats.crc_failures) == (1, 0)
         with pytest.warns(CorruptCacheLineWarning):
             stats = canonicalize_cache_file(canonical_path)
@@ -108,7 +109,8 @@ class TestLineFormat:
         assert (report.crc_failures, report.corrupt_lines) == (1, 0)
 
         with pytest.warns(CorruptCacheLineWarning):
-            stats = merge_cache_entries(paths["merge"], [])
+            stats = canonicalize_cache_file(paths["merge"], [("b", {"ipc": 9})])
+        assert (stats.new_entries, stats.existing_entries) == (0, 1)
         assert (stats.corrupt_lines, stats.crc_failures) == (1, 1)
         with pytest.warns(CorruptCacheLineWarning):
             stats = canonicalize_cache_file(paths["canonical"])
@@ -128,29 +130,39 @@ class TestLineFormat:
 
 
 class TestMerge:
+    """`canonicalize_cache_file` with entries: the fold every batch ends in."""
+
     def test_merge_into_missing_file_equals_plain_write(self, tmp_path):
+        """A missing file with entries is created, sorted by key."""
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        entries = [("k1", {"v": 1}), ("k2", {"v": 2})]
-        stats = merge_cache_entries(a, entries)
-        _write_v5(b, entries)
+        entries = [("k2", {"v": 2}), ("k1", {"v": 1})]
+        stats = canonicalize_cache_file(a, entries)
+        _write_v5(b, sorted(entries))
         assert a.read_bytes() == b.read_bytes()
         assert stats.new_entries == 2 and stats.existing_entries == 0
 
     def test_existing_keys_win_and_bytes_are_stable(self, tmp_path):
+        """A sorted file that holds every entry keeps its bytes and inode."""
         path = tmp_path / "cache.jsonl"
-        merge_cache_entries(path, [("k1", {"v": 1}), ("k2", {"v": 2})])
-        first = path.read_bytes()
-        stats = merge_cache_entries(
+        canonicalize_cache_file(path, [("k1", {"v": 1}), ("k2", {"v": 2})])
+        first, inode = path.read_bytes(), path.stat().st_ino
+        stats = canonicalize_cache_file(
             path, [("k1", {"v": 999}), ("k2", {"v": 2})]
         )
         assert path.read_bytes() == first  # never clobbered, never rewritten
+        assert path.stat().st_ino == inode
         assert stats.new_entries == 0 and stats.existing_entries == 2
 
-    def test_new_keys_append_in_items_order(self, tmp_path):
+    def test_an_undecodable_colliding_line_is_replaced_and_counted(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        merge_cache_entries(path, [("k1", {"v": 1})])
-        merge_cache_entries(path, [("k3", {"v": 3}), ("k2", {"v": 2})])
-        assert list(read_cache_entries(path)[0]) == ["k1", "k3", "k2"]
+        bad = frame_line('{"key": "k1", "result": {"v": }}')
+        path.write_text(bad + "\n" + encode_entry("k2", {"v": 2}) + "\n")
+        with pytest.warns(CorruptCacheLineWarning, match="scrubbed"):
+            stats = canonicalize_cache_file(path, [("k1", {"v": 1})])
+        assert stats == MergeStats(
+            new_entries=1, existing_entries=1, corrupt_lines=1
+        )
+        assert read_cache_entries(path)[0] == {"k1": {"v": 1}, "k2": {"v": 2}}
 
     def test_merge_scrubs_corrupt_lines_and_counts_them(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -158,7 +170,7 @@ class TestMerge:
         with path.open("a") as handle:
             handle.write('{"torn": \n')
         with pytest.warns(CorruptCacheLineWarning):
-            stats = merge_cache_entries(path, [("k2", {"v": 2})])
+            stats = canonicalize_cache_file(path, [("k2", {"v": 2})])
         assert stats.corrupt_lines == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error", CorruptCacheLineWarning)
@@ -176,7 +188,7 @@ class TestMerge:
 
         monkeypatch.setattr(rc.os, "replace", exploding_replace)
         with pytest.raises(OSError, match="injected"):
-            merge_cache_entries(path, [("k2", {"v": 2})])
+            canonicalize_cache_file(path, [("k2", {"v": 2})])
         monkeypatch.undo()
         assert path.read_bytes() == original  # target untouched
         assert not list(tmp_path.glob("*.tmp-*"))  # temp file cleaned up
@@ -213,7 +225,7 @@ class TestVerifyAndMigrate:
 
 
 class TestCanonicalize:
-    """`canonicalize_cache_file`: the serve scheduler's byte-determinism pass."""
+    """`canonicalize_cache_file`: every batch's byte-determinism pass."""
 
     def test_sorts_entries_by_key(self, tmp_path):
         path = tmp_path / cache_file_name("test")
@@ -230,8 +242,7 @@ class TestCanonicalize:
         for index, order in enumerate(permutations(entries)):
             path = tmp_path / f"cache-{index}.jsonl"
             for entry in order:
-                merge_cache_entries(path, [entry])  # one arrival at a time
-            canonicalize_cache_file(path)
+                canonicalize_cache_file(path, [entry])  # one arrival at a time
             images.add(path.read_bytes())
         assert len(images) == 1
 
@@ -337,7 +348,9 @@ class TestReturnedCounts:
         release = threading.Timer(0.3, holder.release)
         release.start()
         try:
-            stats = merge_cache_entries(path, [("k1", {"v": 1})], lock_timeout=30)
+            stats = canonicalize_cache_file(
+                path, [("k1", {"v": 1})], lock_timeout=30
+            )
         finally:
             release.join(timeout=10)
         assert not release.is_alive()

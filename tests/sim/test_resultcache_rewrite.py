@@ -1,15 +1,15 @@
 """Differential oracle for the raw-line rewrite path.
 
-``merge_cache_entries`` and ``canonicalize_cache_file`` copy valid lines
-verbatim, re-encode only lines that took the fallback decode, and decode
-an existing line only when an incoming key collides with it.  The
-reference below is the rewrite they replaced: decode every line, then
-re-encode every entry.  It lives only in this file.  On seeded inputs
-built from committed bench lines (shuffles, duplicates, blank lines,
-torn tails, flipped payload and CRC bits, suffix-less lines and
-valid-CRC lines not in canonical shape), both must leave the same
-bytes and return the same :class:`MergeStats`, and a load must count
-the same corrupt and CRC lines in its report.
+``canonicalize_cache_file`` copies valid lines verbatim, re-encodes only
+lines that took the fallback decode, and decodes an existing line only
+when an incoming key collides with it.  The reference below is the
+rewrite it replaced: decode every line, then re-encode every entry.  It
+lives only in this file.  On seeded inputs built from committed bench
+lines (shuffles, duplicates, blank lines, torn tails, flipped payload
+and CRC bits, suffix-less lines and valid-CRC lines not in canonical
+shape), both must leave the same bytes and return the same
+:class:`MergeStats`, and a load must count the same corrupt and CRC
+lines in its report.
 
 The reference reads text (UTF-8 with ``surrogateescape``, universal
 newlines, ``str.strip``); the scan under test reads bytes.  A second
@@ -36,7 +36,6 @@ from repro.sim.resultcache import (
     canonicalize_cache_file,
     frame_line,
     load_cache_entries,
-    merge_cache_entries,
     scan_cache_file,
 )
 
@@ -89,7 +88,7 @@ def _ref_decode(line: str) -> tuple[str, str | None, dict | None]:
 
 
 class _Reference:
-    """Decode-all read, merge and canonicalize; records what it did."""
+    """Decode-all read and canonicalize; records what it did."""
 
     def __init__(self) -> None:
         self.corrupt = 0
@@ -139,7 +138,7 @@ class _Reference:
         self.rewrote = True
         path.write_text("".join(_ref_encode(k, r) + "\n" for k, r in entries))
 
-    def merge(self, path: Path, items) -> MergeStats:
+    def canonicalize(self, path: Path, items=()) -> MergeStats:
         order, values, dirty = self.read(path)
         existing = len(order)
         new = 0
@@ -148,16 +147,10 @@ class _Reference:
                 order.append(key)
                 values[key] = result
                 new += 1
-        if new or dirty:
-            self.write(path, ((key, values[key]) for key in order))
-        return MergeStats(new, existing, self.corrupt, self.crc, 0)
-
-    def canonicalize(self, path: Path) -> MergeStats:
-        order, values, dirty = self.read(path)
         ordered = sorted(values)
-        if dirty or order != ordered:
+        if new or dirty or order != ordered:
             self.write(path, ((key, values[key]) for key in ordered))
-        return MergeStats(0, len(values), self.corrupt, self.crc, 0)
+        return MergeStats(new, existing, self.corrupt, self.crc, 0)
 
 
 # ----------------------------------------------------------------------
@@ -311,9 +304,9 @@ def test_merge_matches_decode_all_reference(seed, committed, tmp_path):
     text, items = _seeded_input(seed, committed)
     ref_path, raw_path = _pair(tmp_path, text)
     reference = _Reference()
-    expected = reference.merge(ref_path, items)
+    expected = reference.canonicalize(ref_path, items)
     inode = _Inode(raw_path)
-    stats = merge_cache_entries(raw_path, items)
+    stats = canonicalize_cache_file(raw_path, items)
     assert raw_path.read_bytes() == ref_path.read_bytes()
     assert stats == expected
     assert inode.rewrote() == reference.rewrote
@@ -420,7 +413,8 @@ EDGE_CASES = [
 
 @pytest.mark.parametrize("case", EDGE_CASES)
 def test_edge_bytes_match_decode_all_reference(case, committed, tmp_path):
-    """Load, verify, merge and canonicalize each see what the text read sees."""
+    """Load, verify and canonicalize, with entries or without, each see
+    what the text read sees."""
     data = _edge_file(case, committed)
     ref_path, raw_path = _pair(tmp_path, data)
     reference = _Reference()
@@ -435,16 +429,12 @@ def test_edge_bytes_match_decode_all_reference(case, committed, tmp_path):
     spare = [json.loads(line[: -len("#00000000")]) for line in committed[4:6]]
     items = [(key, {"incoming": 1}) for key in values]
     items += [(entry["key"], entry["result"]) for entry in spare]
-    for write in ("merge", "canonicalize"):
+    for incoming in (items, ()):
         ref_path, raw_path = _pair(tmp_path, data)
         reference = _Reference()
         inode = _Inode(raw_path)
-        if write == "merge":
-            expected = reference.merge(ref_path, items)
-            assert merge_cache_entries(raw_path, items) == expected
-        else:
-            expected = reference.canonicalize(ref_path)
-            assert canonicalize_cache_file(raw_path) == expected
+        expected = reference.canonicalize(ref_path, incoming)
+        assert canonicalize_cache_file(raw_path, incoming) == expected
         assert raw_path.read_bytes() == ref_path.read_bytes()
         assert inode.rewrote() == reference.rewrote
 

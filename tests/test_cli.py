@@ -62,18 +62,16 @@ class TestParser:
     def test_sweep_flags(self):
         args = build_parser().parse_args(
             ["sweep", "--preset", "test", "--trace", "mcf.1", "--trace",
-             "sjeng.1", "--resume", "--strict", "--jobs", "2"]
+             "sjeng.1", "--strict", "--jobs", "2"]
         )
         assert args.preset == "test"
         assert args.traces == ["mcf.1", "sjeng.1"]
-        assert args.resume
         assert args.strict
         assert args.jobs == 2
 
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep"])
         assert args.preset == "bench"
-        assert not args.resume
         assert not args.strict
         assert not args.all_traces
         assert args.traces is None
@@ -314,15 +312,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "recovered from cache: 2 cells" in out
         assert "recomputed: 0 cells" in out
-
-    def test_sweep_resume_reports_salvage(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(
-            ["sweep", "--preset", "test", "--trace", "sjeng.1", "--resume"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "salvaged from orphan shards: 0 cells" in out
-        assert "recomputed " in out
 
     def test_stats_reports_corrupt_lines_skipped(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
