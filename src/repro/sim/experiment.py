@@ -342,8 +342,12 @@ class ExperimentRunner:
                     else:
                         outcome.results[index] = job_outcome.result
                         self._store(job.key, job_outcome.result)
-            self._end_batch(pending, outcome.results)
-            self._note_outcome(outcome)
+            try:
+                self._end_batch(pending, outcome.results)
+            finally:
+                # A batch end that gives up on the lock still reports the
+                # batch's retries, failures and workers' lock timeouts.
+                self._note_outcome(outcome)
             if outcome.failures and self.strict:
                 raise SweepFailedError(list(outcome.failures))
             return len(pending) - len(outcome.failures)

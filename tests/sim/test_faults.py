@@ -293,7 +293,7 @@ class TestTornAppends:
 
     def test_main_file_rejections_count_once_serial_or_parallel(self, tmp_path):
         """A torn and a CRC-failed main-file line count once, at load,
-        whether the next batch runs serially or merges worker shards."""
+        whether the next batch runs serially or in a worker pool."""
         donor = ExperimentRunner(TEST, cache_dir=tmp_path / "donor", jobs=1)
         donor.run_single(BASELINE_2MB, "sjeng.1")
         [line] = donor._cache_path.read_text().splitlines()
@@ -410,6 +410,34 @@ class TestKilledSweep:
         reference = ExperimentRunner(TEST, cache_dir=tmp_path / "serial", jobs=1)
         reference.prewarm(KILLED_CELLS)
         assert rerun.cache_path.read_bytes() == reference.cache_path.read_bytes()
+
+    def test_a_second_rerun_simulates_nothing_and_keeps_the_bytes(self, tmp_path):
+        """A killed sweep leaves its cells in the order they finished and,
+        if the kill landed mid-append, a torn tail.  The first rerun counts
+        the tear once, recomputes the rest and leaves the serial sweep's
+        sorted bytes; a second rerun simulates nothing and rewrites
+        nothing."""
+        reference = ExperimentRunner(TEST, cache_dir=tmp_path / "serial", jobs=1)
+        reference.prewarm(KILLED_CELLS)
+        serial = reference.cache_path.read_bytes()
+        lines = serial.splitlines(keepends=True)
+        path = tmp_path / "killed" / reference.cache_path.name
+        path.parent.mkdir()
+        path.write_bytes(b"".join(lines[2::-1]) + lines[3][: len(lines[3]) // 2])
+
+        with pytest.warns(RuntimeWarning):
+            rerun = ExperimentRunner(TEST, cache_dir=path.parent, jobs=2)
+        assert rerun.prewarm(KILLED_CELLS) == 3
+        assert (rerun.cache_hits, rerun.cache_misses) == (3, 3)
+        assert _counter(rerun, "sweep/corrupt_lines") == 1
+        assert path.read_bytes() == serial
+
+        inode = path.stat().st_ino
+        again = ExperimentRunner(TEST, cache_dir=path.parent, jobs=2)
+        assert again.prewarm(KILLED_CELLS) == 0
+        assert (again.cache_hits, again.cache_misses) == (6, 0)
+        assert path.stat().st_ino == inode
+        assert path.read_bytes() == serial
 
 
 class TestRetryPolicyUnit:

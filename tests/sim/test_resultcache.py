@@ -153,6 +153,12 @@ class TestMerge:
         assert path.stat().st_ino == inode
         assert stats.new_entries == 0 and stats.existing_entries == 2
 
+    def test_new_keys_land_in_key_order_not_items_order(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        canonicalize_cache_file(path, [("k1", {"v": 1})])
+        canonicalize_cache_file(path, [("k3", {"v": 3}), ("k2", {"v": 2})])
+        assert list(read_cache_entries(path)[0]) == ["k1", "k2", "k3"]
+
     def test_an_undecodable_colliding_line_is_replaced_and_counted(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         bad = frame_line('{"key": "k1", "result": {"v": }}')

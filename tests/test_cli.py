@@ -76,6 +76,11 @@ class TestParser:
         assert not args.all_traces
         assert args.traces is None
 
+    def test_sweep_has_no_resume_flag(self):
+        """A rerun finds a killed sweep's cells cached; no flag asks for it."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--resume"])
+
 
 class TestServeParser:
     def test_serve_defaults(self):
@@ -312,6 +317,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "recovered from cache: 2 cells" in out
         assert "recomputed: 0 cells" in out
+
+    def test_sweep_rerun_recovers_the_cells_already_cached(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """What a killed sweep finished is in the cache: the rerun lists
+        it as recovered, computes the rest and leaves the file sorted."""
+        from repro.sim.resultcache import read_cache_entries
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["run", "--trace", "sjeng.1", "--preset", "test"]) == 0
+        capsys.readouterr()
+        assert main(
+            ["sweep", "--preset", "test", "--trace", "sjeng.1", "--jobs", "1"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "recovered from cache: 1 cells" in out
+        assert "recomputed: 1 cells" in out
+        keys = list(read_cache_entries(next(tmp_path.glob("results-v*.jsonl")))[0])
+        assert len(keys) == 2 and keys == sorted(keys)
 
     def test_stats_reports_corrupt_lines_skipped(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
